@@ -18,27 +18,21 @@ import sys
 from pathlib import Path
 
 from . import netlist
-from .blocks import (
-    build_d_latch,
-    build_decoder,
-    build_demultiplexer,
-    build_encoder,
-    build_memory,
-    build_multiplexer,
-)
-from .gates import build_css
 from .harness import (
+    BLOCKS,
     DEFAULT_SEED,
     EXPERIMENTS,
     ExperimentConfig,
     ExperimentResult,
+    block_config,
+    build_block,
     export_spikes,
     parse_stimulus,
     render_checks,
     run_experiment,
     verify_block,
 )
-from .resources import BLOCK_KINDS, FormulaQuery, formula_resources, reconcile
+from .resources import BLOCK_KINDS, formula_resources, reconcile
 from .sim import Network
 from .trace import render_trace
 
@@ -166,9 +160,12 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_block(args.block, args.and_kind, n=args.n,
-                          registers=args.registers, bits=args.bits,
-                          seed=args.seed)
+    try:
+        report = verify_block(args.block, args.and_kind, n=args.n,
+                              registers=args.registers, bits=args.bits,
+                              seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     parts = [f"{report.and_kind} AND"] if report.and_kind else []
     parts += [f"{k}={v}" for k, v in report.params.items()]
     print(f"verify {report.kind} ({', '.join(parts)})")
@@ -176,27 +173,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _build_block(kind: str, ak: str | None, n: int | None,
-                 registers: int | None, bits: int | None):
-    net = Network()
-    if kind == "encoder":
-        return build_encoder(net, n or 4)
-    css = build_css(net)
-    if kind == "decoder":
-        return build_decoder(net, n or 2, ak, css)
-    if kind == "multiplexer":
-        return build_multiplexer(net, n or 2, ak, css)
-    if kind == "demultiplexer":
-        return build_demultiplexer(net, n or 2, ak, css)
-    if kind == "d_latch":
-        return build_d_latch(net, ak, css)
-    return build_memory(net, registers or 3, bits or 3, ak, css)
-
-
 def _cmd_resources(args: argparse.Namespace) -> int:
     kind = args.block
-    ak = None if kind == "encoder" else (args.and_kind or "fast")
-    handle = _build_block(kind, ak, args.n, args.registers, args.bits)
+    try:
+        ak, size = block_config(kind, args.and_kind, n=args.n,
+                                registers=args.registers, bits=args.bits)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    handle = build_block(Network(), kind, ak, size)
     params = ", ".join(f"{k}={v}" for k, v in handle.params.items())
     kind_note = f"{ak} AND, " if ak else ""
     print(f"resources {kind} ({kind_note}{params})")
@@ -207,30 +191,12 @@ def _cmd_resources(args: argparse.Namespace) -> int:
     for label, count in report.by_category.items():
         print(f"    {label.ljust(width)}  {count}")
 
-    queries: list[FormulaQuery] = []
-    if kind == "encoder":
-        queries.append(FormulaQuery("encoder", form="n",
-                                    n=handle.params["num_inputs"]))
-    elif kind == "d_latch":
-        queries.append(FormulaQuery("d_latch", ak))
-    elif kind == "memory":
-        registers = handle.params["r"]
-        bits = handle.params["c"]
-        depth = registers.bit_length()
-        if registers == 2 ** depth - 1:
-            queries.append(FormulaQuery("memory", ak, "n", n=depth, c=bits))
-            queries.append(FormulaQuery("memory", ak, "m",
-                                        r=registers, c=bits))
-        else:
-            print(f"  closed forms assume full occupancy r = 2^n - 1; "
-                  f"skipped for r={registers}")
-    else:
-        n = handle.params["n"]
-        queries.append(FormulaQuery(kind, ak, "n", n=n))
-        queries.append(FormulaQuery(kind, ak, "m", m=2 ** n))
-
+    queries = BLOCKS[kind].queries(ak, *size)
+    if queries is None:  # a partially occupied memory
+        print(f"  closed forms assume full occupancy r = 2^n - 1; "
+              f"skipped for r={size[0]}")
     status = 0
-    for query in queries:
+    for query in queries or ():
         expected = formula_resources(query)
         outcome = reconcile(handle, query)
         verdict = "OK" if outcome.ok else "MISMATCH"

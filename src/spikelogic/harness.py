@@ -23,24 +23,26 @@ meaningful. A user stimulus file replaces the canonical input schedules
 wholesale; signals it does not mention stay silent, and names that do
 not match the experiment's input ports are rejected.
 
-verify_block() packages per-block truth-table sweeps, seeded fuzzing,
-latency measurement and resource reconciliation into one report, which
-is what the command-line verify subcommand prints.
+Every block kind is declared once, in BLOCKS. check_pipelined() is the
+one truth-table check: one input word per ms, outputs compared with the
+kind's word oracle delayed by its latency. verify_block() packages
+sweeps or fuzzing, latency measurement and resource reconciliation into
+one report, which is what the command-line verify subcommand prints.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import operator
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import netlist
 from .blocks import (
     AndKind,
+    BlockHandle,
     build_d_latch,
     build_decoder,
     build_demultiplexer,
@@ -49,15 +51,18 @@ from .blocks import (
     build_multiplexer,
 )
 from .gates import build_css, build_not, drive, wire, padded
-from .oracles import latch_states, memory_states
-from .resources import (
-    BLOCK_KINDS,
-    FormulaQuery,
-    expected_latency,
-    reconcile,
+from .oracles import (
+    decoder_channel,
+    demux_channels,
+    encoder_value,
+    latch_states,
+    memory_final,
+    memory_states,
+    mux_output,
 )
+from .resources import FormulaQuery, expected_latency, reconcile
 from .sim import Network, SpikeRecord
-from .trace import Trace, hex_word_row, spike_row, value_row
+from .trace import Trace, TraceRow, hex_word_row, spike_row, value_row
 
 EXPERIMENTS = ("decoder-encoder", "mux-demux", "d-latch", "memory")
 
@@ -148,16 +153,14 @@ def _resolve_inputs(canonical: dict[str, tuple[int, ...]],
 
 def _words_from_bits(bit_times: Sequence[Iterable[int]],
                      duration_ms: int) -> list[int]:
+    """Per-ms input words, bit b set when signal b spikes. Word 0 stays
+    0: checks start at t=1, so a spike at t=0 never reaches an oracle."""
     words = [0] * duration_ms
     for b, times in enumerate(bit_times):
         for t in times:
-            if 0 <= t < duration_ms:
+            if 1 <= t < duration_ms:
                 words[t] |= 1 << b
     return words
-
-
-def _set_in_window(times: Iterable[int], start: int, stop: int) -> set[int]:
-    return {t for t in times if start <= t < stop}
 
 
 def _diff_detail(signal: str, got: set[int], want: set[int]) -> str:
@@ -171,11 +174,24 @@ def _diff_detail(signal: str, got: set[int], want: set[int]) -> str:
     return ", ".join(parts)
 
 
-def _compare_sets(label: str, pairs: Sequence[tuple[str, set[int], set[int]]],
-                  ok_detail: str = "") -> Check:
-    for signal, got, want in pairs:
-        if got != want:
-            return Check(label, False, _diff_detail(signal, got, want))
+def _expect_delayed(record: SpikeRecord, outputs: Mapping[str, int],
+                    oracle_words: Sequence[int], latency: int, label: str,
+                    ok_detail: str = "") -> Check:
+    """Output k (in the order of outputs) must spike at t + latency
+    exactly when bit k of oracle_words[t] is set, for t >= 1; spikes
+    are compared from latency + 1 on. The first mismatching output is
+    reported."""
+    want: list[set[int]] = [set() for _ in outputs]
+    for t in range(1, record.duration_ms - latency):
+        word = oracle_words[t]
+        while word:
+            low = word & -word
+            want[low.bit_length() - 1].add(t + latency)
+            word ^= low
+    for (signal, eid), expected in zip(outputs.items(), want):
+        got = {t for t in record.times(eid) if t > latency}
+        if got != expected:
+            return Check(label, False, _diff_detail(signal, got, expected))
     return Check(label, True, ok_detail)
 
 
@@ -183,16 +199,215 @@ def _and_value(and_kind) -> str:
     return AndKind(and_kind).value
 
 
+def _times(record: SpikeRecord,
+           outputs: Mapping[str, int]) -> dict[str, tuple[int, ...]]:
+    return {name: record.times(eid) for name, eid in outputs.items()}
+
+
+def _spike_rows(signals: Mapping[str, Sequence[int]], duration: int,
+                valid_from: int = 0) -> list[TraceRow]:
+    return [spike_row(name, times, duration, valid_from=valid_from)
+            for name, times in signals.items()]
+
+
+def _duration(duration_ms: int | None, default: int) -> int:
+    if duration_ms is None:
+        return default
+    if duration_ms < 1:
+        raise ValueError("duration_ms must be >= 1")
+    return duration_ms
+
+
+# ---------------------------------------------------------------------------
+# Block table
+
+
+def _both_forms(kind: str) -> Callable[[str, int], list[FormulaQuery]]:
+    return lambda ak, n: [FormulaQuery(kind, ak, "n", n=n),
+                          FormulaQuery(kind, ak, "m", m=2 ** n)]
+
+
+def _selects(n: int) -> list[str]:
+    return [f"s{b}" for b in range(n)]
+
+
+def _channels(n: int) -> list[str]:
+    return [f"ch{j}" for j in range(2 ** n)]
+
+
+@dataclass(frozen=True)
+class BlockSpec:
+    """What the harness and the CLI know about one block kind.
+
+    A size is a tuple of ints, one per keyword of default (n, registers,
+    bits; the encoder's input count is its n), reported under
+    size_names; the callables take it unpacked after their other
+    arguments. Bit k of an input word drives port k of inputs(*size),
+    bit k of an output word is port k of outputs(*size), and
+    oracle(words, *size) maps per-ms input words to the output words the
+    block shows one latency later.
+    """
+
+    default: dict[str, int]
+    size_names: tuple[str, ...]
+    build: Callable[..., BlockHandle]  # (net, and_kind, css, *size)
+    inputs: Callable[..., list[str]]
+    outputs: Callable[..., list[str]]
+    oracle: Callable[..., list[int]]
+    # (and_kind, *size); None where no closed form applies
+    queries: Callable[..., list[FormulaQuery] | None]
+    verify: Callable[..., list[Check]]  # (and_kind, rng, trials, seed, *size)
+    probe: tuple[str, ...]  # inputs spiking once for measure_latency
+    probe_output: str
+    smallest: int = 1  # smallest buildable value of every size entry
+    and_stage: bool = True  # takes an AND kind and a CSS
+
+
+# Builders, sweeps and oracles are looked up at call time, through this
+# module's globals, so a caller may wrap them (the benchmark traces them).
+BLOCKS: dict[str, BlockSpec] = {
+    "decoder": BlockSpec(
+        {"n": 2}, ("n",),
+        build=lambda net, ak, css, n: build_decoder(net, n, ak, css),
+        inputs=_selects, outputs=_channels,
+        oracle=lambda words, n: [1 << decoder_channel(w) for w in words],
+        queries=_both_forms("decoder"),
+        verify=lambda ak, rng, trials, seed, n: [
+            sweep_decoder(n, ak),
+            sweep_decoder(n, ak, [rng.randrange(2 ** n)
+                                  for _ in range(trials)])],
+        probe=("s0",), probe_output="ch1"),
+    "encoder": BlockSpec(
+        {"n": 4}, ("num_inputs",), smallest=2, and_stage=False,
+        build=lambda net, ak, css, m: build_encoder(net, m),
+        inputs=lambda m: [f"d{i}" for i in range(m)],
+        outputs=lambda m: [f"or{b}" for b in range((m - 1).bit_length())],
+        oracle=lambda words, m: [
+            encoder_value(i for i in range(m) if w >> i & 1) for w in words],
+        queries=lambda ak, m: [FormulaQuery("encoder", form="n", n=m)],
+        # exhaustive up to 10 inputs, seeded subsets beyond
+        verify=lambda ak, rng, trials, seed, m: [sweep_encoder(
+            m, None if m <= 10 else [rng.randrange(2 ** m)
+                                     for _ in range(trials)])],
+        probe=("d1",), probe_output="or0"),
+    "multiplexer": BlockSpec(
+        {"n": 2}, ("n",),
+        build=lambda net, ak, css, n: build_multiplexer(net, n, ak, css),
+        inputs=lambda n: _selects(n) + [f"d{j}" for j in range(2 ** n)],
+        outputs=lambda n: ["out"],
+        oracle=lambda words, n: [int(mux_output(
+            w & 2 ** n - 1, [w >> n + j & 1 for j in range(2 ** n)]))
+            for w in words],
+        queries=_both_forms("multiplexer"),
+        verify=lambda ak, rng, trials, seed, n: [
+            sweep_multiplexer(n, ak),
+            sweep_multiplexer(n, ak, [
+                (rng.randrange(2 ** n), rng.randrange(2 ** 2 ** n))
+                for _ in range(trials)])],
+        probe=("s0", "d1"), probe_output="out"),
+    "demultiplexer": BlockSpec(
+        {"n": 2}, ("n",),
+        build=lambda net, ak, css, n: build_demultiplexer(net, n, ak, css),
+        inputs=lambda n: _selects(n) + ["d"], outputs=_channels,
+        oracle=lambda words, n: [sum(on << j for j, on in enumerate(
+            demux_channels(w & 2 ** n - 1, bool(w >> n & 1), 2 ** n)))
+            for w in words],
+        queries=_both_forms("demultiplexer"),
+        verify=lambda ak, rng, trials, seed, n: [
+            sweep_demultiplexer(n, ak),
+            sweep_demultiplexer(n, ak, [
+                (rng.randrange(2 ** n), rng.randrange(2))
+                for _ in range(trials)])],
+        probe=("s0", "d"), probe_output="ch1"),
+    "d_latch": BlockSpec(
+        {}, (),
+        build=lambda net, ak, css: build_d_latch(net, ak, css),
+        inputs=lambda: ["store", "data", "data_not"], outputs=lambda: ["q"],
+        oracle=lambda words: [int(q) for q in latch_states(
+            [w & 1 for w in words], [w >> 1 & 1 for w in words])],
+        queries=lambda ak: [FormulaQuery("d_latch", ak)],
+        verify=lambda ak, rng, trials, seed: [
+            fuzz_d_latch(ak, steps=trials, seed=seed)],
+        probe=("store", "data"), probe_output="q"),
+    "memory": BlockSpec(
+        {"registers": 3, "bits": 3}, ("registers", "bits"),
+        build=lambda net, ak, css, r, c: build_memory(net, r, c, ak, css),
+        inputs=lambda r, c: _selects(r.bit_length()) + [
+            f"d{j}" for j in range(c)],
+        outputs=lambda r, c: [f"q{i}_{j}" for i in range(1, r + 1)
+                              for j in range(c)],
+        oracle=lambda words, r, c: [
+            sum(value << i * c for i, value in enumerate(state))
+            for state in memory_states(
+                [w & 2 ** r.bit_length() - 1 for w in words],
+                [w >> r.bit_length() for w in words], r, c)],
+        # the closed forms assume full occupancy, r = 2^n - 1
+        queries=lambda ak, r, c: None if r != 2 ** r.bit_length() - 1 else [
+            FormulaQuery("memory", ak, "n", n=r.bit_length(), c=c),
+            FormulaQuery("memory", ak, "m", r=r, c=c)],
+        verify=lambda ak, rng, trials, seed, r, c: [
+            fuzz_memory(r, c, ak, writes=trials, seed=seed)],
+        probe=("s0", "d0"), probe_output="q1_0"),
+}
+
+
+def block_config(kind: str, and_kind=None, *, n: int | None = None,
+                 registers: int | None = None, bits: int | None = None,
+                 ) -> tuple[str | None, tuple[int, ...]]:
+    """AND kind and size of one block kind. None picks the default
+    ("fast", and the size in BLOCKS); a size below the smallest
+    buildable one raises ValueError, before anything is built."""
+    if kind not in BLOCKS:
+        raise ValueError(f"unknown block kind {kind!r}")
+    spec = BLOCKS[kind]
+    given = {"n": n, "registers": registers, "bits": bits}
+    size = tuple(value if given[flag] is None else operator.index(given[flag])
+                 for flag, value in spec.default.items())
+    for flag, value in zip(spec.default, size):
+        if value < spec.smallest:
+            raise ValueError(
+                f"{kind} needs {flag} >= {spec.smallest}, got {value}")
+    return (_and_value(and_kind or "fast") if spec.and_stage else None), size
+
+
+def build_block(net: Network, kind: str, and_kind: str | None,
+                size: Sequence[int]) -> BlockHandle:
+    """Build one block on net, after the CSS it needs (if any)."""
+    spec = BLOCKS[kind]
+    css = build_css(net) if spec.and_stage else None
+    return spec.build(net, and_kind, css, *size)
+
+
+def check_pipelined(kind: str, and_kind: str | None, size: Sequence[int],
+                    words: Sequence[int], label: str,
+                    ok_detail: str = "") -> Check:
+    """Present words[i] at t = 1 + i, one source per input port in port
+    order (bit k drives port k), for len(words) + latency + 3 ms; every
+    output must follow the kind's oracle, delayed by the latency."""
+    spec = BLOCKS[kind]
+    latency = expected_latency(kind, and_kind)
+    stream = [0, *words] + [0] * (latency + 2)
+    net = Network()
+    block = build_block(net, kind, and_kind, size)
+    for k, port in enumerate(spec.inputs(*size)):
+        drive(net, block, port, net.add_source(
+            [t for t, word in enumerate(stream) if word >> k & 1]))
+    outputs = {name: block.output(name) for name in spec.outputs(*size)}
+    net.record(*outputs.values())
+    record = net.run(len(stream))
+    return _expect_delayed(record, outputs, spec.oracle(stream, *size),
+                           latency, label, ok_detail)
+
+
 # ---------------------------------------------------------------------------
 # Experiments
 
 
 def _run_decoder_encoder(cfg: ExperimentConfig) -> ExperimentResult:
-    ak = _and_value(cfg.and_kind or "fast")
-    n = cfg.n or 2
+    ak, (n,) = block_config("decoder", cfg.and_kind, n=cfg.n)
     dec_latency = expected_latency("decoder", ak)
     total = dec_latency + 1
-    duration = cfg.duration_ms or max(16, 2 * 2 ** n + total + 2)
+    duration = _duration(cfg.duration_ms, max(16, 2 * 2 ** n + total + 2))
 
     canonical = {
         f"s{b}": tuple(t for t in range(1, duration)
@@ -203,56 +418,39 @@ def _run_decoder_encoder(cfg: ExperimentConfig) -> ExperimentResult:
     words = _words_from_bits([inputs[f"s{b}"] for b in range(n)], duration)
 
     net = Network()
-    css = build_css(net)
-    decoder = build_decoder(net, n, ak, css)
+    decoder = build_block(net, "decoder", ak, (n,))
     encoder = build_encoder(net, 2 ** n)
     for j in range(2 ** n):
         wire(net, decoder.output(f"ch{j}"), encoder.input_taps(f"d{j}"))
     for b in range(n):
         drive(net, decoder, f"s{b}", net.add_source(inputs[f"s{b}"]))
-    width = (2 ** n - 1).bit_length()
-    channel_ids = [decoder.output(f"ch{j}") for j in range(2 ** n)]
-    or_ids = [encoder.output(f"or{b}") for b in range(width)]
-    net.record(*channel_ids, *or_ids)
+    channels = {name: decoder.output(name) for name in _channels(n)}
+    ors = {name: encoder.output(name)
+           for name in BLOCKS["encoder"].outputs(2 ** n)}
+    net.record(*channels.values(), *ors.values())
     record = net.run(duration)
 
-    checks = []
-    pairs = []
-    for b in range(width):
-        want = {t + total for t in range(1, duration)
-                if (words[t] >> b) & 1 and t + total < duration}
-        got = _set_in_window(record.times(or_ids[b]), total + 1, duration)
-        pairs.append((f"or{b}", got, want))
-    checks.append(_compare_sets(
-        "encoder output equals input words delayed by "
-        f"{total} ms", pairs, f"delay {total} ms over {duration} ms"))
+    channel_words = BLOCKS["decoder"].oracle(words, n)
+    checks = (
+        _expect_delayed(record, ors,
+                        BLOCKS["encoder"].oracle(channel_words, 2 ** n), total,
+                        "encoder output equals input words delayed by "
+                        f"{total} ms", f"delay {total} ms over {duration} ms"),
+        _expect_delayed(record, channels, channel_words, dec_latency,
+                        "decoder channels one-hot per input word"),
+    )
 
-    pairs = []
-    for j in range(2 ** n):
-        want = {t + dec_latency for t in range(1, duration)
-                if words[t] == j and t + dec_latency < duration}
-        got = _set_in_window(record.times(channel_ids[j]),
-                             dec_latency + 1, duration)
-        pairs.append((f"ch{j}", got, want))
-    checks.append(_compare_sets(
-        "decoder channels one-hot per input word", pairs))
-
-    rows = [spike_row(f"s{b}", inputs[f"s{b}"], duration) for b in range(n)]
-    rows += [spike_row(f"ch{j}", record.times(channel_ids[j]), duration,
-                       valid_from=dec_latency + 1) for j in range(2 ** n)]
-    rows += [spike_row(f"or{b}", record.times(or_ids[b]), duration,
-                       valid_from=total + 1) for b in range(width)]
-
-    signal_times = {f"s{b}": inputs[f"s{b}"] for b in range(n)}
-    signal_times.update({f"ch{j}": record.times(channel_ids[j])
-                         for j in range(2 ** n)})
-    signal_times.update({f"or{b}": record.times(or_ids[b])
-                         for b in range(width)})
+    channel_times = _times(record, channels)
+    or_times = _times(record, ors)
+    rows = (_spike_rows(inputs, duration)
+            + _spike_rows(channel_times, duration, dec_latency + 1)
+            + _spike_rows(or_times, duration, total + 1))
+    signal_times = {**inputs, **channel_times, **or_times}
     return ExperimentResult(
         name="decoder-encoder", and_kind=ak, params={"n": n},
         duration_ms=duration, net=net, record=record,
         trace=Trace(duration, tuple(rows)), signal_times=signal_times,
-        checks=tuple(checks),
+        checks=checks,
         handles={"decoder": decoder, "encoder": encoder})
 
 
@@ -280,12 +478,11 @@ def _control_chunks(n: int, duration_ms: int, seed: int) -> list[int]:
 
 
 def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
-    ak = _and_value(cfg.and_kind or "fast")
-    n = cfg.n or 2
+    ak, (n,) = block_config("multiplexer", cfg.and_kind, n=cfg.n)
     mux_latency = expected_latency("multiplexer", ak)
     demux_latency = expected_latency("demultiplexer", ak)
     total = mux_latency + demux_latency
-    duration = cfg.duration_ms or 110
+    duration = _duration(cfg.duration_ms, 110)
 
     sel_words = _control_chunks(n, duration, cfg.seed)
     canonical = {
@@ -297,8 +494,8 @@ def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
         canonical[f"d{j}"] = tuple(t for t in range(1, duration)
                                    if (t - 1) % 2 ** j == 0)
     inputs = _resolve_inputs(canonical, cfg.stimulus)
-    sel_words = _words_from_bits([inputs[f"s{b}"] for b in range(n)], duration)
-    data_sets = [set(inputs[f"d{j}"]) for j in range(2 ** n)]
+    # canonical is in multiplexer port order: selects, then data lines
+    words = _words_from_bits(list(inputs.values()), duration)
 
     net = Network()
     css = build_css(net)
@@ -314,52 +511,40 @@ def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
     for j in range(2 ** n):
         drive(net, mux, f"d{j}", net.add_source(inputs[f"d{j}"]))
     out_id = mux.output("out")
-    channel_ids = [demux.output(f"ch{j}") for j in range(2 ** n)]
-    net.record(out_id, *channel_ids)
+    channels = {name: demux.output(name) for name in _channels(n)}
+    net.record(out_id, *channels.values())
     record = net.run(duration)
 
-    checks = []
-    want_out = {t + mux_latency for t in range(1, duration)
-                if t in data_sets[sel_words[t]]
-                and t + mux_latency < duration}
-    got_out = _set_in_window(record.times(out_id), mux_latency + 1, duration)
-    checks.append(_compare_sets(
-        f"multiplexer forwards the selected data line after {mux_latency} ms",
-        [("out", got_out, want_out)]))
+    mux_words = BLOCKS["multiplexer"].oracle(words, n)
+    select = 2 ** n - 1
+    demux_words = BLOCKS["demultiplexer"].oracle(
+        [w & select | out << n for w, out in zip(words, mux_words)], n)
+    checks = (
+        _expect_delayed(record, {"out": out_id}, mux_words, mux_latency,
+                        "multiplexer forwards the selected data line after "
+                        f"{mux_latency} ms"),
+        _expect_delayed(record, channels, demux_words, total,
+                        f"demultiplexer reproduces each data input after "
+                        f"{total} ms"),
+    )
 
-    pairs = []
-    for j in range(2 ** n):
-        want = {t + total for t in range(1, duration)
-                if sel_words[t] == j and t in data_sets[j]
-                and t + total < duration}
-        got = _set_in_window(record.times(channel_ids[j]), total + 1, duration)
-        pairs.append((f"ch{j}", got, want))
-    checks.append(_compare_sets(
-        f"demultiplexer reproduces each data input after {total} ms", pairs))
-
-    rows = [spike_row(f"s{b}", inputs[f"s{b}"], duration) for b in range(n)]
-    rows += [spike_row(f"d{j}", inputs[f"d{j}"], duration)
-             for j in range(2 ** n)]
-    rows.append(spike_row("mux out", record.times(out_id), duration,
-                          valid_from=mux_latency + 1))
-    rows += [spike_row(f"ch{j}", record.times(channel_ids[j]), duration,
-                       valid_from=total + 1) for j in range(2 ** n)]
-
-    signal_times = {name: inputs[name] for name in canonical}
-    signal_times["mux_out"] = record.times(out_id)
-    signal_times.update({f"ch{j}": record.times(channel_ids[j])
-                         for j in range(2 ** n)})
+    out_times = record.times(out_id)
+    channel_times = _times(record, channels)
+    rows = (_spike_rows(inputs, duration)
+            + _spike_rows({"mux out": out_times}, duration, mux_latency + 1)
+            + _spike_rows(channel_times, duration, total + 1))
+    signal_times = {**inputs, "mux_out": out_times, **channel_times}
     return ExperimentResult(
         name="mux-demux", and_kind=ak, params={"n": n},
         duration_ms=duration, net=net, record=record,
         trace=Trace(duration, tuple(rows)), signal_times=signal_times,
-        checks=tuple(checks),
+        checks=checks,
         handles={"multiplexer": mux, "demultiplexer": demux})
 
 
 def _run_d_latch(cfg: ExperimentConfig) -> ExperimentResult:
     ak = _and_value(cfg.and_kind or "classic")
-    duration = cfg.duration_ms or 16
+    duration = _duration(cfg.duration_ms, 16)
     latency = expected_latency("d_latch", ak)
     data_latency = latency + 1  # external inverter in the data path
 
@@ -389,35 +574,25 @@ def _run_d_latch(cfg: ExperimentConfig) -> ExperimentResult:
             wire(net, data_source, padded(latch.input_taps("data"), 1))
             wire(net, inverter.output(), latch.input_taps("data_not"))
             latches.append(latch)
-    q_ids = [latch.output("q") for latch in latches]
-    net.record(*q_ids)
+    q_ids = {f"q{k}": latch.output("q") for k, latch in enumerate(latches)}
+    net.record(*q_ids.values())
     record = net.run(duration)
 
-    store_bits = [t in set(inputs["store"]) for t in range(1, duration)]
     checks = []
     for group, name in enumerate(("data1", "data2")):
-        data_bits = [t in set(inputs[name]) for t in range(1, duration)]
-        states = latch_states(store_bits, data_bits)
-        want = {t for t in range(data_latency + 1, duration)
-                if states[t - data_latency - 1]}
-        pairs = []
-        for k in range(group * 3, group * 3 + 3):
-            got = _set_in_window(record.times(q_ids[k]),
-                                 data_latency + 1, duration)
-            pairs.append((f"q{k}", got, want))
-        checks.append(_compare_sets(
+        states = BLOCKS["d_latch"].oracle(
+            _words_from_bits([inputs["store"], inputs[name]], duration))
+        # the three latches of a bank hold the same state
+        bank = dict(list(q_ids.items())[group * 3:group * 3 + 3])
+        checks.append(_expect_delayed(
+            record, bank, [0b111 * q for q in states], data_latency,
             f"latches {group * 3}-{group * 3 + 2} track store/{name} "
-            f"with {data_latency} ms delay", pairs))
+            f"with {data_latency} ms delay"))
 
-    rows = [spike_row(name, inputs[name], duration)
-            for name in ("store", "data1", "data2")]
-    rows += [spike_row(f"q{k}", record.times(q_ids[k]), duration,
-                       valid_from=data_latency + 1)
-             for k in range(len(latches))]
-
-    signal_times = dict(inputs)
-    signal_times.update({f"q{k}": record.times(q_ids[k])
-                         for k in range(len(latches))})
+    q_times = _times(record, q_ids)
+    rows = (_spike_rows(inputs, duration)
+            + _spike_rows(q_times, duration, data_latency + 1))
+    signal_times = {**inputs, **q_times}
     return ExperimentResult(
         name="d-latch", and_kind=ak, params={"latches": len(latches)},
         duration_ms=duration, net=net, record=record,
@@ -432,10 +607,9 @@ def _channel_mark(j: int) -> str:
 
 
 def _run_memory(cfg: ExperimentConfig) -> ExperimentResult:
-    ak = _and_value(cfg.and_kind or "fast")
-    registers = cfg.registers or 3
-    bits = cfg.bits or 3
-    duration = cfg.duration_ms or 30
+    ak, (registers, bits) = block_config(
+        "memory", cfg.and_kind, registers=cfg.registers, bits=cfg.bits)
+    duration = _duration(cfg.duration_ms, 30)
     latency = expected_latency("memory", ak)
     depth = registers.bit_length()
 
@@ -448,78 +622,59 @@ def _run_memory(cfg: ExperimentConfig) -> ExperimentResult:
         canonical[f"d{j}"] = tuple(t for t in range(1, duration)
                                    if ((t % 2 ** bits) >> j) & 1)
     inputs = _resolve_inputs(canonical, cfg.stimulus)
-    addresses = _words_from_bits([inputs[f"s{b}"] for b in range(depth)],
-                                 duration)
-    data_words = _words_from_bits([inputs[f"d{j}"] for j in range(bits)],
-                                  duration)
+    # canonical is in memory port order: address lines, then data lines
+    words = _words_from_bits(list(inputs.values()), duration)
+    addresses = [w & (2 ** depth - 1) for w in words]
 
     net = Network()
-    css = build_css(net)
-    memory = build_memory(net, registers, bits, ak, css)
+    memory = build_block(net, "memory", ak, (registers, bits))
     for name in inputs:
         drive(net, memory, name, net.add_source(inputs[name]))
-    q_ids = {(i, j): memory.output(f"q{i}_{j}")
-             for i in range(1, registers + 1) for j in range(bits)}
+    q_ids = {name: memory.output(name)
+             for name in BLOCKS["memory"].outputs(registers, bits)}
     decoder = memory.decoder
-    channel_ids = [decoder.output(f"ch{j}")
-                   for j in range(2 ** decoder.params["n"])]
-    net.record(*q_ids.values(), *channel_ids)
+    channels = {name: decoder.output(name) for name in _channels(depth)}
+    net.record(*q_ids.values(), *channels.values())
     record = net.run(duration)
 
-    states = memory_states(addresses[1:], data_words[1:], registers, bits)
-    checks = []
-    pairs = []
-    for (i, j), qid in q_ids.items():
-        want = {t for t in range(latency + 1, duration)
-                if (states[t - latency - 1][i - 1] >> j) & 1}
-        got = _set_in_window(record.times(qid), latency + 1, duration)
-        pairs.append((f"q{i}_{j}", got, want))
-    checks.append(_compare_sets(
-        f"register contents match the write oracle after {latency} ms",
-        pairs))
-
     dec_latency = decoder.latency_ms
-    pairs = []
-    for j, cid in enumerate(channel_ids):
-        want = {t + dec_latency for t in range(1, duration)
-                if addresses[t] == j and t + dec_latency < duration}
-        got = _set_in_window(record.times(cid), dec_latency + 1, duration)
-        pairs.append((f"ch{j}", got, want))
-    checks.append(_compare_sets(
-        "address decoder one-hot, channel 0 on idle input", pairs))
+    checks = (
+        _expect_delayed(record, q_ids,
+                        BLOCKS["memory"].oracle(words, registers, bits),
+                        latency, "register contents match the write oracle "
+                        f"after {latency} ms"),
+        _expect_delayed(record, channels,
+                        BLOCKS["decoder"].oracle(addresses, depth),
+                        dec_latency,
+                        "address decoder one-hot, channel 0 on idle input"),
+    )
 
-    rows = [spike_row(name, inputs[name], duration) for name in inputs]
+    rows = _spike_rows(inputs, duration)
     expected_cells = ["" if t < dec_latency + 1
                       else _channel_mark(addresses[t - dec_latency])
                       for t in range(duration)]
     rows.append(value_row("Channel (Expected)", expected_cells,
                           valid_from=dec_latency + 1))
     decoded_cells = [""] * duration
-    for j, cid in enumerate(channel_ids):
+    for j, cid in enumerate(channels.values()):
         for t in record.times(cid):
             decoded_cells[t] = _channel_mark(j)
     rows.append(value_row("Channel (Decoder)", decoded_cells,
                           valid_from=dec_latency + 1))
+    q_times = _times(record, q_ids)
     for i in range(1, registers + 1):
-        for j in range(bits):
-            rows.append(spike_row(f"q{i}_{j}", record.times(q_ids[(i, j)]),
-                                  duration, valid_from=latency + 1))
-        rows.append(hex_word_row(
-            f"Register {i}",
-            [record.times(q_ids[(i, j)]) for j in range(bits)],
-            duration, valid_from=latency + 1))
+        register = {f"q{i}_{j}": q_times[f"q{i}_{j}"] for j in range(bits)}
+        rows += _spike_rows(register, duration, latency + 1)
+        rows.append(hex_word_row(f"Register {i}", list(register.values()),
+                                 duration, valid_from=latency + 1))
 
-    signal_times = dict(inputs)
-    signal_times.update({f"ch{j}": record.times(cid)
-                         for j, cid in enumerate(channel_ids)})
-    signal_times.update({f"q{i}_{j}": record.times(qid)
-                         for (i, j), qid in q_ids.items()})
+    signal_times = {**inputs, **_times(record, channels), **q_times}
     return ExperimentResult(
         name="memory", and_kind=ak,
         params={"registers": registers, "bits": bits},
         duration_ms=duration, net=net, record=record,
         trace=Trace(duration, tuple(rows)), signal_times=signal_times,
-        checks=tuple(checks), handles={"memory": memory})
+        checks=checks, handles={"memory": memory})
 
 
 _RUNNERS = {
@@ -532,7 +687,9 @@ _RUNNERS = {
 
 def run_experiment(name: str,
                    config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Build, stimulate and check one canned experiment."""
+    """Build, stimulate and check one canned experiment. None in the
+    config picks the experiment default; a size or duration below 1
+    raises ValueError."""
     if name not in _RUNNERS:
         raise ValueError(
             f"unknown experiment {name!r}; expected one of {EXPERIMENTS}")
@@ -550,29 +707,9 @@ def sweep_decoder(n: int, and_kind: str,
     if words is None:
         words = list(range(2 ** n))
     latency = expected_latency("decoder", ak)
-    duration = len(words) + latency + 3
-    stream = [0] * duration
-    for i, word in enumerate(words):
-        stream[1 + i] = word
-    net = Network()
-    css = build_css(net)
-    decoder = build_decoder(net, n, ak, css)
-    for b in range(n):
-        drive(net, decoder, f"s{b}",
-              net.add_source([t for t in range(1, duration)
-                              if (stream[t] >> b) & 1]))
-    channel_ids = [decoder.output(f"ch{j}") for j in range(2 ** n)]
-    net.record(*channel_ids)
-    record = net.run(duration)
-    pairs = []
-    for j in range(2 ** n):
-        want = {t + latency for t in range(1, duration)
-                if stream[t] == j and t + latency < duration}
-        got = _set_in_window(record.times(channel_ids[j]),
-                             latency + 1, duration)
-        pairs.append((f"ch{j}", got, want))
-    return _compare_sets(
-        f"decoder n={n} {ak}: {len(words)} pipelined words", pairs,
+    return check_pipelined(
+        "decoder", ak, (n,), words,
+        f"decoder n={n} {ak}: {len(words)} pipelined words",
         f"{len(words)} words, latency {latency} ms")
 
 
@@ -582,35 +719,10 @@ def sweep_encoder(num_inputs: int,
     is the bitwise OR of the active indices."""
     if subsets is None:
         subsets = list(range(2 ** num_inputs))
-    latency = expected_latency("encoder")
-    duration = len(subsets) + latency + 2
-    width = (num_inputs - 1).bit_length()
-    net = Network()
-    encoder = build_encoder(net, num_inputs)
-    for i in range(num_inputs):
-        times = [1 + k for k, subset in enumerate(subsets)
-                 if (subset >> i) & 1]
-        if times:
-            drive(net, encoder, f"d{i}", net.add_source(times))
-    or_ids = [encoder.output(f"or{b}") for b in range(width)]
-    net.record(*or_ids)
-    record = net.run(duration)
-    values = []
-    for subset in subsets:
-        value = 0
-        for i in range(num_inputs):
-            if (subset >> i) & 1:
-                value |= i
-        values.append(value)
-    pairs = []
-    for b in range(width):
-        want = {1 + k + latency for k, value in enumerate(values)
-                if (value >> b) & 1 and 1 + k + latency < duration}
-        got = set(record.times(or_ids[b]))
-        pairs.append((f"or{b}", got, want))
-    return _compare_sets(
+    return check_pipelined(
+        "encoder", None, (num_inputs,), subsets,
         f"encoder {num_inputs} inputs: {len(subsets)} pipelined subsets",
-        pairs, f"{len(subsets)} subsets")
+        f"{len(subsets)} subsets")
 
 
 def sweep_multiplexer(n: int, and_kind: str,
@@ -619,37 +731,14 @@ def sweep_multiplexer(n: int, and_kind: str,
     select word against selected/other lines on and off."""
     ak = _and_value(and_kind)
     if cases is None:
-        cases = []
-        everyone = 2 ** 2 ** n - 1
-        for select in range(2 ** n):
-            for d_sel in (0, 1):
-                for d_others in (0, 1):
-                    mask = (d_sel << select) | (
-                        (everyone & ~(1 << select)) if d_others else 0)
-                    cases.append((select, mask))
-    latency = expected_latency("multiplexer", ak)
-    duration = len(cases) + latency + 3
-    net = Network()
-    css = build_css(net)
-    mux = build_multiplexer(net, n, ak, css)
-    for b in range(n):
-        drive(net, mux, f"s{b}",
-              net.add_source([1 + k for k, (select, _) in enumerate(cases)
-                              if (select >> b) & 1]))
-    for j in range(2 ** n):
-        times = [1 + k for k, (_, mask) in enumerate(cases)
-                 if (mask >> j) & 1]
-        if times:
-            drive(net, mux, f"d{j}", net.add_source(times))
-    out_id = mux.output("out")
-    net.record(out_id)
-    record = net.run(duration)
-    want = {1 + k + latency for k, (select, mask) in enumerate(cases)
-            if (mask >> select) & 1 and 1 + k + latency < duration}
-    got = _set_in_window(record.times(out_id), latency + 1, duration)
-    return _compare_sets(
+        others = [2 ** 2 ** n - 1 & ~(1 << s) for s in range(2 ** n)]
+        cases = [(select, d_sel << select | d_others * others[select])
+                 for select in range(2 ** n)
+                 for d_sel in (0, 1) for d_others in (0, 1)]
+    return check_pipelined(
+        "multiplexer", ak, (n,), [s | mask << n for s, mask in cases],
         f"multiplexer n={n} {ak}: {len(cases)} pipelined cases",
-        [("out", got, want)], f"{len(cases)} cases")
+        f"{len(cases)} cases")
 
 
 def sweep_demultiplexer(n: int, and_kind: str,
@@ -659,65 +748,26 @@ def sweep_demultiplexer(n: int, and_kind: str,
     ak = _and_value(and_kind)
     if cases is None:
         cases = [(select, d) for select in range(2 ** n) for d in (0, 1)]
-    latency = expected_latency("demultiplexer", ak)
-    duration = len(cases) + latency + 3
-    net = Network()
-    css = build_css(net)
-    demux = build_demultiplexer(net, n, ak, css)
-    for b in range(n):
-        drive(net, demux, f"s{b}",
-              net.add_source([1 + k for k, (select, _) in enumerate(cases)
-                              if (select >> b) & 1]))
-    data_times = [1 + k for k, (_, d) in enumerate(cases) if d]
-    if data_times:
-        drive(net, demux, "d", net.add_source(data_times))
-    channel_ids = [demux.output(f"ch{j}") for j in range(2 ** n)]
-    net.record(*channel_ids)
-    record = net.run(duration)
-    pairs = []
-    for j in range(2 ** n):
-        want = {1 + k + latency for k, (select, d) in enumerate(cases)
-                if select == j and d and 1 + k + latency < duration}
-        got = _set_in_window(record.times(channel_ids[j]),
-                             latency + 1, duration)
-        pairs.append((f"ch{j}", got, want))
-    return _compare_sets(
-        f"demultiplexer n={n} {ak}: {len(cases)} pipelined cases", pairs,
+    return check_pipelined(
+        "demultiplexer", ak, (n,), [select | d << n for select, d in cases],
+        f"demultiplexer n={n} {ak}: {len(cases)} pipelined cases",
         f"{len(cases)} cases")
 
 
 def fuzz_d_latch(and_kind: str, steps: int = 64,
                  seed: int = DEFAULT_SEED) -> Check:
     """Random store/data schedule against the hold/track oracle. The
-    inverted data line is supplied as an ideal complement source."""
+    inverted data line is supplied as an ideal complement source; after
+    the schedule store stays down and the latch must hold."""
     ak = _and_value(and_kind)
     rng = random.Random(seed)
-    latency = expected_latency("d_latch", ak)
-    duration = steps + latency + 2
     store_bits = [rng.random() < 0.4 for _ in range(steps)]
     data_bits = [rng.random() < 0.5 for _ in range(steps)]
-    # silence after the schedule: store stays down, the latch must hold
-    store_all = store_bits + [False] * (duration - 1 - steps)
-    data_all = data_bits + [False] * (duration - 1 - steps)
-    net = Network()
-    css = build_css(net)
-    latch = build_d_latch(net, ak, css)
-    wire(net, net.add_source([t + 1 for t, bit in enumerate(store_all) if bit]),
-         latch.input_taps("store"))
-    wire(net, net.add_source([t + 1 for t, bit in enumerate(data_all) if bit]),
-         latch.input_taps("data"))
-    wire(net, net.add_source([t + 1 for t, bit in enumerate(data_all) if not bit]),
-         latch.input_taps("data_not"))
-    q_id = latch.output("q")
-    net.record(q_id)
-    record = net.run(duration)
-    states = latch_states(store_all, data_all)
-    want = {t for t in range(latency + 1, duration)
-            if states[t - latency - 1]}
-    got = _set_in_window(record.times(q_id), latency + 1, duration)
-    return _compare_sets(
+    return check_pipelined(
+        "d_latch", ak, (), [store | data << 1 | (not data) << 2
+                            for store, data in zip(store_bits, data_bits)],
         f"d_latch {ak}: {steps} random store/data steps",
-        [("q", got, want)], f"{steps} steps, seed {seed}")
+        f"{steps} steps, seed {seed}")
 
 
 def fuzz_memory(registers: int, bits: int, and_kind: str, writes: int = 64,
@@ -727,139 +777,37 @@ def fuzz_memory(registers: int, bits: int, and_kind: str, writes: int = 64,
     array-write oracle, checked on the full q timelines."""
     ak = _and_value(and_kind)
     rng = random.Random(seed)
-    latency = expected_latency("memory", ak)
     depth = registers.bit_length()
-    duration = writes + latency + 2
     addresses = [rng.randrange(2 ** depth) for _ in range(writes)]
     words = [rng.randrange(2 ** bits) for _ in range(writes)]
-    addr_all = addresses + [0] * (duration - 1 - writes)
-    word_all = words + [0] * (duration - 1 - writes)
-    net = Network()
-    css = build_css(net)
-    memory = build_memory(net, registers, bits, ak, css)
-    for b in range(depth):
-        times = [t + 1 for t, a in enumerate(addr_all) if (a >> b) & 1]
-        if times:
-            drive(net, memory, f"s{b}", net.add_source(times))
-    for j in range(bits):
-        times = [t + 1 for t, w in enumerate(word_all) if (w >> j) & 1]
-        if times:
-            drive(net, memory, f"d{j}", net.add_source(times))
-    q_ids = {(i, j): memory.output(f"q{i}_{j}")
-             for i in range(1, registers + 1) for j in range(bits)}
-    net.record(*q_ids.values())
-    record = net.run(duration)
-    states = memory_states(addr_all, word_all, registers, bits)
-    pairs = []
-    for (i, j), qid in q_ids.items():
-        want = {t for t in range(latency + 1, duration)
-                if (states[t - latency - 1][i - 1] >> j) & 1}
-        got = _set_in_window(record.times(qid), latency + 1, duration)
-        pairs.append((f"q{i}_{j}", got, want))
-    final = states[-1]
-    return _compare_sets(
+    final = memory_final(addresses, words, registers, bits)
+    return check_pipelined(
+        "memory", ak, (registers, bits),
+        [address | word << depth for address, word in zip(addresses, words)],
         f"memory r={registers} c={bits} {ak}: {writes} random writes",
-        pairs, f"final contents {list(final)}")
+        f"final contents {list(final)}")
 
 
-def measure_latency(kind: str, and_kind: str | None = None, *, n: int = 2,
-                    num_inputs: int = 4, registers: int = 3,
-                    bits: int = 3) -> int:
+def measure_latency(kind: str, and_kind: str | None = None, *,
+                    n: int | None = None, registers: int | None = None,
+                    bits: int | None = None) -> int:
     """Empirical input-to-output delay: present one probe word at t=4
-    (safely past CSS warmup) and time the first response spike."""
+    (safely past CSS warmup) and time the first response spike. Sizes
+    default as in verify_block."""
+    ak, size = block_config(kind, and_kind, n=n, registers=registers,
+                            bits=bits)
+    spec = BLOCKS[kind]
     probe = 4
     net = Network()
-    if kind == "encoder":
-        encoder = build_encoder(net, num_inputs)
-        drive(net, encoder, "d1", net.add_source([probe]))
-        out = encoder.output("or0")
-    else:
-        ak = _and_value(and_kind)
-        css = build_css(net)
-        if kind == "decoder":
-            block = build_decoder(net, n, ak, css)
-            drive(net, block, "s0", net.add_source([probe]))
-            out = block.output("ch1")
-        elif kind == "multiplexer":
-            block = build_multiplexer(net, n, ak, css)
-            drive(net, block, "s0", net.add_source([probe]))
-            drive(net, block, "d1", net.add_source([probe]))
-            out = block.output("out")
-        elif kind == "demultiplexer":
-            block = build_demultiplexer(net, n, ak, css)
-            drive(net, block, "s0", net.add_source([probe]))
-            drive(net, block, "d", net.add_source([probe]))
-            out = block.output("ch1")
-        elif kind == "d_latch":
-            block = build_d_latch(net, ak, css)
-            drive(net, block, "store", net.add_source([probe]))
-            drive(net, block, "data", net.add_source([probe]))
-            out = block.output("q")
-        elif kind == "memory":
-            block = build_memory(net, registers, bits, ak, css)
-            drive(net, block, "s0", net.add_source([probe]))
-            drive(net, block, "d0", net.add_source([probe]))
-            out = block.output("q1_0")
-        else:
-            raise ValueError(f"unknown block kind {kind!r}")
+    block = build_block(net, kind, ak, size)
+    for port in spec.probe:
+        drive(net, block, port, net.add_source([probe]))
+    out = block.output(spec.probe_output)
     net.record(out)
-    record = net.run(probe + 12)
-    times = record.times(out)
+    times = net.run(probe + 12).times(out)
     if not times:
         raise RuntimeError(f"{kind}: probe produced no output spike")
     return times[0] - probe
-
-
-def _reconcile_checks(kind: str, ak: str | None, *, n: int | None = None,
-                      num_inputs: int | None = None,
-                      registers: int | None = None,
-                      bits: int | None = None) -> list[Check]:
-    net = Network()
-    checks = []
-    if kind == "encoder":
-        handle = build_encoder(net, num_inputs)
-        queries = [FormulaQuery("encoder", form="n", n=num_inputs)]
-    else:
-        css = build_css(net)
-        if kind == "decoder":
-            handle = build_decoder(net, n, ak, css)
-            queries = [FormulaQuery("decoder", ak, "n", n=n),
-                       FormulaQuery("decoder", ak, "m", m=2 ** n)]
-        elif kind == "multiplexer":
-            handle = build_multiplexer(net, n, ak, css)
-            queries = [FormulaQuery("multiplexer", ak, "n", n=n),
-                       FormulaQuery("multiplexer", ak, "m", m=2 ** n)]
-        elif kind == "demultiplexer":
-            handle = build_demultiplexer(net, n, ak, css)
-            queries = [FormulaQuery("demultiplexer", ak, "n", n=n),
-                       FormulaQuery("demultiplexer", ak, "m", m=2 ** n)]
-        elif kind == "d_latch":
-            handle = build_d_latch(net, ak, css)
-            queries = [FormulaQuery("d_latch", ak)]
-        elif kind == "memory":
-            depth = registers.bit_length()
-            handle = build_memory(net, registers, bits, ak, css)
-            if registers == 2 ** depth - 1:
-                queries = [
-                    FormulaQuery("memory", ak, "n", n=depth, c=bits),
-                    FormulaQuery("memory", ak, "m", r=registers, c=bits),
-                ]
-            else:
-                checks.append(Check(
-                    "resource formulas skipped", True,
-                    f"closed forms assume full occupancy r = 2^n - 1, "
-                    f"got r={registers}"))
-                queries = []
-        else:
-            raise ValueError(f"unknown block kind {kind!r}")
-    for query in queries:
-        result = reconcile(handle, query)
-        label = (f"measured resources match the {query.form}-form "
-                 f"({handle.resources.neurons} neurons, "
-                 f"{handle.resources.synapses} synapses)")
-        detail = "" if result.ok else "; ".join(result.diffs)
-        checks.append(Check(label, result.ok, detail))
-    return checks
 
 
 def verify_block(kind: str, and_kind: str | None = None, *,
@@ -867,68 +815,33 @@ def verify_block(kind: str, and_kind: str | None = None, *,
                  bits: int | None = None, trials: int = 64,
                  seed: int = DEFAULT_SEED) -> VerifyReport:
     """Sweep, fuzz, time and reconcile one block; everything a quick
-    confidence pass needs, as a printable report."""
-    if kind not in BLOCK_KINDS:
-        raise ValueError(f"unknown block kind {kind!r}")
-    ak = None if kind == "encoder" else _and_value(and_kind or "fast")
-    rng = random.Random(seed)
-    checks: list[Check] = []
-    params: dict = {}
-    if kind == "decoder":
-        n = n or 2
-        params = {"n": n}
-        checks.append(sweep_decoder(n, ak))
-        checks.append(sweep_decoder(
-            n, ak, [rng.randrange(2 ** n) for _ in range(trials)]))
-        checks.extend(_reconcile_checks(kind, ak, n=n))
-    elif kind == "encoder":
-        num_inputs = n or 4
-        params = {"num_inputs": num_inputs}
-        if num_inputs <= 10:
-            checks.append(sweep_encoder(num_inputs))
-        else:
-            subsets = [rng.randrange(2 ** num_inputs) for _ in range(trials)]
-            checks.append(sweep_encoder(num_inputs, subsets))
-        checks.extend(_reconcile_checks(kind, None, num_inputs=num_inputs))
-    elif kind == "multiplexer":
-        n = n or 2
-        params = {"n": n}
-        checks.append(sweep_multiplexer(n, ak))
-        checks.append(sweep_multiplexer(
-            n, ak, [(rng.randrange(2 ** n), rng.randrange(2 ** 2 ** n))
-                    for _ in range(trials)]))
-        checks.extend(_reconcile_checks(kind, ak, n=n))
-    elif kind == "demultiplexer":
-        n = n or 2
-        params = {"n": n}
-        checks.append(sweep_demultiplexer(n, ak))
-        checks.append(sweep_demultiplexer(
-            n, ak, [(rng.randrange(2 ** n), rng.randrange(2))
-                    for _ in range(trials)]))
-        checks.extend(_reconcile_checks(kind, ak, n=n))
-    elif kind == "d_latch":
-        checks.append(fuzz_d_latch(ak, steps=trials, seed=seed))
-        checks.extend(_reconcile_checks(kind, ak))
-    elif kind == "memory":
-        registers = registers or 3
-        bits = bits or 3
-        params = {"registers": registers, "bits": bits}
-        checks.append(fuzz_memory(registers, bits, ak, writes=trials,
-                                  seed=seed))
-        checks.extend(_reconcile_checks(kind, ak, registers=registers,
-                                        bits=bits))
-    if kind == "encoder":
-        measured = measure_latency("encoder", num_inputs=params["num_inputs"])
-        wanted = expected_latency("encoder")
-    else:
-        measured = measure_latency(kind, ak, n=params.get("n", 2),
-                                   registers=params.get("registers", 3),
-                                   bits=params.get("bits", 3))
-        wanted = expected_latency(kind, ak)
+    confidence pass needs, as a printable report. None picks the default
+    size; a size below the smallest buildable one raises ValueError."""
+    ak, size = block_config(kind, and_kind, n=n, registers=registers,
+                            bits=bits)
+    spec = BLOCKS[kind]
+    checks = spec.verify(ak, random.Random(seed), trials, seed, *size)
+    queries = spec.queries(ak, *size)
+    if queries is None:  # a partially occupied memory
+        checks.append(Check(
+            "resource formulas skipped", True,
+            f"closed forms assume full occupancy r = 2^n - 1, "
+            f"got r={size[0]}"))
+    handle = build_block(Network(), kind, ak, size)
+    for query in queries or ():
+        result = reconcile(handle, query)
+        checks.append(Check(
+            f"measured resources match the {query.form}-form "
+            f"({handle.resources.neurons} neurons, "
+            f"{handle.resources.synapses} synapses)",
+            result.ok, "; ".join(result.diffs)))
+    measured = measure_latency(kind, ak, **dict(zip(spec.default, size)))
+    wanted = expected_latency(kind, ak)
     checks.append(Check(f"measured latency {measured} ms equals table value",
                         measured == wanted,
                         "" if measured == wanted else f"expected {wanted}"))
-    return VerifyReport(kind, ak, params, tuple(checks))
+    return VerifyReport(kind, ak, dict(zip(spec.size_names, size)),
+                        tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -937,24 +850,20 @@ def verify_block(kind: str, and_kind: str | None = None, *,
 
 def export_spikes(signal_times: Mapping[str, Iterable[int]],
                   format: str = "csv") -> str:
-    """Spike data as text: CSV rows "signal,time_ms" sorted by
-    (time, signal), or a JSON object keyed by signal."""
-    if format == "csv":
-        rows = sorted(
-            ((int(t), name) for name, times in signal_times.items()
-             for t in times),
-        )
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["signal", "time_ms"])
-        for t, name in rows:
-            writer.writerow([name, t])
-        return out.getvalue()
-    if format == "structured":
-        payload = {name: [int(t) for t in times]
-                   for name, times in sorted(signal_times.items())}
-        return json.dumps(payload, indent=2) + "\n"
-    raise ValueError(f"unknown spike export format {format!r}")
+    """Spike data as CSV rows "signal,time_ms" sorted by (time, signal);
+    "csv" is the only format."""
+    if format != "csv":
+        raise ValueError(f"unknown spike export format {format!r}")
+    rows = sorted(
+        ((int(t), name) for name, times in signal_times.items()
+         for t in times),
+    )
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["signal", "time_ms"])
+    for t, name in rows:
+        writer.writerow([name, t])
+    return out.getvalue()
 
 
 def parse_stimulus(text: str) -> dict[str, tuple[int, ...]]:

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from spikelogic import cli, netlist
 from spikelogic.harness import Check, VerifyReport
+from spikelogic.resources import BLOCK_KINDS
 
 
 def run_cli(*argv):
@@ -112,3 +114,41 @@ def test_netlist_annotations_survive_export(tmp_path):
     payload = json.loads((out_dir / "netlist.json").read_text("ascii"))
     assert payload["annotations"]["and_kind"] == "classic"
     assert payload["annotations"]["params"] == {"registers": 3, "bits": 3}
+
+
+PINNED = Path(__file__).parent / "data" / "cli"
+PINNED_COMMANDS = [
+    (f"{command}-{kind}-{ak}", [command, kind, "--and", ak])
+    for command in ("verify", "resources") for kind in BLOCK_KINDS
+    for ak in ("classic", "fast")
+] + [("resources-memory-r5-c2",
+      ["resources", "memory", "--registers", "5", "--bits", "2"])]
+
+
+@pytest.mark.parametrize("name, argv", PINNED_COMMANDS,
+                         ids=[name for name, _ in PINNED_COMMANDS])
+def test_printed_verdicts_match_pinned_output(name, argv, capsys):
+    assert run_cli(*argv) == 0
+    pinned = (PINNED / f"{name}.txt").read_text(encoding="ascii")
+    assert capsys.readouterr().out == pinned
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "decoder", "--n", "0"],
+    ["resources", "decoder", "--n", "0"],
+    ["verify", "memory", "--registers", "0"],
+    ["verify", "memory", "--bits", "0"],
+    ["run", "decoder-encoder", "--n", "0"],
+    ["run", "decoder-encoder", "--duration-ms", "0"],
+    ["verify", "encoder", "--n", "1"],
+    ["resources", "encoder", "--n", "1"],
+    ["resources", "decoder", "--n", "-1"],
+    ["verify", "memory", "--registers", "-1"],
+    ["verify", "decoder", "--n", "-1"],
+], ids=" ".join)
+def test_bad_size_is_usage_error(argv, capsys):
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines()
+                if line.startswith("error:")]) == 1

@@ -1,15 +1,18 @@
 """Experiments, stimulus files, exports, verification reports."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from spikelogic import netlist
 from spikelogic.harness import (
+    BLOCKS,
     DEFAULT_SEED,
     EXPERIMENTS,
     ExperimentConfig,
     _control_chunks,
+    check_pipelined,
     export_spikes,
     measure_latency,
     parse_stimulus,
@@ -18,7 +21,7 @@ from spikelogic.harness import (
     shuffle_synapses,
     verify_block,
 )
-from spikelogic.resources import expected_latency
+from spikelogic.resources import BLOCK_KINDS, expected_latency
 from spikelogic.trace import render_trace
 
 GOLDEN = Path(__file__).parent / "data"
@@ -34,6 +37,16 @@ class TestExperiments:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             run_experiment("latch-rush")
+
+    @pytest.mark.parametrize("name, config", [
+        ("decoder-encoder", ExperimentConfig(n=0)),
+        ("mux-demux", ExperimentConfig(n=0)),
+        ("memory", ExperimentConfig(registers=0)),
+        ("memory", ExperimentConfig(bits=0)),
+    ] + [(name, ExperimentConfig(duration_ms=0)) for name in EXPERIMENTS])
+    def test_zero_size_rejected(self, name, config):
+        with pytest.raises(ValueError):
+            run_experiment(name, config)
 
     def test_d_latch_trace_matches_golden(self):
         result = run_experiment("d-latch")
@@ -119,12 +132,6 @@ class TestExports:
         text = export_spikes({"A": (2,), "B": (2, 3)})
         assert text.splitlines() == ["signal,time_ms", "A,2", "B,2", "B,3"]
 
-    def test_structured_round_trip(self):
-        import json
-        payload = json.loads(export_spikes({"B": (3,), "A": (1, 2)},
-                                           format="structured"))
-        assert payload == {"A": [1, 2], "B": [3]}
-
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             export_spikes({}, format="xml")
@@ -152,6 +159,21 @@ class TestVerifyReports:
         with pytest.raises(ValueError):
             verify_block("nand")
 
+    def test_every_block_kind_has_a_spec(self):
+        assert tuple(BLOCKS) == BLOCK_KINDS
+
+    @pytest.mark.parametrize("kind, size", [
+        ("decoder", {"n": 0}),
+        ("encoder", {"n": 0}),
+        ("multiplexer", {"n": 0}),
+        ("demultiplexer", {"n": 0}),
+        ("memory", {"registers": 0}),
+        ("memory", {"bits": 0}),
+    ])
+    def test_zero_size_rejected(self, kind, size):
+        with pytest.raises(ValueError):
+            verify_block(kind, **size)
+
     def test_decoder_report_contents(self):
         report = verify_block("decoder", "fast", n=2)
         assert report.passed
@@ -169,6 +191,16 @@ class TestVerifyReports:
         report = verify_block("d_latch", "fast")
         text = render_checks(report.checks)
         assert text.count("PASS") == len(report.checks)
+
+
+def test_pipelined_check_reports_first_wrong_output(monkeypatch):
+    # an oracle that expects channel j + 1 for word j
+    shifted = replace(BLOCKS["decoder"], oracle=lambda words, n: [
+        1 << (w + 1) % 2 ** n for w in words])
+    monkeypatch.setitem(BLOCKS, "decoder", shifted)
+    check = check_pipelined("decoder", "fast", (2,), [0, 1, 2, 3], "shifted")
+    assert not check.ok
+    assert check.detail == "signal ch0, unexpected at [3, 7, 8], missing at [6]"
 
 
 def test_measure_latency_full_table():
