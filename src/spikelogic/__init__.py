@@ -10,7 +10,7 @@ a verification harness with canned end-to-end experiments.
 
 from .sim import Network, NeuronParams, SpikeRecord, Synapse
 from .gates import (
-    GateHandle,
+    Handle,
     build_and_classic,
     build_and_fast,
     build_css,
@@ -22,7 +22,6 @@ from .gates import (
 )
 from .blocks import (
     AndKind,
-    BlockHandle,
     MemoryGeometry,
     build_d_latch,
     build_decoder,
@@ -72,14 +71,13 @@ __all__ = [
     "AND_KINDS",
     "AndKind",
     "BLOCK_KINDS",
-    "BlockHandle",
     "Check",
     "DEFAULT_SEED",
     "EXPERIMENTS",
     "ExperimentConfig",
     "ExperimentResult",
     "FormulaQuery",
-    "GateHandle",
+    "Handle",
     "MemoryGeometry",
     "Network",
     "NeuronParams",

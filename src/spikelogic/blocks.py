@@ -14,8 +14,9 @@ multiplexer 4/3, demultiplexer 3/2, D latch 3/2 (one more from data
 when the input inverter is built in), memory 6/4.
 
 Resource accounting: a handle's report counts the synapses the block
-created, tagged by category, plus one synapse per input tap (each input
-port is meant to be wired from exactly one driver). Decoder, mux, demux
+created, by their labels in the network's category ledger, plus one
+synapse per input tap (each input port is meant to be wired from
+exactly one driver). Decoder, mux, demux
 and memory reports include the CSS they were handed; the D latch report
 deliberately excludes CSS hookups and its optional input inverter so it
 composes cleanly into the memory totals.
@@ -28,15 +29,18 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .gates import (
-    GateHandle,
+    CAT_INTERNAL_CSS,
+    Handle,
     InputTap,
     PortMap,
+    build_and_classic,
+    build_and_fast,
     build_not,
     build_or,
     build_sr_latch,
-    _build_and_classic,
-    _build_and_fast,
+    _mark,
     _require_css,
+    _spanned,
     padded,
     retagged,
     wire,
@@ -72,34 +76,6 @@ class MemoryGeometry:
             raise ValueError("register count exceeds select capacity")
 
 
-@dataclass
-class BlockHandle:
-    kind: str
-    and_kind: AndKind | None
-    params: dict[str, int]
-    ports: PortMap
-    latency_ms: int
-    owned_synapses: dict[int, str]
-    sub_handles: tuple
-    resources: ResourceReport
-    css: GateHandle | None = None
-    data_latency_ms: int | None = None
-    geometry: MemoryGeometry | None = None
-    decoder: "BlockHandle | None" = None
-
-    def output(self, name: str) -> int:
-        try:
-            return self.ports.outputs[name]
-        except KeyError:
-            raise ValueError(f"{self.kind} has no output port {name!r}") from None
-
-    def input_taps(self, name: str) -> tuple[InputTap, ...]:
-        try:
-            return self.ports.inputs[name]
-        except KeyError:
-            raise ValueError(f"{self.kind} has no input port {name!r}") from None
-
-
 def _coerce_kind(and_kind) -> AndKind:
     try:
         return AndKind(and_kind)
@@ -107,43 +83,40 @@ def _coerce_kind(and_kind) -> AndKind:
         raise ValueError(f"unknown AND kind {and_kind!r}") from None
 
 
-def _and_gate(net: Network, and_kind: AndKind, css, fan_in: int) -> GateHandle:
+def _and_gate(net: Network, and_kind: AndKind, css, fan_in: int) -> Handle:
     if and_kind is AndKind.CLASSIC:
-        return _build_and_classic(net, fan_in)
-    return _build_and_fast(net, css, fan_in)
+        return build_and_classic(net, fan_in)
+    return build_and_fast(net, css, fan_in)
 
 
-def _tree_counts(handle) -> tuple[int, Counter]:
-    neurons = len(getattr(handle, "owned_neurons", ()))
-    categories = Counter(handle.owned_synapses.values())
-    for sub in getattr(handle, "sub_handles", ()):
-        sub_neurons, sub_categories = _tree_counts(sub)
-        neurons += sub_neurons
-        categories.update(sub_categories)
-    return neurons, categories
-
-
-def _measure(handle, *, include_css: bool, whitelist=None,
-             neuron_count: int | None = None) -> ResourceReport:
-    """Resource report for a built handle: owned synapses plus one per
-    input tap, optionally restricted to a category whitelist."""
-    neurons, categories = _tree_counts(handle)
-    for taps in handle.ports.inputs.values():
+def _block(net: Network, start: tuple[int, int], kind: str, and_kind,
+           params: dict[str, int], ports: PortMap, css, *,
+           include_css: bool = True, whitelist=None,
+           neuron_count: int | None = None, **fields) -> Handle:
+    """Handle over everything built since start = _mark(net), with its
+    resource report: the ledger labels of its synapses plus one synapse
+    per input tap, plus the CSS's 2 neurons and 2 synapses if
+    include_css; whitelist and neuron_count narrow the report."""
+    handle = _spanned(net, start, kind, ports, expected_latency(kind, and_kind),
+                      and_kind=and_kind, params=params, css=css, **fields)
+    span = handle.synapses
+    categories = Counter(net.categories[span.start:span.stop])
+    for taps in ports.inputs.values():
         for tap in taps:
             categories[tap.category] += 1
+    neurons = len(handle.entities) if neuron_count is None else neuron_count
     if include_css:
         neurons += 2
-        categories["Internal CSS"] += 2
+        categories[CAT_INTERNAL_CSS] += 2
     if whitelist is not None:
         categories = Counter({k: v for k, v in categories.items() if k in whitelist})
-    if neuron_count is not None:
-        neurons = neuron_count
-    return ResourceReport(neurons, sum(categories.values()),
-                          dict(sorted(categories.items())))
+    handle.resources = ResourceReport(neurons, sum(categories.values()),
+                                      dict(sorted(categories.items())))
+    return handle
 
 
 def _select_stage(net: Network, n: int, and_kind: AndKind, css,
-                  fan_in: int) -> tuple[list, list, dict[int, str], dict]:
+                  fan_in: int) -> tuple[list[Handle], dict]:
     """n inverters plus 2^n coincidence gates wired per the binary
     truth table: channel j's input b sees the direct line when bit b of
     j is set, the inverted line otherwise."""
@@ -152,7 +125,6 @@ def _select_stage(net: Network, n: int, and_kind: AndKind, css,
     _require_css(css)
     inverters = [build_not(net, css) for _ in range(n)]
     gates = [_and_gate(net, and_kind, css, fan_in) for _ in range(2 ** n)]
-    owned: dict[int, str] = {}
     select_ports: dict[str, tuple[InputTap, ...]] = {}
     for b in range(n):
         taps = list(inverters[b].input_taps("in"))
@@ -161,34 +133,24 @@ def _select_stage(net: Network, n: int, and_kind: AndKind, css,
             if (j >> b) & 1:
                 taps.extend(padded(gate_taps, 1))
             else:
-                owned.update(wire(net, inverters[b].output(), gate_taps,
-                                  category=f"NOT to AND ({and_kind.value})"))
+                wire(net, inverters[b].output(), gate_taps,
+                     category=f"NOT to AND ({and_kind.value})")
         select_ports[f"s{b}"] = tuple(taps)
-    return inverters, gates, owned, select_ports
+    return gates, select_ports
 
 
-def build_decoder(net: Network, n: int, and_kind, css) -> BlockHandle:
+def build_decoder(net: Network, n: int, and_kind, css) -> Handle:
     """n select lines to 2^n one-hot channels; channel 0 fires when no
     select line does (the non-operation channel)."""
     kind = _coerce_kind(and_kind)
-    inverters, gates, owned, select_ports = _select_stage(net, n, kind, css, n)
+    start = _mark(net)
+    gates, select_ports = _select_stage(net, n, kind, css, n)
     outputs = {f"ch{j}": gate.output() for j, gate in enumerate(gates)}
-    handle = BlockHandle(
-        kind="decoder",
-        and_kind=kind,
-        params={"n": n},
-        ports=PortMap(select_ports, outputs),
-        latency_ms=expected_latency("decoder", kind.value),
-        owned_synapses=owned,
-        sub_handles=(*inverters, *gates),
-        resources=ResourceReport(0, 0, {}),
-        css=css,
-    )
-    handle.resources = _measure(handle, include_css=True)
-    return handle
+    return _block(net, start, "decoder", kind, {"n": n},
+                  PortMap(select_ports, outputs), css)
 
 
-def build_encoder(net: Network, num_inputs: int) -> BlockHandle:
+def build_encoder(net: Network, num_inputs: int) -> Handle:
     """Inputs d0..d{num_inputs-1} to a binary index on output bits
     b0..b{w-1}: input i excites the OR gate of every set bit of i.
     Input 0 is deliberately unconnected, so driving it changes nothing
@@ -196,6 +158,7 @@ def build_encoder(net: Network, num_inputs: int) -> BlockHandle:
     inputs combine as the bitwise OR of their indices."""
     if num_inputs < 2:
         raise ValueError("encoder needs at least 2 inputs")
+    start = _mark(net)
     width = (num_inputs - 1).bit_length()
     fan_ins = [
         sum(1 for i in range(1, num_inputs) if (i >> b) & 1)
@@ -212,73 +175,43 @@ def build_encoder(net: Network, num_inputs: int) -> BlockHandle:
                 next_slot[b] += 1
         inputs[f"d{i}"] = tuple(taps)
     outputs = {f"or{b}": or_gates[b].output() for b in range(width)}
-    handle = BlockHandle(
-        kind="encoder",
-        and_kind=None,
-        params={"num_inputs": num_inputs},
-        ports=PortMap(inputs, outputs),
-        latency_ms=expected_latency("encoder"),
-        owned_synapses={},
-        sub_handles=tuple(or_gates),
-        resources=ResourceReport(0, 0, {}),
-    )
-    handle.resources = _measure(handle, include_css=False)
-    return handle
+    return _block(net, start, "encoder", None, {"num_inputs": num_inputs},
+                  PortMap(inputs, outputs), None, include_css=False)
 
 
-def build_multiplexer(net: Network, n: int, and_kind, css) -> BlockHandle:
+def build_multiplexer(net: Network, n: int, and_kind, css) -> Handle:
     """2^n data lines, n select lines, one output: the selected data
     line is forwarded, everything else is dropped."""
     kind = _coerce_kind(and_kind)
-    inverters, gates, owned, ports_in = _select_stage(net, n, kind, css, n + 1)
+    start = _mark(net)
+    gates, ports_in = _select_stage(net, n, kind, css, n + 1)
     collector = build_or(net, 2 ** n)
     for j, gate in enumerate(gates):
         ports_in[f"d{j}"] = retagged(padded(gate.input_taps(f"in{n}"), 1),
                                      f"Data inputs to AND ({kind.value})")
-        owned.update(wire(net, gate.output(), collector.input_taps(f"in{j}"),
-                          category="AND to OR"))
-    handle = BlockHandle(
-        kind="multiplexer",
-        and_kind=kind,
-        params={"n": n},
-        ports=PortMap(ports_in, {"out": collector.output()}),
-        latency_ms=expected_latency("multiplexer", kind.value),
-        owned_synapses=owned,
-        sub_handles=(*inverters, *gates, collector),
-        resources=ResourceReport(0, 0, {}),
-        css=css,
-    )
-    handle.resources = _measure(handle, include_css=True)
-    return handle
+        wire(net, gate.output(), collector.input_taps(f"in{j}"),
+             category="AND to OR")
+    return _block(net, start, "multiplexer", kind, {"n": n},
+                  PortMap(ports_in, {"out": collector.output()}), css)
 
 
-def build_demultiplexer(net: Network, n: int, and_kind, css) -> BlockHandle:
+def build_demultiplexer(net: Network, n: int, and_kind, css) -> Handle:
     """One data line routed to the channel named by the n select lines."""
     kind = _coerce_kind(and_kind)
-    inverters, gates, owned, ports_in = _select_stage(net, n, kind, css, n + 1)
+    start = _mark(net)
+    gates, ports_in = _select_stage(net, n, kind, css, n + 1)
     data_taps: list[InputTap] = []
     for gate in gates:
         data_taps.extend(retagged(padded(gate.input_taps(f"in{n}"), 1),
                                   f"Data inputs to AND ({kind.value})"))
     ports_in["d"] = tuple(data_taps)
     outputs = {f"ch{j}": gate.output() for j, gate in enumerate(gates)}
-    handle = BlockHandle(
-        kind="demultiplexer",
-        and_kind=kind,
-        params={"n": n},
-        ports=PortMap(ports_in, outputs),
-        latency_ms=expected_latency("demultiplexer", kind.value),
-        owned_synapses=owned,
-        sub_handles=(*inverters, *gates),
-        resources=ResourceReport(0, 0, {}),
-        css=css,
-    )
-    handle.resources = _measure(handle, include_css=True)
-    return handle
+    return _block(net, start, "demultiplexer", kind, {"n": n},
+                  PortMap(ports_in, outputs), css)
 
 
 def build_d_latch(net: Network, and_kind, css,
-                  with_input_not: bool = False) -> BlockHandle:
+                  with_input_not: bool = False) -> Handle:
     """Level-sensitive latch: on a store spike, q tracks data; without
     store, q holds.
 
@@ -292,57 +225,44 @@ def build_d_latch(net: Network, and_kind, css,
     """
     kind = _coerce_kind(and_kind)
     ak = kind.value
+    start = _mark(net)
     set_and = _and_gate(net, kind, css, 2)
     reset_and = _and_gate(net, kind, css, 2)
     sr = build_sr_latch(net)
-    owned: dict[int, str] = {}
-    owned.update(wire(net, set_and.output(), sr.input_taps("set"),
-                      category="AND to SR Latch (set)"))
-    owned.update(wire(net, reset_and.output(), sr.input_taps("reset"),
-                      category="AND to SR Latch (reset)"))
+    wire(net, set_and.output(), sr.input_taps("set"),
+         category="AND to SR Latch (set)")
+    wire(net, reset_and.output(), sr.input_taps("reset"),
+         category="AND to SR Latch (reset)")
     store_taps = retagged(set_and.input_taps("in0") + reset_and.input_taps("in0"),
                           f"Store to AND ({ak})")
     data_taps = retagged(set_and.input_taps("in1"), f"Data to AND ({ak})")
     latency = expected_latency("d_latch", ak)
     if with_input_not:
         inverter = build_not(net, css)
-        owned.update(wire(net, inverter.output(), reset_and.input_taps("in1"),
-                          category=f"Inverted data to AND ({ak})"))
+        wire(net, inverter.output(), reset_and.input_taps("in1"),
+             category=f"Inverted data to AND ({ak})")
         inputs = {
             "store": padded(store_taps, 1),
             "data": padded(data_taps, 1) + retagged(inverter.input_taps("in"),
                                                     "Data to NOT"),
         }
-        subs: tuple = (set_and, reset_and, sr, inverter)
-        data_latency = latency + 1
     else:
         inverted_taps = retagged(reset_and.input_taps("in1"),
                                  f"Inverted data to AND ({ak})")
         inputs = {"store": store_taps, "data": data_taps,
                   "data_not": inverted_taps}
-        subs = (set_and, reset_and, sr)
-        data_latency = latency
-    handle = BlockHandle(
-        kind="d_latch",
-        and_kind=kind,
-        params={"with_input_not": int(with_input_not)},
-        ports=PortMap(inputs, {"q": sr.output("q")}),
-        latency_ms=latency,
-        owned_synapses=owned,
-        sub_handles=subs,
-        resources=ResourceReport(0, 0, {}),
-        css=css,
-        data_latency_ms=data_latency,
-    )
-    core_neurons = sum(len(h.owned_neurons) for h in (set_and, reset_and, sr))
-    handle.resources = _measure(handle, include_css=False,
-                                whitelist=set(_dlatch_items(ak)),
-                                neuron_count=core_neurons)
-    return handle
+    # the report leaves out CSS hookups and the optional input inverter
+    core_neurons = sum(len(h.entities) for h in (set_and, reset_and, sr))
+    return _block(net, start, "d_latch", kind,
+                  {"with_input_not": int(with_input_not)},
+                  PortMap(inputs, {"q": sr.output("q")}), css,
+                  include_css=False, whitelist=set(_dlatch_items(ak)),
+                  neuron_count=core_neurons,
+                  data_latency_ms=latency + int(with_input_not))
 
 
 def build_memory(net: Network, registers: int, bits: int, and_kind,
-                 css) -> BlockHandle:
+                 css) -> Handle:
     """Addressable register file of D latches, written by spikes.
 
     A decoder turns the address lines into one-hot store strobes for a
@@ -355,21 +275,19 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
     becomes visible on the q outputs after the block latency.
     """
     kind = _coerce_kind(and_kind)
-    ak = kind.value
     geometry = MemoryGeometry(registers, bits, registers.bit_length())
+    start = _mark(net)
     decoder = build_decoder(net, geometry.depth, kind, css)
     column_nots = [build_not(net, css) for _ in range(bits)]
-    owned: dict[int, str] = {}
-    grid: list[list[BlockHandle]] = []
+    grid: list[list[Handle]] = []
     for i in range(1, registers + 1):
-        row: list[BlockHandle] = []
+        row: list[Handle] = []
         strobe = decoder.output(f"ch{i}")
         for j in range(bits):
             latch = build_d_latch(net, kind, css, with_input_not=False)
-            owned.update(wire(net, strobe, latch.input_taps("store")))
-            owned.update(wire(net, column_nots[j].output(),
-                              latch.input_taps("data_not"),
-                              extra_delay_ms=decoder.latency_ms - 1))
+            wire(net, strobe, latch.input_taps("store"))
+            wire(net, column_nots[j].output(), latch.input_taps("data_not"),
+                 extra_delay_ms=decoder.latency_ms - 1)
             row.append(latch)
         grid.append(row)
     inputs = dict(decoder.ports.inputs)
@@ -383,19 +301,6 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
         for i in range(1, registers + 1)
         for j in range(bits)
     }
-    handle = BlockHandle(
-        kind="memory",
-        and_kind=kind,
-        params={"r": registers, "c": bits},
-        ports=PortMap(inputs, outputs),
-        latency_ms=expected_latency("memory", ak),
-        owned_synapses=owned,
-        sub_handles=(decoder, *column_nots,
-                     *(latch for row in grid for latch in row)),
-        resources=ResourceReport(0, 0, {}),
-        css=css,
-        geometry=geometry,
-        decoder=decoder,
-    )
-    handle.resources = _measure(handle, include_css=True)
-    return handle
+    return _block(net, start, "memory", kind, {"r": registers, "c": bits},
+                  PortMap(inputs, outputs), css, geometry=geometry,
+                  decoder=decoder)

@@ -1,7 +1,7 @@
 """Spiking logic gates built from default integer-threshold neurons.
 
 Each builder adds neurons and internal synapses to a Network and returns
-a handle describing the gate's ports. Input ports are exposed as
+a Handle naming the gate's ports and spanning what it added. Input ports are exposed as
 connection descriptors (taps) rather than pre-made synapses, so callers
 wire their own upstream drivers; gate latency is the sum of synapse
 delays on the output path.
@@ -17,12 +17,18 @@ millisecond from t=2 onward.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
+from .resources import ResourceReport
 from .sim import Network
 
+if TYPE_CHECKING:
+    from .blocks import MemoryGeometry
+
 # Synapse category labels used for resource accounting. The wiring
-# helpers tag every synapse, and the closed-form resource module
-# itemizes expected counts under the same labels.
+# helpers label every synapse in the network's category ledger, and the
+# closed-form resource module itemizes expected counts under the same
+# labels.
 CAT_INTERNAL_CSS = "Internal CSS"
 CAT_CSS_TO_NOT = "CSS to NOT"
 CAT_INPUT_TO_NOT = "Input to NOT"
@@ -47,24 +53,52 @@ class PortMap:
 
 
 @dataclass
-class GateHandle:
+class Handle:
+    """A built gate or block: its ports and latency, and the spans of
+    entity ids and synapse indices its builder added to the network.
+
+    Builders add both contiguously, so a block's spans cover those of
+    its parts. Blocks also carry their AND kind, size parameters,
+    measured resource report and the CSS they were handed.
+    """
+
     kind: str
     ports: PortMap
     latency_ms: int
-    owned_neurons: list[int]
-    owned_synapses: dict[int, str]
-    sub_handles: tuple = ()
-    bootstrap_source: int | None = None
-    bootstrap_synapse: int | None = None
+    entities: range
+    synapses: range
+    and_kind: str | None = None  # an AndKind on blocks
+    params: dict[str, int] = field(default_factory=dict)
+    resources: ResourceReport | None = None
+    css: Handle | None = None
+    data_latency_ms: int | None = None
+    geometry: MemoryGeometry | None = None
+    decoder: Handle | None = None
 
     def output(self, name: str = "out") -> int:
-        return self.ports.outputs[name]
+        try:
+            return self.ports.outputs[name]
+        except KeyError:
+            raise ValueError(f"{self.kind} has no output port {name!r}") from None
 
     def input_taps(self, name: str) -> tuple[InputTap, ...]:
         try:
             return self.ports.inputs[name]
         except KeyError:
             raise ValueError(f"{self.kind} has no input port {name!r}") from None
+
+
+def _mark(net: Network) -> tuple[int, int]:
+    """Where a builder starts: the next entity id and synapse index."""
+    return len(net.neurons) + len(net.sources), len(net.synapses)
+
+
+def _spanned(net: Network, start: tuple[int, int], kind: str, ports: PortMap,
+             latency_ms: int, **fields) -> Handle:
+    """A handle over everything added to net since start = _mark(net)."""
+    end = _mark(net)
+    return Handle(kind, ports, latency_ms, range(start[0], end[0]),
+                  range(start[1], end[1]), **fields)
 
 
 def padded(taps: tuple[InputTap, ...], extra_delay_ms: int) -> tuple[InputTap, ...]:
@@ -79,24 +113,23 @@ def retagged(taps: tuple[InputTap, ...], category: str) -> tuple[InputTap, ...]:
 
 
 def wire(net: Network, source_id: int, taps: tuple[InputTap, ...], *,
-         extra_delay_ms: int = 0, category: str | None = None) -> dict[int, str]:
-    """Connect one driver to every tap; returns {synapse_id: category}."""
-    created: dict[int, str] = {}
+         extra_delay_ms: int = 0, category: str | None = None) -> None:
+    """Connect one driver to every tap, labelled with the tap's category
+    unless category overrides it."""
     for tap in taps:
-        syn = net.connect(source_id, tap.target, tap.weight_quanta,
-                          tap.delay_ms + extra_delay_ms)
-        created[syn] = category if category is not None else tap.category
-    return created
+        net.connect(source_id, tap.target, tap.weight_quanta,
+                    tap.delay_ms + extra_delay_ms,
+                    category if category is not None else tap.category)
 
 
-def drive(net: Network, handle, port_name: str, source_id: int, *,
-          extra_delay_ms: int = 0) -> dict[int, str]:
+def drive(net: Network, handle: Handle, port_name: str, source_id: int, *,
+          extra_delay_ms: int = 0) -> None:
     """Wire a driver to a named input port of a gate or block handle."""
     try:
         taps = handle.ports.inputs[port_name]
     except KeyError:
         raise ValueError(f"unknown input port {port_name!r}") from None
-    return wire(net, source_id, taps, extra_delay_ms=extra_delay_ms)
+    wire(net, source_id, taps, extra_delay_ms=extra_delay_ms)
 
 
 def _require_css(css) -> None:
@@ -104,83 +137,86 @@ def _require_css(css) -> None:
         raise ValueError("a constant spike source handle (build_css) is required")
 
 
-def build_css(net: Network) -> GateHandle:
+def build_css(net: Network) -> Handle:
     """Constant spike source: a two-neuron 1 ms ring plus a bootstrap.
 
     The bootstrap source spikes once at t=0, so phase A fires at odd
     milliseconds starting at 1 and phase B at even ones starting at 2;
     together they cover every t >= 1 exactly once. The bootstrap source
-    and its synapse are scaffolding and excluded from resource totals.
+    and its synapse are scaffolding: the synapse is the one left
+    unlabelled, and neither counts in resource totals.
     """
+    start = _mark(net)
     phase_a = net.add_neuron()
     phase_b = net.add_neuron()
-    owned: dict[int, str] = {}
-    owned[net.connect(phase_a, phase_b, 1, 1)] = CAT_INTERNAL_CSS
-    owned[net.connect(phase_b, phase_a, 1, 1)] = CAT_INTERNAL_CSS
-    boot = net.add_source((0,))
-    boot_syn = net.connect(boot, phase_a, 1, 1)
+    net.connect(phase_a, phase_b, 1, 1, CAT_INTERNAL_CSS)
+    net.connect(phase_b, phase_a, 1, 1, CAT_INTERNAL_CSS)
+    net.connect(net.add_source((0,)), phase_a, 1, 1)
     ports = PortMap(outputs={"phase_a": phase_a, "phase_b": phase_b})
-    return GateHandle("css", ports, 0, [phase_a, phase_b], owned,
-                      bootstrap_source=boot, bootstrap_synapse=boot_syn)
+    return _spanned(net, start, "css", ports, 0)
 
 
-def css_feed(net: Network, css: GateHandle, target: int, weight_quanta: int,
-             category: str) -> dict[int, str]:
+def css_feed(net: Network, css: Handle, target: int, weight_quanta: int,
+             category: str) -> None:
     """Standard CSS hookup: one synapse per phase, so the target receives
     weight_quanta once per millisecond from t=2 onward."""
     _require_css(css)
-    created: dict[int, str] = {}
     for phase in ("phase_a", "phase_b"):
-        syn = net.connect(css.output(phase), target, weight_quanta, 1)
-        created[syn] = category
-    return created
+        net.connect(css.output(phase), target, weight_quanta, 1, category)
 
 
-def build_not(net: Network, css: GateHandle) -> GateHandle:
+def build_not(net: Network, css: Handle) -> Handle:
     """Inverter: out fires at t+1 iff `in` had no spike at t (t >= 1).
 
     One neuron excited by the CSS (+1 per ms) and inhibited by the
     input (-1); with no input it fires every millisecond from t=2.
     """
+    start = _mark(net)
     neuron = net.add_neuron()
-    owned = css_feed(net, css, neuron, 1, CAT_CSS_TO_NOT)
+    css_feed(net, css, neuron, 1, CAT_CSS_TO_NOT)
     ports = PortMap(
         inputs={"in": (InputTap(neuron, -1, 1, CAT_INPUT_TO_NOT),)},
         outputs={"out": neuron},
     )
-    return GateHandle("not", ports, 1, [neuron], owned)
+    return _spanned(net, start, "not", ports, 1)
 
 
-def build_or(net: Network, fan_in: int) -> GateHandle:
+def build_or(net: Network, fan_in: int) -> Handle:
     """OR: one neuron, every input excitatory +1 with delay 1.
 
     Coincident inputs still yield a single output spike per timestep.
     """
     if fan_in < 1:
         raise ValueError("OR fan_in must be >= 1")
+    start = _mark(net)
     neuron = net.add_neuron()
     inputs = {
         f"in{i}": (InputTap(neuron, 1, 1, CAT_INPUT_TO_OR),)
         for i in range(fan_in)
     }
-    return GateHandle("or", PortMap(inputs, {"out": neuron}), 1, [neuron], {})
+    return _spanned(net, start, "or", PortMap(inputs, {"out": neuron}), 1)
 
 
-def _build_and_classic(net: Network, fan_in: int) -> GateHandle:
+def _and_weights(fan_in: int) -> tuple[int, int]:
+    """(veto, direct) weights: only a full input set nets +1. Fan-in 1
+    doubles the direct weight against a -1 veto, since a zero-weight
+    veto synapse is not allowed."""
+    if fan_in < 1:
+        raise ValueError("AND fan_in must be >= 1")
+    return (-1, 2) if fan_in == 1 else (-(fan_in - 1), 1)
+
+
+def build_and_classic(net: Network, fan_in: int) -> Handle:
     """Two-neuron AND with 2 ms latency and no CSS dependence.
 
     Collector X fires on any input; output Y sums all inputs at t+2
     against X's veto, leaving net +1 only when every input was present.
-    Fan-in 1 keeps the same shape but doubles the direct weight against
-    a -1 veto, since a zero-weight internal synapse is not allowed.
     """
+    veto, direct = _and_weights(fan_in)
+    start = _mark(net)
     collector = net.add_neuron()
     out = net.add_neuron()
-    if fan_in == 1:
-        veto, direct = -1, 2
-    else:
-        veto, direct = -(fan_in - 1), 1
-    owned = {net.connect(collector, out, veto, 1): "Internal AND (classic)"}
+    net.connect(collector, out, veto, 1, "Internal AND (classic)")
     inputs = {
         f"in{i}": (
             InputTap(collector, 1, 1, "Input to AND (classic)"),
@@ -188,55 +224,38 @@ def _build_and_classic(net: Network, fan_in: int) -> GateHandle:
         )
         for i in range(fan_in)
     }
-    return GateHandle("and_classic", PortMap(inputs, {"out": out}), 2,
-                      [collector, out], owned)
+    return _spanned(net, start, "and_classic", PortMap(inputs, {"out": out}), 2)
 
 
-def build_and_classic(net: Network, fan_in: int) -> GateHandle:
-    if fan_in < 2:
-        raise ValueError("AND fan_in must be >= 2")
-    return _build_and_classic(net, fan_in)
-
-
-def _build_and_fast(net: Network, css: GateHandle, fan_in: int) -> GateHandle:
+def build_and_fast(net: Network, css: Handle, fan_in: int) -> Handle:
     """Single-neuron AND with 1 ms latency.
 
-    The CSS delivers -(fan_in - 1) per millisecond, so only a full input
-    set nets +1. Fan-in 1 doubles the direct weight against -1 for the
-    same reason as the classic variant.
+    The CSS delivers the veto, -(fan_in - 1) per millisecond, so only a
+    full input set nets +1.
     """
+    veto, direct = _and_weights(fan_in)
     _require_css(css)
+    start = _mark(net)
     neuron = net.add_neuron()
-    if fan_in == 1:
-        css_weight, direct = -1, 2
-    else:
-        css_weight, direct = -(fan_in - 1), 1
-    owned = css_feed(net, css, neuron, css_weight, "CSS to AND (fast)")
+    css_feed(net, css, neuron, veto, "CSS to AND (fast)")
     inputs = {
         f"in{i}": (InputTap(neuron, direct, 1, "Input to AND (fast)"),)
         for i in range(fan_in)
     }
-    return GateHandle("and_fast", PortMap(inputs, {"out": neuron}), 1,
-                      [neuron], owned)
+    return _spanned(net, start, "and_fast", PortMap(inputs, {"out": neuron}), 1)
 
 
-def build_and_fast(net: Network, css: GateHandle, fan_in: int) -> GateHandle:
-    if fan_in < 2:
-        raise ValueError("AND fan_in must be >= 2")
-    return _build_and_fast(net, css, fan_in)
-
-
-def build_sr_latch(net: Network) -> GateHandle:
+def build_sr_latch(net: Network) -> Handle:
     """Set/reset latch on one self-exciting neuron.
 
     set (+1) starts the self-loop one millisecond later; reset (-2)
     overcomes self-excitation and wins over a simultaneous set.
     """
+    start = _mark(net)
     neuron = net.add_neuron()
-    owned = {net.connect(neuron, neuron, 1, 1): CAT_INTERNAL_SR}
+    net.connect(neuron, neuron, 1, 1, CAT_INTERNAL_SR)
     inputs = {
         "set": (InputTap(neuron, 1, 1, "Input to SR Latch (set)"),),
         "reset": (InputTap(neuron, -2, 1, "Input to SR Latch (reset)"),),
     }
-    return GateHandle("sr_latch", PortMap(inputs, {"q": neuron}), 1,
-                      [neuron], owned)
+    return _spanned(net, start, "sr_latch", PortMap(inputs, {"q": neuron}), 1)

@@ -42,7 +42,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 from . import netlist
 from .blocks import (
     AndKind,
-    BlockHandle,
     build_d_latch,
     build_decoder,
     build_demultiplexer,
@@ -50,7 +49,7 @@ from .blocks import (
     build_memory,
     build_multiplexer,
 )
-from .gates import build_css, build_not, drive, wire, padded
+from .gates import Handle, build_css, build_not, drive, wire, padded
 from .oracles import (
     decoder_channel,
     demux_channels,
@@ -250,7 +249,7 @@ class BlockSpec:
 
     default: dict[str, int]
     size_names: tuple[str, ...]
-    build: Callable[..., BlockHandle]  # (net, and_kind, css, *size)
+    build: Callable[..., Handle]  # (net, and_kind, css, *size)
     inputs: Callable[..., list[str]]
     outputs: Callable[..., list[str]]
     oracle: Callable[..., list[int]]
@@ -367,11 +366,12 @@ def block_config(kind: str, and_kind=None, *, n: int | None = None,
         if value < spec.smallest:
             raise ValueError(
                 f"{kind} needs {flag} >= {spec.smallest}, got {value}")
-    return (_and_value(and_kind or "fast") if spec.and_stage else None), size
+    ak = "fast" if and_kind is None else and_kind
+    return (_and_value(ak) if spec.and_stage else None), size
 
 
 def build_block(net: Network, kind: str, and_kind: str | None,
-                size: Sequence[int]) -> BlockHandle:
+                size: Sequence[int]) -> Handle:
     """Build one block on net, after the CSS it needs (if any)."""
     spec = BLOCKS[kind]
     css = build_css(net) if spec.and_stage else None
@@ -543,7 +543,7 @@ def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_d_latch(cfg: ExperimentConfig) -> ExperimentResult:
-    ak = _and_value(cfg.and_kind or "classic")
+    ak = _and_value("classic" if cfg.and_kind is None else cfg.and_kind)
     duration = _duration(cfg.duration_ms, 16)
     latency = expected_latency("d_latch", ak)
     data_latency = latency + 1  # external inverter in the data path
@@ -703,7 +703,7 @@ def run_experiment(name: str,
 def sweep_decoder(n: int, and_kind: str,
                   words: Sequence[int] | None = None) -> Check:
     """Pipelined truth-table sweep; silence decodes as word 0."""
-    ak = _and_value(and_kind)
+    ak, (n,) = block_config("decoder", _and_value(and_kind), n=n)
     if words is None:
         words = list(range(2 ** n))
     latency = expected_latency("decoder", ak)
@@ -717,6 +717,7 @@ def sweep_encoder(num_inputs: int,
                   subsets: Sequence[int] | None = None) -> Check:
     """Pipelined sweep of input subsets (bitmask per ms); expected output
     is the bitwise OR of the active indices."""
+    _, (num_inputs,) = block_config("encoder", n=num_inputs)
     if subsets is None:
         subsets = list(range(2 ** num_inputs))
     return check_pipelined(
@@ -729,7 +730,7 @@ def sweep_multiplexer(n: int, and_kind: str,
                       cases: Sequence[tuple[int, int]] | None = None) -> Check:
     """Pipelined (select word, data mask) cases; default visits every
     select word against selected/other lines on and off."""
-    ak = _and_value(and_kind)
+    ak, (n,) = block_config("multiplexer", _and_value(and_kind), n=n)
     if cases is None:
         others = [2 ** 2 ** n - 1 & ~(1 << s) for s in range(2 ** n)]
         cases = [(select, d_sel << select | d_others * others[select])
@@ -745,7 +746,7 @@ def sweep_demultiplexer(n: int, and_kind: str,
                         cases: Sequence[tuple[int, int]] | None = None) -> Check:
     """Pipelined (select word, data bit) cases; default visits every
     select word with data present and absent."""
-    ak = _and_value(and_kind)
+    ak, (n,) = block_config("demultiplexer", _and_value(and_kind), n=n)
     if cases is None:
         cases = [(select, d) for select in range(2 ** n) for d in (0, 1)]
     return check_pipelined(

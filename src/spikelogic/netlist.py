@@ -57,14 +57,30 @@ def to_document(net: Network, annotations: dict | None = None) -> dict:
     }
 
 
+def _field(entry, key: str, where: str):
+    if not isinstance(entry, dict) or key not in entry:
+        raise ValueError(f"{where} has no {key!r} field")
+    return entry[key]
+
+
+def _entries(doc: dict, key: str) -> list:
+    value = _field(doc, key, "netlist")
+    if not isinstance(value, list):
+        raise ValueError(f"netlist field {key!r} must be a list")
+    return value
+
+
 def from_document(doc: dict) -> tuple[Network, dict]:
-    """Rebuild a network from a document; returns (net, annotations)."""
-    if doc.get("format") != FORMAT:
+    """Rebuild a network from a document; returns (net, annotations). A
+    missing field or a non-list entity table raises ValueError."""
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError(f"not a {FORMAT} document")
     if doc.get("version") != VERSION:
         raise ValueError(f"unsupported netlist version {doc.get('version')!r}")
-    neuron_entries = {entry["id"]: entry for entry in doc["neurons"]}
-    source_entries = {entry["id"]: entry for entry in doc["sources"]}
+    neuron_entries = {_field(entry, "id", "neuron entry"): entry
+                      for entry in _entries(doc, "neurons")}
+    source_entries = {_field(entry, "id", "source entry"): entry
+                      for entry in _entries(doc, "sources")}
     if neuron_entries.keys() & source_entries.keys():
         raise ValueError("an id appears as both neuron and source")
     total = len(neuron_entries) + len(source_entries)
@@ -74,17 +90,19 @@ def from_document(doc: dict) -> tuple[Network, dict]:
     for eid in range(total):
         if eid in neuron_entries:
             entry = neuron_entries[eid]
+            where = f"neuron {eid}"
             net.add_neuron(NeuronParams(
-                threshold_quanta=entry["threshold_quanta"],
-                refractory_ms=entry["refractory_ms"],
-                carryover_factor=Fraction(entry["carryover_factor"]),
+                threshold_quanta=_field(entry, "threshold_quanta", where),
+                refractory_ms=_field(entry, "refractory_ms", where),
+                carryover_factor=Fraction(
+                    _field(entry, "carryover_factor", where)),
             ))
         else:
-            net.add_source(source_entries[eid]["times"])
-    for syn in doc["synapses"]:
-        net.connect(syn["source"], syn["target"],
-                    syn["weight_quanta"], syn["delay_ms"])
-    net.record(*doc["recorded"])
+            net.add_source(_field(source_entries[eid], "times", f"source {eid}"))
+    for k, syn in enumerate(_entries(doc, "synapses")):
+        net.connect(*(_field(syn, key, f"synapse {k}") for key in
+                      ("source", "target", "weight_quanta", "delay_ms")))
+    net.record(*_entries(doc, "recorded"))
     return net, doc.get("annotations", {})
 
 

@@ -40,9 +40,10 @@ class NeuronParams:
     carryover_factor: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.threshold_quanta, int) or self.threshold_quanta < 1:
+        # type() rather than isinstance(): a bool is an int, not a count
+        if type(self.threshold_quanta) is not int or self.threshold_quanta < 1:
             raise ValueError("threshold_quanta must be an integer >= 1")
-        if not isinstance(self.refractory_ms, int) or self.refractory_ms < 0:
+        if type(self.refractory_ms) is not int or self.refractory_ms < 0:
             raise ValueError("refractory_ms must be an integer >= 0")
         factor = Fraction(self.carryover_factor)
         if not 0 <= factor < 1:
@@ -81,6 +82,7 @@ class Network:
         self.neurons: dict[int, NeuronParams] = {}
         self.sources: dict[int, tuple[int, ...]] = {}
         self.synapses: list[Synapse] = []
+        self.categories: list[str] = []
         self.recorded: list[int] = []
         self._recorded_set: set[int] = set()
         self._next_id = 0
@@ -114,8 +116,14 @@ class Network:
         self.sources[sid] = times
         return sid
 
-    def connect(self, source: int, target: int, weight_quanta: int, delay_ms: int) -> int:
-        """Add a synapse and return its index in insertion order."""
+    def connect(self, source: int, target: int, weight_quanta: int,
+                delay_ms: int, category: str = "") -> int:
+        """Add a synapse and return its index in insertion order.
+
+        category labels the synapse in the categories ledger, index for
+        index with synapses. The labels serve resource accounting only:
+        the kernel never reads them and netlists do not store them.
+        """
         if source not in self.neurons and source not in self.sources:
             raise ValueError(f"unknown source id {source!r}")
         if target not in self.neurons:
@@ -129,6 +137,7 @@ class Network:
         if delay < 1:
             raise ValueError("delay_ms must be >= 1")
         self.synapses.append(Synapse(source, target, weight, delay))
+        self.categories.append(category)
         return len(self.synapses) - 1
 
     def record(self, *entity_ids: int) -> None:

@@ -25,7 +25,12 @@ from spikelogic.harness import (
     sweep_multiplexer,
 )
 from spikelogic.oracles import latch_states
-from spikelogic.resources import FormulaQuery, expected_latency, reconcile
+from spikelogic.resources import (
+    BLOCK_KINDS,
+    FormulaQuery,
+    expected_latency,
+    reconcile,
+)
 from spikelogic.sim import Network
 
 KINDS = ("classic", "fast")
@@ -294,3 +299,40 @@ class TestPorts:
         css = build_css(net)
         with pytest.raises(ValueError):
             build_decoder(net, 2, "sluggish", css)
+
+
+# each block kind at a small and a larger size (the D latch without and
+# with its input inverter), built after a CSS of its own
+LEDGER_BUILDS = {
+    "decoder": lambda net, ak, css, big: build_decoder(net, 1 + 2 * big, ak, css),
+    "encoder": lambda net, ak, css, big: build_encoder(net, 2 + 3 * big),
+    "multiplexer": lambda net, ak, css, big: build_multiplexer(
+        net, 1 + big, ak, css),
+    "demultiplexer": lambda net, ak, css, big: build_demultiplexer(
+        net, 1 + 2 * big, ak, css),
+    "d_latch": lambda net, ak, css, big: build_d_latch(
+        net, ak, css, with_input_not=big),
+    "memory": lambda net, ak, css, big: build_memory(
+        net, 1 + 2 * big, 1 + big, ak, css),
+}
+
+
+@pytest.mark.parametrize("big", [False, True])
+@pytest.mark.parametrize("ak", KINDS)
+@pytest.mark.parametrize("kind", BLOCK_KINDS)
+def test_category_ledger_labels_every_block_synapse(kind, ak, big):
+    net = Network()
+    css = build_css(net)
+    block = LEDGER_BUILDS[kind](net, ak, css, big)
+    assert len(net.categories) == len(net.synapses)
+    assert block.synapses.stop == len(net.synapses)
+    assert all(net.categories[i] for i in block.synapses)
+    # the CSS bootstrap synapse, from its one source, is the only
+    # unlabelled synapse
+    unlabelled = [i for i, label in enumerate(net.categories) if not label]
+    assert len(unlabelled) == 1 and unlabelled[0] in css.synapses
+    assert net.synapses[unlabelled[0]].source in net.sources
+    if kind == "memory":
+        for span in ("entities", "synapses"):
+            inner, outer = getattr(block.decoder, span), getattr(block, span)
+            assert outer.start <= inner.start and inner.stop <= outer.stop

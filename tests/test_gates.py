@@ -30,6 +30,11 @@ def drive_all(net, gate, schedules):
 schedule = st.sets(st.integers(min_value=1, max_value=24), max_size=12)
 
 
+def labels(net, handle):
+    """Ledger labels of the synapses a builder created."""
+    return [net.categories[i] for i in handle.synapses]
+
+
 class TestCss:
     def test_phases_interleave(self):
         net, css = css_net()
@@ -42,15 +47,19 @@ class TestCss:
     def test_feed_delivers_one_quantum_per_ms(self):
         net, css = css_net()
         probe = net.add_neuron()
-        assert len(css_feed(net, css, probe, 1, "Internal CSS")) == 2
+        before = len(net.synapses)
+        css_feed(net, css, probe, 1, "Internal CSS")
+        assert net.categories[before:] == ["Internal CSS"] * 2
         net.record(probe)
         assert net.run(10).times(probe) == tuple(range(2, 10))
 
     def test_bootstrap_is_not_a_neuron(self):
         net, css = css_net()
-        assert css.bootstrap_source not in net.neurons
-        assert len(css.owned_neurons) == 2
-        assert len(css.owned_synapses) == 2
+        bootstrap = [e for e in css.entities if e not in net.neurons]
+        assert len(bootstrap) == 1 and bootstrap[0] in net.sources
+        assert len(css.entities) - len(bootstrap) == 2
+        # the bootstrap synapse is scaffolding and stays unlabelled
+        assert sorted(labels(net, css)) == ["", "Internal CSS", "Internal CSS"]
 
 
 class TestNot:
@@ -82,8 +91,8 @@ class TestNot:
     def test_resource_footprint(self):
         net, css = css_net()
         gate = build_not(net, css)
-        assert len(gate.owned_neurons) == 1
-        assert sorted(gate.owned_synapses.values()) == ["CSS to NOT"] * 2
+        assert len(gate.entities) == 1
+        assert sorted(labels(net, gate)) == ["CSS to NOT"] * 2
         assert len(gate.input_taps("in")) == 1
 
 
@@ -114,8 +123,8 @@ class TestOr:
     def test_resource_footprint(self):
         net = Network()
         gate = build_or(net, 3)
-        assert len(gate.owned_neurons) == 1
-        assert not gate.owned_synapses
+        assert len(gate.entities) == 1
+        assert not labels(net, gate)
         assert all(len(gate.input_taps(f"in{k}")) == 1 for k in range(3))
 
 
@@ -144,14 +153,14 @@ class TestClassicAnd:
     def test_resource_footprint(self):
         net = Network()
         gate = build_and_classic(net, 3)
-        assert len(gate.owned_neurons) == 2
-        assert list(gate.owned_synapses.values()) == ["Internal AND (classic)"]
+        assert len(gate.entities) == 2
+        assert labels(net, gate) == ["Internal AND (classic)"]
         assert all(len(gate.input_taps(f"in{k}")) == 2 for k in range(3))
 
-    def test_rejects_fan_in_below_two(self):
+    def test_rejects_fan_in_zero(self):
         net = Network()
         with pytest.raises(ValueError):
-            build_and_classic(net, 1)
+            build_and_classic(net, 0)
 
 
 class TestFastAnd:
@@ -179,19 +188,18 @@ class TestFastAnd:
     def test_resource_footprint(self):
         net, css = css_net()
         gate = build_and_fast(net, css, 3)
-        assert len(gate.owned_neurons) == 1
-        assert sorted(gate.owned_synapses.values()) == \
-            ["CSS to AND (fast)"] * 2
+        assert len(gate.entities) == 1
+        assert sorted(labels(net, gate)) == ["CSS to AND (fast)"] * 2
         assert all(len(gate.input_taps(f"in{k}")) == 1 for k in range(3))
 
-    def test_rejects_fan_in_below_two(self):
+    def test_rejects_fan_in_zero(self):
         net, css = css_net()
         with pytest.raises(ValueError):
-            build_and_fast(net, css, 1)
+            build_and_fast(net, css, 0)
 
 
 class TestAndEquivalence:
-    @given(st.integers(min_value=2, max_value=4),
+    @given(st.integers(min_value=1, max_value=4),
            st.lists(schedule, min_size=4, max_size=4))
     def test_fast_equals_classic_shifted(self, fan_in, schedules):
         net, css = css_net()
@@ -251,8 +259,8 @@ class TestSrLatch:
     def test_resource_footprint(self):
         net = Network()
         latch = build_sr_latch(net)
-        assert len(latch.owned_neurons) == 1
-        assert list(latch.owned_synapses.values()) == ["Internal SR Latch"]
+        assert len(latch.entities) == 1
+        assert labels(net, latch) == ["Internal SR Latch"]
 
 
 def test_drive_rejects_unknown_port():

@@ -19,6 +19,10 @@ from spikelogic.harness import (
     render_checks,
     run_experiment,
     shuffle_synapses,
+    sweep_decoder,
+    sweep_demultiplexer,
+    sweep_encoder,
+    sweep_multiplexer,
     verify_block,
 )
 from spikelogic.resources import BLOCK_KINDS, expected_latency
@@ -173,6 +177,22 @@ class TestVerifyReports:
     def test_zero_size_rejected(self, kind, size):
         with pytest.raises(ValueError):
             verify_block(kind, **size)
+
+    @pytest.mark.parametrize("sweep", [
+        lambda: sweep_decoder(-1, "fast"),
+        lambda: sweep_encoder(-1),
+        lambda: sweep_multiplexer(-1, "fast"),
+        lambda: sweep_demultiplexer(-1, "fast"),
+    ], ids=["decoder", "encoder", "multiplexer", "demultiplexer"])
+    def test_sweeps_reject_bad_sizes(self, sweep):
+        with pytest.raises(ValueError):
+            sweep()
+
+    def test_empty_and_kind_rejected(self):
+        with pytest.raises(ValueError):
+            verify_block("decoder", "")
+        with pytest.raises(ValueError):
+            run_experiment("d-latch", ExperimentConfig(and_kind=""))
 
     def test_decoder_report_contents(self):
         report = verify_block("decoder", "fast", n=2)

@@ -1,10 +1,14 @@
 """Netlist serialization round trips."""
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from spikelogic import netlist
+from spikelogic.harness import ExperimentConfig, run_experiment
 from spikelogic.blocks import build_decoder
 from spikelogic.gates import build_css, drive
 from spikelogic.sim import Network, NeuronParams
@@ -78,3 +82,57 @@ def test_save_and_load(tmp_path):
     assert annotations == {"experiment": "demo"}
     assert rebuilt.run(10) == net.run(10)
     assert path.read_text(encoding="ascii").endswith("\n")
+
+
+# sha256 of netlist.dumps(result.net) for every experiment and AND kind
+# at the default config: pins entity-id and synapse insertion order
+DIGESTS = [line.split() for line in (Path(__file__).parent / "data" /
+           "netlist-sha256.txt").read_text(encoding="ascii").splitlines()]
+
+
+@pytest.mark.parametrize("name, ak, digest", DIGESTS)
+def test_experiment_netlists_are_pinned(name, ak, digest):
+    result = run_experiment(name, ExperimentConfig(and_kind=ak))
+    text = netlist.dumps(result.net)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
+def _without(entry: dict, key: str) -> dict:
+    return {k: v for k, v in entry.items() if k != key}
+
+
+def _first_without(table: str, key: str):
+    return lambda doc: dict(doc, **{table: [_without(doc[table][0], key),
+                                             *doc[table][1:]]})
+
+
+# case id: (how the document is broken, what the error must name)
+MALFORMED = {
+    "no-neurons": (lambda doc: _without(doc, "neurons"), "neurons"),
+    "no-sources": (lambda doc: _without(doc, "sources"), "sources"),
+    "no-synapses": (lambda doc: _without(doc, "synapses"), "synapses"),
+    "no-recorded": (lambda doc: _without(doc, "recorded"), "recorded"),
+    "neuron-no-threshold": (_first_without("neurons", "threshold_quanta"),
+                            "threshold_quanta"),
+    "neuron-no-carryover": (_first_without("neurons", "carryover_factor"),
+                            "carryover_factor"),
+    "neuron-no-id": (_first_without("neurons", "id"), "id"),
+    "source-no-times": (_first_without("sources", "times"), "times"),
+    "synapse-no-delay": (_first_without("synapses", "delay_ms"), "delay_ms"),
+    "synapses-dict": (lambda doc: dict(doc, synapses={"0": doc["synapses"][0]}),
+                      "synapses"),
+    "synapses-string": (lambda doc: dict(doc, synapses="none"), "synapses"),
+    "neuron-not-object": (lambda doc: dict(doc, neurons=[7, *doc["neurons"][1:]]),
+                          "id"),
+    "document-not-object": (lambda doc: [doc], "spiking-netlist"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_documents_raise_value_error(case):
+    breakage, named = MALFORMED[case]
+    doc = breakage(netlist.to_document(decoder_net()))
+    with pytest.raises(ValueError, match=named):
+        netlist.from_document(doc)
+    with pytest.raises(ValueError, match=named):
+        netlist.loads(json.dumps(doc))

@@ -33,6 +33,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             NeuronParams(carryover_factor=Fraction(-1, 2))
 
+    @pytest.mark.parametrize("field", ["threshold_quanta", "refractory_ms"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_neuron_params_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            NeuronParams(**{field: value})
+
+    def test_connect_keeps_category_ledger(self):
+        net = Network()
+        a, b = net.add_neuron(), net.add_neuron()
+        net.connect(a, b, 1, 1)
+        net.connect(b, a, -1, 2, "Internal SR Latch")
+        assert net.categories == ["", "Internal SR Latch"]
+        assert len(net.categories) == len(net.synapses)
+
     def test_bad_source_schedules(self):
         net = Network()
         with pytest.raises(ValueError):
