@@ -63,23 +63,40 @@ def _field(entry, key: str, where: str):
     return entry[key]
 
 
-def _entries(doc: dict, key: str) -> list:
-    value = _field(doc, key, "netlist")
+def _id(entry, where: str) -> int:
+    eid = _field(entry, "id", where)
+    if type(eid) is not int:
+        raise ValueError(f"{where} field 'id' must be an integer, not {eid!r}")
+    return eid
+
+
+def _carryover(entry, where: str) -> Fraction:
+    value = _field(entry, "carryover_factor", where)
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} field 'carryover_factor' must be a "
+                         f"rational such as \"1/4\", not {value!r}") from None
+
+
+def _entries(entry, key: str, where: str = "netlist") -> list:
+    value = _field(entry, key, where)
     if not isinstance(value, list):
-        raise ValueError(f"netlist field {key!r} must be a list")
+        raise ValueError(f"{where} field {key!r} must be a list")
     return value
 
 
 def from_document(doc: dict) -> tuple[Network, dict]:
     """Rebuild a network from a document; returns (net, annotations). A
-    missing field or a non-list entity table raises ValueError."""
+    missing field, a value of the wrong type or a non-list entity table
+    raises ValueError."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError(f"not a {FORMAT} document")
     if doc.get("version") != VERSION:
         raise ValueError(f"unsupported netlist version {doc.get('version')!r}")
-    neuron_entries = {_field(entry, "id", "neuron entry"): entry
+    neuron_entries = {_id(entry, "neuron entry"): entry
                       for entry in _entries(doc, "neurons")}
-    source_entries = {_field(entry, "id", "source entry"): entry
+    source_entries = {_id(entry, "source entry"): entry
                       for entry in _entries(doc, "sources")}
     if neuron_entries.keys() & source_entries.keys():
         raise ValueError("an id appears as both neuron and source")
@@ -94,11 +111,10 @@ def from_document(doc: dict) -> tuple[Network, dict]:
             net.add_neuron(NeuronParams(
                 threshold_quanta=_field(entry, "threshold_quanta", where),
                 refractory_ms=_field(entry, "refractory_ms", where),
-                carryover_factor=Fraction(
-                    _field(entry, "carryover_factor", where)),
+                carryover_factor=_carryover(entry, where),
             ))
         else:
-            net.add_source(_field(source_entries[eid], "times", f"source {eid}"))
+            net.add_source(_entries(source_entries[eid], "times", f"source {eid}"))
     for k, syn in enumerate(_entries(doc, "synapses")):
         net.connect(*(_field(syn, key, f"synapse {k}") for key in
                       ("source", "target", "weight_quanta", "delay_ms")))

@@ -13,13 +13,33 @@ once per timestep whenever the net input that millisecond is at least
 one quantum, and may fire again the very next millisecond. Inhibition
 never accumulates as debt: leftover charge is clamped at zero after
 every step.
+
+Two kernels produce the same SpikeRecord. Simulation is the reference:
+it steps one millisecond at a time and delivers each synaptic event on
+its own. Network.run uses it for any network that has a neuron with
+carryover or a refractory period above 1 ms. Every other network (all
+the circuits this package builds) is gate-like: each neuron fires at t
+exactly when the weighted sum of its inputs delayed to t reaches its
+threshold. For those, Network.run computes one spike train per entity,
+an int whose bit t is set when the entity spikes at t, in the
+topological order of the strongly connected components of the neuron
+graph:
+
+- a neuron outside any cycle thresholds a bit-sliced sum of its
+  shifted input trains;
+- a lone neuron whose self-synapses all have delay 1 and a positive
+  total weight (the SR latch) takes a closed form, a carry chain;
+- any other feedback component (the CSS ring) is stepped alone along
+  time, its input trains being known already.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 
@@ -61,10 +81,16 @@ class Synapse:
 
 @dataclass(frozen=True)
 class SpikeRecord:
-    """Spike times per recorded entity, all within [0, duration_ms)."""
+    """Spike times per recorded entity, all within [0, duration_ms).
+
+    spikes is a read-only view of a private copy of the mapping given.
+    """
 
     duration_ms: int
     spikes: Mapping[int, tuple[int, ...]]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "spikes", MappingProxyType(dict(self.spikes)))
 
     def times(self, entity_id: int) -> tuple[int, ...]:
         return self.spikes[entity_id]
@@ -104,12 +130,14 @@ class Network:
     def add_source(self, schedule: Iterable[int]) -> int:
         """Register a stimulus that spikes at the given millisecond times.
 
-        The schedule must be strictly increasing and non-negative.
+        The schedule must be strictly increasing non-negative integers.
         """
-        times = tuple(operator.index(t) for t in schedule)
+        times = tuple(schedule)
         for prev, cur in zip((-1,) + times, times):
-            if cur < 0:
-                raise ValueError("source spike times must be >= 0")
+            # type() rather than isinstance(): a bool is an int, not a time
+            if type(cur) is not int or cur < 0:
+                raise ValueError(
+                    f"source spike times must be integers >= 0, not {cur!r}")
             if cur <= prev:
                 raise ValueError("source schedule must be strictly increasing")
         sid = self._take_id()
@@ -124,43 +152,244 @@ class Network:
         index with synapses. The labels serve resource accounting only:
         the kernel never reads them and netlists do not store them.
         """
-        if source not in self.neurons and source not in self.sources:
+        # type() rather than isinstance(): a bool is an int, not an id
+        if type(source) is not int or (source not in self.neurons
+                                       and source not in self.sources):
             raise ValueError(f"unknown source id {source!r}")
-        if target not in self.neurons:
-            if target in self.sources:
+        if type(target) is not int or target not in self.neurons:
+            if type(target) is int and target in self.sources:
                 raise ValueError("spike sources cannot receive synapses")
-            raise ValueError(f"unknown target neuron {target!r}")
-        weight = operator.index(weight_quanta)
-        if weight == 0:
-            raise ValueError("weight_quanta must be nonzero")
-        delay = operator.index(delay_ms)
-        if delay < 1:
-            raise ValueError("delay_ms must be >= 1")
-        self.synapses.append(Synapse(source, target, weight, delay))
+            raise ValueError(f"unknown target id {target!r}")
+        if type(weight_quanta) is not int or weight_quanta == 0:
+            raise ValueError("weight_quanta must be a nonzero integer, "
+                             f"not {weight_quanta!r}")
+        if type(delay_ms) is not int or delay_ms < 1:
+            raise ValueError(f"delay_ms must be an integer >= 1, not {delay_ms!r}")
+        self.synapses.append(Synapse(source, target, weight_quanta, delay_ms))
         self.categories.append(category)
         return len(self.synapses) - 1
 
     def record(self, *entity_ids: int) -> None:
         for eid in entity_ids:
-            if eid not in self.neurons and eid not in self.sources:
+            if type(eid) is not int or (eid not in self.neurons
+                                        and eid not in self.sources):
                 raise ValueError(f"unknown entity id {eid!r}")
             if eid not in self._recorded_set:
                 self._recorded_set.add(eid)
                 self.recorded.append(eid)
 
     def run(self, duration_ms: int) -> SpikeRecord:
-        """Simulate [0, duration_ms) and return spikes of recorded ids."""
-        if operator.index(duration_ms) < 1:
+        """Simulate [0, duration_ms) and return spikes of recorded ids.
+
+        A gate-like network (no neuron with carryover or a refractory
+        period above 1 ms) runs on the levelized kernel, any other on
+        the reference Simulation; both give the same record.
+        """
+        duration = operator.index(duration_ms)
+        if duration < 1:
             raise ValueError("duration_ms must be >= 1")
-        sim = Simulation(self)
-        recorded = self._recorded_set
-        collected: dict[int, list[int]] = {eid: [] for eid in sorted(recorded)}
-        for _ in range(duration_ms):
-            now = sim.t
-            for eid in sim.step():
-                if eid in recorded:
-                    collected[eid].append(now)
-        return SpikeRecord(duration_ms, {k: tuple(v) for k, v in collected.items()})
+        recorded = sorted(self._recorded_set)
+        if not all(params.refractory_ms <= 1 and not params.carryover_factor
+                   for params in self.neurons.values()):
+            return SpikeRecord(duration, _stepped_times(self, duration, recorded))
+        trains = _levelized_trains(self, duration)
+        # one shared int per tick: spike tuples hold no int of their own
+        ticks = list(range(duration))
+        return SpikeRecord(duration, {eid: tuple(compress(ticks, _flags(trains[eid])))
+                                      for eid in recorded})
+
+
+def _stepped_times(net: Network, duration: int,
+                   recorded: list[int]) -> dict[int, tuple[int, ...]]:
+    """Spike times of the recorded ids, stepped by the reference kernel."""
+    sim = Simulation(net)
+    collected: dict[int, list[int]] = {eid: [] for eid in recorded}
+    for _ in range(duration):
+        now = sim.t
+        for eid in sim.step():
+            if eid in collected:
+                collected[eid].append(now)
+    return {eid: tuple(times) for eid, times in collected.items()}
+
+
+# ---------------------------------------------------------------------------
+# Levelized kernel. A train is an int whose bit t is set when its entity
+# spikes at t, for t in [0, duration).
+
+_FLAG = bytes.maketrans(b"01", b"\x00\x01")
+_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _flags(train: int) -> bytes:
+    """One byte per tick from t = 0 (trailing zero ticks may be missing):
+    1 where the train spikes, else 0."""
+    return format(train, "b")[::-1].encode().translate(_FLAG)
+
+
+def _train(flags: bytearray) -> int:
+    return int(bytes(flags).translate(_DIGIT)[::-1], 2)
+
+
+def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
+    """Spike train of every entity of a gate-like network."""
+    mask = (1 << duration) - 1
+    trains = {sid: sum(1 << t for t in times if t < duration)
+              for sid, times in net.sources.items()}
+    # fan-in per neuron: summed weight per (source, delay) that can land
+    # inside the run; the sum is all a threshold neuron sees
+    summed: dict[int, dict[tuple[int, int], int]] = {nid: {} for nid in net.neurons}
+    for syn in net.synapses:
+        if syn.delay_ms < duration:
+            terms = summed[syn.target]
+            key = (syn.source, syn.delay_ms)
+            terms[key] = terms.get(key, 0) + syn.weight_quanta
+    fan_in = {nid: {key: weight for key, weight in terms.items() if weight}
+              for nid, terms in summed.items()}
+    depends = {nid: [src for src, _ in terms if src in fan_in]
+               for nid, terms in fan_in.items()}
+    for component in _components(depends):
+        nid = component[0]
+        threshold = net.neurons[nid].threshold_quanta
+        loop = {delay: w for (src, delay), w in fan_in[nid].items() if src == nid}
+        if len(component) > 1 or (loop and (set(loop) != {1} or loop[1] < 0)):
+            trains.update(_stepped_component(net, component, fan_in, trains,
+                                             duration))
+            continue
+        inputs = [((trains[src] << delay) & mask, weight)
+                  for (src, delay), weight in fan_in[nid].items() if src != nid]
+        planes, offset = _bit_sliced_sum(inputs, mask)
+        fire = _at_least(planes, threshold + offset, mask)
+        if not loop:
+            trains[nid] = fire
+            continue
+        # SR latch: it fires at t on its inputs alone (fire) or, having
+        # fired at t - 1, with the loop's weight added (active, which
+        # holds fire): q(t) = fire(t) | (active(t) & q(t-1)), the carry
+        # chain of active + fire, whose carry into bit t + 1 is q(t)
+        active = _at_least(planes, threshold - loop[1] + offset, mask)
+        trains[nid] = (((active + fire) ^ active ^ fire) >> 1) & mask
+    return trains
+
+
+def _components(depends: dict[int, list[int]]) -> list[list[int]]:
+    """Strongly connected components of the graph node -> its
+    dependencies, each after every component it depends on (iterative
+    Tarjan, which emits a component once all it reaches are emitted)."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    order: list[list[int]] = []
+    for root in depends:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(depends[root]))]
+        while work:
+            node, successors = work[-1]
+            for nxt in successors:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(depends[nxt])))
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    order.append(component)
+    return order
+
+
+def _bit_sliced_sum(inputs: list[tuple[int, int]],
+                    mask: int) -> tuple[list[int], int]:
+    """Per-tick sum of weight * train as bit planes (plane j holds bit j
+    of every tick's sum), plus an offset. A negative weight w enters as
+    |w| * (not train), adding |w| to the offset, so the signed sum is
+    at least theta where the planes are at least theta + offset."""
+    planes: list[int] = []
+    offset = 0
+    for train, weight in inputs:
+        if weight < 0:
+            train ^= mask
+            weight = -weight
+            offset += weight
+        j = 0
+        while weight:
+            if weight & 1:
+                # ripple-carry add train into plane j and up
+                if j > len(planes):
+                    planes.extend([0] * (j - len(planes)))
+                carry, k = train, j
+                while carry:
+                    if k == len(planes):
+                        planes.append(carry)
+                        break
+                    plane = planes[k]
+                    planes[k] = plane ^ carry
+                    carry &= plane
+                    k += 1
+            weight >>= 1
+            j += 1
+    return planes, offset
+
+
+def _at_least(planes: list[int], threshold: int, mask: int) -> int:
+    """Ticks where the bit-sliced sum is at least threshold."""
+    if threshold <= 0:
+        return mask
+    if threshold >> len(planes):
+        return 0
+    # from bit 0 up: sum[0..j] >= threshold[0..j]
+    result = mask
+    for j, plane in enumerate(planes):
+        result = plane & result if threshold >> j & 1 else plane | result
+    return result
+
+
+def _stepped_component(net: Network, component: list[int],
+                       fan_in: dict[int, dict[tuple[int, int], int]],
+                       trains: dict[int, int], duration: int) -> dict[int, int]:
+    """Trains of one feedback component, stepped along time; the trains
+    of everything outside it are known already."""
+    ticks = range(duration)
+    slot = {nid: k for k, nid in enumerate(component)}
+    fired = [bytearray(duration) for _ in component]
+    plans = []
+    for nid in component:
+        external = [0] * duration
+        internal = []
+        for (src, delay), weight in fan_in[nid].items():
+            if src in slot:
+                internal.append((fired[slot[src]], delay, weight))
+                continue
+            for t in compress(ticks, _flags(trains[src])):
+                if t + delay < duration:
+                    external[t + delay] += weight
+        plans.append((external, internal, net.neurons[nid].threshold_quanta))
+    for t in ticks:
+        for flags, (external, internal, threshold) in zip(fired, plans):
+            charge = external[t]
+            for src_flags, delay, weight in internal:
+                if delay <= t and src_flags[t - delay]:
+                    charge += weight
+            if charge >= threshold:
+                flags[t] = 1
+    return {nid: _train(flags) for nid, flags in zip(component, fired)}
 
 
 class Simulation:

@@ -1,0 +1,169 @@
+"""Differential tests: Network.run against the reference Simulation.
+
+Network.run computes gate-like networks with the levelized kernel and
+falls back to stepping Simulation otherwise; either way its record must
+equal the one the reference kernel steps out, spike for spike.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from spikelogic.harness import (
+    BLOCKS,
+    EXPERIMENTS,
+    ExperimentConfig,
+    block_config,
+    check_pipelined,
+    run_experiment,
+)
+from spikelogic.sim import Network, NeuronParams, Simulation, SpikeRecord
+
+
+def stepped(net: Network, duration_ms: int) -> SpikeRecord:
+    """Step the reference Simulation and collect the recorded ids."""
+    recorded = set(net.recorded)
+    collected: dict[int, list[int]] = {eid: [] for eid in sorted(recorded)}
+    simulation = Simulation(net)
+    for now in range(duration_ms):
+        for eid in simulation.step():
+            if eid in recorded:
+                collected[eid].append(now)
+    return SpikeRecord(duration_ms, {k: tuple(v) for k, v in collected.items()})
+
+
+def assert_matches_reference(net: Network, duration_ms: int) -> SpikeRecord:
+    record = net.run(duration_ms)
+    assert record == stepped(net, duration_ms)
+    return record
+
+
+WEIGHTS = st.integers(-3, 3).filter(bool)
+GATE_LIKE = st.builds(NeuronParams, threshold_quanta=st.integers(1, 3),
+                      refractory_ms=st.integers(0, 1))
+ANY_PARAMS = st.builds(
+    NeuronParams, threshold_quanta=st.integers(1, 3),
+    refractory_ms=st.integers(0, 3),
+    carryover_factor=st.fractions(min_value=0, max_value=Fraction(3, 4),
+                                  max_denominator=4))
+
+
+@st.composite
+def networks(draw, params=GATE_LIKE):
+    """A random network and a duration. Source times run past the
+    duration; synapses add cycles, self-loops at delay 1 and above
+    (net-zero and negative ones too) and one ring through up to four
+    neurons."""
+    net = Network()
+    duration = draw(st.integers(1, 30))
+    schedules = st.lists(st.integers(0, 40), max_size=10, unique=True).map(sorted)
+    sources = [net.add_source(draw(schedules))
+               for _ in range(draw(st.integers(0, 3)))]
+    neurons = [net.add_neuron(draw(params))
+               for _ in range(draw(st.integers(1, 6)))]
+    entities = st.sampled_from(sources + neurons)
+    targets = st.sampled_from(neurons)
+    delays = st.integers(1, 4)
+    for _ in range(draw(st.integers(0, 16))):
+        net.connect(draw(entities), draw(targets), draw(WEIGHTS), draw(delays))
+    for nid in draw(st.lists(targets, max_size=3)):
+        delay = draw(st.sampled_from([1, 1, 2]))
+        for weight in draw(st.lists(WEIGHTS, min_size=1, max_size=2)):
+            net.connect(nid, nid, weight, delay)
+    ring = draw(st.lists(targets, max_size=4, unique=True))
+    if len(ring) > 1:
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            net.connect(a, b, draw(WEIGHTS), draw(delays))
+    net.record(*sources, *neurons)
+    return net, duration
+
+
+@given(networks())
+def test_random_gate_like_networks(case):
+    assert_matches_reference(*case)
+
+
+@given(networks(ANY_PARAMS))
+def test_random_networks_with_any_params(case):
+    assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize("params", [
+    NeuronParams(carryover_factor=Fraction(1, 2)),
+    NeuronParams(threshold_quanta=2, carryover_factor=Fraction(1, 3)),
+    NeuronParams(refractory_ms=2),
+    NeuronParams(threshold_quanta=2, refractory_ms=3),
+], ids=["carryover", "carryover-theta2", "refractory2", "refractory3-theta2"])
+def test_fallback_networks(params):
+    # one such neuron in an otherwise gate-like network, inside a latch
+    # and fed by a ring, so the whole network falls back
+    net = Network()
+    src = net.add_source([1, 2, 3, 5, 8, 9, 10, 30])
+    ring = [net.add_neuron(), net.add_neuron()]
+    net.connect(ring[0], ring[1], 1, 1)
+    net.connect(ring[1], ring[0], 1, 2)
+    net.connect(src, ring[0], 1, 1)
+    odd = net.add_neuron(params)
+    net.connect(odd, odd, 1, 1)
+    net.connect(src, odd, 1, 1)
+    net.connect(ring[1], odd, -1, 3)
+    out = net.add_neuron()
+    net.connect(odd, out, 1, 1)
+    net.record(*ring, odd, out)
+    record = assert_matches_reference(net, 25)
+    assert any(record.spikes.values())
+
+
+@pytest.mark.parametrize("loop", [(1,), (2,), (1, 1), (1, -1), (-1,),
+                                  (2, -1), (-2,)])
+@pytest.mark.parametrize("delay", [1, 2])
+@pytest.mark.parametrize("threshold", [1, 2, 3])
+def test_self_loops(loop, delay, threshold):
+    # a latch-like neuron under random set (+threshold) and reset (-3)
+    rng = random.Random(f"{loop}{delay}{threshold}")
+    net = Network()
+    nid = net.add_neuron(NeuronParams(threshold_quanta=threshold))
+    for weight in loop:
+        net.connect(nid, nid, weight, delay)
+    sets = net.add_source(sorted(rng.sample(range(40), 8)))
+    resets = net.add_source(sorted(rng.sample(range(40), 4)))
+    net.connect(sets, nid, threshold, 1)
+    net.connect(resets, nid, -3, 1)
+    net.record(nid)
+    assert_matches_reference(net, 40)
+
+
+def _capture_runs(monkeypatch) -> list[tuple[Network, SpikeRecord]]:
+    runs = []
+    original = Network.run
+
+    def run(net, duration_ms):
+        record = original(net, duration_ms)
+        runs.append((net, record))
+        return record
+
+    monkeypatch.setattr(Network, "run", run)
+    return runs
+
+
+@pytest.mark.parametrize("and_kind", ["classic", "fast"])
+@pytest.mark.parametrize("kind", BLOCKS)
+def test_check_pipelined_networks(kind, and_kind, monkeypatch):
+    runs = _capture_runs(monkeypatch)
+    ak, size = block_config(kind, and_kind)
+    rng = random.Random(f"{kind}-{and_kind}")
+    width = len(BLOCKS[kind].inputs(*size))
+    check_pipelined(kind, ak, size,
+                    [rng.randrange(2 ** width) for _ in range(40)], kind)
+    ((net, record),) = runs
+    assert record == stepped(net, record.duration_ms)
+
+
+@pytest.mark.parametrize("and_kind", ["classic", "fast"])
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_canned_experiments(name, and_kind):
+    result = run_experiment(name, ExperimentConfig(and_kind=and_kind))
+    assert result.passed
+    assert result.record == stepped(result.net, result.duration_ms)

@@ -106,6 +106,11 @@ def _first_without(table: str, key: str):
                                              *doc[table][1:]]})
 
 
+def _first_with(table: str, key: str, value):
+    return lambda doc: dict(doc, **{table: [dict(doc[table][0], **{key: value}),
+                                             *doc[table][1:]]})
+
+
 # case id: (how the document is broken, what the error must name)
 MALFORMED = {
     "no-neurons": (lambda doc: _without(doc, "neurons"), "neurons"),
@@ -125,6 +130,19 @@ MALFORMED = {
     "neuron-not-object": (lambda doc: dict(doc, neurons=[7, *doc["neurons"][1:]]),
                           "id"),
     "document-not-object": (lambda doc: [doc], "spiking-netlist"),
+    "neuron-list-id": (_first_with("neurons", "id", [0]), "id"),
+    "source-list-id": (_first_with("sources", "id", [0]), "id"),
+    "neuron-null-carryover": (_first_with("neurons", "carryover_factor", None),
+                              "carryover_factor"),
+    "neuron-bad-carryover": (_first_with("neurons", "carryover_factor", "half"),
+                             "carryover_factor"),
+    "source-string-time": (_first_with("sources", "times", ["0"]), "times"),
+    "source-times-number": (_first_with("sources", "times", 0), "times"),
+    "synapse-string-weight": (_first_with("synapses", "weight_quanta", "1"),
+                              "weight_quanta"),
+    "synapse-float-delay": (_first_with("synapses", "delay_ms", 1.5), "delay_ms"),
+    "synapse-list-source": (_first_with("synapses", "source", [0]), "source"),
+    "recorded-list-id": (lambda doc: dict(doc, recorded=[[0]]), "entity id"),
 }
 
 

@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from spikelogic.sim import Network, NeuronParams, Synapse
+from spikelogic.sim import Network, NeuronParams, SpikeRecord, Synapse
 
 
 def single_neuron(params: NeuronParams | None = None):
@@ -55,6 +55,10 @@ class TestConstruction:
             net.add_source([2, 2])
         with pytest.raises(ValueError):
             net.add_source([3, 1])
+        for times in ([True], ["1"], [1.5], [0, None]):
+            with pytest.raises(ValueError, match="times"):
+                net.add_source(times)
+        assert net.sources == {}
 
     def test_connect_validation(self):
         net = Network()
@@ -70,11 +74,26 @@ class TestConstruction:
             net.connect(src, a, 0, 1)
         with pytest.raises(ValueError, match="delay"):
             net.connect(src, a, 1, 0)
+        for weight in (True, "1", 1.0):
+            with pytest.raises(ValueError, match="weight_quanta"):
+                net.connect(src, a, weight, 1)
+        for delay in (True, "1", 1.5):
+            with pytest.raises(ValueError, match="delay_ms"):
+                net.connect(src, a, 1, delay)
+        with pytest.raises(ValueError, match="source id"):
+            net.connect(True, a, 1, 1)
+        with pytest.raises(ValueError, match="target id"):
+            net.connect(src, [a], 1, 1)
+        assert net.synapses == []
 
     def test_record_unknown_id(self):
         net = Network()
         with pytest.raises(ValueError):
             net.record(7)
+        net.add_neuron()
+        for eid in (False, [0]):
+            with pytest.raises(ValueError, match="entity id"):
+                net.record(eid)
 
     def test_run_needs_positive_duration(self):
         net = Network()
@@ -203,3 +222,27 @@ def test_synapse_is_plain_data():
     syn = Synapse(0, 1, -2, 3)
     assert (syn.source, syn.target, syn.weight_quanta, syn.delay_ms) == \
         (0, 1, -2, 3)
+
+
+@pytest.mark.parametrize("params", [NeuronParams(),
+                                    NeuronParams(refractory_ms=2),
+                                    NeuronParams(carryover_factor=Fraction(1, 2))],
+                         ids=["levelized", "stepped-refractory", "stepped-carryover"])
+def test_spike_record_is_read_only(params):
+    net, nid = single_neuron(params)
+    net.connect(net.add_source([1]), nid, 1, 1)
+    record = net.run(4)
+    assert record.times(nid) == (2,)
+    with pytest.raises(TypeError):
+        record.spikes[99] = ()
+    with pytest.raises(TypeError):
+        del record.spikes[nid]
+    assert record == SpikeRecord(4, {nid: (2,)})
+
+
+def test_spike_record_keeps_its_own_copy():
+    spikes = {0: (1, 2)}
+    record = SpikeRecord(3, spikes)
+    spikes[0] = ()
+    spikes[1] = (0,)
+    assert dict(record.spikes) == {0: (1, 2)}
