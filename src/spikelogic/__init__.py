@@ -21,7 +21,6 @@ from .gates import (
     wire,
 )
 from .blocks import (
-    AndKind,
     MemoryGeometry,
     build_d_latch,
     build_decoder,
@@ -33,11 +32,13 @@ from .blocks import (
 from .resources import (
     AND_KINDS,
     BLOCK_KINDS,
+    AndKind,
     FormulaQuery,
     ReconcileReport,
     ResourceReport,
     encoder_synapse_sum,
     expected_latency,
+    formula_queries,
     formula_resources,
     reconcile,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "encoder_value",
     "expected_latency",
     "export_spikes",
+    "formula_queries",
     "formula_resources",
     "latch_states",
     "measure_latency",

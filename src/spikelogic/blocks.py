@@ -9,9 +9,8 @@ delay to match its sibling that went through a NOT.
 Blocks accept either AND flavor. The classic AND spends two neurons and
 2 ms; the fast AND spends one neuron and 1 ms but leans on the shared
 constant spike source for its per-millisecond veto. Block latencies are
-fixed by construction: decoder 3/2 ms (classic/fast), encoder 1 ms,
-multiplexer 4/3, demultiplexer 3/2, D latch 3/2 (one more from data
-when the input inverter is built in), memory 6/4.
+fixed by construction; the latency table is the one in resources.py (a
+D latch with its input inverter built in takes one more ms from data).
 
 Resource accounting: a handle's report counts the synapses the block
 created, by their labels in the network's category ledger, plus one
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 
 from .gates import (
     CAT_INTERNAL_CSS,
@@ -45,13 +43,13 @@ from .gates import (
     retagged,
     wire,
 )
-from .resources import ResourceReport, expected_latency, _dlatch_items
+from .resources import (
+    ResourceReport,
+    and_kind_name,
+    expected_latency,
+    _dlatch_items,
+)
 from .sim import Network
-
-
-class AndKind(str, Enum):
-    CLASSIC = "classic"
-    FAST = "fast"
 
 
 @dataclass(frozen=True)
@@ -76,21 +74,14 @@ class MemoryGeometry:
             raise ValueError("register count exceeds select capacity")
 
 
-def _coerce_kind(and_kind) -> AndKind:
-    try:
-        return AndKind(and_kind)
-    except ValueError:
-        raise ValueError(f"unknown AND kind {and_kind!r}") from None
-
-
-def _and_gate(net: Network, and_kind: AndKind, css, fan_in: int) -> Handle:
-    if and_kind is AndKind.CLASSIC:
+def _and_gate(net: Network, and_kind: str, css, fan_in: int) -> Handle:
+    if and_kind == "classic":
         return build_and_classic(net, fan_in)
     return build_and_fast(net, css, fan_in)
 
 
 def _block(net: Network, start: tuple[int, int], kind: str, and_kind,
-           params: dict[str, int], ports: PortMap, css, *,
+           params: dict[str, int], ports: PortMap, *,
            include_css: bool = True, whitelist=None,
            neuron_count: int | None = None, **fields) -> Handle:
     """Handle over everything built since start = _mark(net), with its
@@ -98,7 +89,7 @@ def _block(net: Network, start: tuple[int, int], kind: str, and_kind,
     per input tap, plus the CSS's 2 neurons and 2 synapses if
     include_css; whitelist and neuron_count narrow the report."""
     handle = _spanned(net, start, kind, ports, expected_latency(kind, and_kind),
-                      and_kind=and_kind, params=params, css=css, **fields)
+                      and_kind=and_kind, params=params, **fields)
     span = handle.synapses
     categories = Counter(net.categories[span.start:span.stop])
     for taps in ports.inputs.values():
@@ -115,7 +106,7 @@ def _block(net: Network, start: tuple[int, int], kind: str, and_kind,
     return handle
 
 
-def _select_stage(net: Network, n: int, and_kind: AndKind, css,
+def _select_stage(net: Network, n: int, and_kind: str, css,
                   fan_in: int) -> tuple[list[Handle], dict]:
     """n inverters plus 2^n coincidence gates wired per the binary
     truth table: channel j's input b sees the direct line when bit b of
@@ -134,7 +125,7 @@ def _select_stage(net: Network, n: int, and_kind: AndKind, css,
                 taps.extend(padded(gate_taps, 1))
             else:
                 wire(net, inverters[b].output(), gate_taps,
-                     category=f"NOT to AND ({and_kind.value})")
+                     category=f"NOT to AND ({and_kind})")
         select_ports[f"s{b}"] = tuple(taps)
     return gates, select_ports
 
@@ -142,12 +133,12 @@ def _select_stage(net: Network, n: int, and_kind: AndKind, css,
 def build_decoder(net: Network, n: int, and_kind, css) -> Handle:
     """n select lines to 2^n one-hot channels; channel 0 fires when no
     select line does (the non-operation channel)."""
-    kind = _coerce_kind(and_kind)
+    ak = and_kind_name(and_kind)
     start = _mark(net)
-    gates, select_ports = _select_stage(net, n, kind, css, n)
+    gates, select_ports = _select_stage(net, n, ak, css, n)
     outputs = {f"ch{j}": gate.output() for j, gate in enumerate(gates)}
-    return _block(net, start, "decoder", kind, {"n": n},
-                  PortMap(select_ports, outputs), css)
+    return _block(net, start, "decoder", ak, {"n": n},
+                  PortMap(select_ports, outputs))
 
 
 def build_encoder(net: Network, num_inputs: int) -> Handle:
@@ -176,38 +167,38 @@ def build_encoder(net: Network, num_inputs: int) -> Handle:
         inputs[f"d{i}"] = tuple(taps)
     outputs = {f"or{b}": or_gates[b].output() for b in range(width)}
     return _block(net, start, "encoder", None, {"num_inputs": num_inputs},
-                  PortMap(inputs, outputs), None, include_css=False)
+                  PortMap(inputs, outputs), include_css=False)
 
 
 def build_multiplexer(net: Network, n: int, and_kind, css) -> Handle:
     """2^n data lines, n select lines, one output: the selected data
     line is forwarded, everything else is dropped."""
-    kind = _coerce_kind(and_kind)
+    ak = and_kind_name(and_kind)
     start = _mark(net)
-    gates, ports_in = _select_stage(net, n, kind, css, n + 1)
+    gates, ports_in = _select_stage(net, n, ak, css, n + 1)
     collector = build_or(net, 2 ** n)
     for j, gate in enumerate(gates):
         ports_in[f"d{j}"] = retagged(padded(gate.input_taps(f"in{n}"), 1),
-                                     f"Data inputs to AND ({kind.value})")
+                                     f"Data inputs to AND ({ak})")
         wire(net, gate.output(), collector.input_taps(f"in{j}"),
              category="AND to OR")
-    return _block(net, start, "multiplexer", kind, {"n": n},
-                  PortMap(ports_in, {"out": collector.output()}), css)
+    return _block(net, start, "multiplexer", ak, {"n": n},
+                  PortMap(ports_in, {"out": collector.output()}))
 
 
 def build_demultiplexer(net: Network, n: int, and_kind, css) -> Handle:
     """One data line routed to the channel named by the n select lines."""
-    kind = _coerce_kind(and_kind)
+    ak = and_kind_name(and_kind)
     start = _mark(net)
-    gates, ports_in = _select_stage(net, n, kind, css, n + 1)
+    gates, ports_in = _select_stage(net, n, ak, css, n + 1)
     data_taps: list[InputTap] = []
     for gate in gates:
         data_taps.extend(retagged(padded(gate.input_taps(f"in{n}"), 1),
-                                  f"Data inputs to AND ({kind.value})"))
+                                  f"Data inputs to AND ({ak})"))
     ports_in["d"] = tuple(data_taps)
     outputs = {f"ch{j}": gate.output() for j, gate in enumerate(gates)}
-    return _block(net, start, "demultiplexer", kind, {"n": n},
-                  PortMap(ports_in, outputs), css)
+    return _block(net, start, "demultiplexer", ak, {"n": n},
+                  PortMap(ports_in, outputs))
 
 
 def build_d_latch(net: Network, and_kind, css,
@@ -223,11 +214,10 @@ def build_d_latch(net: Network, and_kind, css,
     extra millisecond to stay aligned with it, which raises the
     data-to-q delay by 1 ms over the block latency.
     """
-    kind = _coerce_kind(and_kind)
-    ak = kind.value
+    ak = and_kind_name(and_kind)
     start = _mark(net)
-    set_and = _and_gate(net, kind, css, 2)
-    reset_and = _and_gate(net, kind, css, 2)
+    set_and = _and_gate(net, ak, css, 2)
+    reset_and = _and_gate(net, ak, css, 2)
     sr = build_sr_latch(net)
     wire(net, set_and.output(), sr.input_taps("set"),
          category="AND to SR Latch (set)")
@@ -253,9 +243,9 @@ def build_d_latch(net: Network, and_kind, css,
                   "data_not": inverted_taps}
     # the report leaves out CSS hookups and the optional input inverter
     core_neurons = sum(len(h.entities) for h in (set_and, reset_and, sr))
-    return _block(net, start, "d_latch", kind,
+    return _block(net, start, "d_latch", ak,
                   {"with_input_not": int(with_input_not)},
-                  PortMap(inputs, {"q": sr.output("q")}), css,
+                  PortMap(inputs, {"q": sr.output("q")}),
                   include_css=False, whitelist=set(_dlatch_items(ak)),
                   neuron_count=core_neurons,
                   data_latency_ms=latency + int(with_input_not))
@@ -274,17 +264,17 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
     strobe and data meet at each latch in the same millisecond; a write
     becomes visible on the q outputs after the block latency.
     """
-    kind = _coerce_kind(and_kind)
+    ak = and_kind_name(and_kind)
     geometry = MemoryGeometry(registers, bits, registers.bit_length())
     start = _mark(net)
-    decoder = build_decoder(net, geometry.depth, kind, css)
+    decoder = build_decoder(net, geometry.depth, ak, css)
     column_nots = [build_not(net, css) for _ in range(bits)]
     grid: list[list[Handle]] = []
     for i in range(1, registers + 1):
         row: list[Handle] = []
         strobe = decoder.output(f"ch{i}")
         for j in range(bits):
-            latch = build_d_latch(net, kind, css, with_input_not=False)
+            latch = build_d_latch(net, ak, css, with_input_not=False)
             wire(net, strobe, latch.input_taps("store"))
             wire(net, column_nots[j].output(), latch.input_taps("data_not"),
                  extra_delay_ms=decoder.latency_ms - 1)
@@ -301,6 +291,5 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
         for i in range(1, registers + 1)
         for j in range(bits)
     }
-    return _block(net, start, "memory", kind, {"r": registers, "c": bits},
-                  PortMap(inputs, outputs), css, geometry=geometry,
-                  decoder=decoder)
+    return _block(net, start, "memory", ak, {"r": registers, "c": bits},
+                  PortMap(inputs, outputs), decoder=decoder)

@@ -19,7 +19,6 @@ from pathlib import Path
 
 from . import netlist
 from .harness import (
-    BLOCKS,
     DEFAULT_SEED,
     EXPERIMENTS,
     ExperimentConfig,
@@ -32,7 +31,7 @@ from .harness import (
     run_experiment,
     verify_block,
 )
-from .resources import BLOCK_KINDS, formula_resources, reconcile
+from .resources import BLOCK_KINDS, formula_queries, reconcile
 from .sim import Network
 from .trace import render_trace
 
@@ -97,7 +96,7 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.stimulus is not None:
         try:
             text = args.stimulus.read_text(encoding="ascii")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read stimulus file: {exc}") from exc
         try:
             stimulus = parse_stimulus(text)
@@ -109,11 +108,11 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         stimulus=stimulus)
 
 
-def _write_outputs(result: ExperimentResult, out_dir: Path) -> None:
+def _write_outputs(result: ExperimentResult, out_dir: Path,
+                   table: str) -> None:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "trace.txt").write_text(
-            render_trace(result.trace), encoding="ascii")
+        (out_dir / "trace.txt").write_text(table, encoding="ascii")
         (out_dir / "spikes.csv").write_text(
             export_spikes(result.signal_times), encoding="ascii")
         annotations = {"experiment": result.name,
@@ -141,18 +140,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"experiment {result.name} ({result.and_kind} AND, {params}, "
           f"{result.duration_ms} ms)")
     print(render_checks(result.checks), end="")
-    if args.format == "csv":
-        print(export_spikes(result.signal_times), end="")
-    else:
-        print(render_trace(result.trace, style=args.format), end="")
+    text = (export_spikes(result.signal_times) if args.format == "csv"
+            else render_trace(result.trace, style=args.format))
+    print(text, end="")
     if args.out is not None:
-        _write_outputs(result, args.out)
+        # trace.txt holds the table: reuse it if stdout got the table too
+        table = text if args.format == "table" else render_trace(result.trace)
+        _write_outputs(result, args.out, table)
     return status
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
     result, status = _run_checked(args)
-    _write_outputs(result, args.out)
+    _write_outputs(result, args.out, render_trace(result.trace))
     print(f"wrote trace.txt, spikes.csv, netlist.json to {args.out}")
     if status:
         print("warning: experiment checks failed", file=sys.stderr)
@@ -191,17 +191,16 @@ def _cmd_resources(args: argparse.Namespace) -> int:
     for label, count in report.by_category.items():
         print(f"    {label.ljust(width)}  {count}")
 
-    queries = BLOCKS[kind].queries(ak, *size)
+    queries = formula_queries(handle)
     if queries is None:  # a partially occupied memory
         print(f"  closed forms assume full occupancy r = 2^n - 1; "
               f"skipped for r={size[0]}")
     status = 0
     for query in queries or ():
-        expected = formula_resources(query)
         outcome = reconcile(handle, query)
         verdict = "OK" if outcome.ok else "MISMATCH"
-        print(f"  {query.form}-form: {expected.neurons} neurons, "
-              f"{expected.synapses} synapses ... {verdict}")
+        print(f"  {query.form}-form: {outcome.expected.neurons} neurons, "
+              f"{outcome.expected.synapses} synapses ... {verdict}")
         for diff in outcome.diffs:
             print(f"    {diff}")
         if not outcome.ok:

@@ -17,13 +17,9 @@ millisecond from t=2 onward.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 from .resources import ResourceReport
 from .sim import Network
-
-if TYPE_CHECKING:
-    from .blocks import MemoryGeometry
 
 # Synapse category labels used for resource accounting. The wiring
 # helpers label every synapse in the network's category ledger, and the
@@ -58,8 +54,8 @@ class Handle:
     entity ids and synapse indices its builder added to the network.
 
     Builders add both contiguously, so a block's spans cover those of
-    its parts. Blocks also carry their AND kind, size parameters,
-    measured resource report and the CSS they were handed.
+    its parts. Blocks also carry their AND kind, size parameters and
+    measured resource report.
     """
 
     kind: str
@@ -67,12 +63,10 @@ class Handle:
     latency_ms: int
     entities: range
     synapses: range
-    and_kind: str | None = None  # an AndKind on blocks
+    and_kind: str | None = None  # "classic" or "fast" on blocks with ANDs
     params: dict[str, int] = field(default_factory=dict)
     resources: ResourceReport | None = None
-    css: Handle | None = None
     data_latency_ms: int | None = None
-    geometry: MemoryGeometry | None = None
     decoder: Handle | None = None
 
     def output(self, name: str = "out") -> int:

@@ -41,7 +41,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import netlist
 from .blocks import (
-    AndKind,
     build_d_latch,
     build_decoder,
     build_demultiplexer,
@@ -59,7 +58,12 @@ from .oracles import (
     memory_states,
     mux_output,
 )
-from .resources import FormulaQuery, expected_latency, reconcile
+from .resources import (
+    and_kind_name,
+    expected_latency,
+    formula_queries,
+    reconcile,
+)
 from .sim import Network, SpikeRecord
 from .trace import Trace, TraceRow, hex_word_row, spike_row, value_row
 
@@ -101,7 +105,6 @@ class ExperimentResult:
     trace: Trace
     signal_times: dict[str, tuple[int, ...]]
     checks: tuple[Check, ...]
-    handles: dict[str, object]
 
     @property
     def passed(self) -> bool:
@@ -194,10 +197,6 @@ def _expect_delayed(record: SpikeRecord, outputs: Mapping[str, int],
     return Check(label, True, ok_detail)
 
 
-def _and_value(and_kind) -> str:
-    return AndKind(and_kind).value
-
-
 def _times(record: SpikeRecord,
            outputs: Mapping[str, int]) -> dict[str, tuple[int, ...]]:
     return {name: record.times(eid) for name, eid in outputs.items()}
@@ -219,11 +218,6 @@ def _duration(duration_ms: int | None, default: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Block table
-
-
-def _both_forms(kind: str) -> Callable[[str, int], list[FormulaQuery]]:
-    return lambda ak, n: [FormulaQuery(kind, ak, "n", n=n),
-                          FormulaQuery(kind, ak, "m", m=2 ** n)]
 
 
 def _selects(n: int) -> list[str]:
@@ -253,8 +247,6 @@ class BlockSpec:
     inputs: Callable[..., list[str]]
     outputs: Callable[..., list[str]]
     oracle: Callable[..., list[int]]
-    # (and_kind, *size); None where no closed form applies
-    queries: Callable[..., list[FormulaQuery] | None]
     verify: Callable[..., list[Check]]  # (and_kind, rng, trials, seed, *size)
     probe: tuple[str, ...]  # inputs spiking once for measure_latency
     probe_output: str
@@ -270,7 +262,6 @@ BLOCKS: dict[str, BlockSpec] = {
         build=lambda net, ak, css, n: build_decoder(net, n, ak, css),
         inputs=_selects, outputs=_channels,
         oracle=lambda words, n: [1 << decoder_channel(w) for w in words],
-        queries=_both_forms("decoder"),
         verify=lambda ak, rng, trials, seed, n: [
             sweep_decoder(n, ak),
             sweep_decoder(n, ak, [rng.randrange(2 ** n)
@@ -283,7 +274,6 @@ BLOCKS: dict[str, BlockSpec] = {
         outputs=lambda m: [f"or{b}" for b in range((m - 1).bit_length())],
         oracle=lambda words, m: [
             encoder_value(i for i in range(m) if w >> i & 1) for w in words],
-        queries=lambda ak, m: [FormulaQuery("encoder", form="n", n=m)],
         # exhaustive up to 10 inputs, seeded subsets beyond
         verify=lambda ak, rng, trials, seed, m: [sweep_encoder(
             m, None if m <= 10 else [rng.randrange(2 ** m)
@@ -297,7 +287,6 @@ BLOCKS: dict[str, BlockSpec] = {
         oracle=lambda words, n: [int(mux_output(
             w & 2 ** n - 1, [w >> n + j & 1 for j in range(2 ** n)]))
             for w in words],
-        queries=_both_forms("multiplexer"),
         verify=lambda ak, rng, trials, seed, n: [
             sweep_multiplexer(n, ak),
             sweep_multiplexer(n, ak, [
@@ -311,7 +300,6 @@ BLOCKS: dict[str, BlockSpec] = {
         oracle=lambda words, n: [sum(on << j for j, on in enumerate(
             demux_channels(w & 2 ** n - 1, bool(w >> n & 1), 2 ** n)))
             for w in words],
-        queries=_both_forms("demultiplexer"),
         verify=lambda ak, rng, trials, seed, n: [
             sweep_demultiplexer(n, ak),
             sweep_demultiplexer(n, ak, [
@@ -324,7 +312,6 @@ BLOCKS: dict[str, BlockSpec] = {
         inputs=lambda: ["store", "data", "data_not"], outputs=lambda: ["q"],
         oracle=lambda words: [int(q) for q in latch_states(
             [w & 1 for w in words], [w >> 1 & 1 for w in words])],
-        queries=lambda ak: [FormulaQuery("d_latch", ak)],
         verify=lambda ak, rng, trials, seed: [
             fuzz_d_latch(ak, steps=trials, seed=seed)],
         probe=("store", "data"), probe_output="q"),
@@ -340,10 +327,6 @@ BLOCKS: dict[str, BlockSpec] = {
             for state in memory_states(
                 [w & 2 ** r.bit_length() - 1 for w in words],
                 [w >> r.bit_length() for w in words], r, c)],
-        # the closed forms assume full occupancy, r = 2^n - 1
-        queries=lambda ak, r, c: None if r != 2 ** r.bit_length() - 1 else [
-            FormulaQuery("memory", ak, "n", n=r.bit_length(), c=c),
-            FormulaQuery("memory", ak, "m", r=r, c=c)],
         verify=lambda ak, rng, trials, seed, r, c: [
             fuzz_memory(r, c, ak, writes=trials, seed=seed)],
         probe=("s0", "d0"), probe_output="q1_0"),
@@ -367,7 +350,7 @@ def block_config(kind: str, and_kind=None, *, n: int | None = None,
             raise ValueError(
                 f"{kind} needs {flag} >= {spec.smallest}, got {value}")
     ak = "fast" if and_kind is None else and_kind
-    return (_and_value(ak) if spec.and_stage else None), size
+    return (and_kind_name(ak) if spec.and_stage else None), size
 
 
 def build_block(net: Network, kind: str, and_kind: str | None,
@@ -450,8 +433,7 @@ def _run_decoder_encoder(cfg: ExperimentConfig) -> ExperimentResult:
         name="decoder-encoder", and_kind=ak, params={"n": n},
         duration_ms=duration, net=net, record=record,
         trace=Trace(duration, tuple(rows)), signal_times=signal_times,
-        checks=checks,
-        handles={"decoder": decoder, "encoder": encoder})
+        checks=checks)
 
 
 def _control_chunks(n: int, duration_ms: int, seed: int) -> list[int]:
@@ -538,12 +520,11 @@ def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
         name="mux-demux", and_kind=ak, params={"n": n},
         duration_ms=duration, net=net, record=record,
         trace=Trace(duration, tuple(rows)), signal_times=signal_times,
-        checks=checks,
-        handles={"multiplexer": mux, "demultiplexer": demux})
+        checks=checks)
 
 
 def _run_d_latch(cfg: ExperimentConfig) -> ExperimentResult:
-    ak = _and_value("classic" if cfg.and_kind is None else cfg.and_kind)
+    ak = and_kind_name("classic" if cfg.and_kind is None else cfg.and_kind)
     duration = _duration(cfg.duration_ms, 16)
     latency = expected_latency("d_latch", ak)
     data_latency = latency + 1  # external inverter in the data path
@@ -561,10 +542,8 @@ def _run_d_latch(cfg: ExperimentConfig) -> ExperimentResult:
     css = build_css(net)
     store_source = net.add_source(inputs["store"])
     latches = []
-    inverters = []
     for name in ("data1", "data2"):
         inverter = build_not(net, css)
-        inverters.append(inverter)
         data_source = net.add_source(inputs[name])
         wire(net, data_source, inverter.input_taps("in"))
         for _ in range(3):
@@ -597,8 +576,7 @@ def _run_d_latch(cfg: ExperimentConfig) -> ExperimentResult:
         name="d-latch", and_kind=ak, params={"latches": len(latches)},
         duration_ms=duration, net=net, record=record,
         trace=Trace(duration, tuple(rows)), signal_times=signal_times,
-        checks=tuple(checks),
-        handles={"latches": tuple(latches), "inverters": tuple(inverters)})
+        checks=tuple(checks))
 
 
 def _channel_mark(j: int) -> str:
@@ -674,7 +652,7 @@ def _run_memory(cfg: ExperimentConfig) -> ExperimentResult:
         params={"registers": registers, "bits": bits},
         duration_ms=duration, net=net, record=record,
         trace=Trace(duration, tuple(rows)), signal_times=signal_times,
-        checks=checks, handles={"memory": memory})
+        checks=checks)
 
 
 _RUNNERS = {
@@ -703,7 +681,7 @@ def run_experiment(name: str,
 def sweep_decoder(n: int, and_kind: str,
                   words: Sequence[int] | None = None) -> Check:
     """Pipelined truth-table sweep; silence decodes as word 0."""
-    ak, (n,) = block_config("decoder", _and_value(and_kind), n=n)
+    ak, (n,) = block_config("decoder", and_kind_name(and_kind), n=n)
     if words is None:
         words = list(range(2 ** n))
     latency = expected_latency("decoder", ak)
@@ -730,7 +708,7 @@ def sweep_multiplexer(n: int, and_kind: str,
                       cases: Sequence[tuple[int, int]] | None = None) -> Check:
     """Pipelined (select word, data mask) cases; default visits every
     select word against selected/other lines on and off."""
-    ak, (n,) = block_config("multiplexer", _and_value(and_kind), n=n)
+    ak, (n,) = block_config("multiplexer", and_kind_name(and_kind), n=n)
     if cases is None:
         others = [2 ** 2 ** n - 1 & ~(1 << s) for s in range(2 ** n)]
         cases = [(select, d_sel << select | d_others * others[select])
@@ -746,7 +724,7 @@ def sweep_demultiplexer(n: int, and_kind: str,
                         cases: Sequence[tuple[int, int]] | None = None) -> Check:
     """Pipelined (select word, data bit) cases; default visits every
     select word with data present and absent."""
-    ak, (n,) = block_config("demultiplexer", _and_value(and_kind), n=n)
+    ak, (n,) = block_config("demultiplexer", and_kind_name(and_kind), n=n)
     if cases is None:
         cases = [(select, d) for select in range(2 ** n) for d in (0, 1)]
     return check_pipelined(
@@ -760,7 +738,7 @@ def fuzz_d_latch(and_kind: str, steps: int = 64,
     """Random store/data schedule against the hold/track oracle. The
     inverted data line is supplied as an ideal complement source; after
     the schedule store stays down and the latch must hold."""
-    ak = _and_value(and_kind)
+    ak = and_kind_name(and_kind)
     rng = random.Random(seed)
     store_bits = [rng.random() < 0.4 for _ in range(steps)]
     data_bits = [rng.random() < 0.5 for _ in range(steps)]
@@ -776,7 +754,7 @@ def fuzz_memory(registers: int, bits: int, and_kind: str, writes: int = 64,
     """Random write stream (addresses may hit the non-operation channel
     and, at partial occupancy, register-free channels) against the
     array-write oracle, checked on the full q timelines."""
-    ak = _and_value(and_kind)
+    ak = and_kind_name(and_kind)
     rng = random.Random(seed)
     depth = registers.bit_length()
     addresses = [rng.randrange(2 ** depth) for _ in range(writes)]
@@ -822,13 +800,13 @@ def verify_block(kind: str, and_kind: str | None = None, *,
                             bits=bits)
     spec = BLOCKS[kind]
     checks = spec.verify(ak, random.Random(seed), trials, seed, *size)
-    queries = spec.queries(ak, *size)
+    handle = build_block(Network(), kind, ak, size)
+    queries = formula_queries(handle)
     if queries is None:  # a partially occupied memory
         checks.append(Check(
             "resource formulas skipped", True,
             f"closed forms assume full occupancy r = 2^n - 1, "
             f"got r={size[0]}"))
-    handle = build_block(Network(), kind, ak, size)
     for query in queries or ():
         result = reconcile(handle, query)
         checks.append(Check(

@@ -8,6 +8,10 @@ per-category itemization under the same labels the builders use to tag
 synapses, so a measured handle can be reconciled against the formulas
 category by category.
 
+Everything known about a block kind sits in one entry of _FORMS: its
+latency per AND kind, its n-form and m-form, and the size fields a
+handle of given parameters answers in each form.
+
 Conventions baked into the tables: decoder, multiplexer, demultiplexer
 and memory totals include the constant spike source (two neurons, two
 internal synapses); the D latch totals exclude the CSS and any input
@@ -16,27 +20,27 @@ inverter; the CSS bootstrap source never counts anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from enum import Enum
+from typing import Callable, Mapping
 
-BLOCK_KINDS = ("decoder", "encoder", "multiplexer", "demultiplexer",
-               "d_latch", "memory")
-AND_KINDS = ("classic", "fast")
 
-# Input-to-output delay in milliseconds, by (block, AND kind).
-_LATENCY = {
-    ("decoder", "classic"): 3,
-    ("decoder", "fast"): 2,
-    ("encoder", None): 1,
-    ("multiplexer", "classic"): 4,
-    ("multiplexer", "fast"): 3,
-    ("demultiplexer", "classic"): 3,
-    ("demultiplexer", "fast"): 2,
-    ("d_latch", "classic"): 3,
-    ("d_latch", "fast"): 2,
-    ("memory", "classic"): 6,
-    ("memory", "fast"): 4,
-}
+class AndKind(str, Enum):
+    CLASSIC = "classic"
+    FAST = "fast"
+
+
+AND_KINDS = tuple(kind.value for kind in AndKind)
+
+
+def and_kind_name(value) -> str:
+    """The name of an AND kind given as a name or an AndKind; anything
+    else, None included, raises ValueError."""
+    name = getattr(value, "value", value)
+    if name not in AND_KINDS:
+        raise ValueError(f"unknown AND kind {value!r}; expected one of "
+                         f"{AND_KINDS}")
+    return name
 
 
 def _clog2(x: int) -> int:
@@ -44,25 +48,6 @@ def _clog2(x: int) -> int:
     if x < 1:
         raise ValueError("argument must be >= 1")
     return (x - 1).bit_length()
-
-
-def _and_kind(value) -> str:
-    if value is None:
-        raise ValueError("an AND kind ('classic' or 'fast') is required")
-    name = getattr(value, "value", value)
-    if name not in AND_KINDS:
-        raise ValueError(f"unknown AND kind {value!r}")
-    return name
-
-
-def expected_latency(kind: str, and_kind=None) -> int:
-    """Block delay in ms from input presentation to output spike."""
-    if kind == "encoder":
-        return _LATENCY[("encoder", None)]
-    key = (kind, _and_kind(and_kind))
-    if key not in _LATENCY:
-        raise ValueError(f"unknown block kind {kind!r}")
-    return _LATENCY[key]
 
 
 def encoder_synapse_sum(num_inputs: int) -> int:
@@ -79,9 +64,6 @@ class ResourceReport:
     neurons: int
     synapses: int
     by_category: Mapping[str, int]
-
-    def category(self, label: str) -> int:
-        return self.by_category.get(label, 0)
 
 
 @dataclass(frozen=True)
@@ -174,125 +156,178 @@ def _report(neurons: int, synapses: int, items: Mapping[str, int] | None) -> Res
     return ResourceReport(neurons, synapses, dict(sorted(items.items())))
 
 
-def _n_form(query: FormulaQuery) -> ResourceReport:
-    kind = query.kind
-    if kind == "d_latch":
-        ak = _and_kind(query.and_kind)
-        neurons = 5 if ak == "classic" else 3
-        synapses = 13 if ak == "classic" else 7
-        return _report(neurons, synapses, _dlatch_items(ak))
-    n = query.n
-    if n is None:
-        raise ValueError("form 'n' requires the n parameter")
-    if kind == "encoder":
-        if n < 2:
-            raise ValueError("encoder needs at least 2 inputs")
-        syn = encoder_synapse_sum(n)
-        return _report(_clog2(n), syn, {"Input to OR": syn})
-    if kind == "memory":
-        if n < 1 or query.c is None or query.c < 1:
-            raise ValueError("memory needs n >= 1 and c >= 1")
-        ak = _and_kind(query.and_kind)
-        c = query.c
-        if ak == "classic":
-            neurons = 2 ** n * (5 * c + 2) + n - 4 * c + 2
-            synapses = 2 ** n * (2 * n + 13 * c + 1) + 3 * n - 10 * c + 2
-        else:
-            neurons = 2 ** n * (3 * c + 1) + n - 2 * c + 2
-            synapses = 2 ** n * (n + 11 * c + 2) + 3 * n - 8 * c + 2
-        return _report(neurons, synapses, _memory_items(n, c, ak))
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ak = _and_kind(query.and_kind)
-    if kind == "decoder":
-        if ak == "classic":
-            return _report(2 ** (n + 1) + n + 2,
-                           2 ** n * (2 * n + 1) + 3 * n + 2,
-                           _decoder_items(n, ak))
-        return _report(2 ** n + n + 2,
-                       2 ** n * (n + 2) + 3 * n + 2,
-                       _decoder_items(n, ak))
-    if kind == "multiplexer":
-        if ak == "classic":
-            return _report(2 ** (n + 1) + n + 3,
-                           2 ** n * (2 * n + 4) + 3 * n + 2,
-                           _mux_items(n, ak))
-        return _report(2 ** n + n + 3,
-                       2 ** n * (n + 4) + 3 * n + 2,
-                       _mux_items(n, ak))
-    if kind == "demultiplexer":
-        if ak == "classic":
-            return _report(2 ** (n + 1) + n + 2,
-                           2 ** n * (2 * n + 3) + 3 * n + 2,
-                           _demux_items(n, ak))
-        return _report(2 ** n + n + 2,
-                       2 ** n * (n + 3) + 3 * n + 2,
-                       _demux_items(n, ak))
-    raise ValueError(f"unknown block kind {kind!r}")
+def _encoder_n(ak: None, n: int) -> ResourceReport:
+    syn = encoder_synapse_sum(n)
+    return _report(_clog2(n), syn, {"Input to OR": syn})
 
 
-def _m_form(query: FormulaQuery) -> ResourceReport:
-    kind = query.kind
-    if kind == "d_latch":
-        return _n_form(FormulaQuery("d_latch", query.and_kind))
-    if kind == "memory":
-        r, c = query.r, query.c
-        if r is None or c is None or r < 1 or c < 1:
-            raise ValueError("memory needs r >= 1 and c >= 1")
-        ak = _and_kind(query.and_kind)
-        depth = _clog2(r + 1)
-        if ak == "classic":
-            neurons = 2 * r + c + 5 * r * c + depth + 4
-            synapses = r + 3 * c + 13 * r * c + (2 * r + 5) * depth + 3
-        else:
-            neurons = r + c + 3 * r * c + depth + 3
-            synapses = 2 * r + 3 * c + 11 * r * c + (r + 4) * depth + 4
-        items = _memory_items(depth, c, ak) if r == 2 ** depth - 1 else None
-        return _report(neurons, synapses, items)
-    m = query.m
-    if m is None or m < 1:
-        raise ValueError("form 'm' requires m >= 1")
-    if kind == "encoder":
-        raise ValueError("encoder synapses have no m-form closed expression")
-    ak = _and_kind(query.and_kind)
-    depth = _clog2(m)
-    exact = depth >= 1 and m == 2 ** depth
-    if kind == "decoder":
-        if ak == "classic":
-            neurons = 2 * m + depth + 2
-            synapses = m + (2 * m + 3) * depth + 2
-        else:
-            neurons = m + depth + 2
-            synapses = 2 * m + (m + 3) * depth + 2
-        return _report(neurons, synapses, _decoder_items(depth, ak) if exact else None)
-    if kind == "multiplexer":
-        if ak == "classic":
-            neurons = 2 * m + depth + 3
-            synapses = 4 * m + (2 * m + 3) * depth + 2
-        else:
-            neurons = m + depth + 3
-            synapses = 4 * m + (m + 3) * depth + 2
-        return _report(neurons, synapses, _mux_items(depth, ak) if exact else None)
-    if kind == "demultiplexer":
-        if ak == "classic":
-            neurons = 2 * m + depth + 2
-            synapses = 3 * m + (2 * m + 3) * depth + 2
-        else:
-            neurons = m + depth + 2
-            synapses = 3 * m + (m + 3) * depth + 2
-        return _report(neurons, synapses, _demux_items(depth, ak) if exact else None)
-    raise ValueError(f"unknown block kind {kind!r}")
+def _dlatch(ak: str) -> ResourceReport:
+    neurons = 5 if ak == "classic" else 3
+    synapses = 13 if ak == "classic" else 7
+    return _report(neurons, synapses, _dlatch_items(ak))
+
+
+def _memory_n(ak: str, n: int, c: int) -> ResourceReport:
+    if ak == "classic":
+        neurons = 2 ** n * (5 * c + 2) + n - 4 * c + 2
+        synapses = 2 ** n * (2 * n + 13 * c + 1) + 3 * n - 10 * c + 2
+    else:
+        neurons = 2 ** n * (3 * c + 1) + n - 2 * c + 2
+        synapses = 2 ** n * (n + 11 * c + 2) + 3 * n - 8 * c + 2
+    return _report(neurons, synapses, _memory_items(n, c, ak))
+
+
+def _memory_m(ak: str, r: int, c: int) -> ResourceReport:
+    depth = _clog2(r + 1)
+    if ak == "classic":
+        neurons = 2 * r + c + 5 * r * c + depth + 4
+        synapses = r + 3 * c + 13 * r * c + (2 * r + 5) * depth + 3
+    else:
+        neurons = r + c + 3 * r * c + depth + 3
+        synapses = 2 * r + 3 * c + 11 * r * c + (r + 4) * depth + 4
+    items = _memory_items(depth, c, ak) if r == 2 ** depth - 1 else None
+    return _report(neurons, synapses, items)
+
+
+@dataclass(frozen=True)
+class _Form:
+    """A closed form: the size fields its query names, each with its
+    least value; the formula of the AND kind and those sizes; and the
+    fields a handle with the given parameters answers (None: none)."""
+
+    least: Mapping[str, int]
+    formula: Callable[..., ResourceReport]
+    answers: Callable[[Mapping[str, int]], dict[str, int] | None]
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Latency in ms by AND kind (by None alone without an AND stage),
+    the n-form and the m-form (None where the kind has none)."""
+
+    latency: Mapping[str | None, int]
+    n_form: _Form
+    m_form: _Form | None
+
+
+def _select_kind(latency, items, n_totals, m_totals) -> _Kind:
+    """A block of n select lines and m = 2^n channels. n_totals and
+    m_totals map an AND kind to its (neurons, synapses) formula of n,
+    and of m and depth = ceil(log2(m))."""
+    def n_form(ak: str, n: int) -> ResourceReport:
+        return _report(*n_totals[ak](n), items(n, ak))
+
+    def m_form(ak: str, m: int) -> ResourceReport:
+        depth = _clog2(m)
+        exact = depth >= 1 and m == 2 ** depth
+        return _report(*m_totals[ak](m, depth), items(depth, ak) if exact else None)
+
+    return _Kind(latency,
+                 _Form({"n": 1}, n_form, lambda params: {"n": params["n"]}),
+                 _Form({"m": 1}, m_form, lambda params: {"m": 2 ** params["n"]}))
+
+
+def _full_memory(params: Mapping[str, int]) -> dict[str, int] | None:
+    # the n-form assumes full occupancy, r = 2^n - 1
+    n = params["r"].bit_length()
+    return {"n": n, "c": params["c"]} if params["r"] == 2 ** n - 1 else None
+
+
+# the D latch has no size, so its m-form is its n-form
+_D_LATCH = _Form({}, _dlatch, lambda params: {})
+
+_FORMS = {
+    "decoder": _select_kind(
+        {"classic": 3, "fast": 2}, _decoder_items,
+        {"classic": lambda n: (2 ** (n + 1) + n + 2,
+                               2 ** n * (2 * n + 1) + 3 * n + 2),
+         "fast": lambda n: (2 ** n + n + 2,
+                            2 ** n * (n + 2) + 3 * n + 2)},
+        {"classic": lambda m, depth: (2 * m + depth + 2,
+                                      m + (2 * m + 3) * depth + 2),
+         "fast": lambda m, depth: (m + depth + 2,
+                                   2 * m + (m + 3) * depth + 2)}),
+    "encoder": _Kind({None: 1}, _Form({"n": 2}, _encoder_n, lambda params: {
+        "n": params["num_inputs"]}), None),
+    "multiplexer": _select_kind(
+        {"classic": 4, "fast": 3}, _mux_items,
+        {"classic": lambda n: (2 ** (n + 1) + n + 3,
+                               2 ** n * (2 * n + 4) + 3 * n + 2),
+         "fast": lambda n: (2 ** n + n + 3,
+                            2 ** n * (n + 4) + 3 * n + 2)},
+        {"classic": lambda m, depth: (2 * m + depth + 3,
+                                      4 * m + (2 * m + 3) * depth + 2),
+         "fast": lambda m, depth: (m + depth + 3,
+                                   4 * m + (m + 3) * depth + 2)}),
+    "demultiplexer": _select_kind(
+        {"classic": 3, "fast": 2}, _demux_items,
+        {"classic": lambda n: (2 ** (n + 1) + n + 2,
+                               2 ** n * (2 * n + 3) + 3 * n + 2),
+         "fast": lambda n: (2 ** n + n + 2,
+                            2 ** n * (n + 3) + 3 * n + 2)},
+        {"classic": lambda m, depth: (2 * m + depth + 2,
+                                      3 * m + (2 * m + 3) * depth + 2),
+         "fast": lambda m, depth: (m + depth + 2,
+                                   3 * m + (m + 3) * depth + 2)}),
+    "d_latch": _Kind({"classic": 3, "fast": 2}, _D_LATCH, _D_LATCH),
+    "memory": _Kind({"classic": 6, "fast": 4},
+                    _Form({"n": 1, "c": 1}, _memory_n, _full_memory),
+                    _Form({"r": 1, "c": 1}, _memory_m, lambda params: {
+                        "r": params["r"], "c": params["c"]})),
+}
+
+BLOCK_KINDS = tuple(_FORMS)
+
+
+def _kind(kind: str) -> _Kind:
+    if kind not in BLOCK_KINDS:
+        raise ValueError(f"unknown block kind {kind!r}")
+    return _FORMS[kind]
+
+
+def _form(query: FormulaQuery) -> _Form:
+    if query.form not in ("n", "m"):
+        raise ValueError(f"unknown form {query.form!r} (expected 'n' or 'm')")
+    kind = _kind(query.kind)
+    form = kind.n_form if query.form == "n" else kind.m_form
+    if form is None:
+        raise ValueError(f"{query.kind} synapses have no m-form closed expression")
+    return form
+
+
+def expected_latency(kind: str, and_kind=None) -> int:
+    """Block delay in ms from input presentation to output spike."""
+    latency = _kind(kind).latency
+    return latency[None] if None in latency else latency[and_kind_name(and_kind)]
 
 
 def formula_resources(query: FormulaQuery) -> ResourceReport:
     """Evaluate the published closed form selected by the query."""
-    if query.kind not in BLOCK_KINDS:
-        raise ValueError(f"unknown block kind {query.kind!r}")
-    if query.form == "n":
-        return _n_form(query)
-    if query.form == "m":
-        return _m_form(query)
-    raise ValueError(f"unknown form {query.form!r} (expected 'n' or 'm')")
+    form = _form(query)
+    for name, least in form.least.items():
+        value = getattr(query, name)
+        if value is None or value < least:
+            raise ValueError(f"the {query.form}-form of the {query.kind} "
+                             f"needs {name} >= {least}")
+    latency = _FORMS[query.kind].latency
+    ak = None if None in latency else and_kind_name(query.and_kind)
+    return form.formula(ak, *(getattr(query, name) for name in form.least))
+
+
+def formula_queries(handle) -> list[FormulaQuery] | None:
+    """The closed-form queries a built block answers, n-form first; None
+    for a partially occupied memory, which the closed forms assume full."""
+    kind = _kind(handle.kind)
+    forms = {"n": kind.n_form}
+    if kind.m_form not in (None, kind.n_form):  # the D latch's is its n-form
+        forms["m"] = kind.m_form
+    queries = []
+    for name, form in forms.items():
+        fields = form.answers(handle.params)
+        if fields is None:
+            return None
+        queries.append(FormulaQuery(handle.kind, handle.and_kind, name, **fields))
+    return queries
 
 
 @dataclass(frozen=True)
@@ -310,32 +345,14 @@ def _itemized(report: ResourceReport) -> bool:
 def _check_params(handle, query: FormulaQuery) -> None:
     if handle.kind != query.kind:
         raise ValueError(f"handle is a {handle.kind}, query asks for {query.kind}")
-    handle_ak = None if handle.and_kind is None else _and_kind(handle.and_kind)
-    query_ak = None if query.and_kind is None else _and_kind(query.and_kind)
-    if handle.kind != "encoder" and handle_ak != query_ak:
-        raise ValueError(f"AND kind mismatch: handle {handle_ak}, query {query_ak}")
-    params = handle.params
-    if handle.kind in ("decoder", "multiplexer", "demultiplexer"):
-        n = params["n"]
-        if query.form == "n":
-            ok = query.n == n
-        else:
-            ok = query.m == 2 ** n
-    elif handle.kind == "encoder":
-        num = params["num_inputs"]
-        if query.form == "n":
-            ok = query.n == num
-        else:
-            ok = query.m is not None and num == 2 ** query.m
-    elif handle.kind == "memory":
-        r, c = params["r"], params["c"]
-        if query.form == "n":
-            ok = query.c == c and query.n is not None and r == 2 ** query.n - 1
-        else:
-            ok = query.r == r and query.c == c
-    else:
-        ok = True
-    if not ok:
+    query_ak = None if query.and_kind is None else and_kind_name(query.and_kind)
+    # a kind without an AND stage ignores the query's AND kind
+    if handle.and_kind is not None and handle.and_kind != query_ak:
+        raise ValueError(f"AND kind mismatch: handle {handle.and_kind}, "
+                         f"query {query_ak}")
+    fields = _form(query).answers(handle.params)
+    if fields is None or any(getattr(query, name) != value
+                             for name, value in fields.items()):
         raise ValueError("size parameters of handle and query do not match")
 
 

@@ -29,8 +29,9 @@ graph:
   shifted input trains;
 - a lone neuron whose self-synapses all have delay 1 and a positive
   total weight (the SR latch) takes a closed form, a carry chain;
-- any other feedback component (the CSS ring) is stepped alone along
-  time, its input trains being known already.
+- any other feedback component (the CSS ring) is stepped alone by
+  Simulation, with sources replaying its input trains, which are known
+  already.
 """
 
 from __future__ import annotations
@@ -217,17 +218,12 @@ def _stepped_times(net: Network, duration: int,
 # spikes at t, for t in [0, duration).
 
 _FLAG = bytes.maketrans(b"01", b"\x00\x01")
-_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _flags(train: int) -> bytes:
     """One byte per tick from t = 0 (trailing zero ticks may be missing):
     1 where the train spikes, else 0."""
     return format(train, "b")[::-1].encode().translate(_FLAG)
-
-
-def _train(flags: bytearray) -> int:
-    return int(bytes(flags).translate(_DIGIT)[::-1], 2)
 
 
 def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
@@ -364,32 +360,19 @@ def _at_least(planes: list[int], threshold: int, mask: int) -> int:
 def _stepped_component(net: Network, component: list[int],
                        fan_in: dict[int, dict[tuple[int, int], int]],
                        trains: dict[int, int], duration: int) -> dict[int, int]:
-    """Trains of one feedback component, stepped along time; the trains
-    of everything outside it are known already."""
+    """Trains of one feedback component, stepped by the reference kernel
+    on a network of its own neurons, fed by sources that replay the
+    known trains of everything outside it."""
+    sub = Network()
+    local = {nid: sub.add_neuron(net.neurons[nid]) for nid in component}
     ticks = range(duration)
-    slot = {nid: k for k, nid in enumerate(component)}
-    fired = [bytearray(duration) for _ in component]
-    plans = []
     for nid in component:
-        external = [0] * duration
-        internal = []
         for (src, delay), weight in fan_in[nid].items():
-            if src in slot:
-                internal.append((fired[slot[src]], delay, weight))
-                continue
-            for t in compress(ticks, _flags(trains[src])):
-                if t + delay < duration:
-                    external[t + delay] += weight
-        plans.append((external, internal, net.neurons[nid].threshold_quanta))
-    for t in ticks:
-        for flags, (external, internal, threshold) in zip(fired, plans):
-            charge = external[t]
-            for src_flags, delay, weight in internal:
-                if delay <= t and src_flags[t - delay]:
-                    charge += weight
-            if charge >= threshold:
-                flags[t] = 1
-    return {nid: _train(flags) for nid, flags in zip(component, fired)}
+            if src not in local:
+                local[src] = sub.add_source(compress(ticks, _flags(trains[src])))
+            sub.connect(local[src], local[nid], weight, delay)
+    times = _stepped_times(sub, duration, [local[nid] for nid in component])
+    return {nid: sum(1 << t for t in times[local[nid]]) for nid in component}
 
 
 class Simulation:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spikelogic.blocks import (
-    AndKind,
     MemoryGeometry,
     build_d_latch,
     build_decoder,
@@ -17,6 +16,8 @@ from spikelogic.blocks import (
 )
 from spikelogic.gates import build_css, drive
 from spikelogic.harness import (
+    BLOCKS,
+    build_block,
     fuzz_d_latch,
     fuzz_memory,
     sweep_decoder,
@@ -27,6 +28,7 @@ from spikelogic.harness import (
 from spikelogic.oracles import latch_states
 from spikelogic.resources import (
     BLOCK_KINDS,
+    AndKind,
     FormulaQuery,
     expected_latency,
     reconcile,
@@ -336,3 +338,36 @@ def test_category_ledger_labels_every_block_synapse(kind, ak, big):
         for span in ("entities", "synapses"):
             inner, outer = getattr(block.decoder, span), getattr(block, span)
             assert outer.start <= inner.start and inner.stop <= outer.stop
+
+
+@pytest.mark.parametrize("kind, size", [
+    ("decoder", (2,)), ("multiplexer", (2,)), ("demultiplexer", (2,)),
+    ("d_latch", ()), ("memory", (3, 2)),
+])
+def test_classic_equals_fast_shifted_by_latency_difference(kind, size):
+    # one network holds both blocks, each port of both driven by one
+    # source per input bit; 20 seeded streams of 60 random words
+    spec = BLOCKS[kind]
+    latency = {ak: expected_latency(kind, ak) for ak in KINDS}
+    shift = latency["classic"] - latency["fast"]
+    ports = spec.inputs(*size)
+    rng = random.Random(7)
+    for _ in range(20):
+        words = [rng.randrange(2 ** len(ports)) for _ in range(60)]
+        duration = len(words) + latency["classic"] + 3
+        net = Network()
+        built = {ak: build_block(net, kind, ak, size) for ak in KINDS}
+        for k, port in enumerate(ports):
+            source = net.add_source(
+                [1 + i for i, word in enumerate(words) if word >> k & 1])
+            for block in built.values():
+                drive(net, block, port, source)
+        outputs = {ak: [built[ak].output(name) for name in spec.outputs(*size)]
+                   for ak in KINDS}
+        net.record(*outputs["classic"], *outputs["fast"])
+        record = net.run(duration)
+        for classic, fast in zip(outputs["classic"], outputs["fast"]):
+            got = {t for t in record.times(classic) if t > latency["classic"]}
+            want = {t + shift for t in record.times(fast)
+                    if latency["classic"] < t + shift < duration}
+            assert got == want, (kind, words)

@@ -133,6 +133,10 @@ def test_printed_verdicts_match_pinned_output(name, argv, capsys):
     assert capsys.readouterr().out == pinned
 
 
+# stands for the path of a stimulus file with a non-ASCII signal name
+NON_ASCII_STIMULUS = "NON_ASCII_STIMULUS"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "decoder", "--n", "0"],
     ["resources", "decoder", "--n", "0"],
@@ -145,8 +149,13 @@ def test_printed_verdicts_match_pinned_output(name, argv, capsys):
     ["resources", "decoder", "--n", "-1"],
     ["verify", "memory", "--registers", "-1"],
     ["verify", "decoder", "--n", "-1"],
+    ["run", "memory", "--stimulus", NON_ASCII_STIMULUS],
 ], ids=" ".join)
-def test_bad_size_is_usage_error(argv, capsys):
+def test_bad_size_is_usage_error(argv, capsys, tmp_path):
+    stimulus = tmp_path / "bad.csv"
+    stimulus.write_bytes("s0,1\ns\u00e9,3\n".encode("utf-8"))
+    argv = [str(stimulus) if arg == NON_ASCII_STIMULUS else arg
+            for arg in argv]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -10,9 +10,12 @@ from spikelogic.resources import (
     ResourceReport,
     encoder_synapse_sum,
     expected_latency,
+    formula_queries,
     formula_resources,
     reconcile,
 )
+from spikelogic.harness import build_block
+from spikelogic.sim import Network
 
 
 def totals(kind, ak=None, **kw):
@@ -192,3 +195,114 @@ def test_block_kind_registry():
     assert set(BLOCK_KINDS) == {"decoder", "encoder", "multiplexer",
                                 "demultiplexer", "d_latch", "memory"}
     assert set(AND_KINDS) == {"classic", "fast"}
+
+
+# Which (handle, query) pairs reconcile accepts. Each case builds one
+# block (kind, AND kind, size as harness.build_block takes it) and asks
+# one query of it: "ok" is accepted and matching, "mismatch" accepted but
+# not matching, "raises" a ValueError before any comparison.
+def _select_cases(kind):
+    return [
+        (kind, ak, (2,), ak, "n", {"n": 2}, "ok") for ak in AND_KINDS
+    ] + [
+        (kind, ak, (2,), ak, "n", {"n": 3}, "raises") for ak in AND_KINDS
+    ] + [
+        (kind, ak, (2,), ak, "m", {"m": 4}, "ok") for ak in AND_KINDS
+    ] + [
+        (kind, ak, (2,), ak, "m", {"m": 3}, "raises") for ak in AND_KINDS
+    ] + [
+        (kind, "fast", (2,), "classic", "n", {"n": 2}, "raises"),
+        (kind, "classic", (2,), "fast", "m", {"m": 4}, "raises"),
+    ]
+
+
+RECONCILE_CASES = (
+    _select_cases("decoder") + _select_cases("multiplexer")
+    + _select_cases("demultiplexer") + [
+        ("encoder", None, (4,), None, "n", {"n": 4}, "ok"),
+        ("encoder", None, (4,), None, "n", {"n": 3}, "raises"),
+        # the encoder has no m-form
+        ("encoder", None, (4,), None, "m", {"m": 2}, "raises"),
+        ("encoder", None, (4,), None, "m", {"m": 4}, "raises"),
+        # the encoder has no AND stage: an AND kind in its query is
+        # ignored, but must still name one
+        ("encoder", None, (4,), "fast", "n", {"n": 4}, "ok"),
+        ("encoder", None, (4,), "sluggish", "n", {"n": 4}, "raises"),
+    ] + [
+        ("d_latch", ak, (), ak, form, {}, "ok")
+        for ak in AND_KINDS for form in ("n", "m")  # m is an alias of n
+    ] + [
+        ("d_latch", "fast", (), "classic", "n", {}, "raises"),
+    ] + [
+        ("memory", ak, (3, 2), ak, "n", {"n": 2, "c": 2}, "ok")
+        for ak in AND_KINDS
+    ] + [
+        ("memory", ak, (3, 2), ak, "m", {"r": 3, "c": 2}, "ok")
+        for ak in AND_KINDS
+    ] + [
+        ("memory", "fast", (3, 2), "fast", "n", {"n": 3, "c": 2}, "raises"),
+        ("memory", "fast", (3, 2), "fast", "n", {"n": 2, "c": 3}, "raises"),
+        ("memory", "fast", (3, 2), "fast", "m", {"r": 2, "c": 2}, "raises"),
+        ("memory", "fast", (3, 2), "fast", "m", {"r": 3, "c": 1}, "raises"),
+        ("memory", "fast", (3, 2), "classic", "m", {"r": 3, "c": 2}, "raises"),
+        # partial occupancy: the r-form is accepted but the construction
+        # keeps the full decoder, so it does not match; no n gives r = 2
+        ("memory", "fast", (2, 2), "fast", "m", {"r": 2, "c": 2}, "mismatch"),
+        ("memory", "classic", (2, 2), "classic", "m", {"r": 2, "c": 2},
+         "mismatch"),
+        ("memory", "fast", (2, 2), "fast", "n", {"n": 2, "c": 2}, "raises"),
+        ("memory", "fast", (2, 2), "fast", "n", {"n": 1, "c": 2}, "raises"),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "kind, ak, size, query_ak, form, fields, outcome", RECONCILE_CASES,
+    ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[3]}-{c[4]}-{c[5]}-{c[6]}"
+         for c in RECONCILE_CASES])
+def test_reconcile_accepts_matching_sizes(kind, ak, size, query_ak, form,
+                                          fields, outcome):
+    handle = build_block(Network(), kind, ak, size)
+    query = FormulaQuery(kind, query_ak, form, **fields)
+    if outcome == "raises":
+        with pytest.raises(ValueError):
+            reconcile(handle, query)
+    else:
+        assert reconcile(handle, query).ok == (outcome == "ok")
+
+
+def _both(kind, n):
+    return lambda ak: [FormulaQuery(kind, ak, "n", n=n),
+                       FormulaQuery(kind, ak, "m", m=2 ** n)]
+
+
+# the closed-form queries a built block answers, n-form first
+FORMULA_QUERIES = [
+    ("decoder", (1,), _both("decoder", 1)),
+    ("decoder", (3,), _both("decoder", 3)),
+    ("multiplexer", (1,), _both("multiplexer", 1)),
+    ("multiplexer", (2,), _both("multiplexer", 2)),
+    ("demultiplexer", (1,), _both("demultiplexer", 1)),
+    ("demultiplexer", (3,), _both("demultiplexer", 3)),
+    ("encoder", (2,), lambda ak: [FormulaQuery("encoder", None, "n", n=2)]),
+    ("encoder", (5,), lambda ak: [FormulaQuery("encoder", None, "n", n=5)]),
+    ("d_latch", (), lambda ak: [FormulaQuery("d_latch", ak, "n")]),
+    ("memory", (1, 1), lambda ak: [FormulaQuery("memory", ak, "n", n=1, c=1),
+                                   FormulaQuery("memory", ak, "m", r=1, c=1)]),
+    ("memory", (3, 2), lambda ak: [FormulaQuery("memory", ak, "n", n=2, c=2),
+                                   FormulaQuery("memory", ak, "m", r=3, c=2)]),
+    # the closed forms assume full occupancy, r = 2^n - 1
+    ("memory", (2, 2), lambda ak: None),
+    ("memory", (5, 1), lambda ak: None),
+]
+
+
+@pytest.mark.parametrize("ak", AND_KINDS)
+@pytest.mark.parametrize("kind, size, want", FORMULA_QUERIES,
+                         ids=[f"{kind}-{size}"
+                              for kind, size, _ in FORMULA_QUERIES])
+def test_formula_queries(kind, size, want, ak):
+    if kind == "encoder":
+        ak = None
+    handle = build_block(Network(), kind, ak, size)
+    assert formula_queries(handle) == want(ak)

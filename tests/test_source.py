@@ -1,0 +1,19 @@
+"""Guards on the package source itself."""
+
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "spikelogic"
+
+# a block kind compared with a string literal: per-kind facts belong in
+# the tables (resources._FORMS, harness.BLOCKS), not in branches
+KIND_DISPATCH = re.compile(r'\bkind (==|!=) "|\bkind in \(')
+
+
+def test_no_branch_on_block_kind_strings():
+    hits = [f"{path.name}:{lineno}: {line.strip()}"
+            for path in sorted(SRC.glob("*.py"))
+            for lineno, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), start=1)
+            if KIND_DISPATCH.search(line)]
+    assert hits == []
