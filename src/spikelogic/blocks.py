@@ -19,6 +19,15 @@ exactly one driver). Decoder, mux, demux
 and memory reports include the CSS they were handed; the D latch report
 deliberately excludes CSS hookups and its optional input inverter so it
 composes cleanly into the memory totals.
+
+A memory's D latches are identical, so only the first runs
+build_d_latch; each of the other r*c - 1 is stamped from it: its entity
+span and synapse span copied at an id offset, with the same params,
+weights, delays and ledger labels, every synapse through
+Network.connect. The copy shares the first latch's resource report. A
+stamp lands where the builder would have put the latch, right after the
+previous latch's two wires, so entity ids and synapse order are those of
+building every latch.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from .gates import (
     _mark,
     _require_css,
     _spanned,
+    _stamped,
     padded,
     retagged,
     wire,
@@ -269,27 +279,24 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
     start = _mark(net)
     decoder = build_decoder(net, geometry.depth, ak, css)
     column_nots = [build_not(net, css) for _ in range(bits)]
-    grid: list[list[Handle]] = []
+    # row-major: latch k stores bit k % bits of register k // bits + 1
+    latches: list[Handle] = []
     for i in range(1, registers + 1):
-        row: list[Handle] = []
         strobe = decoder.output(f"ch{i}")
         for j in range(bits):
-            latch = build_d_latch(net, ak, css, with_input_not=False)
+            latch = (_stamped(net, latches[0]) if latches
+                     else build_d_latch(net, ak, css, with_input_not=False))
             wire(net, strobe, latch.input_taps("store"))
             wire(net, column_nots[j].output(), latch.input_taps("data_not"),
                  extra_delay_ms=decoder.latency_ms - 1)
-            row.append(latch)
-        grid.append(row)
+            latches.append(latch)
     inputs = dict(decoder.ports.inputs)
     for j in range(bits):
         taps = list(retagged(column_nots[j].input_taps("in"), "Data to NOT"))
-        for row in grid:
-            taps.extend(padded(row[j].input_taps("data"), decoder.latency_ms))
+        for latch in latches[j::bits]:
+            taps.extend(padded(latch.input_taps("data"), decoder.latency_ms))
         inputs[f"d{j}"] = tuple(taps)
-    outputs = {
-        f"q{i}_{j}": grid[i - 1][j].output("q")
-        for i in range(1, registers + 1)
-        for j in range(bits)
-    }
+    outputs = {f"q{k // bits + 1}_{k % bits}": latch.output("q")
+               for k, latch in enumerate(latches)}
     return _block(net, start, "memory", ak, {"r": registers, "c": bits},
                   PortMap(inputs, outputs), decoder=decoder)

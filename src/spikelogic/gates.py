@@ -16,7 +16,8 @@ millisecond from t=2 onward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .resources import ResourceReport
 from .sim import Network
@@ -32,8 +33,7 @@ CAT_INPUT_TO_OR = "Input to OR"
 CAT_INTERNAL_SR = "Internal SR Latch"
 
 
-@dataclass(frozen=True)
-class InputTap:
+class InputTap(NamedTuple):
     """One place an input port lands: target neuron, weight and delay."""
 
     target: int
@@ -99,11 +99,42 @@ def padded(taps: tuple[InputTap, ...], extra_delay_ms: int) -> tuple[InputTap, .
     """Copies of taps with extra delay, used to align converging paths."""
     if extra_delay_ms == 0:
         return tuple(taps)
-    return tuple(replace(t, delay_ms=t.delay_ms + extra_delay_ms) for t in taps)
+    return tuple(InputTap(t.target, t.weight_quanta, t.delay_ms + extra_delay_ms,
+                          t.category) for t in taps)
 
 
 def retagged(taps: tuple[InputTap, ...], category: str) -> tuple[InputTap, ...]:
-    return tuple(replace(t, category=category) for t in taps)
+    return tuple(InputTap(t.target, t.weight_quanta, t.delay_ms, category)
+                 for t in taps)
+
+
+def _stamped(net: Network, template: Handle) -> Handle:
+    """A copy of a block of neurons appended to net, without running its
+    builder: the template's entity span and synapse span again at an id
+    offset, with the same params, weights, delays and ledger labels, in
+    the same order. Every synapse of a block lands on one of its own
+    neurons, and so does every port; a synapse from outside the span (a
+    CSS phase) keeps its source. The copy's ports are the template's,
+    shifted, and it shares the template's resource report."""
+    start = _mark(net)
+    entities = template.entities
+    offset = start[0] - entities.start
+    for eid in entities:
+        net.add_neuron(net.neurons[eid])
+    span = template.synapses
+    for (source, target, weight, delay), category in zip(
+            net.synapses[span.start:span.stop], net.categories[span.start:span.stop]):
+        net.connect(source + offset if source in entities else source,
+                    target + offset, weight, delay, category)
+    ports = PortMap(
+        {name: tuple(InputTap(target + offset, weight, delay, category)
+                     for target, weight, delay, category in taps)
+         for name, taps in template.ports.inputs.items()},
+        {name: eid + offset for name, eid in template.ports.outputs.items()})
+    return _spanned(net, start, template.kind, ports, template.latency_ms,
+                    and_kind=template.and_kind, params=template.params,
+                    resources=template.resources,
+                    data_latency_ms=template.data_latency_ms)
 
 
 def wire(net: Network, source_id: int, taps: tuple[InputTap, ...], *,

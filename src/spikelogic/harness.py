@@ -59,9 +59,11 @@ from .oracles import (
     mux_output,
 )
 from .resources import (
+    FormulaQuery,
     and_kind_name,
     expected_latency,
     formula_queries,
+    formula_resources,
     reconcile,
 )
 from .sim import Network, SpikeRecord
@@ -72,6 +74,15 @@ EXPERIMENTS = ("decoder-encoder", "mux-demux", "d-latch", "memory")
 # Default seed for the randomized chunks of the mux-demux control
 # schedule and for fuzzing; fixed so canonical runs are reproducible.
 DEFAULT_SEED = 7
+
+# The most synapses a block's closed form may count for it to be built.
+# A build peaks at about 330 bytes per counted synapse (148 MB for the
+# 447,200 of a classic memory with r=1023, c=32, on CPython 3.11), so
+# this admits builds of up to about 0.7 GB, 4.5 times that memory. It
+# refuses the select kinds from n=16 (classic) or n=17 (fast), the
+# encoder from 228,110 inputs and the memory from r*c of about 150k
+# (classic) or 180k (fast).
+MAX_SYNAPSES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -252,6 +263,7 @@ class BlockSpec:
     probe_output: str
     smallest: int = 1  # smallest buildable value of every size entry
     and_stage: bool = True  # takes an AND kind and a CSS
+    form: str = "n"  # the closed form that prices a size (see block_query)
 
 
 # Builders, sweeps and oracles are looked up at call time, through this
@@ -329,16 +341,30 @@ BLOCKS: dict[str, BlockSpec] = {
                 [w >> r.bit_length() for w in words], r, c)],
         verify=lambda ak, rng, trials, seed, r, c: [
             fuzz_memory(r, c, ak, writes=trials, seed=seed)],
-        probe=("s0", "d0"), probe_output="q1_0"),
+        probe=("s0", "d0"), probe_output="q1_0", form="m"),
 }
+
+# the FormulaQuery field of each size keyword
+_QUERY_FIELDS = {"n": "n", "registers": "r", "bits": "c"}
+
+
+def block_query(kind: str, and_kind: str | None,
+                size: Sequence[int]) -> FormulaQuery:
+    """The closed form that prices a block of this size before it is
+    built: the memory's m-form, which holds at any occupancy, and every
+    other kind's n-form."""
+    spec = BLOCKS[kind]
+    return FormulaQuery(kind, and_kind, spec.form, **{
+        _QUERY_FIELDS[flag]: value for flag, value in zip(spec.default, size)})
 
 
 def block_config(kind: str, and_kind=None, *, n: int | None = None,
                  registers: int | None = None, bits: int | None = None,
                  ) -> tuple[str | None, tuple[int, ...]]:
     """AND kind and size of one block kind. None picks the default
-    ("fast", and the size in BLOCKS); a size below the smallest
-    buildable one raises ValueError, before anything is built."""
+    ("fast", and the size in BLOCKS). A size below the smallest
+    buildable one, or one whose closed form counts more than
+    MAX_SYNAPSES synapses, raises ValueError before anything is built."""
     if kind not in BLOCKS:
         raise ValueError(f"unknown block kind {kind!r}")
     spec = BLOCKS[kind]
@@ -350,7 +376,23 @@ def block_config(kind: str, and_kind=None, *, n: int | None = None,
             raise ValueError(
                 f"{kind} needs {flag} >= {spec.smallest}, got {value}")
     ak = "fast" if and_kind is None else and_kind
-    return (and_kind_name(ak) if spec.and_stage else None), size
+    ak = and_kind_name(ak) if spec.and_stage else None
+    # Past the smallest sizes, every closed form counts more synapses
+    # than any one of its size entries, so an entry above the cap is
+    # over it without evaluating a count that may be too large to
+    # compute (2^n for the select kinds, a sum over n for the encoder).
+    if max(size, default=0) > MAX_SYNAPSES:
+        count = f"at least {max(size):,}"
+    else:
+        synapses = formula_resources(block_query(kind, ak, size)).synapses
+        if synapses <= MAX_SYNAPSES:
+            return ak, size
+        # a count of thousands of digits is shown by its power of two
+        count = (f"{synapses:,}" if synapses.bit_length() <= 64
+                 else f"at least 2^{synapses.bit_length() - 1}")
+    named = " ".join(f"{flag}={value}" for flag, value in zip(spec.default, size))
+    raise ValueError(f"{kind} {named} needs {count} synapses by its closed "
+                     f"form, more than the {MAX_SYNAPSES:,} a build may hold")
 
 
 def build_block(net: Network, kind: str, and_kind: str | None,

@@ -295,10 +295,20 @@ def _form(query: FormulaQuery) -> _Form:
     return form
 
 
+def _read_and_kind(kind: _Kind, and_kind) -> str | None:
+    """The AND kind a kind's latency and formulas read. A kind without
+    an AND stage reads none, but still rejects an unknown name."""
+    if None in kind.latency:
+        if and_kind is not None:
+            and_kind_name(and_kind)
+        return None
+    return and_kind_name(and_kind)
+
+
 def expected_latency(kind: str, and_kind=None) -> int:
     """Block delay in ms from input presentation to output spike."""
-    latency = _kind(kind).latency
-    return latency[None] if None in latency else latency[and_kind_name(and_kind)]
+    entry = _kind(kind)
+    return entry.latency[_read_and_kind(entry, and_kind)]
 
 
 def formula_resources(query: FormulaQuery) -> ResourceReport:
@@ -309,8 +319,7 @@ def formula_resources(query: FormulaQuery) -> ResourceReport:
         if value is None or value < least:
             raise ValueError(f"the {query.form}-form of the {query.kind} "
                              f"needs {name} >= {least}")
-    latency = _FORMS[query.kind].latency
-    ak = None if None in latency else and_kind_name(query.and_kind)
+    ak = _read_and_kind(_FORMS[query.kind], query.and_kind)
     return form.formula(ak, *(getattr(query, name) for name in form.least))
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,12 @@ class NeuronParams:
         object.__setattr__(self, "carryover_factor", factor)
 
 
-@dataclass(frozen=True)
-class Synapse:
+# shared by every neuron added without params: it is frozen, so one
+# validated instance serves them all
+_DEFAULT_PARAMS = NeuronParams()
+
+
+class Synapse(NamedTuple):
     source: int
     target: int
     weight_quanta: int
@@ -121,7 +125,7 @@ class Network:
 
     def add_neuron(self, params: NeuronParams | None = None) -> int:
         if params is None:
-            params = NeuronParams()
+            params = _DEFAULT_PARAMS
         elif not isinstance(params, NeuronParams):
             raise ValueError("params must be a NeuronParams instance")
         nid = self._take_id()
@@ -234,11 +238,11 @@ def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
     # fan-in per neuron: summed weight per (source, delay) that can land
     # inside the run; the sum is all a threshold neuron sees
     summed: dict[int, dict[tuple[int, int], int]] = {nid: {} for nid in net.neurons}
-    for syn in net.synapses:
-        if syn.delay_ms < duration:
-            terms = summed[syn.target]
-            key = (syn.source, syn.delay_ms)
-            terms[key] = terms.get(key, 0) + syn.weight_quanta
+    for source, target, weight, delay in net.synapses:
+        if delay < duration:
+            terms = summed[target]
+            key = (source, delay)
+            terms[key] = terms.get(key, 0) + weight
     fan_in = {nid: {key: weight for key, weight in terms.items() if weight}
               for nid, terms in summed.items()}
     depends = {nid: [src for src, _ in terms if src in fan_in]
@@ -388,10 +392,8 @@ class Simulation:
         self.net = net
         self.t = 0
         self._adjacency: dict[int, list[tuple[int, int, int]]] = {}
-        for syn in net.synapses:
-            self._adjacency.setdefault(syn.source, []).append(
-                (syn.delay_ms, syn.target, syn.weight_quanta)
-            )
+        for source, target, weight, delay in net.synapses:
+            self._adjacency.setdefault(source, []).append((delay, target, weight))
         self._pending: dict[int, dict[int, int]] = {}
         self._source_pos = {sid: 0 for sid in net.sources}
         self._last_fire: dict[int, int] = {}

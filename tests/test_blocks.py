@@ -1,10 +1,15 @@
 """Block builders: truth tables, sequencing, latencies, resources."""
 
+import dataclasses
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from spikelogic import blocks, netlist
 from spikelogic.blocks import (
     MemoryGeometry,
     build_d_latch,
@@ -371,3 +376,74 @@ def test_classic_equals_fast_shifted_by_latency_difference(kind, size):
             want = {t + shift for t in record.times(fast)
                     if latency["classic"] < t + shift < duration}
             assert got == want, (kind, words)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def _memory_digests(registers: int, bits: int, ak: str) -> list[str]:
+    """sha256 of netlist.dumps, of the resource report and of the
+    category ledger of a memory built after a CSS of its own."""
+    net = Network()
+    memory = build_memory(net, registers, bits, ak, build_css(net))
+    return [_sha256(netlist.dumps(net)),
+            _sha256(json.dumps(dataclasses.asdict(memory.resources))),
+            _sha256("\n".join(net.categories))]
+
+
+# r, c, AND kind and the three digests above, for r in {1, 2, 3, 5, 7,
+# 15, 63} and c in {1, 2, 3, 8}: pins entity ids, synapse order, labels
+# and reports; generated while every latch still ran its own builder
+MEMORY_DIGESTS = [(int(r), int(c), ak, digests) for r, c, ak, *digests in (
+    line.split() for line in (Path(__file__).parent / "data" /
+                              "memory-netlist-sha256.txt").read_text(
+        encoding="ascii").splitlines())]
+
+
+@pytest.mark.parametrize("registers, bits, ak, digests", MEMORY_DIGESTS,
+                         ids=[f"r{r}-c{c}-{ak}" for r, c, ak, _ in MEMORY_DIGESTS])
+def test_memory_netlists_are_pinned(registers, bits, ak, digests):
+    assert _memory_digests(registers, bits, ak) == digests
+
+
+def _latch_shape(net: Network, latch) -> tuple:
+    """A D latch handle with its ids made relative to its first entity,
+    ids outside its span (the CSS phases) kept: span sizes, ports and
+    the labelled synapses of its span."""
+    def rel(eid: int):
+        return eid - latch.entities.start if eid in latch.entities else ("at", eid)
+    span = slice(latch.synapses.start, latch.synapses.stop)
+    return (len(latch.entities),
+            {name: [(rel(t.target), t.weight_quanta, t.delay_ms, t.category)
+                    for t in taps] for name, taps in latch.ports.inputs.items()},
+            {name: rel(eid) for name, eid in latch.ports.outputs.items()},
+            [(rel(source), rel(target), weight, delay, label)
+             for (source, target, weight, delay), label in zip(
+                 net.synapses[span], net.categories[span])])
+
+
+@pytest.mark.parametrize("ak", KINDS)
+def test_stamped_latches_equal_a_built_one(ak, monkeypatch):
+    net = Network()
+    alone = build_d_latch(net, ak, build_css(net))
+    stamp = blocks._stamped
+    stamped = []
+
+    def spy(net, template):
+        latch = stamp(net, template)
+        stamped.append((net, latch))
+        return latch
+
+    monkeypatch.setattr(blocks, "_stamped", spy)
+    memory_net = Network()
+    build_memory(memory_net, 5, 3, ak, build_css(memory_net))
+    assert len(stamped) == 5 * 3 - 1
+    for net_of, latch in stamped:
+        assert net_of is memory_net
+        assert latch.resources == alone.resources
+        assert (latch.kind, latch.and_kind, latch.latency_ms,
+                latch.data_latency_ms) == (alone.kind, alone.and_kind,
+                                           alone.latency_ms,
+                                           alone.data_latency_ms)
+        assert _latch_shape(memory_net, latch) == _latch_shape(net, alone)

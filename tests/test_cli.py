@@ -149,6 +149,11 @@ NON_ASCII_STIMULUS = "NON_ASCII_STIMULUS"
     ["resources", "decoder", "--n", "-1"],
     ["verify", "memory", "--registers", "-1"],
     ["verify", "decoder", "--n", "-1"],
+    ["verify", "decoder", "--n", "30"],
+    ["verify", "decoder", "--n", "15000"],
+    ["verify", "decoder", "--n", "10000000000"],
+    ["resources", "encoder", "--n", "10000000000"],
+    ["verify", "memory", "--registers", "10000000000"],
     ["run", "memory", "--stimulus", NON_ASCII_STIMULUS],
 ], ids=" ".join)
 def test_bad_size_is_usage_error(argv, capsys, tmp_path):
@@ -161,3 +166,4 @@ def test_bad_size_is_usage_error(argv, capsys, tmp_path):
     assert "Traceback" not in err
     assert len([line for line in err.splitlines()
                 if line.startswith("error:")]) == 1
+

@@ -5,13 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from spikelogic import netlist
+from spikelogic import harness, netlist
 from spikelogic.harness import (
     BLOCKS,
     DEFAULT_SEED,
     EXPERIMENTS,
     ExperimentConfig,
     _control_chunks,
+    build_block,
     check_pipelined,
     export_spikes,
     measure_latency,
@@ -25,7 +26,8 @@ from spikelogic.harness import (
     sweep_multiplexer,
     verify_block,
 )
-from spikelogic.resources import BLOCK_KINDS, expected_latency
+from spikelogic.resources import BLOCK_KINDS, expected_latency, reconcile
+from spikelogic.sim import Network
 from spikelogic.trace import render_trace
 
 GOLDEN = Path(__file__).parent / "data"
@@ -229,3 +231,61 @@ def test_measure_latency_full_table():
         for ak in ("classic", "fast"):
             assert measure_latency(kind, ak) == expected_latency(kind, ak)
     assert measure_latency("encoder") == expected_latency("encoder")
+
+
+@pytest.mark.parametrize("call, count", [
+    # the fast decoder's n-form: 2^30 (30 + 2) + 3 * 30 + 2
+    (lambda: verify_block("decoder", n=30), "34,359,738,460"),
+    (lambda: sweep_decoder(30, "fast"), "34,359,738,460"),
+    # the fast memory's m-form: 11 r c + 2 r + 3 c + (r + 4) 16 + 4
+    (lambda: run_experiment("memory", ExperimentConfig(
+        registers=2 ** 16 - 1, bits=64)), "47,316,530"),
+    # too long to print: 2^15000 * 15002 + 45002 has 15014 bits
+    (lambda: verify_block("decoder", n=15000), "at least 2\\^15013"),
+    # not evaluated: a size entry alone is over the cap
+    (lambda: verify_block("decoder", n=10 ** 10), "at least 10,000,000,000"),
+    (lambda: verify_block("encoder", n=10 ** 10), "at least 10,000,000,000"),
+], ids=["verify_block", "sweep_decoder", "run_experiment", "unprintable",
+        "select-n", "encoder-n"])
+def test_oversized_block_raises_before_it_is_built(call, count, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a builder ran")
+
+    for builder in ("build_css", "build_decoder", "build_encoder",
+                    "build_memory"):
+        monkeypatch.setattr(harness, builder, no_build)
+    with pytest.raises(ValueError,
+                       match=f"needs {count} synapses by its closed form"):
+        call()
+
+
+def test_synapse_cap_admits_its_own_count(monkeypatch):
+    # a fast decoder counts 2^n (n + 2) + 3n + 2 synapses: 24 at n=2,
+    # 51 at n=3
+    monkeypatch.setattr(harness, "MAX_SYNAPSES", 24)
+    assert harness.block_config("decoder", n=2) == ("fast", (2,))
+    with pytest.raises(ValueError, match="needs 51 synapses"):
+        harness.block_config("decoder", n=3)
+
+
+# sizes as harness.build_block takes them; the memory at full and at
+# partial occupancy, where only its m-form prices it
+SIZED = [(kind, size) for kind in BLOCK_KINDS
+         for size in {"decoder": [(1,), (3,)], "encoder": [(2,), (5,)],
+                      "multiplexer": [(1,), (3,)],
+                      "demultiplexer": [(1,), (3,)], "d_latch": [()],
+                      "memory": [(3, 2), (7, 3), (5, 2)]}[kind]]
+
+
+@pytest.mark.parametrize("ak", ["classic", "fast"])
+@pytest.mark.parametrize("kind, size", SIZED,
+                         ids=[f"{kind}-{size}" for kind, size in SIZED])
+def test_block_query_prices_the_built_block(kind, size, ak):
+    if not BLOCKS[kind].and_stage:
+        ak = None
+    query = harness.block_query(kind, ak, size)
+    built = build_block(Network(), kind, ak, size)
+    if kind == "memory" and size[0] != 2 ** size[0].bit_length() - 1:
+        assert query.form == "m" and (query.r, query.c) == size
+    else:
+        assert reconcile(built, query).ok

@@ -306,3 +306,24 @@ def test_formula_queries(kind, size, want, ak):
         ak = None
     handle = build_block(Network(), kind, ak, size)
     assert formula_queries(handle) == want(ak)
+
+
+# the encoder has no AND stage: every path that takes an AND kind with
+# it reads none, accepts None or a valid name, and rejects any other
+ENCODER_PATHS = {
+    "formula_resources": lambda ak: formula_resources(
+        FormulaQuery("encoder", ak, n=4)),
+    "expected_latency": lambda ak: expected_latency("encoder", ak),
+    "reconcile": lambda ak: reconcile(build_block(Network(), "encoder", None, (4,)),
+                                      FormulaQuery("encoder", ak, n=4)),
+}
+
+
+@pytest.mark.parametrize("path", ENCODER_PATHS)
+def test_encoder_and_kind_is_checked_on_every_path(path):
+    call = ENCODER_PATHS[path]
+    assert call(None) == call("classic") == call("fast")
+    for bad in ("sluggish", ""):
+        with pytest.raises(ValueError):
+            call(bad)
+
