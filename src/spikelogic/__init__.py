@@ -8,6 +8,8 @@ register-file memory), closed-form resource and latency accounting, and
 a verification harness with canned end-to-end experiments.
 """
 
+from types import ModuleType as _ModuleType
+
 from .sim import Network, NeuronParams, SpikeRecord, Synapse
 from .gates import (
     Handle,
@@ -68,58 +70,7 @@ from .harness import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AND_KINDS",
-    "AndKind",
-    "BLOCK_KINDS",
-    "Check",
-    "DEFAULT_SEED",
-    "EXPERIMENTS",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FormulaQuery",
-    "Handle",
-    "MemoryGeometry",
-    "Network",
-    "NeuronParams",
-    "ReconcileReport",
-    "ResourceReport",
-    "SpikeRecord",
-    "Synapse",
-    "Trace",
-    "TraceRow",
-    "VerifyReport",
-    "build_and_classic",
-    "build_and_fast",
-    "build_css",
-    "build_d_latch",
-    "build_decoder",
-    "build_demultiplexer",
-    "build_encoder",
-    "build_memory",
-    "build_multiplexer",
-    "build_not",
-    "build_or",
-    "build_sr_latch",
-    "decoder_channel",
-    "demux_channels",
-    "drive",
-    "encoder_synapse_sum",
-    "encoder_value",
-    "expected_latency",
-    "export_spikes",
-    "formula_queries",
-    "formula_resources",
-    "latch_states",
-    "measure_latency",
-    "memory_final",
-    "memory_states",
-    "mux_output",
-    "parse_stimulus",
-    "reconcile",
-    "render_trace",
-    "run_experiment",
-    "verify_block",
-    "wire",
-    "__version__",
-]
+# every public name imported above, and the version
+__all__ = sorted(name for name, value in globals().items()
+                 if name[0] != "_" and not isinstance(value, _ModuleType))
+__all__.append("__version__")

@@ -36,6 +36,8 @@ import csv
 import io
 import operator
 import random
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -59,6 +61,7 @@ from .oracles import (
     mux_output,
 )
 from .resources import (
+    _FORMS,
     FormulaQuery,
     and_kind_name,
     expected_latency,
@@ -66,7 +69,7 @@ from .resources import (
     formula_resources,
     reconcile,
 )
-from .sim import Network, SpikeRecord
+from .sim import Network, SpikeRecord, spike_train
 from .trace import Trace, TraceRow, hex_word_row, spike_row, value_row
 
 EXPERIMENTS = ("decoder-encoder", "mux-demux", "d-latch", "memory")
@@ -83,6 +86,14 @@ DEFAULT_SEED = 7
 # encoder from 228,110 inputs and the memory from r*c of about 150k
 # (classic) or 180k (fast).
 MAX_SYNAPSES = 2_000_000
+
+# The most trace cells an experiment may hold: duration_ms times its
+# input and recorded signals. At the peak of `spikelogic run --out` a
+# cell costs 30 to 50 bytes (memory r=63 c=8 and d-latch, CPython 3.11):
+# 8 for its slot in its row, 5 to 8 characters in each transient copy of
+# the table, and its share of the per-ms header strings and tick ints.
+# So this admits about 0.5 GB; the memory-cli benchmark holds 582,000.
+MAX_TRACE_CELLS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -107,15 +118,26 @@ class Check:
 
 @dataclass
 class ExperimentResult:
+    """signal_times: the inputs' spike times, then the outputs'."""
+
     name: str
     and_kind: str
     params: dict
-    duration_ms: int
     net: Network
     record: SpikeRecord
     trace: Trace
-    signal_times: dict[str, tuple[int, ...]]
+    inputs: dict[str, tuple[int, ...]]
+    outputs: dict[str, int]
     checks: tuple[Check, ...]
+
+    @property
+    def duration_ms(self) -> int:
+        return self.record.duration_ms
+
+    @property
+    def signal_times(self) -> dict[str, tuple[int, ...]]:
+        return {**self.inputs, **{name: self.record.times(eid)
+                                  for name, eid in self.outputs.items()}}
 
     @property
     def passed(self) -> bool:
@@ -135,19 +157,9 @@ class VerifyReport:
 
 
 def render_checks(checks: Iterable[Check]) -> str:
-    lines = []
-    for check in checks:
-        status = "PASS" if check.ok else "FAIL"
-        suffix = f": {check.detail}" if check.detail else ""
-        lines.append(f"{status}  {check.label}{suffix}")
-    return "\n".join(lines) + "\n"
-
-
-def _clean_times(times: Iterable[int]) -> tuple[int, ...]:
-    cleaned = sorted({operator.index(t) for t in times})
-    if cleaned and cleaned[0] < 0:
-        raise ValueError("stimulus times must be >= 0")
-    return tuple(cleaned)
+    return "\n".join(f"{'PASS' if check.ok else 'FAIL'}  {check.label}"
+                     + (f": {check.detail}" if check.detail else "")
+                     for check in checks) + "\n"
 
 
 def _resolve_inputs(canonical: dict[str, tuple[int, ...]],
@@ -160,8 +172,12 @@ def _resolve_inputs(canonical: dict[str, tuple[int, ...]],
         raise ValueError(
             f"stimulus signals {sorted(unknown)} do not match the "
             f"experiment inputs {sorted(canonical)}")
-    return {name: _clean_times(stimulus.get(name, ()))
-            for name in canonical}
+    inputs = {name: tuple(sorted({operator.index(t)
+                                  for t in stimulus.get(name, ())}))
+              for name in canonical}
+    if any(times and times[0] < 0 for times in inputs.values()):
+        raise ValueError("stimulus times must be >= 0")
+    return inputs
 
 
 def _words_from_bits(bit_times: Sequence[Iterable[int]],
@@ -176,15 +192,34 @@ def _words_from_bits(bit_times: Sequence[Iterable[int]],
     return words
 
 
-def _diff_detail(signal: str, got: set[int], want: set[int]) -> str:
-    spurious = sorted(got - want)[:5]
-    missing = sorted(want - got)[:5]
+def _diff_detail(signal: str, got: int, want: int) -> str:
     parts = [f"signal {signal}"]
-    if spurious:
-        parts.append(f"unexpected at {spurious}")
-    if missing:
-        parts.append(f"missing at {missing}")
+    for what, train in (("unexpected", got & ~want), ("missing", want & ~got)):
+        times = []  # the first five, from the low set bits
+        while train and len(times) < 5:
+            times.append((train & -train).bit_length() - 1)
+            train &= train - 1
+        if times:
+            parts.append(f"{what} at {times}")
     return ", ".join(parts)
+
+
+def _word_trains(words: Sequence[int], count: int, stop: int) -> list[int]:
+    """Train k of count spikes at t where bit k of words[t] is set, for
+    1 <= t < stop: from the set bits of the words, or of their changes
+    if fewer, each adding 1 << t where a bit turns off, else taking it."""
+    seq = [0, *words[1:stop], 0]
+    by_change = (sum(map(int.bit_count, map(operator.xor, seq[1:], seq)))
+                 < sum(map(int.bit_count, seq)))
+    trains = [0] * count
+    for t, (word, previous) in enumerate(zip(seq, [0, *seq])):
+        bits = word ^ previous if by_change else word
+        while bits:
+            low = bits & -bits
+            on = by_change and word & low  # the bit turned on at t
+            trains[low.bit_length() - 1] += -(1 << t) if on else 1 << t
+            bits ^= low
+    return trains
 
 
 def _expect_delayed(record: SpikeRecord, outputs: Mapping[str, int],
@@ -194,37 +229,37 @@ def _expect_delayed(record: SpikeRecord, outputs: Mapping[str, int],
     exactly when bit k of oracle_words[t] is set, for t >= 1; spikes
     are compared from latency + 1 on. The first mismatching output is
     reported."""
-    want: list[set[int]] = [set() for _ in outputs]
-    for t in range(1, record.duration_ms - latency):
-        word = oracle_words[t]
-        while word:
-            low = word & -word
-            want[low.bit_length() - 1].add(t + latency)
-            word ^= low
-    for (signal, eid), expected in zip(outputs.items(), want):
-        got = {t for t in record.times(eid) if t > latency}
-        if got != expected:
-            return Check(label, False, _diff_detail(signal, got, expected))
+    trains = _word_trains(oracle_words, len(outputs), record.duration_ms - latency)
+    for (signal, eid), train in zip(outputs.items(), trains):
+        got, want = record.trains[eid], train << latency
+        if (got ^ want) >> latency + 1:
+            return Check(label, False, _diff_detail(
+                signal, got >> latency + 1 << latency + 1, want))
     return Check(label, True, ok_detail)
 
 
-def _times(record: SpikeRecord,
-           outputs: Mapping[str, int]) -> dict[str, tuple[int, ...]]:
-    return {name: record.times(eid) for name, eid in outputs.items()}
+def _spike_rows(record: SpikeRecord, outputs: Mapping[str, int],
+                valid_from: int) -> list[TraceRow]:
+    return [spike_row(name, record.trains[eid], record.duration_ms, valid_from)
+            for name, eid in outputs.items()]
 
 
-def _spike_rows(signals: Mapping[str, Sequence[int]], duration: int,
-                valid_from: int = 0) -> list[TraceRow]:
-    return [spike_row(name, times, duration, valid_from=valid_from)
-            for name, times in signals.items()]
+def _input_rows(inputs: Mapping[str, Sequence[int]],
+                duration: int) -> list[TraceRow]:
+    return [spike_row(name, spike_train(t for t in times if t < duration), duration)
+            for name, times in inputs.items()]
 
 
-def _duration(duration_ms: int | None, default: int) -> int:
-    if duration_ms is None:
-        return default
-    if duration_ms < 1:
+def _duration(duration_ms: int | None, default: int, signals: int) -> int:
+    """The run's duration; each of its signals takes a cell per ms."""
+    duration = default if duration_ms is None else duration_ms
+    if duration < 1:
         raise ValueError("duration_ms must be >= 1")
-    return duration_ms
+    if duration * signals > MAX_TRACE_CELLS:
+        raise ValueError(f"a {duration:,} ms run of {signals} signals holds "
+                         f"{duration * signals:,} trace cells, more than the "
+                         f"{MAX_TRACE_CELLS:,} a run may hold")
+    return duration
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +296,6 @@ class BlockSpec:
     verify: Callable[..., list[Check]]  # (and_kind, rng, trials, seed, *size)
     probe: tuple[str, ...]  # inputs spiking once for measure_latency
     probe_output: str
-    smallest: int = 1  # smallest buildable value of every size entry
-    and_stage: bool = True  # takes an AND kind and a CSS
     form: str = "n"  # the closed form that prices a size (see block_query)
 
 
@@ -280,7 +313,7 @@ BLOCKS: dict[str, BlockSpec] = {
                                   for _ in range(trials)])],
         probe=("s0",), probe_output="ch1"),
     "encoder": BlockSpec(
-        {"n": 4}, ("num_inputs",), smallest=2, and_stage=False,
+        {"n": 4}, ("num_inputs",),
         build=lambda net, ak, css, m: build_encoder(net, m),
         inputs=lambda m: [f"d{i}" for i in range(m)],
         outputs=lambda m: [f"or{b}" for b in range((m - 1).bit_length())],
@@ -335,7 +368,7 @@ BLOCKS: dict[str, BlockSpec] = {
         outputs=lambda r, c: [f"q{i}_{j}" for i in range(1, r + 1)
                               for j in range(c)],
         oracle=lambda words, r, c: [
-            sum(value << i * c for i, value in enumerate(state))
+            sum(map(operator.lshift, state, range(0, r * c, c)))
             for state in memory_states(
                 [w & 2 ** r.bit_length() - 1 for w in words],
                 [w >> r.bit_length() for w in words], r, c)],
@@ -371,12 +404,14 @@ def block_config(kind: str, and_kind=None, *, n: int | None = None,
     given = {"n": n, "registers": registers, "bits": bits}
     size = tuple(value if given[flag] is None else operator.index(given[flag])
                  for flag, value in spec.default.items())
+    forms = _FORMS[kind]  # no AND kind where the latency is keyed by None
+    least = (forms.m_form if spec.form == "m" else forms.n_form).least
     for flag, value in zip(spec.default, size):
-        if value < spec.smallest:
-            raise ValueError(
-                f"{kind} needs {flag} >= {spec.smallest}, got {value}")
+        smallest = least[_QUERY_FIELDS[flag]]
+        if value < smallest:
+            raise ValueError(f"{kind} needs {flag} >= {smallest}, got {value}")
     ak = "fast" if and_kind is None else and_kind
-    ak = and_kind_name(ak) if spec.and_stage else None
+    ak = None if None in forms.latency else and_kind_name(ak)
     # Past the smallest sizes, every closed form counts more synapses
     # than any one of its size entries, so an entry above the cap is
     # over it without evaluating a count that may be too large to
@@ -398,9 +433,8 @@ def block_config(kind: str, and_kind=None, *, n: int | None = None,
 def build_block(net: Network, kind: str, and_kind: str | None,
                 size: Sequence[int]) -> Handle:
     """Build one block on net, after the CSS it needs (if any)."""
-    spec = BLOCKS[kind]
-    css = build_css(net) if spec.and_stage else None
-    return spec.build(net, and_kind, css, *size)
+    css = None if None in _FORMS[kind].latency else build_css(net)
+    return BLOCKS[kind].build(net, and_kind, css, *size)
 
 
 def check_pipelined(kind: str, and_kind: str | None, size: Sequence[int],
@@ -432,7 +466,8 @@ def _run_decoder_encoder(cfg: ExperimentConfig) -> ExperimentResult:
     ak, (n,) = block_config("decoder", cfg.and_kind, n=cfg.n)
     dec_latency = expected_latency("decoder", ak)
     total = dec_latency + 1
-    duration = _duration(cfg.duration_ms, max(16, 2 * 2 ** n + total + 2))
+    duration = _duration(cfg.duration_ms, max(16, 2 * 2 ** n + total + 2),
+                         2 * n + 2 ** n)
 
     canonical = {
         f"s{b}": tuple(t for t in range(1, duration)
@@ -465,40 +500,25 @@ def _run_decoder_encoder(cfg: ExperimentConfig) -> ExperimentResult:
                         "decoder channels one-hot per input word"),
     )
 
-    channel_times = _times(record, channels)
-    or_times = _times(record, ors)
-    rows = (_spike_rows(inputs, duration)
-            + _spike_rows(channel_times, duration, dec_latency + 1)
-            + _spike_rows(or_times, duration, total + 1))
-    signal_times = {**inputs, **channel_times, **or_times}
+    rows = (_input_rows(inputs, duration)
+            + _spike_rows(record, channels, dec_latency + 1)
+            + _spike_rows(record, ors, total + 1))
     return ExperimentResult(
-        name="decoder-encoder", and_kind=ak, params={"n": n},
-        duration_ms=duration, net=net, record=record,
-        trace=Trace(duration, tuple(rows)), signal_times=signal_times,
-        checks=checks)
+        "decoder-encoder", ak, {"n": n}, net, record,
+        Trace(duration, tuple(rows)), inputs, {**channels, **ors}, checks)
 
 
 def _control_chunks(n: int, duration_ms: int, seed: int) -> list[int]:
     """Per-ms select words: 0 until t=10, then all-ones until t=40, then
     seeded random words per chunk, each different from its predecessor."""
-    bounds = [b for b in (1, 10, 40, 60, 90) if b < duration_ms]
-    bounds.append(duration_ms)
     rng = random.Random(seed)
-    words = [0] * duration_ms
-    previous = None
-    for i in range(len(bounds) - 1):
-        if i == 0:
-            value = 0
-        elif i == 1:
-            value = 2 ** n - 1
-        else:
-            value = rng.randrange(2 ** n)
-            while value == previous:
-                value = rng.randrange(2 ** n)
-        for t in range(bounds[i], bounds[i + 1]):
-            words[t] = value
-        previous = value
-    return words
+    values = [0, 0, 2 ** n - 1]  # before t=1, then the chunks from t=1, 10
+    while len(values) < 6:
+        value = rng.randrange(2 ** n)
+        if value != values[-1]:
+            values.append(value)
+    return [values[bisect_right((1, 10, 40, 60, 90), t)]
+            for t in range(duration_ms)]
 
 
 def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
@@ -506,7 +526,7 @@ def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
     mux_latency = expected_latency("multiplexer", ak)
     demux_latency = expected_latency("demultiplexer", ak)
     total = mux_latency + demux_latency
-    duration = _duration(cfg.duration_ms, 110)
+    duration = _duration(cfg.duration_ms, 110, n + 2 ** (n + 1) + 1)
 
     sel_words = _control_chunks(n, duration, cfg.seed)
     canonical = {
@@ -552,32 +572,23 @@ def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
                         f"{total} ms"),
     )
 
-    out_times = record.times(out_id)
-    channel_times = _times(record, channels)
-    rows = (_spike_rows(inputs, duration)
-            + _spike_rows({"mux out": out_times}, duration, mux_latency + 1)
-            + _spike_rows(channel_times, duration, total + 1))
-    signal_times = {**inputs, "mux_out": out_times, **channel_times}
+    rows = (_input_rows(inputs, duration)
+            + _spike_rows(record, {"mux out": out_id}, mux_latency + 1)
+            + _spike_rows(record, channels, total + 1))
     return ExperimentResult(
-        name="mux-demux", and_kind=ak, params={"n": n},
-        duration_ms=duration, net=net, record=record,
-        trace=Trace(duration, tuple(rows)), signal_times=signal_times,
-        checks=checks)
+        "mux-demux", ak, {"n": n}, net, record, Trace(duration, tuple(rows)),
+        inputs, {"mux_out": out_id, **channels}, checks)
 
 
 def _run_d_latch(cfg: ExperimentConfig) -> ExperimentResult:
     ak = and_kind_name("classic" if cfg.and_kind is None else cfg.and_kind)
-    duration = _duration(cfg.duration_ms, 16)
+    duration = _duration(cfg.duration_ms, 16, 9)
     latency = expected_latency("d_latch", ak)
     data_latency = latency + 1  # external inverter in the data path
 
-    canonical = {
-        "store": (1, 2, 3, 8),
-        "data1": (1, 3, 4),
-        "data2": (3, 5),
-    }
-    canonical = {k: tuple(t for t in v if t < duration)
-                 for k, v in canonical.items()}
+    canonical = {name: tuple(t for t in times if t < duration) for name, times
+                 in (("store", (1, 2, 3, 8)), ("data1", (1, 3, 4)),
+                     ("data2", (3, 5)))}
     inputs = _resolve_inputs(canonical, cfg.stimulus)
 
     net = Network()
@@ -610,15 +621,11 @@ def _run_d_latch(cfg: ExperimentConfig) -> ExperimentResult:
             f"latches {group * 3}-{group * 3 + 2} track store/{name} "
             f"with {data_latency} ms delay"))
 
-    q_times = _times(record, q_ids)
-    rows = (_spike_rows(inputs, duration)
-            + _spike_rows(q_times, duration, data_latency + 1))
-    signal_times = {**inputs, **q_times}
+    rows = (_input_rows(inputs, duration)
+            + _spike_rows(record, q_ids, data_latency + 1))
     return ExperimentResult(
-        name="d-latch", and_kind=ak, params={"latches": len(latches)},
-        duration_ms=duration, net=net, record=record,
-        trace=Trace(duration, tuple(rows)), signal_times=signal_times,
-        checks=tuple(checks))
+        "d-latch", ak, {"latches": len(latches)}, net, record,
+        Trace(duration, tuple(rows)), inputs, q_ids, tuple(checks))
 
 
 def _channel_mark(j: int) -> str:
@@ -629,9 +636,10 @@ def _channel_mark(j: int) -> str:
 def _run_memory(cfg: ExperimentConfig) -> ExperimentResult:
     ak, (registers, bits) = block_config(
         "memory", cfg.and_kind, registers=cfg.registers, bits=cfg.bits)
-    duration = _duration(cfg.duration_ms, 30)
-    latency = expected_latency("memory", ak)
     depth = registers.bit_length()
+    duration = _duration(cfg.duration_ms, 30,
+                         depth + bits + registers * bits + 2 ** depth)
+    latency = expected_latency("memory", ak)
 
     canonical = {
         f"s{b}": tuple(t for t in range(1, duration)
@@ -669,7 +677,7 @@ def _run_memory(cfg: ExperimentConfig) -> ExperimentResult:
                         "address decoder one-hot, channel 0 on idle input"),
     )
 
-    rows = _spike_rows(inputs, duration)
+    rows = _input_rows(inputs, duration)
     expected_cells = ["" if t < dec_latency + 1
                       else _channel_mark(addresses[t - dec_latency])
                       for t in range(duration)]
@@ -681,20 +689,15 @@ def _run_memory(cfg: ExperimentConfig) -> ExperimentResult:
             decoded_cells[t] = _channel_mark(j)
     rows.append(value_row("Channel (Decoder)", decoded_cells,
                           valid_from=dec_latency + 1))
-    q_times = _times(record, q_ids)
     for i in range(1, registers + 1):
-        register = {f"q{i}_{j}": q_times[f"q{i}_{j}"] for j in range(bits)}
-        rows += _spike_rows(register, duration, latency + 1)
-        rows.append(hex_word_row(f"Register {i}", list(register.values()),
-                                 duration, valid_from=latency + 1))
-
-    signal_times = {**inputs, **_times(record, channels), **q_times}
+        register = {f"q{i}_{j}": q_ids[f"q{i}_{j}"] for j in range(bits)}
+        rows += _spike_rows(record, register, latency + 1)
+        rows.append(hex_word_row(
+            f"Register {i}", [record.trains[eid] for eid in register.values()],
+            duration, valid_from=latency + 1))
     return ExperimentResult(
-        name="memory", and_kind=ak,
-        params={"registers": registers, "bits": bits},
-        duration_ms=duration, net=net, record=record,
-        trace=Trace(duration, tuple(rows)), signal_times=signal_times,
-        checks=checks)
+        "memory", ak, {"registers": registers, "bits": bits}, net, record,
+        Trace(duration, tuple(rows)), inputs, {**channels, **q_ids}, checks)
 
 
 _RUNNERS = {
@@ -875,16 +878,20 @@ def export_spikes(signal_times: Mapping[str, Iterable[int]],
     "csv" is the only format."""
     if format != "csv":
         raise ValueError(f"unknown spike export format {format!r}")
-    rows = sorted(
-        ((int(t), name) for name, times in signal_times.items()
-         for t in times),
-    )
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["signal", "time_ms"])
-    for t, name in rows:
-        writer.writerow([name, t])
-    return out.getvalue()
+    # each signal's times merged into per-ms lists of its CSV field, the
+    # name quoted as the csv module quotes it, in name order
+    at: dict[int, list[str]] = defaultdict(list)
+    for name in sorted(signal_times):
+        line = io.StringIO()
+        csv.writer(line).writerow([name, ""])
+        field = line.getvalue()[:-3]  # less ",\r\n"
+        for t in signal_times[name]:
+            at[t].append(field)
+    rows = ["signal,time_ms\r\n"]
+    for t in sorted(at):
+        end = f",{int(t)}\r\n"
+        rows.append(end.join(at[t]) + end)
+    return "".join(rows)
 
 
 def parse_stimulus(text: str) -> dict[str, tuple[int, ...]]:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -84,21 +85,35 @@ class Synapse(NamedTuple):
     delay_ms: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpikeRecord:
-    """Spike times per recorded entity, all within [0, duration_ms).
-
-    spikes is a read-only view of a private copy of the mapping given.
-    """
+    """Spike trains of the recorded entities over [0, duration_ms): bit t
+    of trains[eid] is set when eid spikes at t. Built from spike times,
+    SpikeRecord(duration_ms, {eid: times}), or from trains, it keeps a
+    read-only copy; times() and spikes derive time tuples."""
 
     duration_ms: int
-    spikes: Mapping[int, tuple[int, ...]]
+    trains: Mapping[int, int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "spikes", MappingProxyType(dict(self.spikes)))
+    def __init__(self, duration_ms: int,
+                 spikes: Mapping[int, Iterable[int]] | None = None, *,
+                 trains: Mapping[int, int] | None = None) -> None:
+        if trains is None:
+            trains = {eid: spike_train(times) for eid, times in spikes.items()}
+        object.__setattr__(self, "duration_ms", duration_ms)
+        object.__setattr__(self, "trains", MappingProxyType(dict(trains)))
 
     def times(self, entity_id: int) -> tuple[int, ...]:
-        return self.spikes[entity_id]
+        return tuple(compress(self._ticks, _flags(self.trains[entity_id])))
+
+    @cached_property
+    def _ticks(self) -> tuple[int, ...]:
+        # one shared int per tick: time tuples hold no int of their own
+        return tuple(range(self.duration_ms))
+
+    @property
+    def spikes(self) -> Mapping[int, tuple[int, ...]]:
+        return MappingProxyType({eid: self.times(eid) for eid in self.trains})
 
 
 class Network:
@@ -194,27 +209,23 @@ class Network:
         if duration < 1:
             raise ValueError("duration_ms must be >= 1")
         recorded = sorted(self._recorded_set)
-        if not all(params.refractory_ms <= 1 and not params.carryover_factor
-                   for params in self.neurons.values()):
-            return SpikeRecord(duration, _stepped_times(self, duration, recorded))
-        trains = _levelized_trains(self, duration)
-        # one shared int per tick: spike tuples hold no int of their own
-        ticks = list(range(duration))
-        return SpikeRecord(duration, {eid: tuple(compress(ticks, _flags(trains[eid])))
-                                      for eid in recorded})
+        gate_like = all(params.refractory_ms <= 1 and not params.carryover_factor
+                        for params in self.neurons.values())
+        trains = (_levelized_trains(self, duration) if gate_like
+                  else _stepped_trains(self, duration, recorded))
+        return SpikeRecord(duration, trains={eid: trains[eid] for eid in recorded})
 
 
-def _stepped_times(net: Network, duration: int,
-                   recorded: list[int]) -> dict[int, tuple[int, ...]]:
-    """Spike times of the recorded ids, stepped by the reference kernel."""
+def _stepped_trains(net: Network, duration: int,
+                    recorded: list[int]) -> dict[int, int]:
+    """Spike trains of the recorded ids, stepped by the reference kernel."""
     sim = Simulation(net)
     collected: dict[int, list[int]] = {eid: [] for eid in recorded}
-    for _ in range(duration):
-        now = sim.t
+    for now in range(duration):
         for eid in sim.step():
             if eid in collected:
                 collected[eid].append(now)
-    return {eid: tuple(times) for eid, times in collected.items()}
+    return {eid: spike_train(times) for eid, times in collected.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +233,7 @@ def _stepped_times(net: Network, duration: int,
 # spikes at t, for t in [0, duration).
 
 _FLAG = bytes.maketrans(b"01", b"\x00\x01")
+_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _flags(train: int) -> bytes:
@@ -230,10 +242,21 @@ def _flags(train: int) -> bytes:
     return format(train, "b")[::-1].encode().translate(_FLAG)
 
 
+def spike_train(times: Iterable[int]) -> int:
+    """The train (bit t set: a spike at t) of the given spike times."""
+    times = tuple(times)
+    if min(times, default=0) < 0:
+        raise ValueError("spike times must be >= 0")
+    flags = bytearray(max(times, default=-1) + 1)
+    for t in times:
+        flags[t] = 1
+    return int(flags[::-1].translate(_DIGIT) or b"0", 2)
+
+
 def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
     """Spike train of every entity of a gate-like network."""
     mask = (1 << duration) - 1
-    trains = {sid: sum(1 << t for t in times if t < duration)
+    trains = {sid: spike_train(t for t in times if t < duration)
               for sid, times in net.sources.items()}
     # fan-in per neuron: summed weight per (source, delay) that can land
     # inside the run; the sum is all a threshold neuron sees
@@ -369,14 +392,14 @@ def _stepped_component(net: Network, component: list[int],
     known trains of everything outside it."""
     sub = Network()
     local = {nid: sub.add_neuron(net.neurons[nid]) for nid in component}
-    ticks = range(duration)
     for nid in component:
         for (src, delay), weight in fan_in[nid].items():
             if src not in local:
-                local[src] = sub.add_source(compress(ticks, _flags(trains[src])))
+                local[src] = sub.add_source(
+                    compress(range(duration), _flags(trains[src])))
             sub.connect(local[src], local[nid], weight, delay)
-    times = _stepped_times(sub, duration, [local[nid] for nid in component])
-    return {nid: sum(1 << t for t in times[local[nid]]) for nid in component}
+    stepped = _stepped_trains(sub, duration, [local[nid] for nid in component])
+    return {nid: stepped[local[nid]] for nid in component}
 
 
 class Simulation:

@@ -18,7 +18,13 @@ deterministic experiment produce byte-identical text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import accumulate, groupby, repeat
+from operator import lshift, or_
+from typing import Sequence
+
+from .sim import _flags
+
+_SPIKE_CELLS = frozenset(("", "1"))
 
 
 @dataclass(frozen=True)
@@ -40,11 +46,14 @@ class Trace:
         raise KeyError(label)
 
 
-def spike_row(label: str, times: Iterable[int], duration_ms: int,
+def spike_row(label: str, train: int, duration_ms: int,
               valid_from: int = 0) -> TraceRow:
-    marks = set(times)
-    cells = tuple("1" if t in marks else "" for t in range(duration_ms))
-    return TraceRow(label, cells, valid_from)
+    """A 1 in every ms where the train (bit t: a spike at t) is set: its
+    digits as "1," or ",", split at the commas."""
+    digits = format(train, "b")[::-1]
+    cells = digits.replace("1", "1,").replace("0", ",").split(",")[:duration_ms]
+    return TraceRow(label, tuple(cells) + ("",) * (duration_ms - len(cells)),
+                    valid_from)
 
 
 def value_row(label: str, values: Sequence[object],
@@ -53,66 +62,76 @@ def value_row(label: str, values: Sequence[object],
     return TraceRow(label, cells, valid_from)
 
 
-def hex_word_row(label: str, bit_times: Sequence[Iterable[int]],
+def hex_word_row(label: str, bit_trains: Sequence[int],
                  duration_ms: int, valid_from: int = 0) -> TraceRow:
-    """Register contents per ms from its bit rows, least significant
-    first; shown in hex, blank while the register holds 0."""
-    sets = [set(times) for times in bit_times]
-    cells = []
-    for t in range(duration_ms):
-        word = sum(1 << j for j, s in enumerate(sets) if t in s)
-        cells.append(f"0x{word:02X}" if word else "")
-    return TraceRow(label, tuple(cells), valid_from)
-
-
-def masked_cells(row: TraceRow) -> tuple[str, ...]:
-    return tuple("" if t < row.valid_from else cell
-                 for t, cell in enumerate(row.cells))
+    """Register contents per ms from its bit trains, least significant
+    first, in hex, blank while 0. Each 8 trains make a byte per ms (their
+    flags, shifted), or-ed into the words; each word is formatted once."""
+    words = [0] * duration_ms
+    for b in range(0, len(bit_trains), 8):
+        byte = 0
+        for j, train in enumerate(bit_trains[b:b + 8]):
+            byte |= int.from_bytes(_flags(train)[:duration_ms], "little") << j
+        words = list(map(or_, words, map(
+            lshift, byte.to_bytes(duration_ms, "little"), repeat(b))))
+    cells = {word: f"0x{word:02X}" if word else "" for word in set(words)}
+    return TraceRow(label, tuple(map(cells.__getitem__, words)), valid_from)
 
 
 def _is_spike_row(row: TraceRow) -> bool:
-    return all(cell in ("", "1") for cell in row.cells)
+    return _SPIKE_CELLS.issuperset(row.cells)
 
 
 def render_table(trace: Trace) -> str:
+    """A fixed-width grid. Value rows pad cell by cell; a spike row's
+    marks go into a copy of one blank line, a run of equal widths at once."""
     label_width = max([len("t (ms)")] + [len(r.label) for r in trace.rows])
-    grid = [masked_cells(row) for row in trace.rows]
-    widths = [
-        max([len(str(t))] + [len(cells[t]) for cells in grid])
-        for t in range(trace.duration_ms)
-    ]
-    lines = [" ".join(
-        ["t (ms)".ljust(label_width)]
-        + [str(t).rjust(widths[t]) for t in range(trace.duration_ms)])]
-    for row, cells in zip(trace.rows, grid):
-        lines.append(" ".join(
-            [row.label.ljust(label_width)]
-            + [cells[t].rjust(widths[t]) for t in range(trace.duration_ms)]))
+    duration = trace.duration_ms
+    header = [str(t) for t in range(duration)]
+    widths = list(map(len, header))
+    spiking = list(map(_is_spike_row, trace.rows))
+    for row, spikes in zip(trace.rows, spiking):
+        start = min(row.valid_from, duration)
+        if not spikes:
+            cells = row.cells[start:duration]
+            widths[start:start + len(cells)] = map(max, widths[start:], map(len, cells))
+    # column t ends at ends[t + 1] after the label; runs ends each run
+    ends = list(accumulate([w + 1 for w in widths], initial=-1))
+    runs = list(accumulate(len(list(run)) for _, run in groupby(widths)))
+    blank = bytearray(b" " * (ends[-1] + 1))
+    lines = [" ".join(["t (ms)".ljust(label_width),
+                       *map(str.rjust, header, widths)])]
+    for row, spikes in zip(trace.rows, spiking):
+        start = min(row.valid_from, duration)
+        label = row.label.ljust(label_width)
+        if spikes:
+            # " " or "1" per ms: "," or "1," per cell, less the commas
+            marks = (" " * start + (",".join(row.cells[start:duration]) + ",")
+                     .replace("1,", "1").replace(",", " ")).encode()
+            line = bytearray(blank)
+            for a, b in zip([0] + runs, runs):
+                line[ends[a + 1]:ends[b] + 1:widths[a] + 1] = marks[a:b]
+            lines.append(label + line.decode())
+        else:
+            cells = ("",) * start + row.cells[start:duration]
+            lines.append(" ".join([label, *map(str.rjust, cells, widths)]))
     return "\n".join(lines) + "\n"
-
-
-def _describe_changes(row: TraceRow) -> str:
-    cells = masked_cells(row)
-    parts = []
-    previous = ""
-    for t in range(row.valid_from, len(cells)):
-        if cells[t] != previous:
-            parts.append(f"t={t}: {cells[t] or '(blank)'}")
-            previous = cells[t]
-    return ", ".join(parts) if parts else "(blank throughout)"
 
 
 def render_raster(trace: Trace) -> str:
     label_width = max([0] + [len(r.label) for r in trace.rows])
     lines = []
     for row in trace.rows:
+        cells = row.cells[row.valid_from:]
         if _is_spike_row(row):
-            chars = "".join(
-                " " if t < row.valid_from else ("|" if cell else ".")
-                for t, cell in enumerate(row.cells))
-            lines.append(f"{row.label.ljust(label_width)} {chars}")
-        else:
-            lines.append(f"{row.label.ljust(label_width)} {_describe_changes(row)}")
+            text = " " * (len(row.cells) - len(cells)) + "".join(
+                "|" if cell else "." for cell in cells)
+        else:  # the changes of the row
+            text = ", ".join(
+                f"t={t}: {cell or '(blank)'}" for t, (cell, previous) in
+                enumerate(zip(cells, ("", *cells)), row.valid_from)
+                if cell != previous) or "(blank throughout)"
+        lines.append(f"{row.label.ljust(label_width)} {text}")
     return "\n".join(lines) + "\n"
 
 

@@ -155,6 +155,7 @@ NON_ASCII_STIMULUS = "NON_ASCII_STIMULUS"
     ["resources", "encoder", "--n", "10000000000"],
     ["verify", "memory", "--registers", "10000000000"],
     ["run", "memory", "--stimulus", NON_ASCII_STIMULUS],
+    ["run", "memory", "--duration-ms", "100000000"],
 ], ids=" ".join)
 def test_bad_size_is_usage_error(argv, capsys, tmp_path):
     stimulus = tmp_path / "bad.csv"
@@ -167,3 +168,11 @@ def test_bad_size_is_usage_error(argv, capsys, tmp_path):
     assert len([line for line in err.splitlines()
                 if line.startswith("error:")]) == 1
 
+
+
+def test_run_refuses_a_trace_over_the_cap(capsys):
+    # 10^8 ms of 3 inputs and 6 latch outputs, refused before it is run
+    assert run_cli("run", "d-latch", "--duration-ms", "100000000") == 2
+    assert capsys.readouterr().err == (
+        "error: a 100,000,000 ms run of 9 signals holds 900,000,000 trace "
+        "cells, more than the 10,000,000 a run may hold\n")

@@ -1,9 +1,13 @@
 """Experiments, stimulus files, exports, verification reports."""
 
+import csv
+import io
+import random
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spikelogic import harness, netlist
 from spikelogic.harness import (
@@ -142,6 +146,21 @@ class TestExports:
         with pytest.raises(ValueError):
             export_spikes({}, format="xml")
 
+    @given(st.dictionaries(
+        st.text(' ,"\r\nab\u00e9', max_size=4),
+        st.lists(st.integers(0, 30), max_size=8, unique=True).map(sorted),
+        max_size=6))
+    def test_csv_matches_sorted_rows(self, signal_times):
+        # the export as it was: every (time, name) row sorted, then written
+        # by the csv module, which also decides how each name is quoted
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(["signal", "time_ms"])
+        for t, name in sorted((t, name) for name, times in signal_times.items()
+                              for t in times):
+            writer.writerow([name, t])
+        assert export_spikes(signal_times) == out.getvalue()
+
     def test_stimulus_csv_round_trip(self):
         times = {"store": (1, 3), "data1": (2,)}
         assert parse_stimulus(export_spikes(times)) == times
@@ -223,6 +242,27 @@ def test_pipelined_check_reports_first_wrong_output(monkeypatch):
     check = check_pipelined("decoder", "fast", (2,), [0, 1, 2, 3], "shifted")
     assert not check.ok
     assert check.detail == "signal ch0, unexpected at [3, 7, 8], missing at [6]"
+    # more than five of each: the first five are listed
+    check = check_pipelined("decoder", "fast", (2,), [0, 1, 2, 3] * 6, "shifted")
+    assert check.detail == ("signal ch0, unexpected at [3, 7, 11, 15, 19], "
+                            "missing at [6, 10, 14, 18, 22]")
+    # channels 2 and 3 swapped: ch0 and ch1 match, ch2 is reported
+    swapped = replace(BLOCKS["decoder"], oracle=lambda words, n: [
+        1 << {2: 3, 3: 2}.get(w, w) for w in words])
+    monkeypatch.setitem(BLOCKS, "decoder", swapped)
+    check = check_pipelined("decoder", "classic", (2,), [0, 1, 2, 3, 3, 1, 2],
+                            "swapped")
+    assert check.detail == "signal ch2, unexpected at [6, 10], missing at [7, 8]"
+    # a memory (classic, latency 6) whose oracle runs one word late
+    memory = BLOCKS["memory"].oracle
+    late = replace(BLOCKS["memory"], oracle=lambda words, r, c: [
+        0, *memory(words, r, c)[:-1]])
+    monkeypatch.setitem(BLOCKS, "memory", late)
+    rng = random.Random(3)
+    check = check_pipelined("memory", "classic", (3, 2),
+                            [rng.randrange(2 ** 4) for _ in range(40)], "late")
+    assert check.detail == ("signal q1_0, unexpected at [26, 33, 44, 46], "
+                            "missing at [27, 39, 45]")
 
 
 def test_measure_latency_full_table():
@@ -281,11 +321,23 @@ SIZED = [(kind, size) for kind in BLOCK_KINDS
 @pytest.mark.parametrize("kind, size", SIZED,
                          ids=[f"{kind}-{size}" for kind, size in SIZED])
 def test_block_query_prices_the_built_block(kind, size, ak):
-    if not BLOCKS[kind].and_stage:
-        ak = None
+    ak, _ = harness.block_config(kind, ak)  # None without an AND stage
     query = harness.block_query(kind, ak, size)
     built = build_block(Network(), kind, ak, size)
     if kind == "memory" and size[0] != 2 ** size[0].bit_length() - 1:
         assert query.form == "m" and (query.r, query.c) == size
     else:
         assert reconcile(built, query).ok
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_trace_cap_counts_every_signal(name, monkeypatch):
+    # the cap is checked on duration x (inputs + recorded outputs), the
+    # signals the run exports
+    result = run_experiment(name)
+    cells = result.duration_ms * len(result.signal_times)
+    monkeypatch.setattr(harness, "MAX_TRACE_CELLS", cells)
+    assert run_experiment(name).passed
+    monkeypatch.setattr(harness, "MAX_TRACE_CELLS", cells - 1)
+    with pytest.raises(ValueError, match=f"holds {cells:,} trace cells"):
+        run_experiment(name)

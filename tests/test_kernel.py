@@ -6,6 +6,7 @@ equal the one the reference kernel steps out, spike for spike.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from spikelogic.harness import (
 from spikelogic.sim import Network, NeuronParams, Simulation, SpikeRecord
 
 
-def stepped(net: Network, duration_ms: int) -> SpikeRecord:
+def stepped_times(net: Network, duration_ms: int) -> dict[int, tuple[int, ...]]:
     """Step the reference Simulation and collect the recorded ids."""
     recorded = set(net.recorded)
     collected: dict[int, list[int]] = {eid: [] for eid in sorted(recorded)}
@@ -31,12 +32,24 @@ def stepped(net: Network, duration_ms: int) -> SpikeRecord:
         for eid in simulation.step():
             if eid in recorded:
                 collected[eid].append(now)
-    return SpikeRecord(duration_ms, {k: tuple(v) for k, v in collected.items()})
+    return {k: tuple(v) for k, v in collected.items()}
 
 
-def assert_matches_reference(net: Network, duration_ms: int) -> SpikeRecord:
-    record = net.run(duration_ms)
-    assert record == stepped(net, duration_ms)
+def assert_matches_reference(net: Network, duration_ms: int,
+                             record: SpikeRecord | None = None) -> SpikeRecord:
+    """Check record (by default net.run's) against the stepped times: its
+    trains against trains built here from those times, the record
+    against one built from them, and its derived times and spikes."""
+    if record is None:
+        record = net.run(duration_ms)
+    times = stepped_times(net, duration_ms)
+    assert record.trains == {eid: sum(1 << t for t in spikes)
+                             for eid, spikes in times.items()}
+    assert record == SpikeRecord(duration_ms, times)
+    assert {eid: record.times(eid) for eid in times} == times
+    assert dict(record.spikes) == times
+    with pytest.raises(TypeError):
+        record.spikes[-1] = ()
     return record
 
 
@@ -158,7 +171,7 @@ def test_check_pipelined_networks(kind, and_kind, monkeypatch):
     check_pipelined(kind, ak, size,
                     [rng.randrange(2 ** width) for _ in range(40)], kind)
     ((net, record),) = runs
-    assert record == stepped(net, record.duration_ms)
+    assert_matches_reference(net, record.duration_ms, record)
 
 
 @pytest.mark.parametrize("and_kind", ["classic", "fast"])
@@ -166,4 +179,21 @@ def test_check_pipelined_networks(kind, and_kind, monkeypatch):
 def test_canned_experiments(name, and_kind):
     result = run_experiment(name, ExperimentConfig(and_kind=and_kind))
     assert result.passed
-    assert result.record == stepped(result.net, result.duration_ms)
+    assert_matches_reference(result.net, result.duration_ms, result.record)
+
+
+def test_run_memory_does_not_grow_with_the_duration():
+    # one neuron that spikes once: a run of 4 * 10^6 ms holds a few
+    # trains of 4 * 10^6 bits (0.5 MB each), and no per-ms objects
+    net = Network()
+    nid = net.add_neuron()
+    net.connect(net.add_source([1]), nid, 1, 1)
+    net.record(nid)
+    tracemalloc.start()
+    try:
+        record = net.run(4_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert record.trains == {nid: 1 << 2}
+    assert peak < 8 * 2 ** 20
