@@ -12,7 +12,8 @@ each side runs its own perfbench/ unchanged.
 
 BENCH_<NAME>.json, written at the root of this tree, holds every run
 (workload, pair, side, which side went first, exit status, and the
-machine, detail and result lines) and a summary: per workload and
+machine, detail and result lines), each side's commit and sha256 of its
+src/ tree, and a summary: per workload and
 end-to-end metric, the median and quartiles of each side and the pairs
 this tree won; per workload and per-layer metric, each side's traced
 value.
@@ -24,6 +25,7 @@ usage error, such as a baseline without perfbench/run.py.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -43,6 +45,24 @@ def describe(checkout: Path) -> str | None:
     proc = subprocess.run(["git", "describe", "--always", "--dirty"],
                           cwd=checkout, capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def src_digest(checkout: Path) -> str:
+    """sha256 of the checkout's src/ tree, less __pycache__, as this prints
+    it in the checkout: it names the code a side ran where describe()
+    cannot, as in a `git archive` copy.
+
+        find src -type f ! -path '*/__pycache__/*' | LC_ALL=C sort \\
+            | xargs sha256sum | sha256sum
+    """
+    files = [path.relative_to(checkout) for path in (checkout / "src").rglob("*")
+             if path.is_file()]
+    paths = sorted(path.as_posix() for path in files
+                   if "__pycache__" not in path.parts)
+    listing = "".join(
+        f"{hashlib.sha256((checkout / path).read_bytes()).hexdigest()}  {path}\n"
+        for path in paths)
+    return hashlib.sha256(listing.encode()).hexdigest()
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int,
@@ -152,6 +172,7 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed,
         "run_seconds": spec["run_seconds"],
         "commits": {side: describe(path) for side, path in checkouts.items()},
+        "src_sha256": {side: src_digest(path) for side, path in checkouts.items()},
         "machine": machine,
         "summary": summarize(runs, spec, workloads),
         "runs": runs,

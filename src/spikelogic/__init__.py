@@ -53,7 +53,7 @@ from .oracles import (
     memory_states,
     mux_output,
 )
-from .trace import Trace, TraceRow, render_trace
+from .trace import SpikeRow, Trace, TraceRow, render_trace
 from .harness import (
     DEFAULT_SEED,
     EXPERIMENTS,

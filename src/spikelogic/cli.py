@@ -109,12 +109,11 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _write_outputs(result: ExperimentResult, out_dir: Path,
-                   table: str) -> None:
+                   table: str, csv: str) -> None:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "trace.txt").write_text(table, encoding="ascii")
-        (out_dir / "spikes.csv").write_text(
-            export_spikes(result.signal_times), encoding="ascii")
+        (out_dir / "spikes.csv").write_text(csv, encoding="ascii")
         annotations = {"experiment": result.name,
                        "and_kind": result.and_kind,
                        "params": result.params,
@@ -144,15 +143,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
             else render_trace(result.trace, style=args.format))
     print(text, end="")
     if args.out is not None:
-        # trace.txt holds the table: reuse it if stdout got the table too
+        # trace.txt holds the table and spikes.csv the CSV: reuse the one
+        # stdout got
         table = text if args.format == "table" else render_trace(result.trace)
-        _write_outputs(result, args.out, table)
+        csv = text if args.format == "csv" else export_spikes(result.signal_times)
+        _write_outputs(result, args.out, table, csv)
     return status
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
     result, status = _run_checked(args)
-    _write_outputs(result, args.out, render_trace(result.trace))
+    _write_outputs(result, args.out, render_trace(result.trace),
+                   export_spikes(result.signal_times))
     print(f"wrote trace.txt, spikes.csv, netlist.json to {args.out}")
     if status:
         print("warning: experiment checks failed", file=sys.stderr)

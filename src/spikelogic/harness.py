@@ -70,7 +70,7 @@ from .resources import (
     reconcile,
 )
 from .sim import Network, SpikeRecord, spike_train
-from .trace import Trace, TraceRow, hex_word_row, spike_row, value_row
+from .trace import SpikeRow, Trace, hex_word_row, spike_row, value_row
 
 EXPERIMENTS = ("decoder-encoder", "mux-demux", "d-latch", "memory")
 
@@ -239,13 +239,13 @@ def _expect_delayed(record: SpikeRecord, outputs: Mapping[str, int],
 
 
 def _spike_rows(record: SpikeRecord, outputs: Mapping[str, int],
-                valid_from: int) -> list[TraceRow]:
+                valid_from: int) -> list[SpikeRow]:
     return [spike_row(name, record.trains[eid], record.duration_ms, valid_from)
             for name, eid in outputs.items()]
 
 
 def _input_rows(inputs: Mapping[str, Sequence[int]],
-                duration: int) -> list[TraceRow]:
+                duration: int) -> list[SpikeRow]:
     return [spike_row(name, spike_train(t for t in times if t < duration), duration)
             for name, times in inputs.items()]
 

@@ -88,12 +88,18 @@ def _entries(entry, key: str, where: str = "netlist") -> list:
 
 def from_document(doc: dict) -> tuple[Network, dict]:
     """Rebuild a network from a document; returns (net, annotations). A
-    missing field, a value of the wrong type or a non-list entity table
-    raises ValueError."""
+    missing field, a value of the wrong type, a non-list entity table or
+    non-object annotations raise ValueError."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError(f"not a {FORMAT} document")
-    if doc.get("version") != VERSION:
-        raise ValueError(f"unsupported netlist version {doc.get('version')!r}")
+    version = doc.get("version")
+    # type() rather than ==: true and 1.0 equal 1 but are not the version
+    if type(version) is not int or version != VERSION:
+        raise ValueError(f"unsupported netlist version {version!r}")
+    annotations = doc.get("annotations", {})
+    if not isinstance(annotations, dict):
+        raise ValueError("netlist field 'annotations' must be an object, "
+                         f"not {annotations!r}")
     neuron_entries = {_id(entry, "neuron entry"): entry
                       for entry in _entries(doc, "neurons")}
     source_entries = {_id(entry, "source entry"): entry
@@ -119,11 +125,47 @@ def from_document(doc: dict) -> tuple[Network, dict]:
         net.connect(*(_field(syn, key, f"synapse {k}") for key in
                       ("source", "target", "weight_quanta", "delay_ms")))
     net.record(*_entries(doc, "recorded"))
-    return net, doc.get("annotations", {})
+    return net, annotations
+
+
+# dumps writes what json.dumps(to_document(...), indent=2) writes, which
+# runs the pure-Python encoder: one template per neuron and per synapse,
+# whose fields are all ints (the Network checks them), and json.dumps
+# for the rest
+_NEURON = ('    {\n      "id": %d,\n      "threshold_quanta": %d,\n'
+           '      "refractory_ms": %d,\n      "carryover_factor": %s\n    }')
+_SOURCE = '    {\n      "id": %d,\n      "times": %s\n    }'
+_SYNAPSE = ('    {\n      "source": %d,\n      "target": %d,\n'
+            '      "weight_quanta": %d,\n      "delay_ms": %d\n    }')
+
+
+def _ints(values, depth: int) -> str:
+    """A list of ints as json.dumps(indent=2) writes it at the given depth,
+    from the one-line (C-encoded) text."""
+    if not values:
+        return "[]"
+    pad = "\n" + "  " * depth
+    items = json.dumps(list(values))[1:-1].replace(", ", "," + pad + "  ")
+    return "[" + pad + "  " + items + pad + "]"
+
+
+def _table(entries: list[str]) -> str:
+    return "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
 
 
 def dumps(net: Network, annotations: dict | None = None) -> str:
-    return json.dumps(to_document(net, annotations), indent=2) + "\n"
+    neurons = [_NEURON % (nid, params.threshold_quanta, params.refractory_ms,
+                          json.dumps(str(params.carryover_factor)))
+               for nid, params in sorted(net.neurons.items())]
+    sources = [_SOURCE % (sid, _ints(times, 3))
+               for sid, times in sorted(net.sources.items())]
+    annotations = json.dumps(annotations or {}, indent=2).replace("\n", "\n  ")
+    return (f'{{\n  "format": {json.dumps(FORMAT)},\n  "version": {VERSION},\n'
+            f'  "neurons": {_table(neurons)},\n'
+            f'  "sources": {_table(sources)},\n'
+            f'  "synapses": {_table([_SYNAPSE % syn for syn in net.synapses])},\n'
+            f'  "recorded": {_ints(net.recorded, 1)},\n'
+            f'  "annotations": {annotations}\n}}\n')
 
 
 def loads(text: str) -> tuple[Network, dict]:

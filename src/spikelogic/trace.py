@@ -1,9 +1,10 @@
 """Millisecond-grid trace assembly and text rendering.
 
 A trace is a bundle of named rows over a shared time axis. Spike rows
-show a 1 in every millisecond the signal fired; derived rows carry
-arbitrary cell text, e.g. a register's contents as hex computed by
-binary-weighting its bit rows. Each row masks everything before its
+keep their spike train and show a 1 in every millisecond the signal
+fired; derived rows carry arbitrary cell text, e.g. a register's
+contents as hex computed by binary-weighting its bit rows. Each row
+masks everything before its
 valid_from timestep, which is how start-up transients of CSS-driven
 outputs are kept out of rendered output and golden files.
 
@@ -25,21 +26,57 @@ from typing import Sequence
 from .sim import _flags
 
 _SPIKE_CELLS = frozenset(("", "1"))
+_TABLE_MARKS = bytes.maketrans(b"0", b" ")
+_RASTER_MARKS = str.maketrans("01", ".|")
+
+
+def _check_valid_from(valid_from: int) -> None:
+    # type() rather than isinstance(): a bool is an int, not a time
+    if type(valid_from) is not int or valid_from < 0:
+        raise ValueError(f"valid_from must be an integer >= 0, not {valid_from!r}")
 
 
 @dataclass(frozen=True)
 class TraceRow:
+    """A row of cell text, one cell per ms."""
+
     label: str
     cells: tuple[str, ...]
     valid_from: int = 0
+
+    def __post_init__(self) -> None:
+        _check_valid_from(self.valid_from)
+
+
+@dataclass(frozen=True)
+class SpikeRow:
+    """A row of spikes over duration_ms: its train (bit t: a spike at t),
+    with no bit from duration_ms on. cells derives the row's cells, "1"
+    where it spikes and "" elsewhere, on demand."""
+
+    label: str
+    train: int
+    duration_ms: int
+    valid_from: int = 0
+
+    def __post_init__(self) -> None:
+        _check_valid_from(self.valid_from)
+        if self.train < 0 or self.train >> self.duration_ms:
+            raise ValueError("a spike row's train must lie in [0, 2**duration_ms)")
+
+    @property
+    def cells(self) -> tuple[str, ...]:
+        # its digits as "1," or ",", split at the commas
+        return tuple(_digits(self.train, self.duration_ms)
+                     .replace("1", "1,").replace("0", ",").split(",")[:-1])
 
 
 @dataclass(frozen=True)
 class Trace:
     duration_ms: int
-    rows: tuple[TraceRow, ...] = ()
+    rows: tuple[TraceRow | SpikeRow, ...] = ()
 
-    def row(self, label: str) -> TraceRow:
+    def row(self, label: str) -> TraceRow | SpikeRow:
         for row in self.rows:
             if row.label == label:
                 return row
@@ -47,13 +84,9 @@ class Trace:
 
 
 def spike_row(label: str, train: int, duration_ms: int,
-              valid_from: int = 0) -> TraceRow:
-    """A 1 in every ms where the train (bit t: a spike at t) is set: its
-    digits as "1," or ",", split at the commas."""
-    digits = format(train, "b")[::-1]
-    cells = digits.replace("1", "1,").replace("0", ",").split(",")[:duration_ms]
-    return TraceRow(label, tuple(cells) + ("",) * (duration_ms - len(cells)),
-                    valid_from)
+              valid_from: int = 0) -> SpikeRow:
+    """The row of a train, less its spikes from duration_ms on."""
+    return SpikeRow(label, train & ~(-1 << duration_ms), duration_ms, valid_from)
 
 
 def value_row(label: str, values: Sequence[object],
@@ -78,8 +111,19 @@ def hex_word_row(label: str, bit_trains: Sequence[int],
     return TraceRow(label, tuple(map(cells.__getitem__, words)), valid_from)
 
 
-def _is_spike_row(row: TraceRow) -> bool:
-    return _SPIKE_CELLS.issuperset(row.cells)
+def _digits(train: int, length: int) -> str:
+    """The train over length ms, "1" where it spikes and "0" elsewhere."""
+    return format(train, "b")[::-1][:length].ljust(length, "0")
+
+
+def _spike_digits(row: TraceRow | SpikeRow) -> str | None:
+    """A spike row's digits, "1" where it spikes and "0" elsewhere, one per
+    ms; also of a row whose cells are all "" or "1". None for any other."""
+    if isinstance(row, SpikeRow):
+        return _digits(row.train, row.duration_ms)
+    if _SPIKE_CELLS.issuperset(row.cells):
+        return "".join(["1" if cell else "0" for cell in row.cells])
+    return None
 
 
 def render_table(trace: Trace) -> str:
@@ -89,10 +133,10 @@ def render_table(trace: Trace) -> str:
     duration = trace.duration_ms
     header = [str(t) for t in range(duration)]
     widths = list(map(len, header))
-    spiking = list(map(_is_spike_row, trace.rows))
-    for row, spikes in zip(trace.rows, spiking):
+    spiking = list(map(_spike_digits, trace.rows))
+    for row, digits in zip(trace.rows, spiking):
         start = min(row.valid_from, duration)
-        if not spikes:
+        if digits is None:
             cells = row.cells[start:duration]
             widths[start:start + len(cells)] = map(max, widths[start:], map(len, cells))
     # column t ends at ends[t + 1] after the label; runs ends each run
@@ -101,13 +145,13 @@ def render_table(trace: Trace) -> str:
     blank = bytearray(b" " * (ends[-1] + 1))
     lines = [" ".join(["t (ms)".ljust(label_width),
                        *map(str.rjust, header, widths)])]
-    for row, spikes in zip(trace.rows, spiking):
+    for row, digits in zip(trace.rows, spiking):
         start = min(row.valid_from, duration)
         label = row.label.ljust(label_width)
-        if spikes:
-            # " " or "1" per ms: "," or "1," per cell, less the commas
-            marks = (" " * start + (",".join(row.cells[start:duration]) + ",")
-                     .replace("1,", "1").replace(",", " ")).encode()
+        if digits is not None:
+            # " " or "1" per ms
+            marks = ("0" * start + digits[start:duration]).ljust(
+                duration, "0").encode().translate(_TABLE_MARKS)
             line = bytearray(blank)
             for a, b in zip([0] + runs, runs):
                 line[ends[a + 1]:ends[b] + 1:widths[a] + 1] = marks[a:b]
@@ -122,11 +166,12 @@ def render_raster(trace: Trace) -> str:
     label_width = max([0] + [len(r.label) for r in trace.rows])
     lines = []
     for row in trace.rows:
-        cells = row.cells[row.valid_from:]
-        if _is_spike_row(row):
-            text = " " * (len(row.cells) - len(cells)) + "".join(
-                "|" if cell else "." for cell in cells)
+        digits = _spike_digits(row)
+        if digits is not None:
+            start = min(row.valid_from, len(digits))
+            text = " " * start + digits[start:].translate(_RASTER_MARKS)
         else:  # the changes of the row
+            cells = row.cells[row.valid_from:]
             text = ", ".join(
                 f"t={t}: {cell or '(blank)'}" for t, (cell, previous) in
                 enumerate(zip(cells, ("", *cells)), row.valid_from)

@@ -86,6 +86,23 @@ def test_export_writes_files(tmp_path):
     assert net.run(4).duration_ms == 4
 
 
+def test_run_csv_with_out_writes_the_printed_csv(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return export(*args, **kwargs)
+
+    export = cli.export_spikes
+    monkeypatch.setattr(cli, "export_spikes", counted)
+    out_dir = tmp_path / "exp"
+    assert run_cli("run", "d-latch", "--format", "csv", "--out", str(out_dir)) == 0
+    out = capsys.readouterr().out
+    assert len(calls) == 1
+    assert (out_dir / "spikes.csv").read_bytes() == \
+        out[out.index("signal,time_ms"):].encode("ascii")
+
+
 def test_run_with_stimulus(tmp_path, capsys):
     stim = tmp_path / "stim.csv"
     stim.write_text("signal,time_ms\nstore,2\ndata1,2\n", encoding="ascii")

@@ -6,9 +6,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spikelogic import netlist
-from spikelogic.harness import ExperimentConfig, run_experiment
+from spikelogic.harness import ExperimentConfig, run_experiment, shuffle_synapses
 from spikelogic.blocks import build_decoder
 from spikelogic.gates import build_css, drive
 from spikelogic.sim import Network, NeuronParams
@@ -143,6 +144,10 @@ MALFORMED = {
     "synapse-float-delay": (_first_with("synapses", "delay_ms", 1.5), "delay_ms"),
     "synapse-list-source": (_first_with("synapses", "source", [0]), "source"),
     "recorded-list-id": (lambda doc: dict(doc, recorded=[[0]]), "entity id"),
+    "version-true": (lambda doc: dict(doc, version=True), "version"),
+    "version-float": (lambda doc: dict(doc, version=1.0), "version"),
+    "annotations-list": (lambda doc: dict(doc, annotations=[1, 2]), "annotations"),
+    "annotations-null": (lambda doc: dict(doc, annotations=None), "annotations"),
 }
 
 
@@ -154,3 +159,74 @@ def test_malformed_documents_raise_value_error(case):
         netlist.from_document(doc)
     with pytest.raises(ValueError, match=named):
         netlist.loads(json.dumps(doc))
+
+
+def test_document_without_annotations_loads_with_empty_ones():
+    doc = netlist.to_document(decoder_net())
+    del doc["annotations"]
+    _, annotations = netlist.from_document(doc)
+    assert annotations == {}
+
+
+# JSON values without NaN (which equals nothing, itself included), with
+# keys and strings that hold non-ASCII and control characters
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=12)
+
+
+@st.composite
+def networks(draw):
+    """A random network: neurons with carryover, thresholds and refractory
+    periods; sources with empty or long schedules; synapses between them;
+    any subset of the entities recorded, none included."""
+    net = Network()
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            net.add_neuron(NeuronParams(
+                threshold_quanta=draw(st.integers(1, 4)),
+                refractory_ms=draw(st.integers(0, 3)),
+                carryover_factor=draw(st.fractions(0, 1, max_denominator=9)
+                                      .filter(lambda f: f < 1))))
+        else:
+            net.add_source(sorted(draw(st.one_of(
+                st.sets(st.integers(0, 30), max_size=4),
+                st.sets(st.integers(0, 400), min_size=40, max_size=60)))))
+    if net.neurons:
+        entities = st.sampled_from(sorted([*net.neurons, *net.sources]))
+        for _ in range(draw(st.integers(0, 12))):
+            net.connect(draw(entities), draw(st.sampled_from(sorted(net.neurons))),
+                        draw(st.integers(-3, 3).filter(bool)),
+                        draw(st.integers(1, 4)))
+    ids = sorted([*net.neurons, *net.sources])
+    net.record(*draw(st.lists(st.sampled_from(ids), unique=True)
+                     if ids else st.just([])))
+    return net
+
+
+@settings(max_examples=60)
+@given(networks(), st.none() | st.dictionaries(st.text(max_size=5), JSON_VALUES,
+                                               max_size=4))
+def test_writer_equals_indented_json_dumps(net, annotations):
+    assert netlist.dumps(net, annotations) == json.dumps(
+        netlist.to_document(net, annotations), indent=2) + "\n"
+
+
+@settings(max_examples=40)
+@given(networks(), st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=4))
+def test_random_network_round_trip_simulates_identically(net, annotations):
+    text = netlist.dumps(net, annotations)
+    assert text.isascii()
+    rebuilt, got = netlist.loads(text)
+    assert got == annotations
+    assert netlist.dumps(rebuilt, got) == text
+    assert rebuilt.run(40) == net.run(40)
+
+
+@settings(max_examples=40)
+@given(networks(), st.integers(0, 2 ** 32))
+def test_random_network_shuffled_synapses_simulate_identically(net, seed):
+    assert shuffle_synapses(net, seed).run(40) == net.run(40)

@@ -1,6 +1,9 @@
 """Smoke tests: the scripts under scripts/ run as a user runs them."""
 
+import hashlib
+import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +37,32 @@ def test_bench_script_without_baseline_checkout_exits_two(tmp_path):
     assert result.returncode == 2
     assert "--baseline" in result.stderr
     assert not (ROOT / "BENCH_absent.json").exists()
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_names_a_checkout_without_git_by_its_src_digest(tmp_path):
+    bench = load_bench()
+    (tmp_path / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "b.py").write_text("B = 2\n")
+    (tmp_path / "src" / "pkg" / "a.py").write_text("A = 1\n")
+    (tmp_path / "src" / "pkg" / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"x")
+    assert bench.describe(tmp_path) is None
+    digest = bench.src_digest(tmp_path)
+    listing = "".join(
+        f"{hashlib.sha256(text.encode()).hexdigest()}  src/pkg/{name}\n"
+        for name, text in (("a.py", "A = 1\n"), ("b.py", "B = 2\n")))
+    assert digest == hashlib.sha256(listing.encode()).hexdigest()
+    if shutil.which("sha256sum"):
+        shell = subprocess.run(
+            "find src -type f ! -path '*/__pycache__/*' | LC_ALL=C sort"
+            " | xargs sha256sum | sha256sum", shell=True, cwd=tmp_path,
+            capture_output=True, text=True, check=True)
+        assert shell.stdout.split()[0] == digest
+    (tmp_path / "src" / "pkg" / "b.py").write_text("B = 3\n")
+    assert bench.src_digest(tmp_path) != digest

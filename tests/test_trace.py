@@ -37,6 +37,29 @@ def test_value_row_none_blank():
     assert value_row("V", [None, 7]).cells == ("", "7")
 
 
+def test_spike_row_keeps_its_train_masked_to_the_duration():
+    row = spike_row("A", 0b1101010, 5)
+    assert row.train == 0b01010
+    assert row.duration_ms == 5
+    assert row.cells == ("", "1", "", "1", "")
+    assert spike_row("E", 0, 3).cells == ("", "", "")
+
+
+# each builder, and TraceRow itself, with a valid_from of -1
+NEGATIVE_VALID_FROM = {
+    "spike_row": lambda: spike_row("A", 0b1010, 5, valid_from=-1),
+    "value_row": lambda: value_row("V", ["", "x"], valid_from=-1),
+    "hex_word_row": lambda: hex_word_row("Reg", [0b1100], 5, valid_from=-1),
+    "TraceRow": lambda: TraceRow("V", ("", "x"), -1),
+}
+
+
+@pytest.mark.parametrize("builder", NEGATIVE_VALID_FROM)
+def test_negative_valid_from_is_rejected(builder):
+    with pytest.raises(ValueError, match="valid_from"):
+        NEGATIVE_VALID_FROM[builder]()
+
+
 def test_table_golden():
     assert render_table(demo_trace()) == (
         "t (ms) 0 1 2  3 4\n"
@@ -158,16 +181,22 @@ LABELS = st.text("abcq_ 0123", min_size=1, max_size=12)
 
 @st.composite
 def traces(draw):
-    """A trace of spike rows from random trains and value rows of cells
-    1-5 characters wide (or blank), each with its own valid_from."""
+    """A trace of spike rows from random trains (which keep them), value
+    rows of "" and "1" cells (which render as spike rows), and value rows
+    of cells 1-5 characters wide (or blank), each with its own valid_from."""
     duration = draw(st.integers(1, 40))
     rows = []
     for _ in range(draw(st.integers(0, 6))):
         label = draw(LABELS)
         valid_from = draw(st.integers(0, duration + 2))
-        if draw(st.booleans()):
-            train = draw(st.integers(0, 2 ** duration - 1))
+        kind = draw(st.sampled_from(["train", "spike cells", "value cells"]))
+        if kind == "train":
+            train = draw(st.integers(0, 2 ** (duration + 2) - 1))
             row = spike_row(label, train, duration, valid_from)
+        elif kind == "spike cells":
+            cells = draw(st.lists(st.sampled_from(["", "1"]),
+                                  min_size=duration, max_size=duration))
+            row = value_row(label, cells, valid_from)
         else:
             cells = draw(st.lists(st.one_of(st.just(""), st.text(
                 "0123456789abcdefx*", min_size=1, max_size=5)),
@@ -182,9 +211,14 @@ def traces(draw):
     st.integers(0, duration + 2))))
 def test_spike_row_matches_reference(case):
     # the train may spike past the duration, which the row leaves out
+    # a spike row keeps its train, so it equals the reference's cells-only
+    # row field by field, not as a dataclass
     duration, train, valid_from = case
-    assert spike_row("s", train, duration, valid_from) == \
-        ref_spike_row("s", times_of(train), duration, valid_from)
+    row = spike_row("s", train, duration, valid_from)
+    ref = ref_spike_row("s", times_of(train), duration, valid_from)
+    assert (row.label, row.valid_from, row.cells) == \
+        (ref.label, ref.valid_from, ref.cells)
+    assert row.train == train & (2 ** duration - 1)
 
 
 # 12 to 70 bits make words of several bytes
