@@ -20,14 +20,18 @@ and memory reports include the CSS they were handed; the D latch report
 deliberately excludes CSS hookups and its optional input inverter so it
 composes cleanly into the memory totals.
 
-A memory's D latches are identical, so only the first runs
-build_d_latch; each of the other r*c - 1 is stamped from it: its entity
-span and synapse span copied at an id offset, with the same params,
-weights, delays and ledger labels, every synapse through
-Network.connect. The copy shares the first latch's resource report. A
-stamp lands where the builder would have put the latch, right after the
-previous latch's two wires, so entity ids and synapse order are those of
-building every latch.
+Identical parts are built once and copied. The 2^n AND gates of a
+select stage (the decoder, and the select half of the mux and demux)
+differ only in their wiring, so only gate 0 runs its AND builder; a
+memory's D latches are identical, so only the first runs
+build_d_latch. gates._copied makes every other gate and latch: the
+template's entity span and synapse span again at an id offset, with the
+same params, weights, delays and ledger labels, every synapse through
+Network.connect. The builder moves the template's taps and outputs by
+the offset instead of making a handle per copy. A memory copies one
+latch at a time, so each lands where building it would have put it,
+right after the previous latch's two wires: entity ids and synapse
+order are those of building every gate and latch.
 """
 
 from __future__ import annotations
@@ -45,10 +49,11 @@ from .gates import (
     build_not,
     build_or,
     build_sr_latch,
+    _copied,
     _mark,
     _require_css,
+    _require_size,
     _spanned,
-    _stamped,
     padded,
     retagged,
     wire,
@@ -116,28 +121,36 @@ def _block(net: Network, start: tuple[int, int], kind: str, and_kind,
     return handle
 
 
-def _select_stage(net: Network, n: int, and_kind: str, css,
-                  fan_in: int) -> tuple[list[Handle], dict]:
+def _select_stage(net: Network, n: int, and_kind: str, css, fan_in: int,
+                  ) -> tuple[list[int], list[tuple[InputTap, ...]], dict]:
     """n inverters plus 2^n coincidence gates wired per the binary
     truth table: channel j's input b sees the direct line when bit b of
-    j is set, the inverted line otherwise."""
-    if n < 1:
-        raise ValueError("select width n must be >= 1")
+    j is set, the inverted line otherwise. Only gate 0 runs its builder;
+    gates 1 to 2^n - 1 are copied from it. Returns each gate's output,
+    each gate's taps (every input port of an AND has the same taps) and
+    the select ports."""
+    _require_size("n", n, 1)
     _require_css(css)
     inverters = [build_not(net, css) for _ in range(n)]
-    gates = [_and_gate(net, and_kind, css, fan_in) for _ in range(2 ** n)]
+    first = _and_gate(net, and_kind, css, fan_in)
+    offsets = [0, *_copied(net, first, 2 ** n - 1)]
+    taps = first.input_taps("in0")
+    gate_taps = [padded(taps, 0, offset) for offset in offsets]
+    direct_taps = [padded(taps, 1, offset) for offset in offsets]
+    category = f"NOT to AND ({and_kind})"
     select_ports: dict[str, tuple[InputTap, ...]] = {}
-    for b in range(n):
-        taps = list(inverters[b].input_taps("in"))
-        for j, gate in enumerate(gates):
-            gate_taps = gate.input_taps(f"in{b}")
+    for b, inverter in enumerate(inverters):
+        ports, inverted = list(inverter.input_taps("in")), []
+        for j in range(2 ** n):
             if (j >> b) & 1:
-                taps.extend(padded(gate_taps, 1))
+                ports.extend(direct_taps[j])
             else:
-                wire(net, inverters[b].output(), gate_taps,
-                     category=f"NOT to AND ({and_kind})")
-        select_ports[f"s{b}"] = tuple(taps)
-    return gates, select_ports
+                inverted.extend(gate_taps[j])
+        # one call, in channel order: the synapse order of gate-by-gate wiring
+        wire(net, inverter.output(), inverted, category=category)
+        select_ports[f"s{b}"] = tuple(ports)
+    out = first.output()
+    return [out + offset for offset in offsets], gate_taps, select_ports
 
 
 def build_decoder(net: Network, n: int, and_kind, css) -> Handle:
@@ -145,10 +158,10 @@ def build_decoder(net: Network, n: int, and_kind, css) -> Handle:
     select line does (the non-operation channel)."""
     ak = and_kind_name(and_kind)
     start = _mark(net)
-    gates, select_ports = _select_stage(net, n, ak, css, n)
-    outputs = {f"ch{j}": gate.output() for j, gate in enumerate(gates)}
+    outputs, _, select_ports = _select_stage(net, n, ak, css, n)
     return _block(net, start, "decoder", ak, {"n": n},
-                  PortMap(select_ports, outputs))
+                  PortMap(select_ports, {f"ch{j}": out
+                                         for j, out in enumerate(outputs)}))
 
 
 def build_encoder(net: Network, num_inputs: int) -> Handle:
@@ -157,8 +170,7 @@ def build_encoder(net: Network, num_inputs: int) -> Handle:
     Input 0 is deliberately unconnected, so driving it changes nothing
     and an all-silent input reads as index 0. Simultaneously active
     inputs combine as the bitwise OR of their indices."""
-    if num_inputs < 2:
-        raise ValueError("encoder needs at least 2 inputs")
+    _require_size("num_inputs", num_inputs, 2)
     start = _mark(net)
     width = (num_inputs - 1).bit_length()
     fan_ins = [
@@ -185,13 +197,11 @@ def build_multiplexer(net: Network, n: int, and_kind, css) -> Handle:
     line is forwarded, everything else is dropped."""
     ak = and_kind_name(and_kind)
     start = _mark(net)
-    gates, ports_in = _select_stage(net, n, ak, css, n + 1)
+    outputs, gate_taps, ports_in = _select_stage(net, n, ak, css, n + 1)
     collector = build_or(net, 2 ** n)
-    for j, gate in enumerate(gates):
-        ports_in[f"d{j}"] = retagged(padded(gate.input_taps(f"in{n}"), 1),
-                                     f"Data inputs to AND ({ak})")
-        wire(net, gate.output(), collector.input_taps(f"in{j}"),
-             category="AND to OR")
+    for j, (out, taps) in enumerate(zip(outputs, gate_taps)):
+        ports_in[f"d{j}"] = retagged(padded(taps, 1), f"Data inputs to AND ({ak})")
+        wire(net, out, collector.input_taps(f"in{j}"), category="AND to OR")
     return _block(net, start, "multiplexer", ak, {"n": n},
                   PortMap(ports_in, {"out": collector.output()}))
 
@@ -200,15 +210,14 @@ def build_demultiplexer(net: Network, n: int, and_kind, css) -> Handle:
     """One data line routed to the channel named by the n select lines."""
     ak = and_kind_name(and_kind)
     start = _mark(net)
-    gates, ports_in = _select_stage(net, n, ak, css, n + 1)
+    outputs, gate_taps, ports_in = _select_stage(net, n, ak, css, n + 1)
     data_taps: list[InputTap] = []
-    for gate in gates:
-        data_taps.extend(retagged(padded(gate.input_taps(f"in{n}"), 1),
-                                  f"Data inputs to AND ({ak})"))
+    for taps in gate_taps:
+        data_taps.extend(retagged(padded(taps, 1), f"Data inputs to AND ({ak})"))
     ports_in["d"] = tuple(data_taps)
-    outputs = {f"ch{j}": gate.output() for j, gate in enumerate(gates)}
     return _block(net, start, "demultiplexer", ak, {"n": n},
-                  PortMap(ports_in, outputs))
+                  PortMap(ports_in, {f"ch{j}": out
+                                     for j, out in enumerate(outputs)}))
 
 
 def build_d_latch(net: Network, and_kind, css,
@@ -275,28 +284,32 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
     becomes visible on the q outputs after the block latency.
     """
     ak = and_kind_name(and_kind)
+    _require_size("registers", registers, 1)
+    _require_size("bits", bits, 1)
     geometry = MemoryGeometry(registers, bits, registers.bit_length())
     start = _mark(net)
     decoder = build_decoder(net, geometry.depth, ak, css)
     column_nots = [build_not(net, css) for _ in range(bits)]
-    # row-major: latch k stores bit k % bits of register k // bits + 1
-    latches: list[Handle] = []
-    for i in range(1, registers + 1):
-        strobe = decoder.output(f"ch{i}")
-        for j in range(bits):
-            latch = (_stamped(net, latches[0]) if latches
-                     else build_d_latch(net, ak, css, with_input_not=False))
-            wire(net, strobe, latch.input_taps("store"))
-            wire(net, column_nots[j].output(), latch.input_taps("data_not"),
-                 extra_delay_ms=decoder.latency_ms - 1)
-            latches.append(latch)
+    # row-major: latch k stores bit k % bits of register k // bits + 1;
+    # latch 0 is built, latch k > 0 is a copy of it offsets[k] ids on
+    latch = build_d_latch(net, ak, css, with_input_not=False)
+    store, data_not = latch.input_taps("store"), latch.input_taps("data_not")
+    offsets: list[int] = []
+    for k in range(registers * bits):
+        offset = _copied(net, latch, 1)[0] if k else 0
+        wire(net, decoder.output(f"ch{k // bits + 1}"), padded(store, 0, offset))
+        wire(net, column_nots[k % bits].output(), padded(data_not, 0, offset),
+             extra_delay_ms=decoder.latency_ms - 1)
+        offsets.append(offset)
     inputs = dict(decoder.ports.inputs)
+    data = latch.input_taps("data")
     for j in range(bits):
         taps = list(retagged(column_nots[j].input_taps("in"), "Data to NOT"))
-        for latch in latches[j::bits]:
-            taps.extend(padded(latch.input_taps("data"), decoder.latency_ms))
+        for offset in offsets[j::bits]:
+            taps.extend(padded(data, decoder.latency_ms, offset))
         inputs[f"d{j}"] = tuple(taps)
-    outputs = {f"q{k // bits + 1}_{k % bits}": latch.output("q")
-               for k, latch in enumerate(latches)}
+    q = latch.output("q")
+    outputs = {f"q{k // bits + 1}_{k % bits}": q + offset
+               for k, offset in enumerate(offsets)}
     return _block(net, start, "memory", ak, {"r": registers, "c": bits},
                   PortMap(inputs, outputs), decoder=decoder)

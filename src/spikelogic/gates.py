@@ -95,12 +95,14 @@ def _spanned(net: Network, start: tuple[int, int], kind: str, ports: PortMap,
                   range(start[1], end[1]), **fields)
 
 
-def padded(taps: tuple[InputTap, ...], extra_delay_ms: int) -> tuple[InputTap, ...]:
-    """Copies of taps with extra delay, used to align converging paths."""
-    if extra_delay_ms == 0:
+def padded(taps: tuple[InputTap, ...], extra_delay_ms: int,
+           offset: int = 0) -> tuple[InputTap, ...]:
+    """Copies of taps with extra delay, used to align converging paths,
+    and with targets offset ids on: the taps of a copy made by _copied."""
+    if extra_delay_ms == 0 and offset == 0:
         return tuple(taps)
-    return tuple(InputTap(t.target, t.weight_quanta, t.delay_ms + extra_delay_ms,
-                          t.category) for t in taps)
+    return tuple(InputTap(t.target + offset, t.weight_quanta,
+                          t.delay_ms + extra_delay_ms, t.category) for t in taps)
 
 
 def retagged(taps: tuple[InputTap, ...], category: str) -> tuple[InputTap, ...]:
@@ -108,33 +110,27 @@ def retagged(taps: tuple[InputTap, ...], category: str) -> tuple[InputTap, ...]:
                  for t in taps)
 
 
-def _stamped(net: Network, template: Handle) -> Handle:
-    """A copy of a block of neurons appended to net, without running its
-    builder: the template's entity span and synapse span again at an id
-    offset, with the same params, weights, delays and ledger labels, in
-    the same order. Every synapse of a block lands on one of its own
+def _copied(net: Network, template: Handle, count: int) -> range:
+    """Append count copies of a block of neurons to net, one after the
+    other, without running its builder: the template's entity span and
+    synapse span again at an id offset, with the same params, weights,
+    delays and ledger labels, in the same order, every synapse through
+    Network.connect. Every synapse of a block lands on one of its own
     neurons, and so does every port; a synapse from outside the span (a
-    CSS phase) keeps its source. The copy's ports are the template's,
-    shifted, and it shares the template's resource report."""
-    start = _mark(net)
-    entities = template.entities
-    offset = start[0] - entities.start
-    for eid in entities:
-        net.add_neuron(net.neurons[eid])
-    span = template.synapses
-    for (source, target, weight, delay), category in zip(
-            net.synapses[span.start:span.stop], net.categories[span.start:span.stop]):
-        net.connect(source + offset if source in entities else source,
-                    target + offset, weight, delay, category)
-    ports = PortMap(
-        {name: tuple(InputTap(target + offset, weight, delay, category)
-                     for target, weight, delay, category in taps)
-         for name, taps in template.ports.inputs.items()},
-        {name: eid + offset for name, eid in template.ports.outputs.items()})
-    return _spanned(net, start, template.kind, ports, template.latency_ms,
-                    and_kind=template.and_kind, params=template.params,
-                    resources=template.resources,
-                    data_latency_ms=template.data_latency_ms)
+    CSS phase) keeps its source. Returns the copies' id offsets: copy
+    k's ids, ports included, are the template's plus offsets[k]."""
+    entities, span = template.entities, template.synapses
+    first = _mark(net)[0] - entities.start
+    offsets = range(first, first + count * len(entities), len(entities))
+    for offset in offsets:
+        for eid in entities:
+            net.add_neuron(net.neurons[eid])
+        for (source, target, weight, delay), category in zip(
+                net.synapses[span.start:span.stop],
+                net.categories[span.start:span.stop]):
+            net.connect(source + offset if source in entities else source,
+                        target + offset, weight, delay, category)
+    return offsets
 
 
 def wire(net: Network, source_id: int, taps: tuple[InputTap, ...], *,
@@ -160,6 +156,15 @@ def drive(net: Network, handle: Handle, port_name: str, source_id: int, *,
 def _require_css(css) -> None:
     if css is None or getattr(css, "kind", None) != "css":
         raise ValueError("a constant spike source handle (build_css) is required")
+
+
+def _require_size(name: str, value, least: int) -> None:
+    """A builder's size argument must be an int of at least least."""
+    # type() rather than isinstance(): a bool is an int, not a size
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def build_css(net: Network) -> Handle:
@@ -211,8 +216,7 @@ def build_or(net: Network, fan_in: int) -> Handle:
 
     Coincident inputs still yield a single output spike per timestep.
     """
-    if fan_in < 1:
-        raise ValueError("OR fan_in must be >= 1")
+    _require_size("fan_in", fan_in, 1)
     start = _mark(net)
     neuron = net.add_neuron()
     inputs = {
@@ -226,8 +230,7 @@ def _and_weights(fan_in: int) -> tuple[int, int]:
     """(veto, direct) weights: only a full input set nets +1. Fan-in 1
     doubles the direct weight against a -1 veto, since a zero-weight
     veto synapse is not allowed."""
-    if fan_in < 1:
-        raise ValueError("AND fan_in must be >= 1")
+    _require_size("fan_in", fan_in, 1)
     return (-1, 2) if fan_in == 1 else (-(fan_in - 1), 1)
 
 

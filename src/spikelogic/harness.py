@@ -50,7 +50,15 @@ from .blocks import (
     build_memory,
     build_multiplexer,
 )
-from .gates import Handle, build_css, build_not, drive, wire, padded
+from .gates import (
+    Handle,
+    build_css,
+    build_not,
+    _require_size,
+    drive,
+    padded,
+    wire,
+)
 from .oracles import (
     decoder_channel,
     demux_channels,
@@ -402,14 +410,12 @@ def block_config(kind: str, and_kind=None, *, n: int | None = None,
         raise ValueError(f"unknown block kind {kind!r}")
     spec = BLOCKS[kind]
     given = {"n": n, "registers": registers, "bits": bits}
-    size = tuple(value if given[flag] is None else operator.index(given[flag])
+    size = tuple(value if given[flag] is None else given[flag]
                  for flag, value in spec.default.items())
     forms = _FORMS[kind]  # no AND kind where the latency is keyed by None
     least = (forms.m_form if spec.form == "m" else forms.n_form).least
     for flag, value in zip(spec.default, size):
-        smallest = least[_QUERY_FIELDS[flag]]
-        if value < smallest:
-            raise ValueError(f"{kind} needs {flag} >= {smallest}, got {value}")
+        _require_size(f"{kind} {flag}", value, least[_QUERY_FIELDS[flag]])
     ak = "fast" if and_kind is None else and_kind
     ak = None if None in forms.latency else and_kind_name(ak)
     # Past the smallest sizes, every closed form counts more synapses
@@ -442,13 +448,21 @@ def check_pipelined(kind: str, and_kind: str | None, size: Sequence[int],
                     ok_detail: str = "") -> Check:
     """Present words[i] at t = 1 + i, one source per input port in port
     order (bit k drives port k), for len(words) + latency + 3 ms; every
-    output must follow the kind's oracle, delayed by the latency."""
+    output must follow the kind's oracle, delayed by the latency. A word
+    that is not an int in [0, 2^ports) raises ValueError."""
     spec = BLOCKS[kind]
+    ports = spec.inputs(*size)
+    limit = 1 << len(ports)
+    for i, word in enumerate(words):
+        # type() rather than isinstance(): a bool is an int, not a word
+        if type(word) is not int or not 0 <= word < limit:
+            raise ValueError(f"word {i} is {word!r}, not an int in "
+                             f"[0, 2^{len(ports)})")
     latency = expected_latency(kind, and_kind)
     stream = [0, *words] + [0] * (latency + 2)
     net = Network()
     block = build_block(net, kind, and_kind, size)
-    for k, port in enumerate(spec.inputs(*size)):
+    for k, port in enumerate(ports):
         drive(net, block, port, net.add_source(
             [t for t, word in enumerate(stream) if word >> k & 1]))
     outputs = {name: block.output(name) for name in spec.outputs(*size)}
@@ -749,6 +763,23 @@ def sweep_encoder(num_inputs: int,
         f"{len(subsets)} subsets")
 
 
+def _packed(cases: Sequence[tuple[int, int]], n: int, width: int,
+            what: str) -> list[int]:
+    """(select, data) cases as select | data << n words; a select that is
+    not an int in [0, 2^n), or data not an int in [0, 2^width), raises
+    ValueError rather than packing into another case."""
+    words = []
+    for i, case in enumerate(cases):
+        select, value = case
+        # type() rather than isinstance(): a bool is an int, not a word
+        if not (type(select) is int and 0 <= select < 1 << n
+                and type(value) is int and 0 <= value < 1 << width):
+            raise ValueError(f"case {i} is {case!r}, not a select word in "
+                             f"[0, 2^{n}) and a {what} in [0, 2^{width})")
+        words.append(select | value << n)
+    return words
+
+
 def sweep_multiplexer(n: int, and_kind: str,
                       cases: Sequence[tuple[int, int]] | None = None) -> Check:
     """Pipelined (select word, data mask) cases; default visits every
@@ -760,7 +791,7 @@ def sweep_multiplexer(n: int, and_kind: str,
                  for select in range(2 ** n)
                  for d_sel in (0, 1) for d_others in (0, 1)]
     return check_pipelined(
-        "multiplexer", ak, (n,), [s | mask << n for s, mask in cases],
+        "multiplexer", ak, (n,), _packed(cases, n, 2 ** n, "data mask"),
         f"multiplexer n={n} {ak}: {len(cases)} pipelined cases",
         f"{len(cases)} cases")
 
@@ -773,7 +804,7 @@ def sweep_demultiplexer(n: int, and_kind: str,
     if cases is None:
         cases = [(select, d) for select in range(2 ** n) for d in (0, 1)]
     return check_pipelined(
-        "demultiplexer", ak, (n,), [select | d << n for select, d in cases],
+        "demultiplexer", ak, (n,), _packed(cases, n, 1, "data bit"),
         f"demultiplexer n={n} {ak}: {len(cases)} pipelined cases",
         f"{len(cases)} cases")
 

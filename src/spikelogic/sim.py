@@ -36,7 +36,6 @@ graph:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -205,15 +204,17 @@ class Network:
         period above 1 ms) runs on the levelized kernel, any other on
         the reference Simulation; both give the same record.
         """
-        duration = operator.index(duration_ms)
-        if duration < 1:
-            raise ValueError("duration_ms must be >= 1")
+        # type() rather than isinstance(): a bool is an int, not a duration
+        if type(duration_ms) is not int or duration_ms < 1:
+            raise ValueError(
+                f"duration_ms must be an integer >= 1, not {duration_ms!r}")
         recorded = sorted(self._recorded_set)
         gate_like = all(params.refractory_ms <= 1 and not params.carryover_factor
                         for params in self.neurons.values())
-        trains = (_levelized_trains(self, duration) if gate_like
-                  else _stepped_trains(self, duration, recorded))
-        return SpikeRecord(duration, trains={eid: trains[eid] for eid in recorded})
+        trains = (_levelized_trains(self, duration_ms) if gate_like
+                  else _stepped_trains(self, duration_ms, recorded))
+        return SpikeRecord(duration_ms,
+                           trains={eid: trains[eid] for eid in recorded})
 
 
 def _stepped_trains(net: Network, duration: int,

@@ -19,7 +19,18 @@ from spikelogic.blocks import (
     build_memory,
     build_multiplexer,
 )
-from spikelogic.gates import build_css, drive
+from spikelogic.gates import (
+    PortMap,
+    build_and_classic,
+    build_and_fast,
+    build_css,
+    build_not,
+    build_or,
+    _require_css,
+    drive,
+    padded,
+    wire,
+)
 from spikelogic.harness import (
     BLOCKS,
     build_block,
@@ -425,25 +436,138 @@ def _latch_shape(net: Network, latch) -> tuple:
 
 @pytest.mark.parametrize("ak", KINDS)
 def test_stamped_latches_equal_a_built_one(ak, monkeypatch):
+    # every latch of a memory but the first is a copy of it, made by
+    # _copied one latch at a time; each copy must equal a latch built
+    # alone, and the memory's ports must be those of the copies
     net = Network()
     alone = build_d_latch(net, ak, build_css(net))
-    stamp = blocks._stamped
-    stamped = []
+    copy = blocks._copied
+    copies = []
 
-    def spy(net, template):
-        latch = stamp(net, template)
-        stamped.append((net, latch))
-        return latch
+    def spy(net, template, count):
+        before = len(net.synapses)
+        offsets = copy(net, template, count)
+        copies.append((net, template, offsets, range(before, len(net.synapses))))
+        return offsets
 
-    monkeypatch.setattr(blocks, "_stamped", spy)
+    monkeypatch.setattr(blocks, "_copied", spy)
     memory_net = Network()
-    build_memory(memory_net, 5, 3, ak, build_css(memory_net))
-    assert len(stamped) == 5 * 3 - 1
-    for net_of, latch in stamped:
+    memory = build_memory(memory_net, 5, 3, ak, build_css(memory_net))
+    stamped = [entry for entry in copies if entry[1].kind == "d_latch"]
+    assert [len(offsets) for _, _, offsets, _ in stamped] == [1] * (5 * 3 - 1)
+    template = stamped[0][1]
+    q_ids = [template.output("q")]
+    for net_of, latch_template, (offset,), synapses in stamped:
         assert net_of is memory_net
-        assert latch.resources == alone.resources
-        assert (latch.kind, latch.and_kind, latch.latency_ms,
-                latch.data_latency_ms) == (alone.kind, alone.and_kind,
-                                           alone.latency_ms,
-                                           alone.data_latency_ms)
+        assert latch_template is template
+        # a copy shares its template's report, kind and latencies
+        assert latch_template.resources == alone.resources
+        assert (latch_template.kind, latch_template.and_kind,
+                latch_template.latency_ms,
+                latch_template.data_latency_ms) == (alone.kind, alone.and_kind,
+                                                    alone.latency_ms,
+                                                    alone.data_latency_ms)
+        entities = template.entities
+        latch = dataclasses.replace(
+            template,
+            ports=PortMap({name: padded(taps, 0, offset)
+                           for name, taps in template.ports.inputs.items()},
+                          {name: eid + offset
+                           for name, eid in template.ports.outputs.items()}),
+            entities=range(entities.start + offset, entities.stop + offset),
+            synapses=synapses)
         assert _latch_shape(memory_net, latch) == _latch_shape(net, alone)
+        q_ids.append(latch.output("q"))
+    assert [memory.output(f"q{k // 3 + 1}_{k % 3}") for k in range(5 * 3)] == q_ids
+
+
+def _per_gate_select_stage(net, n, and_kind, css, fan_in):
+    """The select stage as built before its gates were copied: one AND
+    builder call per gate. It is the reference the copying stage must
+    equal; it returns what blocks._select_stage returns."""
+    if n < 1:
+        raise ValueError("select width n must be >= 1")
+    _require_css(css)
+    inverters = [build_not(net, css) for _ in range(n)]
+    gates = [blocks._and_gate(net, and_kind, css, fan_in) for _ in range(2 ** n)]
+    select_ports = {}
+    for b in range(n):
+        taps = list(inverters[b].input_taps("in"))
+        for j, gate in enumerate(gates):
+            gate_taps = gate.input_taps(f"in{b}")
+            if (j >> b) & 1:
+                taps.extend(padded(gate_taps, 1))
+            else:
+                wire(net, inverters[b].output(), gate_taps,
+                     category=f"NOT to AND ({and_kind})")
+        select_ports[f"s{b}"] = tuple(taps)
+    # every input port of an AND has the same taps, so one stands for all
+    assert all(len(set(gate.ports.inputs.values())) == 1 for gate in gates)
+    return ([gate.output() for gate in gates],
+            [gate.input_taps("in0") for gate in gates], select_ports)
+
+
+SELECT_BUILDERS = {"decoder": build_decoder, "multiplexer": build_multiplexer,
+                   "demultiplexer": build_demultiplexer}
+
+
+def _select_block(kind: str, n: int, ak: str) -> tuple:
+    """Everything a select block puts in a network of its own after a
+    CSS, and its handle's spans, ports (in order) and report."""
+    net = Network()
+    block = SELECT_BUILDERS[kind](net, n, ak, build_css(net))
+    return (net.neurons, net.synapses, net.categories, block.entities,
+            block.synapses, list(block.ports.inputs.items()),
+            list(block.ports.outputs.items()), block.resources)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("ak", KINDS)
+@pytest.mark.parametrize("kind", SELECT_BUILDERS)
+def test_copied_select_stage_equals_per_gate_build(kind, ak, n, monkeypatch):
+    copied = _select_block(kind, n, ak)
+    monkeypatch.setattr(blocks, "_select_stage", _per_gate_select_stage)
+    assert _select_block(kind, n, ak) == copied
+
+
+@pytest.mark.parametrize("ak", KINDS)
+@pytest.mark.parametrize("kind, calls", [
+    ("decoder", 1), ("multiplexer", 1), ("demultiplexer", 1),
+    # the memory's decoder, then the two ANDs of its one built latch
+    ("memory", 3),
+])
+def test_select_stage_runs_one_and_builder(kind, calls, ak, monkeypatch):
+    made = []
+    for name in ("build_and_classic", "build_and_fast"):
+        def spy(*args, _builder=getattr(blocks, name)):
+            made.append(args)
+            return _builder(*args)
+        monkeypatch.setattr(blocks, name, spy)
+    net = Network()
+    build_block(net, kind, ak, (7, 2) if kind == "memory" else (4,))
+    assert len(made) == calls
+
+
+@pytest.mark.parametrize("build", [
+    lambda net, css: build_decoder(net, True, "fast", css),
+    lambda net, css: build_decoder(net, 2.0, "classic", css),
+    lambda net, css: build_multiplexer(net, 2.0, "fast", css),
+    lambda net, css: build_demultiplexer(net, False, "fast", css),
+    lambda net, css: build_memory(net, 1, True, "fast", css),
+    lambda net, css: build_memory(net, 1, 2.0, "fast", css),
+    lambda net, css: build_memory(net, 1.5, 2, "fast", css),
+    lambda net, css: build_memory(net, True, 1, "classic", css),
+    lambda net, css: build_encoder(net, 3.0),
+    lambda net, css: build_encoder(net, True),
+    lambda net, css: build_or(net, 2.0),
+    lambda net, css: build_and_fast(net, css, 2.0),
+    lambda net, css: build_and_classic(net, True),
+], ids=["decoder-bool", "decoder-float", "mux-float", "demux-bool",
+        "memory-bits-bool", "memory-bits-float", "memory-registers-float",
+        "memory-registers-bool", "encoder-float", "encoder-bool", "or-float",
+        "and-fast-float", "and-classic-bool"])
+def test_builders_reject_sizes_that_are_not_ints(build):
+    net = Network()
+    css = build_css(net)
+    with pytest.raises(ValueError, match="must be an int"):
+        build(net, css)

@@ -3,6 +3,7 @@
 import csv
 import io
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -194,6 +195,10 @@ class TestVerifyReports:
         ("demultiplexer", {"n": 0}),
         ("memory", {"registers": 0}),
         ("memory", {"bits": 0}),
+        ("decoder", {"n": True}),
+        ("encoder", {"n": 3.0}),
+        ("memory", {"bits": 2.0}),
+        ("memory", {"registers": True}),
     ])
     def test_zero_size_rejected(self, kind, size):
         with pytest.raises(ValueError):
@@ -204,9 +209,37 @@ class TestVerifyReports:
         lambda: sweep_encoder(-1),
         lambda: sweep_multiplexer(-1, "fast"),
         lambda: sweep_demultiplexer(-1, "fast"),
-    ], ids=["decoder", "encoder", "multiplexer", "demultiplexer"])
+        lambda: sweep_decoder(True, "fast"),
+        lambda: sweep_encoder(4.0),
+        lambda: sweep_multiplexer(2.0, "fast"),
+        lambda: sweep_demultiplexer(True, "fast"),
+    ], ids=["decoder", "encoder", "multiplexer", "demultiplexer",
+            "decoder-bool", "encoder-float", "multiplexer-float",
+            "demultiplexer-bool"])
     def test_sweeps_reject_bad_sizes(self, sweep):
         with pytest.raises(ValueError):
+            sweep()
+
+    @pytest.mark.parametrize("sweep, named", [
+        (lambda: sweep_decoder(3, "fast", [0, 8]), "word 1 is 8"),
+        (lambda: sweep_decoder(2, "fast", [1, True]), "word 1 is True"),
+        (lambda: sweep_decoder(2, "fast", [-1]), "word 0 is -1"),
+        (lambda: sweep_encoder(4, [2.5]), "word 0 is 2.5"),
+        (lambda: sweep_encoder(4, [3, 16]), "word 1 is 16"),
+        (lambda: sweep_multiplexer(2, "fast", [(4, 1)]), "case 0 is (4, 1)"),
+        (lambda: sweep_multiplexer(2, "fast", [(0, 1), (1, 16)]),
+         "case 1 is (1, 16)"),
+        (lambda: sweep_demultiplexer(2, "fast", [(4, 1)]), "case 0 is (4, 1)"),
+        (lambda: sweep_demultiplexer(2, "fast", [(1, 2)]), "case 0 is (1, 2)"),
+        (lambda: sweep_demultiplexer(2, "fast", [(1.0, 1)]),
+         "case 0 is (1.0, 1)"),
+    ], ids=["decoder-over", "decoder-bool", "decoder-negative",
+            "encoder-float", "encoder-over", "mux-select", "mux-mask",
+            "demux-select", "demux-data", "demux-float"])
+    def test_sweeps_reject_words_outside_the_ports(self, sweep, named):
+        # a word must not wrap onto another or pass for one that does not
+        # exist; the error names its index and value
+        with pytest.raises(ValueError, match=re.escape(named)):
             sweep()
 
     def test_empty_and_kind_rejected(self):

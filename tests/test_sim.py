@@ -100,6 +100,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             net.run(0)
 
+    @pytest.mark.parametrize("duration", [True, 2.0, "3", None])
+    def test_run_needs_int_duration(self, duration):
+        # a bool is not a duration: True would run 1 ms
+        net = Network()
+        net.add_neuron()
+        with pytest.raises(ValueError, match="duration_ms"):
+            net.run(duration)
+
 
 class TestFiring:
     def test_spike_at_arrival(self):
