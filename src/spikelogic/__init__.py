@@ -23,7 +23,6 @@ from .gates import (
     wire,
 )
 from .blocks import (
-    MemoryGeometry,
     build_d_latch,
     build_decoder,
     build_demultiplexer,

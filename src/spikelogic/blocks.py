@@ -37,7 +37,6 @@ order are those of building every gate and latch.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .gates import (
     CAT_INTERNAL_CSS,
@@ -65,28 +64,6 @@ from .resources import (
     _dlatch_items,
 )
 from .sim import Network
-
-
-@dataclass(frozen=True)
-class MemoryGeometry:
-    """Registers r, bits per word c, and select depth n.
-
-    The address spans ceil(log2(r + 1)) select lines; channel 0 is the
-    non-operation channel and has no register, so up to 2^n - 1
-    registers fit. Smaller r leaves the surplus channels unbuilt.
-    """
-
-    registers: int
-    bits: int
-    depth: int
-
-    def __post_init__(self) -> None:
-        if self.registers < 1:
-            raise ValueError("memory needs at least 1 register")
-        if self.bits < 1:
-            raise ValueError("memory words need at least 1 bit")
-        if self.registers > 2 ** self.depth - 1:
-            raise ValueError("register count exceeds select capacity")
 
 
 def _and_gate(net: Network, and_kind: str, css, fan_in: int) -> Handle:
@@ -274,9 +251,10 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
                  css) -> Handle:
     """Addressable register file of D latches, written by spikes.
 
-    A decoder turns the address lines into one-hot store strobes for a
-    registers x bits grid of latches; channel 0 strobes nothing, so an
-    all-zero address is a no-op. With fewer registers than the decoder
+    A decoder of n = registers.bit_length() address lines turns them
+    into one-hot store strobes for a registers x bits grid of latches;
+    channel 0 strobes nothing, so an all-zero address is a no-op and at
+    most 2^n - 1 registers fit. With fewer registers than the decoder
     has channels, the surplus channels exist but strobe nothing. One
     inverter per data column is shared by the whole column. Data paths
     are padded by the decoder latency (inverted data by one less) so
@@ -286,9 +264,8 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
     ak = and_kind_name(and_kind)
     _require_size("registers", registers, 1)
     _require_size("bits", bits, 1)
-    geometry = MemoryGeometry(registers, bits, registers.bit_length())
     start = _mark(net)
-    decoder = build_decoder(net, geometry.depth, ak, css)
+    decoder = build_decoder(net, registers.bit_length(), ak, css)
     column_nots = [build_not(net, css) for _ in range(bits)]
     # row-major: latch k stores bit k % bits of register k // bits + 1;
     # latch 0 is built, latch k > 0 is a copy of it offsets[k] ids on

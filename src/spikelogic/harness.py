@@ -17,6 +17,11 @@ canonical deterministic stimulus and built-in oracle checks:
   memory           ascending count written through a cycling address,
                    register rows decoded back out of the q spike trains.
 
+The runners share one pipeline. _stimulated applies the trace cap and
+the stimulus override to the canonical per-ms input words; each runner
+wires and runs its blocks and composes its checks from the BLOCKS word
+oracles; _result runs the checks and assembles the trace.
+
 Checks compare spike sets only from (path latency + 1) onward: earlier
 timesteps fall into CSS warmup, where inverter outputs are not yet
 meaningful. A user stimulus file replaces the canonical input schedules
@@ -80,8 +85,6 @@ from .resources import (
 from .sim import Network, SpikeRecord, spike_train
 from .trace import SpikeRow, Trace, hex_word_row, spike_row, value_row
 
-EXPERIMENTS = ("decoder-encoder", "mux-demux", "d-latch", "memory")
-
 # Default seed for the randomized chunks of the mux-demux control
 # schedule and for fuzzing; fixed so canonical runs are reproducible.
 DEFAULT_SEED = 7
@@ -102,6 +105,9 @@ MAX_SYNAPSES = 2_000_000
 # the table, and its share of the per-ms header strings and tick ints.
 # So this admits about 0.5 GB; the memory-cli benchmark holds 582,000.
 MAX_TRACE_CELLS = 10_000_000
+
+# verify_block's seeded cases after each exhaustive sweep, or fuzz steps
+VERIFY_TRIALS = 64
 
 
 @dataclass(frozen=True)
@@ -180,11 +186,15 @@ def _resolve_inputs(canonical: dict[str, tuple[int, ...]],
         raise ValueError(
             f"stimulus signals {sorted(unknown)} do not match the "
             f"experiment inputs {sorted(canonical)}")
-    inputs = {name: tuple(sorted({operator.index(t)
-                                  for t in stimulus.get(name, ())}))
-              for name in canonical}
-    if any(times and times[0] < 0 for times in inputs.values()):
-        raise ValueError("stimulus times must be >= 0")
+    inputs = {}
+    for name in canonical:
+        times = tuple(stimulus.get(name, ()))
+        for t in times:
+            # type() rather than isinstance(): a bool is an int, not a time
+            if type(t) is not int or t < 0:
+                raise ValueError(f"stimulus time {t!r} of signal {name} is "
+                                 "not an int >= 0")
+        inputs[name] = tuple(sorted(set(times)))
     return inputs
 
 
@@ -198,6 +208,13 @@ def _words_from_bits(bit_times: Sequence[Iterable[int]],
             if 1 <= t < duration_ms:
                 words[t] |= 1 << b
     return words
+
+
+def _random(seed: int) -> random.Random:
+    """seed's generator; None would seed from the clock, not repeatably."""
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, not {seed!r}")
+    return random.Random(seed)
 
 
 def _diff_detail(signal: str, got: int, want: int) -> str:
@@ -252,17 +269,10 @@ def _spike_rows(record: SpikeRecord, outputs: Mapping[str, int],
             for name, eid in outputs.items()]
 
 
-def _input_rows(inputs: Mapping[str, Sequence[int]],
-                duration: int) -> list[SpikeRow]:
-    return [spike_row(name, spike_train(t for t in times if t < duration), duration)
-            for name, times in inputs.items()]
-
-
 def _duration(duration_ms: int | None, default: int, signals: int) -> int:
     """The run's duration; each of its signals takes a cell per ms."""
     duration = default if duration_ms is None else duration_ms
-    if duration < 1:
-        raise ValueError("duration_ms must be >= 1")
+    _require_size("duration_ms", duration, 1)
     if duration * signals > MAX_TRACE_CELLS:
         raise ValueError(f"a {duration:,} ms run of {signals} signals holds "
                          f"{duration * signals:,} trace cells, more than the "
@@ -301,7 +311,7 @@ class BlockSpec:
     inputs: Callable[..., list[str]]
     outputs: Callable[..., list[str]]
     oracle: Callable[..., list[int]]
-    verify: Callable[..., list[Check]]  # (and_kind, rng, trials, seed, *size)
+    verify: Callable[..., list[Check]]  # (and_kind, rng, seed, *size)
     probe: tuple[str, ...]  # inputs spiking once for measure_latency
     probe_output: str
     form: str = "n"  # the closed form that prices a size (see block_query)
@@ -315,10 +325,10 @@ BLOCKS: dict[str, BlockSpec] = {
         build=lambda net, ak, css, n: build_decoder(net, n, ak, css),
         inputs=_selects, outputs=_channels,
         oracle=lambda words, n: [1 << decoder_channel(w) for w in words],
-        verify=lambda ak, rng, trials, seed, n: [
+        verify=lambda ak, rng, seed, n: [
             sweep_decoder(n, ak),
             sweep_decoder(n, ak, [rng.randrange(2 ** n)
-                                  for _ in range(trials)])],
+                                  for _ in range(VERIFY_TRIALS)])],
         probe=("s0",), probe_output="ch1"),
     "encoder": BlockSpec(
         {"n": 4}, ("num_inputs",),
@@ -328,9 +338,9 @@ BLOCKS: dict[str, BlockSpec] = {
         oracle=lambda words, m: [
             encoder_value(i for i in range(m) if w >> i & 1) for w in words],
         # exhaustive up to 10 inputs, seeded subsets beyond
-        verify=lambda ak, rng, trials, seed, m: [sweep_encoder(
+        verify=lambda ak, rng, seed, m: [sweep_encoder(
             m, None if m <= 10 else [rng.randrange(2 ** m)
-                                     for _ in range(trials)])],
+                                     for _ in range(VERIFY_TRIALS)])],
         probe=("d1",), probe_output="or0"),
     "multiplexer": BlockSpec(
         {"n": 2}, ("n",),
@@ -340,11 +350,11 @@ BLOCKS: dict[str, BlockSpec] = {
         oracle=lambda words, n: [int(mux_output(
             w & 2 ** n - 1, [w >> n + j & 1 for j in range(2 ** n)]))
             for w in words],
-        verify=lambda ak, rng, trials, seed, n: [
+        verify=lambda ak, rng, seed, n: [
             sweep_multiplexer(n, ak),
             sweep_multiplexer(n, ak, [
                 (rng.randrange(2 ** n), rng.randrange(2 ** 2 ** n))
-                for _ in range(trials)])],
+                for _ in range(VERIFY_TRIALS)])],
         probe=("s0", "d1"), probe_output="out"),
     "demultiplexer": BlockSpec(
         {"n": 2}, ("n",),
@@ -353,11 +363,11 @@ BLOCKS: dict[str, BlockSpec] = {
         oracle=lambda words, n: [sum(on << j for j, on in enumerate(
             demux_channels(w & 2 ** n - 1, bool(w >> n & 1), 2 ** n)))
             for w in words],
-        verify=lambda ak, rng, trials, seed, n: [
+        verify=lambda ak, rng, seed, n: [
             sweep_demultiplexer(n, ak),
             sweep_demultiplexer(n, ak, [
                 (rng.randrange(2 ** n), rng.randrange(2))
-                for _ in range(trials)])],
+                for _ in range(VERIFY_TRIALS)])],
         probe=("s0", "d"), probe_output="ch1"),
     "d_latch": BlockSpec(
         {}, (),
@@ -365,8 +375,8 @@ BLOCKS: dict[str, BlockSpec] = {
         inputs=lambda: ["store", "data", "data_not"], outputs=lambda: ["q"],
         oracle=lambda words: [int(q) for q in latch_states(
             [w & 1 for w in words], [w >> 1 & 1 for w in words])],
-        verify=lambda ak, rng, trials, seed: [
-            fuzz_d_latch(ak, steps=trials, seed=seed)],
+        verify=lambda ak, rng, seed: [
+            fuzz_d_latch(ak, steps=VERIFY_TRIALS, seed=seed)],
         probe=("store", "data"), probe_output="q"),
     "memory": BlockSpec(
         {"registers": 3, "bits": 3}, ("registers", "bits"),
@@ -380,8 +390,8 @@ BLOCKS: dict[str, BlockSpec] = {
             for state in memory_states(
                 [w & 2 ** r.bit_length() - 1 for w in words],
                 [w >> r.bit_length() for w in words], r, c)],
-        verify=lambda ak, rng, trials, seed, r, c: [
-            fuzz_memory(r, c, ak, writes=trials, seed=seed)],
+        verify=lambda ak, rng, seed, r, c: [
+            fuzz_memory(r, c, ak, writes=VERIFY_TRIALS, seed=seed)],
         probe=("s0", "d0"), probe_output="q1_0", form="m"),
 }
 
@@ -476,28 +486,50 @@ def check_pipelined(kind: str, and_kind: str | None, size: Sequence[int],
 # Experiments
 
 
+def _stimulated(cfg: ExperimentConfig, names: Sequence[str], recorded: int,
+                default_ms: int, canonical: Callable[[int], Sequence[int]],
+                ) -> tuple[int, dict[str, tuple[int, ...]], list[int]]:
+    """The duration, the inputs and the per-ms input words of a run that
+    records `recorded` outputs. canonical(duration) gives the default
+    per-ms words, bit k driving names[k] from t=1 on; cfg.stimulus
+    replaces them."""
+    duration = _duration(cfg.duration_ms, default_ms, len(names) + recorded)
+    words = canonical(duration)
+    inputs = _resolve_inputs(
+        {name: tuple(t for t in range(1, duration) if words[t] >> k & 1)
+         for k, name in enumerate(names)}, cfg.stimulus)
+    return duration, inputs, _words_from_bits(list(inputs.values()), duration)
+
+
+def _result(name: str, ak: str, params: dict, net: Network,
+            record: SpikeRecord, inputs: dict[str, tuple[int, ...]],
+            outputs: dict[str, int], checks: Iterable[tuple],
+            rows: list[SpikeRow]) -> ExperimentResult:
+    """Each check is _expect_delayed's arguments after the record; the
+    trace shows the inputs, then rows."""
+    duration = record.duration_ms
+    rows = [spike_row(signal, spike_train(t for t in times if t < duration),
+                      duration) for signal, times in inputs.items()] + rows
+    return ExperimentResult(
+        name, ak, params, net, record, Trace(duration, tuple(rows)), inputs,
+        outputs, tuple(_expect_delayed(record, *check) for check in checks))
+
+
 def _run_decoder_encoder(cfg: ExperimentConfig) -> ExperimentResult:
     ak, (n,) = block_config("decoder", cfg.and_kind, n=cfg.n)
     dec_latency = expected_latency("decoder", ak)
     total = dec_latency + 1
-    duration = _duration(cfg.duration_ms, max(16, 2 * 2 ** n + total + 2),
-                         2 * n + 2 ** n)
-
-    canonical = {
-        f"s{b}": tuple(t for t in range(1, duration)
-                       if (((t - 1) % 2 ** n) >> b) & 1)
-        for b in range(n)
-    }
-    inputs = _resolve_inputs(canonical, cfg.stimulus)
-    words = _words_from_bits([inputs[f"s{b}"] for b in range(n)], duration)
+    duration, inputs, words = _stimulated(
+        cfg, _selects(n), 2 ** n + n, max(16, 2 * 2 ** n + total + 2),
+        lambda ms: [(t - 1) % 2 ** n for t in range(ms)])
 
     net = Network()
     decoder = build_block(net, "decoder", ak, (n,))
     encoder = build_encoder(net, 2 ** n)
     for j in range(2 ** n):
         wire(net, decoder.output(f"ch{j}"), encoder.input_taps(f"d{j}"))
-    for b in range(n):
-        drive(net, decoder, f"s{b}", net.add_source(inputs[f"s{b}"]))
+    for name, times in inputs.items():
+        drive(net, decoder, name, net.add_source(times))
     channels = {name: decoder.output(name) for name in _channels(n)}
     ors = {name: encoder.output(name)
            for name in BLOCKS["encoder"].outputs(2 ** n)}
@@ -505,27 +537,22 @@ def _run_decoder_encoder(cfg: ExperimentConfig) -> ExperimentResult:
     record = net.run(duration)
 
     channel_words = BLOCKS["decoder"].oracle(words, n)
-    checks = (
-        _expect_delayed(record, ors,
-                        BLOCKS["encoder"].oracle(channel_words, 2 ** n), total,
-                        "encoder output equals input words delayed by "
-                        f"{total} ms", f"delay {total} ms over {duration} ms"),
-        _expect_delayed(record, channels, channel_words, dec_latency,
-                        "decoder channels one-hot per input word"),
-    )
-
-    rows = (_input_rows(inputs, duration)
-            + _spike_rows(record, channels, dec_latency + 1)
-            + _spike_rows(record, ors, total + 1))
-    return ExperimentResult(
-        "decoder-encoder", ak, {"n": n}, net, record,
-        Trace(duration, tuple(rows)), inputs, {**channels, **ors}, checks)
+    return _result(
+        "decoder-encoder", ak, {"n": n}, net, record, inputs,
+        {**channels, **ors},
+        [(ors, BLOCKS["encoder"].oracle(channel_words, 2 ** n), total,
+          f"encoder output equals input words delayed by {total} ms",
+          f"delay {total} ms over {duration} ms"),
+         (channels, channel_words, dec_latency,
+          "decoder channels one-hot per input word")],
+        _spike_rows(record, channels, dec_latency + 1)
+        + _spike_rows(record, ors, total + 1))
 
 
 def _control_chunks(n: int, duration_ms: int, seed: int) -> list[int]:
     """Per-ms select words: 0 until t=10, then all-ones until t=40, then
     seeded random words per chunk, each different from its predecessor."""
-    rng = random.Random(seed)
+    rng = _random(seed)
     values = [0, 0, 2 ** n - 1]  # before t=1, then the chunks from t=1, 10
     while len(values) < 6:
         value = rng.randrange(2 ** n)
@@ -538,22 +565,13 @@ def _control_chunks(n: int, duration_ms: int, seed: int) -> list[int]:
 def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
     ak, (n,) = block_config("multiplexer", cfg.and_kind, n=cfg.n)
     mux_latency = expected_latency("multiplexer", ak)
-    demux_latency = expected_latency("demultiplexer", ak)
-    total = mux_latency + demux_latency
-    duration = _duration(cfg.duration_ms, 110, n + 2 ** (n + 1) + 1)
-
-    sel_words = _control_chunks(n, duration, cfg.seed)
-    canonical = {
-        f"s{b}": tuple(t for t in range(1, duration)
-                       if (sel_words[t] >> b) & 1)
-        for b in range(n)
-    }
-    for j in range(2 ** n):
-        canonical[f"d{j}"] = tuple(t for t in range(1, duration)
-                                   if (t - 1) % 2 ** j == 0)
-    inputs = _resolve_inputs(canonical, cfg.stimulus)
-    # canonical is in multiplexer port order: selects, then data lines
-    words = _words_from_bits(list(inputs.values()), duration)
+    total = mux_latency + expected_latency("demultiplexer", ak)
+    # data line d_j spikes every 2^j ms from t=1
+    duration, inputs, words = _stimulated(
+        cfg, BLOCKS["multiplexer"].inputs(n), 2 ** n + 1, 110,
+        lambda ms: [word | sum(1 << n + j for j in range(2 ** n)
+                               if (t - 1) % 2 ** j == 0) for t, word
+                    in enumerate(_control_chunks(n, ms, cfg.seed))])
 
     net = Network()
     css = build_css(net)
@@ -577,33 +595,26 @@ def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
     select = 2 ** n - 1
     demux_words = BLOCKS["demultiplexer"].oracle(
         [w & select | out << n for w, out in zip(words, mux_words)], n)
-    checks = (
-        _expect_delayed(record, {"out": out_id}, mux_words, mux_latency,
-                        "multiplexer forwards the selected data line after "
-                        f"{mux_latency} ms"),
-        _expect_delayed(record, channels, demux_words, total,
-                        f"demultiplexer reproduces each data input after "
-                        f"{total} ms"),
-    )
-
-    rows = (_input_rows(inputs, duration)
-            + _spike_rows(record, {"mux out": out_id}, mux_latency + 1)
-            + _spike_rows(record, channels, total + 1))
-    return ExperimentResult(
-        "mux-demux", ak, {"n": n}, net, record, Trace(duration, tuple(rows)),
-        inputs, {"mux_out": out_id, **channels}, checks)
+    return _result(
+        "mux-demux", ak, {"n": n}, net, record, inputs,
+        {"mux_out": out_id, **channels},
+        [({"out": out_id}, mux_words, mux_latency, "multiplexer forwards "
+          f"the selected data line after {mux_latency} ms"),
+         (channels, demux_words, total,
+          f"demultiplexer reproduces each data input after {total} ms")],
+        _spike_rows(record, {"mux out": out_id}, mux_latency + 1)
+        + _spike_rows(record, channels, total + 1))
 
 
 def _run_d_latch(cfg: ExperimentConfig) -> ExperimentResult:
-    ak = and_kind_name("classic" if cfg.and_kind is None else cfg.and_kind)
-    duration = _duration(cfg.duration_ms, 16, 9)
-    latency = expected_latency("d_latch", ak)
-    data_latency = latency + 1  # external inverter in the data path
-
-    canonical = {name: tuple(t for t in times if t < duration) for name, times
-                 in (("store", (1, 2, 3, 8)), ("data1", (1, 3, 4)),
-                     ("data2", (3, 5)))}
-    inputs = _resolve_inputs(canonical, cfg.stimulus)
+    ak, _ = block_config(
+        "d_latch", "classic" if cfg.and_kind is None else cfg.and_kind)
+    # external inverter in the data path
+    data_latency = expected_latency("d_latch", ak) + 1
+    duration, inputs, words = _stimulated(
+        cfg, ("store", "data1", "data2"), 6, 16,
+        lambda ms: [(t in (1, 2, 3, 8)) | (t in (1, 3, 4)) << 1
+                    | (t in (3, 5)) << 2 for t in range(ms)])
 
     net = Network()
     css = build_css(net)
@@ -624,22 +635,15 @@ def _run_d_latch(cfg: ExperimentConfig) -> ExperimentResult:
     net.record(*q_ids.values())
     record = net.run(duration)
 
-    checks = []
-    for group, name in enumerate(("data1", "data2")):
-        states = BLOCKS["d_latch"].oracle(
-            _words_from_bits([inputs["store"], inputs[name]], duration))
-        # the three latches of a bank hold the same state
-        bank = dict(list(q_ids.items())[group * 3:group * 3 + 3])
-        checks.append(_expect_delayed(
-            record, bank, [0b111 * q for q in states], data_latency,
-            f"latches {group * 3}-{group * 3 + 2} track store/{name} "
-            f"with {data_latency} ms delay"))
-
-    rows = (_input_rows(inputs, duration)
-            + _spike_rows(record, q_ids, data_latency + 1))
-    return ExperimentResult(
-        "d-latch", ak, {"latches": len(latches)}, net, record,
-        Trace(duration, tuple(rows)), inputs, q_ids, tuple(checks))
+    # bank g's three latches hold the state of store and data bit g + 1
+    return _result(
+        "d-latch", ak, {"latches": len(latches)}, net, record, inputs, q_ids,
+        [(dict(list(q_ids.items())[3 * g:3 * g + 3]),
+          [0b111 * q for q in BLOCKS["d_latch"].oracle(
+              [w & 1 | w >> g & 2 for w in words])], data_latency,
+          f"latches {3 * g}-{3 * g + 2} track store/data{g + 1} "
+          f"with {data_latency} ms delay") for g in (0, 1)],
+        _spike_rows(record, q_ids, data_latency + 1))
 
 
 def _channel_mark(j: int) -> str:
@@ -651,27 +655,18 @@ def _run_memory(cfg: ExperimentConfig) -> ExperimentResult:
     ak, (registers, bits) = block_config(
         "memory", cfg.and_kind, registers=cfg.registers, bits=cfg.bits)
     depth = registers.bit_length()
-    duration = _duration(cfg.duration_ms, 30,
-                         depth + bits + registers * bits + 2 ** depth)
     latency = expected_latency("memory", ak)
-
-    canonical = {
-        f"s{b}": tuple(t for t in range(1, duration)
-                       if ((t % (registers + 1)) >> b) & 1)
-        for b in range(depth)
-    }
-    for j in range(bits):
-        canonical[f"d{j}"] = tuple(t for t in range(1, duration)
-                                   if ((t % 2 ** bits) >> j) & 1)
-    inputs = _resolve_inputs(canonical, cfg.stimulus)
-    # canonical is in memory port order: address lines, then data lines
-    words = _words_from_bits(list(inputs.values()), duration)
+    duration, inputs, words = _stimulated(
+        cfg, BLOCKS["memory"].inputs(registers, bits),
+        registers * bits + 2 ** depth, 30,
+        lambda ms: [t % (registers + 1) | t % 2 ** bits << depth
+                    for t in range(ms)])
     addresses = [w & (2 ** depth - 1) for w in words]
 
     net = Network()
     memory = build_block(net, "memory", ak, (registers, bits))
-    for name in inputs:
-        drive(net, memory, name, net.add_source(inputs[name]))
+    for name, times in inputs.items():
+        drive(net, memory, name, net.add_source(times))
     q_ids = {name: memory.output(name)
              for name in BLOCKS["memory"].outputs(registers, bits)}
     decoder = memory.decoder
@@ -680,23 +675,11 @@ def _run_memory(cfg: ExperimentConfig) -> ExperimentResult:
     record = net.run(duration)
 
     dec_latency = decoder.latency_ms
-    checks = (
-        _expect_delayed(record, q_ids,
-                        BLOCKS["memory"].oracle(words, registers, bits),
-                        latency, "register contents match the write oracle "
-                        f"after {latency} ms"),
-        _expect_delayed(record, channels,
-                        BLOCKS["decoder"].oracle(addresses, depth),
-                        dec_latency,
-                        "address decoder one-hot, channel 0 on idle input"),
-    )
-
-    rows = _input_rows(inputs, duration)
     expected_cells = ["" if t < dec_latency + 1
                       else _channel_mark(addresses[t - dec_latency])
                       for t in range(duration)]
-    rows.append(value_row("Channel (Expected)", expected_cells,
-                          valid_from=dec_latency + 1))
+    rows = [value_row("Channel (Expected)", expected_cells,
+                      valid_from=dec_latency + 1)]
     decoded_cells = [""] * duration
     for j, cid in enumerate(channels.values()):
         for t in record.times(cid):
@@ -709,9 +692,13 @@ def _run_memory(cfg: ExperimentConfig) -> ExperimentResult:
         rows.append(hex_word_row(
             f"Register {i}", [record.trains[eid] for eid in register.values()],
             duration, valid_from=latency + 1))
-    return ExperimentResult(
+    return _result(
         "memory", ak, {"registers": registers, "bits": bits}, net, record,
-        Trace(duration, tuple(rows)), inputs, {**channels, **q_ids}, checks)
+        inputs, {**channels, **q_ids},
+        [(q_ids, BLOCKS["memory"].oracle(words, registers, bits), latency,
+          f"register contents match the write oracle after {latency} ms"),
+         (channels, BLOCKS["decoder"].oracle(addresses, depth), dec_latency,
+          "address decoder one-hot, channel 0 on idle input")], rows)
 
 
 _RUNNERS = {
@@ -720,6 +707,7 @@ _RUNNERS = {
     "d-latch": _run_d_latch,
     "memory": _run_memory,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(name: str,
@@ -814,8 +802,9 @@ def fuzz_d_latch(and_kind: str, steps: int = 64,
     """Random store/data schedule against the hold/track oracle. The
     inverted data line is supplied as an ideal complement source; after
     the schedule store stays down and the latch must hold."""
-    ak = and_kind_name(and_kind)
-    rng = random.Random(seed)
+    ak, _ = block_config("d_latch", and_kind_name(and_kind))
+    _require_size("steps", steps, 1)
+    rng = _random(seed)
     store_bits = [rng.random() < 0.4 for _ in range(steps)]
     data_bits = [rng.random() < 0.5 for _ in range(steps)]
     return check_pipelined(
@@ -830,8 +819,10 @@ def fuzz_memory(registers: int, bits: int, and_kind: str, writes: int = 64,
     """Random write stream (addresses may hit the non-operation channel
     and, at partial occupancy, register-free channels) against the
     array-write oracle, checked on the full q timelines."""
-    ak = and_kind_name(and_kind)
-    rng = random.Random(seed)
+    ak, (registers, bits) = block_config(
+        "memory", and_kind_name(and_kind), registers=registers, bits=bits)
+    _require_size("writes", writes, 1)
+    rng = _random(seed)
     depth = registers.bit_length()
     addresses = [rng.randrange(2 ** depth) for _ in range(writes)]
     words = [rng.randrange(2 ** bits) for _ in range(writes)]
@@ -867,7 +858,7 @@ def measure_latency(kind: str, and_kind: str | None = None, *,
 
 def verify_block(kind: str, and_kind: str | None = None, *,
                  n: int | None = None, registers: int | None = None,
-                 bits: int | None = None, trials: int = 64,
+                 bits: int | None = None,
                  seed: int = DEFAULT_SEED) -> VerifyReport:
     """Sweep, fuzz, time and reconcile one block; everything a quick
     confidence pass needs, as a printable report. None picks the default
@@ -875,7 +866,7 @@ def verify_block(kind: str, and_kind: str | None = None, *,
     ak, size = block_config(kind, and_kind, n=n, registers=registers,
                             bits=bits)
     spec = BLOCKS[kind]
-    checks = spec.verify(ak, random.Random(seed), trials, seed, *size)
+    checks = spec.verify(ak, _random(seed), seed, *size)
     handle = build_block(Network(), kind, ak, size)
     queries = formula_queries(handle)
     if queries is None:  # a partially occupied memory

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 
 from spikelogic import blocks, netlist
 from spikelogic.blocks import (
-    MemoryGeometry,
     build_d_latch,
     build_decoder,
     build_demultiplexer,
@@ -174,12 +173,6 @@ class TestMemory:
         assert record.times(q1) == ()
 
     def test_geometry_validation(self):
-        with pytest.raises(ValueError):
-            MemoryGeometry(0, 2, 1)
-        with pytest.raises(ValueError):
-            MemoryGeometry(3, 0, 2)
-        with pytest.raises(ValueError):
-            MemoryGeometry(4, 2, 2)
         net = Network()
         css = build_css(net)
         with pytest.raises(ValueError):

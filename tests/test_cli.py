@@ -1,5 +1,6 @@
 """Command-line interface: subcommands and exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -148,6 +149,40 @@ def test_printed_verdicts_match_pinned_output(name, argv, capsys):
     assert run_cli(*argv) == 0
     pinned = (PINNED / f"{name}.txt").read_text(encoding="ascii")
     assert capsys.readouterr().out == pinned
+
+
+# stands for the path of a file holding the experiment's STIMULI entry
+STIMULUS = "STIMULUS"
+STIMULI = {
+    "decoder-encoder": "signal,time_ms\ns0,2\ns1,3\ns1,5\ns0,9\ns1,9\n",
+    "mux-demux": "s0,3\nd0,3\nd1,4\nd1,5\ns1,6\nd2,6\nd3,9\ns0,9\ns1,9\n",
+    "d-latch": "store,2\ndata1,2\ndata2,5\nstore,6\ndata1,9\nstore,11\n",
+    "memory": "s0,2\nd0,2\ns1,4\nd1,4\nd2,4\ns0,7\ns1,7\nd2,7\n",
+}
+EXPERIMENT_PINS = dict(
+    line.split() for line in (PINNED.parent / "experiment-sha256.txt")
+    .read_text(encoding="ascii").splitlines())
+EXPERIMENT_COMMANDS = [
+    (f"{name}-{ak}-{fmt}", ["run", name, "--and", ak, "--format", fmt])
+    for name in STIMULI for ak in ("classic", "fast")
+    for fmt in ("table", "raster", "csv")
+] + [
+    (f"{name}-sized", ["run", name, "--n", "3", "--registers", "5",
+                       "--bits", "2", "--duration-ms", "77", "--seed", "3"])
+    for name in STIMULI
+] + [(f"{name}-stimulus", ["run", name, "--stimulus", STIMULUS])
+     for name in STIMULI]
+
+
+@pytest.mark.parametrize("name, argv", EXPERIMENT_COMMANDS,
+                         ids=[name for name, _ in EXPERIMENT_COMMANDS])
+def test_experiment_output_matches_pinned_digest(name, argv, capsys, tmp_path):
+    stimulus = tmp_path / "stimulus.csv"
+    stimulus.write_text(STIMULI[argv[1]], encoding="ascii")
+    argv = [str(stimulus) if arg == STIMULUS else arg for arg in argv]
+    assert run_cli(*argv) == 0
+    out = capsys.readouterr().out.encode("ascii")
+    assert hashlib.sha256(out).hexdigest() == EXPERIMENT_PINS[name]
 
 
 # stands for the path of a stimulus file with a non-ASCII signal name

@@ -20,6 +20,8 @@ from spikelogic.harness import (
     build_block,
     check_pipelined,
     export_spikes,
+    fuzz_d_latch,
+    fuzz_memory,
     measure_latency,
     parse_stimulus,
     render_checks,
@@ -54,7 +56,14 @@ class TestExperiments:
         ("mux-demux", ExperimentConfig(n=0)),
         ("memory", ExperimentConfig(registers=0)),
         ("memory", ExperimentConfig(bits=0)),
-    ] + [(name, ExperimentConfig(duration_ms=0)) for name in EXPERIMENTS])
+    ] + [(name, ExperimentConfig(duration_ms=0)) for name in EXPERIMENTS] + [
+        ("d-latch", ExperimentConfig(duration_ms="16")),
+        ("memory", ExperimentConfig(duration_ms=16.0)),
+        ("decoder-encoder", ExperimentConfig(duration_ms=True)),
+        # None would seed the control schedule from the clock
+        ("mux-demux", ExperimentConfig(seed=None)),
+        ("mux-demux", ExperimentConfig(seed=7.0)),
+    ])
     def test_zero_size_rejected(self, name, config):
         with pytest.raises(ValueError):
             run_experiment(name, config)
@@ -117,6 +126,14 @@ class TestStimulus:
     def test_negative_time_rejected(self):
         config = ExperimentConfig(stimulus={"store": [-1]})
         with pytest.raises(ValueError):
+            run_experiment("d-latch", config)
+
+    @pytest.mark.parametrize("times", [[True], [2.0], ["12"], [3, -1]],
+                             ids=["bool", "float", "str", "negative"])
+    def test_bad_times_rejected(self, times):
+        # rejected, naming the signal, rather than run as some other time
+        config = ExperimentConfig(stimulus={"store": [1], "data1": times})
+        with pytest.raises(ValueError, match="of signal data1"):
             run_experiment("d-latch", config)
 
     def test_parse_stimulus(self):
@@ -199,6 +216,8 @@ class TestVerifyReports:
         ("encoder", {"n": 3.0}),
         ("memory", {"bits": 2.0}),
         ("memory", {"registers": True}),
+        ("decoder", {"seed": None}),
+        ("d_latch", {"seed": "7"}),
     ])
     def test_zero_size_rejected(self, kind, size):
         with pytest.raises(ValueError):
@@ -213,9 +232,19 @@ class TestVerifyReports:
         lambda: sweep_encoder(4.0),
         lambda: sweep_multiplexer(2.0, "fast"),
         lambda: sweep_demultiplexer(True, "fast"),
+        lambda: fuzz_memory(0, 3, "fast"),
+        lambda: fuzz_memory(3, 2.0, "fast"),
+        lambda: fuzz_memory(3, 3, "fast", writes=-3),
+        lambda: fuzz_memory(3, 3, "fast", writes=0),
+        lambda: fuzz_memory(3, 3, "fast", seed=None),
+        lambda: fuzz_d_latch("fast", steps=1.5),
+        lambda: fuzz_d_latch("fast", steps=True),
+        lambda: fuzz_d_latch("fast", seed=None),
     ], ids=["decoder", "encoder", "multiplexer", "demultiplexer",
             "decoder-bool", "encoder-float", "multiplexer-float",
-            "demultiplexer-bool"])
+            "demultiplexer-bool", "memory-registers", "memory-float",
+            "memory-negative-writes", "memory-no-writes", "memory-seed",
+            "d_latch-float-steps", "d_latch-bool-steps", "d_latch-seed"])
     def test_sweeps_reject_bad_sizes(self, sweep):
         with pytest.raises(ValueError):
             sweep()
@@ -318,8 +347,9 @@ def test_measure_latency_full_table():
     # not evaluated: a size entry alone is over the cap
     (lambda: verify_block("decoder", n=10 ** 10), "at least 10,000,000,000"),
     (lambda: verify_block("encoder", n=10 ** 10), "at least 10,000,000,000"),
+    (lambda: fuzz_memory(2 ** 16 - 1, 64, "fast"), "47,316,530"),
 ], ids=["verify_block", "sweep_decoder", "run_experiment", "unprintable",
-        "select-n", "encoder-n"])
+        "select-n", "encoder-n", "fuzz_memory"])
 def test_oversized_block_raises_before_it_is_built(call, count, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("a builder ran")
