@@ -20,18 +20,17 @@ and memory reports include the CSS they were handed; the D latch report
 deliberately excludes CSS hookups and its optional input inverter so it
 composes cleanly into the memory totals.
 
-Identical parts are built once and copied. The 2^n AND gates of a
-select stage (the decoder, and the select half of the mux and demux)
-differ only in their wiring, so only gate 0 runs its AND builder; a
-memory's D latches are identical, so only the first runs
-build_d_latch. gates._copied makes every other gate and latch: the
-template's entity span and synapse span again at an id offset, with the
-same params, weights, delays and ledger labels, every synapse through
-Network.connect. The builder moves the template's taps and outputs by
-the offset instead of making a handle per copy. A memory copies one
-latch at a time, so each lands where building it would have put it,
-right after the previous latch's two wires: entity ids and synapse
-order are those of building every gate and latch.
+Identical parts are built once and copied by Network.copy, which
+appends a template's entity and synapse spans again at an id offset
+without a connect() call per synapse; the builder moves the template's
+taps and outputs by the offsets instead of making a handle per copy.
+A select stage (the decoder, and the select half of the mux and demux)
+runs its AND builder for gate 0 only. A memory builds latch 0 and its
+store and data_not wires, copies them along row 0 with the data
+inverter moved one column on per copy, then copies row 0 whole for
+every other register with the store strobe moved one decoder channel
+on per row. Entity ids and synapse order are those of building every
+gate and latch.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from .gates import (
     build_not,
     build_or,
     build_sr_latch,
-    _copied,
     _mark,
     _require_css,
     _require_size,
@@ -110,7 +108,7 @@ def _select_stage(net: Network, n: int, and_kind: str, css, fan_in: int,
     _require_css(css)
     inverters = [build_not(net, css) for _ in range(n)]
     first = _and_gate(net, and_kind, css, fan_in)
-    offsets = [0, *_copied(net, first, 2 ** n - 1)]
+    offsets = [0, *net.copy(first.entities, first.synapses, 2 ** n - 1)]
     taps = first.input_taps("in0")
     gate_taps = [padded(taps, 0, offset) for offset in offsets]
     direct_taps = [padded(taps, 1, offset) for offset in offsets]
@@ -267,17 +265,23 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
     start = _mark(net)
     decoder = build_decoder(net, registers.bit_length(), ak, css)
     column_nots = [build_not(net, css) for _ in range(bits)]
-    # row-major: latch k stores bit k % bits of register k // bits + 1;
-    # latch 0 is built, latch k > 0 is a copy of it offsets[k] ids on
+    # row-major: latch k stores bit k % bits of register k // bits + 1
+    # and is latch 0 moved offsets[k] ids on. Latch 0 and its two wires
+    # are copied along row 0, and row 0 down the rows, moving the data
+    # inverter on one column and the store strobe one channel per copy.
     latch = build_d_latch(net, ak, css, with_input_not=False)
-    store, data_not = latch.input_taps("store"), latch.input_taps("data_not")
-    offsets: list[int] = []
-    for k in range(registers * bits):
-        offset = _copied(net, latch, 1)[0] if k else 0
-        wire(net, decoder.output(f"ch{k // bits + 1}"), padded(store, 0, offset))
-        wire(net, column_nots[k % bits].output(), padded(data_not, 0, offset),
-             extra_delay_ms=decoder.latency_ms - 1)
-        offsets.append(offset)
+    strobe, inverted = decoder.output("ch1"), column_nots[0].output()
+    wire(net, strobe, latch.input_taps("store"))
+    wire(net, inverted, latch.input_taps("data_not"),
+         extra_delay_ms=decoder.latency_ms - 1)
+    columns = [0, *net.copy(latch.entities,
+                            range(latch.synapses.start, len(net.synapses)),
+                            bits - 1, {inverted: len(column_nots[0].entities)})]
+    end = _mark(net)
+    rows = net.copy(range(latch.entities.start, end[0]),
+                    range(latch.synapses.start, end[1]), registers - 1,
+                    {strobe: strobe - decoder.output("ch0")})
+    offsets = [row + column for row in (0, *rows) for column in columns]
     inputs = dict(decoder.ports.inputs)
     data = latch.input_taps("data")
     for j in range(bits):

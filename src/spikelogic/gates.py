@@ -98,7 +98,8 @@ def _spanned(net: Network, start: tuple[int, int], kind: str, ports: PortMap,
 def padded(taps: tuple[InputTap, ...], extra_delay_ms: int,
            offset: int = 0) -> tuple[InputTap, ...]:
     """Copies of taps with extra delay, used to align converging paths,
-    and with targets offset ids on: the taps of a copy made by _copied."""
+    and with targets offset ids on: the taps of a copy made by
+    Network.copy."""
     if extra_delay_ms == 0 and offset == 0:
         return tuple(taps)
     return tuple(InputTap(t.target + offset, t.weight_quanta,
@@ -108,29 +109,6 @@ def padded(taps: tuple[InputTap, ...], extra_delay_ms: int,
 def retagged(taps: tuple[InputTap, ...], category: str) -> tuple[InputTap, ...]:
     return tuple(InputTap(t.target, t.weight_quanta, t.delay_ms, category)
                  for t in taps)
-
-
-def _copied(net: Network, template: Handle, count: int) -> range:
-    """Append count copies of a block of neurons to net, one after the
-    other, without running its builder: the template's entity span and
-    synapse span again at an id offset, with the same params, weights,
-    delays and ledger labels, in the same order, every synapse through
-    Network.connect. Every synapse of a block lands on one of its own
-    neurons, and so does every port; a synapse from outside the span (a
-    CSS phase) keeps its source. Returns the copies' id offsets: copy
-    k's ids, ports included, are the template's plus offsets[k]."""
-    entities, span = template.entities, template.synapses
-    first = _mark(net)[0] - entities.start
-    offsets = range(first, first + count * len(entities), len(entities))
-    for offset in offsets:
-        for eid in entities:
-            net.add_neuron(net.neurons[eid])
-        for (source, target, weight, delay), category in zip(
-                net.synapses[span.start:span.stop],
-                net.categories[span.start:span.stop]):
-            net.connect(source + offset if source in entities else source,
-                        target + offset, weight, delay, category)
-    return offsets
 
 
 def wire(net: Network, source_id: int, taps: tuple[InputTap, ...], *,

@@ -46,7 +46,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import netlist
 from .blocks import (
     build_d_latch,
     build_decoder,
@@ -428,22 +427,32 @@ def block_config(kind: str, and_kind=None, *, n: int | None = None,
         _require_size(f"{kind} {flag}", value, least[_QUERY_FIELDS[flag]])
     ak = "fast" if and_kind is None else and_kind
     ak = None if None in forms.latency else and_kind_name(ak)
-    # Past the smallest sizes, every closed form counts more synapses
-    # than any one of its size entries, so an entry above the cap is
-    # over it without evaluating a count that may be too large to
-    # compute (2^n for the select kinds, a sum over n for the encoder).
-    if max(size, default=0) > MAX_SYNAPSES:
-        count = f"at least {max(size):,}"
+    named = " ".join(f"{flag}={value}" for flag, value in zip(spec.default, size))
+    _admit(f"{kind} {named}", [block_query(kind, ak, size)])
+    return ak, size
+
+
+def _admit(label: str, queries: Sequence[FormulaQuery]) -> None:
+    """Raise ValueError, quoting the sum, when the closed forms of the
+    blocks one build makes, a query each, count more than MAX_SYNAPSES.
+    Past the smallest sizes, every closed form counts more synapses than
+    any of its size entries, so an entry above the cap is over it
+    without evaluating a count that may be too large to compute."""
+    entry = max((value for query in queries
+                 for value in (query.n, query.m, query.r, query.c) if value),
+                default=0)
+    if entry > MAX_SYNAPSES:
+        count = f"at least {entry:,}"
     else:
-        synapses = formula_resources(block_query(kind, ak, size)).synapses
+        synapses = sum(formula_resources(query).synapses for query in queries)
         if synapses <= MAX_SYNAPSES:
-            return ak, size
+            return
         # a count of thousands of digits is shown by its power of two
         count = (f"{synapses:,}" if synapses.bit_length() <= 64
                  else f"at least 2^{synapses.bit_length() - 1}")
-    named = " ".join(f"{flag}={value}" for flag, value in zip(spec.default, size))
-    raise ValueError(f"{kind} {named} needs {count} synapses by its closed "
-                     f"form, more than the {MAX_SYNAPSES:,} a build may hold")
+    forms = "closed forms" if len(queries) > 1 else "closed form"
+    raise ValueError(f"{label} needs {count} synapses by its {forms}, more "
+                     f"than the {MAX_SYNAPSES:,} a build may hold")
 
 
 def build_block(net: Network, kind: str, and_kind: str | None,
@@ -517,6 +526,8 @@ def _result(name: str, ak: str, params: dict, net: Network,
 
 def _run_decoder_encoder(cfg: ExperimentConfig) -> ExperimentResult:
     ak, (n,) = block_config("decoder", cfg.and_kind, n=cfg.n)
+    _admit(f"decoder-encoder n={n}", [block_query("decoder", ak, (n,)),
+                                      block_query("encoder", None, (2 ** n,))])
     dec_latency = expected_latency("decoder", ak)
     total = dec_latency + 1
     duration, inputs, words = _stimulated(
@@ -564,6 +575,8 @@ def _control_chunks(n: int, duration_ms: int, seed: int) -> list[int]:
 
 def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
     ak, (n,) = block_config("multiplexer", cfg.and_kind, n=cfg.n)
+    _admit(f"mux-demux n={n}", [block_query(kind, ak, (n,)) for kind
+                                in ("multiplexer", "demultiplexer")])
     mux_latency = expected_latency("multiplexer", ak)
     total = mux_latency + expected_latency("demultiplexer", ak)
     # data line d_j spikes every 2^j ms from t=1
@@ -939,12 +952,3 @@ def parse_stimulus(text: str) -> dict[str, tuple[int, ...]]:
             raise ValueError(f"stimulus line {lineno}: negative time")
         collected.setdefault(name, set()).add(time)
     return {name: tuple(sorted(times)) for name, times in collected.items()}
-
-
-def shuffle_synapses(net: Network, seed: int) -> Network:
-    """Rebuild the network with its synapse list randomly permuted;
-    entity ids are unchanged, so spike records stay comparable."""
-    doc = netlist.to_document(net)
-    random.Random(seed).shuffle(doc["synapses"])
-    rebuilt, _ = netlist.from_document(doc)
-    return rebuilt

@@ -24,37 +24,8 @@ VERSION = 1
 
 
 def to_document(net: Network, annotations: dict | None = None) -> dict:
-    neurons = [
-        {
-            "id": nid,
-            "threshold_quanta": params.threshold_quanta,
-            "refractory_ms": params.refractory_ms,
-            "carryover_factor": str(params.carryover_factor),
-        }
-        for nid, params in sorted(net.neurons.items())
-    ]
-    sources = [
-        {"id": sid, "times": list(times)}
-        for sid, times in sorted(net.sources.items())
-    ]
-    synapses = [
-        {
-            "source": syn.source,
-            "target": syn.target,
-            "weight_quanta": syn.weight_quanta,
-            "delay_ms": syn.delay_ms,
-        }
-        for syn in net.synapses
-    ]
-    return {
-        "format": FORMAT,
-        "version": VERSION,
-        "neurons": neurons,
-        "sources": sources,
-        "synapses": synapses,
-        "recorded": list(net.recorded),
-        "annotations": annotations or {},
-    }
+    """The netlist as a JSON object: what dumps writes, parsed."""
+    return json.loads(dumps(net, annotations))
 
 
 def _field(entry, key: str, where: str):
@@ -128,8 +99,8 @@ def from_document(doc: dict) -> tuple[Network, dict]:
     return net, annotations
 
 
-# dumps writes what json.dumps(to_document(...), indent=2) writes, which
-# runs the pure-Python encoder: one template per neuron and per synapse,
+# dumps writes the document as json.dumps(..., indent=2) would, without
+# its pure-Python encoder: one template per neuron and per synapse,
 # whose fields are all ints (the Network checks them), and json.dumps
 # for the rest
 _NEURON = ('    {\n      "id": %d,\n      "threshold_quanta": %d,\n'

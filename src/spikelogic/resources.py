@@ -133,21 +133,14 @@ def _memory_items(n: int, c: int, ak: str) -> dict[str, int]:
     return items
 
 
-def _mux_items(n: int, ak: str) -> dict[str, int]:
-    items = _decoder_items(n, ak)
-    per_and = 2 if ak == "classic" else 1
-    _add_items(items, {
-        f"Data inputs to AND ({ak})": per_and * 2 ** n,
-        "AND to OR": 2 ** n,
-    })
-    return items
-
-
 def _demux_items(n: int, ak: str) -> dict[str, int]:
     items = _decoder_items(n, ak)
-    per_and = 2 if ak == "classic" else 1
-    _add_items(items, {f"Data inputs to AND ({ak})": per_and * 2 ** n})
+    items[f"Data inputs to AND ({ak})"] = (2 if ak == "classic" else 1) * 2 ** n
     return items
+
+
+def _mux_items(n: int, ak: str) -> dict[str, int]:
+    return {**_demux_items(n, ak), "AND to OR": 2 ** n}
 
 
 def _report(neurons: int, synapses: int, items: Mapping[str, int] | None) -> ResourceReport:

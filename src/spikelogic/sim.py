@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -187,6 +187,56 @@ class Network:
         self.synapses.append(Synapse(source, target, weight_quanta, delay_ms))
         self.categories.append(category)
         return len(self.synapses) - 1
+
+    def copy(self, entities: range, synapses: range, count: int,
+             moved: Mapping[int, int] | None = None) -> range:
+        """Append count copies of a template (the neurons of entities, then
+        the synapses of synapses, each landing in entities) with the same
+        params, weights, delays and labels, and return their id offsets.
+        A source in entities moves with its copy; one outside stays put
+        unless moved gives its stride: copy k takes it from source +
+        (k + 1) * stride, an existing id. The template is checked once, a
+        ValueError leaving the network unchanged; its synapses passed
+        connect(), so their shifted copies need no check."""
+        # type() rather than isinstance(): a bool is an int, not a count
+        if type(count) is not int or count < 0:
+            raise ValueError(f"count must be an integer >= 0, not {count!r}")
+        if not (type(entities) is range and entities.step == 1 and entities
+                and all(map(self.neurons.__contains__, entities))):
+            raise ValueError(f"{entities!r} is not a range of neuron ids")
+        if not (type(synapses) is range and synapses.step == 1 and
+                0 <= synapses.start <= synapses.stop <= len(self.synapses)):
+            raise ValueError(f"{synapses!r} is not a range of synapse indices")
+        template = self.synapses[synapses.start:synapses.stop]
+        if not all(syn.target in entities for syn in template):
+            raise ValueError("every template synapse must target entities")
+        first, size, moved = self._next_id, len(entities), moved or {}
+        for source, stride in moved.items():
+            if (type(source) is not int or type(stride) is not int
+                    or source in entities or not 0 <= source < first
+                    or not 0 <= source + count * stride < first):
+                raise ValueError(f"moved source {source!r} and stride "
+                                 f"{stride!r} leave the ids outside entities")
+        offsets = range(first - entities.start,
+                        first - entities.start + count * size, size)
+        self.neurons.update(zip(range(first, first + count * size),
+                                [self.neurons[eid] for eid in entities] * count))
+        self._next_id += count * size
+        sources, targets, weights, delays = list(zip(*template)) or [()] * 4
+        # copy k takes a source from base + k * step: a template neuron
+        # moves with its copy, a moved source by its stride
+        steps = [size if source in entities else moved.get(source, 0)
+                 for source in sources]
+        bases = [source + (offsets.start if source in entities else step)
+                 for source, step in zip(sources, steps)]
+        self.synapses.extend(map(tuple.__new__, repeat(Synapse), zip(
+            [base + k * step for k in range(count)
+             for base, step in zip(bases, steps)],
+            [target + offset for offset in offsets for target in targets],
+            weights * count, delays * count)))
+        self.categories.extend(
+            self.categories[synapses.start:synapses.stop] * count)
+        return offsets
 
     def record(self, *entity_ids: int) -> None:
         for eid in entity_ids:

@@ -21,7 +21,6 @@ from spikelogic.harness import (
     measure_latency,
     render_checks,
     run_experiment,
-    shuffle_synapses,
     sweep_decoder,
     sweep_demultiplexer,
     sweep_encoder,
@@ -34,6 +33,7 @@ from spikelogic.resources import (
     reconcile,
 )
 from spikelogic.sim import Network
+from support import shuffle_synapses
 
 KINDS = ("classic", "fast")
 

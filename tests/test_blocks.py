@@ -28,6 +28,7 @@ from spikelogic.gates import (
     _require_css,
     drive,
     padded,
+    retagged,
     wire,
 )
 from spikelogic.harness import (
@@ -429,49 +430,113 @@ def _latch_shape(net: Network, latch) -> tuple:
 
 @pytest.mark.parametrize("ak", KINDS)
 def test_stamped_latches_equal_a_built_one(ak, monkeypatch):
-    # every latch of a memory but the first is a copy of it, made by
-    # _copied one latch at a time; each copy must equal a latch built
-    # alone, and the memory's ports must be those of the copies
+    # every latch of a memory but the first is a copy of it, made as a
+    # copy of the latch or of a whole row; each must equal a latch built
+    # alone, and the memory's ports must be those of the copies. Latch k
+    # sits k latch widths after latch 0, and its synapses k blocks of
+    # (latch synapses, store wire, data_not wire) after latch 0's.
     net = Network()
     alone = build_d_latch(net, ak, build_css(net))
-    copy = blocks._copied
-    copies = []
+    built = []
 
-    def spy(net, template, count):
-        before = len(net.synapses)
-        offsets = copy(net, template, count)
-        copies.append((net, template, offsets, range(before, len(net.synapses))))
-        return offsets
+    def spy(*args, **kwargs):
+        built.append(build_d_latch(*args, **kwargs))
+        return built[-1]
 
-    monkeypatch.setattr(blocks, "_copied", spy)
+    monkeypatch.setattr(blocks, "build_d_latch", spy)
     memory_net = Network()
     memory = build_memory(memory_net, 5, 3, ak, build_css(memory_net))
-    stamped = [entry for entry in copies if entry[1].kind == "d_latch"]
-    assert [len(offsets) for _, _, offsets, _ in stamped] == [1] * (5 * 3 - 1)
-    template = stamped[0][1]
-    q_ids = [template.output("q")]
-    for net_of, latch_template, (offset,), synapses in stamped:
-        assert net_of is memory_net
-        assert latch_template is template
-        # a copy shares its template's report, kind and latencies
-        assert latch_template.resources == alone.resources
-        assert (latch_template.kind, latch_template.and_kind,
-                latch_template.latency_ms,
-                latch_template.data_latency_ms) == (alone.kind, alone.and_kind,
-                                                    alone.latency_ms,
-                                                    alone.data_latency_ms)
-        entities = template.entities
+    [template] = built
+    # a copy shares its template's report, kind and latencies
+    assert template.resources == alone.resources
+    assert ((template.kind, template.and_kind, template.latency_ms,
+             template.data_latency_ms) == (alone.kind, alone.and_kind,
+                                           alone.latency_ms,
+                                           alone.data_latency_ms))
+    width = len(template.entities)
+    block = len(template.synapses) + len(template.input_taps("store")) + len(
+        template.input_taps("data_not"))
+    q_ids = []
+    for k in range(5 * 3):
+        offset, shift = k * width, k * block
         latch = dataclasses.replace(
             template,
             ports=PortMap({name: padded(taps, 0, offset)
                            for name, taps in template.ports.inputs.items()},
                           {name: eid + offset
                            for name, eid in template.ports.outputs.items()}),
-            entities=range(entities.start + offset, entities.stop + offset),
-            synapses=synapses)
+            entities=range(template.entities.start + offset,
+                           template.entities.stop + offset),
+            synapses=range(template.synapses.start + shift,
+                           template.synapses.stop + shift))
         assert _latch_shape(memory_net, latch) == _latch_shape(net, alone)
         q_ids.append(latch.output("q"))
     assert [memory.output(f"q{k // 3 + 1}_{k % 3}") for k in range(5 * 3)] == q_ids
+    assert memory.synapses.stop == template.synapses.start + 5 * 3 * block
+
+
+def _per_latch_memory(net, registers, bits, and_kind, css):
+    """The memory as built before its rows were copied: one latch at a
+    time, each run through build_d_latch and followed by its store and
+    data_not wires. It is the reference the row-copying build must
+    equal; it returns what blocks.build_memory returns."""
+    decoder = build_decoder(net, registers.bit_length(), and_kind, css)
+    start = (decoder.entities.start, decoder.synapses.start)
+    column_nots = [build_not(net, css) for _ in range(bits)]
+    latches = []
+    for k in range(registers * bits):
+        latch = build_d_latch(net, and_kind, css)
+        wire(net, decoder.output(f"ch{k // bits + 1}"), latch.input_taps("store"))
+        wire(net, column_nots[k % bits].output(), latch.input_taps("data_not"),
+             extra_delay_ms=decoder.latency_ms - 1)
+        latches.append(latch)
+    inputs = dict(decoder.ports.inputs)
+    for j in range(bits):
+        taps = list(retagged(column_nots[j].input_taps("in"), "Data to NOT"))
+        for latch in latches[j::bits]:
+            taps.extend(padded(latch.input_taps("data"), decoder.latency_ms))
+        inputs[f"d{j}"] = tuple(taps)
+    outputs = {f"q{k // bits + 1}_{k % bits}": latch.output("q")
+               for k, latch in enumerate(latches)}
+    return blocks._block(net, start, "memory", and_kind,
+                         {"r": registers, "c": bits}, PortMap(inputs, outputs),
+                         decoder=decoder)
+
+
+def _memory_block(build, registers: int, bits: int, ak: str) -> tuple:
+    """Everything a memory puts in a network of its own after a CSS, and
+    its handle's spans, ports (in order) and report."""
+    net = Network()
+    memory = build(net, registers, bits, ak, build_css(net))
+    return (net.neurons, net.synapses, net.categories, memory.entities,
+            memory.synapses, list(memory.ports.inputs.items()),
+            list(memory.ports.outputs.items()), memory.resources)
+
+
+@given(st.integers(1, 40), st.integers(1, 9), st.sampled_from(KINDS))
+def test_row_copied_memory_equals_per_latch_build(registers, bits, ak):
+    assert (_memory_block(build_memory, registers, bits, ak)
+            == _memory_block(_per_latch_memory, registers, bits, ak))
+
+
+@pytest.mark.parametrize("ak", KINDS)
+def test_memory_rows_after_the_first_make_no_connect_call(ak, monkeypatch):
+    # r = 4 to 7 share a 3-line decoder, so only the rows differ
+    calls = []
+    connect = Network.connect
+
+    def counted(net, *args):
+        calls.append(args)
+        return connect(net, *args)
+
+    monkeypatch.setattr(Network, "connect", counted)
+    made = []
+    for registers in range(4, 8):
+        calls.clear()
+        net = Network()
+        build_memory(net, registers, 5, ak, build_css(net))
+        made.append(len(calls))
+    assert len(set(made)) == 1
 
 
 def _per_gate_select_stage(net, n, and_kind, css, fan_in):

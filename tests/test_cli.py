@@ -203,6 +203,9 @@ NON_ASCII_STIMULUS = "NON_ASCII_STIMULUS"
     ["verify", "decoder", "--n", "-1"],
     ["verify", "decoder", "--n", "30"],
     ["verify", "decoder", "--n", "15000"],
+    # the mux alone is under the cap, the mux and the demux are over it
+    ["run", "mux-demux", "--n", "15", "--and", "classic"],
+    ["run", "mux-demux", "--n", "16", "--and", "fast", "--duration-ms", "60"],
     ["verify", "decoder", "--n", "10000000000"],
     ["resources", "encoder", "--n", "10000000000"],
     ["verify", "memory", "--registers", "10000000000"],

@@ -26,7 +26,6 @@ from spikelogic.harness import (
     parse_stimulus,
     render_checks,
     run_experiment,
-    shuffle_synapses,
     sweep_decoder,
     sweep_demultiplexer,
     sweep_encoder,
@@ -36,6 +35,7 @@ from spikelogic.harness import (
 from spikelogic.resources import BLOCK_KINDS, expected_latency, reconcile
 from spikelogic.sim import Network
 from spikelogic.trace import render_trace
+from support import shuffle_synapses
 
 GOLDEN = Path(__file__).parent / "data"
 
@@ -369,6 +369,31 @@ def test_synapse_cap_admits_its_own_count(monkeypatch):
     assert harness.block_config("decoder", n=2) == ("fast", (2,))
     with pytest.raises(ValueError, match="needs 51 synapses"):
         harness.block_config("decoder", n=3)
+
+
+@pytest.mark.parametrize("name, cfg, cap, count", [
+    # the classic mux of n=15 counts 1,114,159 synapses, its demux 1,081,391
+    ("mux-demux", ExperimentConfig("classic", n=15), None, "2,195,550"),
+    ("mux-demux", ExperimentConfig("fast", n=16, duration_ms=60), None,
+     "2,556,004"),
+    # the fast decoder of n=3 counts 51 synapses, its 8-input encoder 12;
+    # at today's cap no decoder that fits leaves its encoder over it
+    ("decoder-encoder", ExperimentConfig("fast", n=3), 60, "63"),
+], ids=["mux-demux-classic", "mux-demux-fast", "decoder-encoder"])
+def test_experiment_prices_every_block_before_building(name, cfg, cap, count,
+                                                       monkeypatch):
+    ran = []
+    for builder in ("build_block", "build_css", "build_decoder",
+                    "build_encoder", "build_multiplexer",
+                    "build_demultiplexer", "build_memory", "build_d_latch"):
+        monkeypatch.setattr(harness, builder,
+                            lambda *args, _name=builder: ran.append(_name))
+    if cap is not None:
+        monkeypatch.setattr(harness, "MAX_SYNAPSES", cap)
+    with pytest.raises(ValueError, match=f"^{name} n={cfg.n} needs {count} "
+                       "synapses by its closed forms, more than the "):
+        run_experiment(name, cfg)
+    assert ran == []
 
 
 # sizes as harness.build_block takes them; the memory at full and at

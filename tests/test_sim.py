@@ -254,3 +254,111 @@ def test_spike_record_keeps_its_own_copy():
     spikes[0] = ()
     spikes[1] = (0,)
     assert dict(record.spikes) == {0: (1, 2)}
+
+
+def _copy_template() -> tuple[Network, range, range]:
+    """A network of a source (id 0), five outside neurons and a
+    two-neuron template (ids 6 and 7) whose synapses come from the
+    source, from inside and from outside neuron 3; returns it with the
+    template's spans."""
+    net = Network()
+    source = net.add_source([1, 3])
+    feeder = [net.add_neuron() for _ in range(5)][2]
+    a = net.add_neuron(NeuronParams(threshold_quanta=2))
+    b = net.add_neuron()
+    start = len(net.synapses)
+    net.connect(source, a, 1, 1, "in")
+    net.connect(a, b, -1, 2, "inside")
+    net.connect(feeder, b, 2, 3, "feed")
+    net.connect(b, b, 1, 1)
+    return net, range(a, b + 1), range(start, len(net.synapses))
+
+
+def _snapshot(net: Network) -> tuple:
+    return (dict(net.neurons), dict(net.sources), list(net.synapses),
+            list(net.categories), net.add_neuron())
+
+
+class TestCopy:
+    # stride -1 reaches the source, stride 1 the template's first neuron
+    @pytest.mark.parametrize("count", range(4))
+    @pytest.mark.parametrize("stride", [None, 0, 1, -1])
+    def test_copy_equals_connecting_each_copy(self, count, stride):
+        net, entities, synapses = _copy_template()
+        feeder = net.synapses[synapses[2]].source
+        moved = None if stride is None else {feeder: stride}
+        reference, _, _ = _copy_template()
+        offsets = []
+        for k in range(count):
+            ids = [reference.add_neuron(reference.neurons[eid])
+                   for eid in entities]
+            offset = ids[0] - entities.start
+            for index in synapses:
+                source, target, weight, delay = reference.synapses[index]
+                if source in entities:
+                    source += offset
+                elif moved and source in moved:
+                    source += (k + 1) * moved[source]
+                reference.connect(source, target + offset, weight, delay,
+                                  reference.categories[index])
+            offsets.append(offset)
+        assert list(net.copy(entities, synapses, count, moved)) == offsets
+        assert _snapshot(net) == _snapshot(reference)
+
+    def test_copy_makes_no_connect_call(self, monkeypatch):
+        net, entities, synapses = _copy_template()
+
+        def refused(*args):
+            raise AssertionError("a copy went through connect")
+
+        monkeypatch.setattr(Network, "connect", refused)
+        net.copy(entities, synapses, 3, {3: 1})
+        assert len(net.synapses) == 4 * len(synapses)
+
+    def test_count_zero_adds_nothing(self):
+        net, entities, synapses = _copy_template()
+        before = _snapshot(_copy_template()[0])
+        offsets = net.copy(entities, synapses, 0, {3: 4})
+        assert offsets == range(0) and len(offsets) == 0
+        assert _snapshot(net) == before
+
+    @pytest.mark.parametrize("call, message", [
+        # the span holds the spike source
+        (lambda net, e, s: net.copy(range(0, e.stop), s, 1), "neuron ids"),
+        (lambda net, e, s: net.copy(range(0), s, 1), "neuron ids"),
+        (lambda net, e, s: net.copy(range(e.start, e.stop + 1), s, 1),
+         "neuron ids"),
+        (lambda net, e, s: net.copy(tuple(e), s, 1), "neuron ids"),
+        # a template synapse lands outside its span
+        (lambda net, e, s: net.copy(range(e.start, e.start + 1), s, 1),
+         "target"),
+        (lambda net, e, s: net.copy(e, range(s.start, s.stop + 1), 1),
+         "synapse indices"),
+        (lambda net, e, s: net.copy(e, range(-1, s.stop), 1),
+         "synapse indices"),
+        # a moved source whose last step falls outside the existing ids
+        (lambda net, e, s: net.copy(e, s, 2, {3: 3}), "moved source"),
+        (lambda net, e, s: net.copy(e, s, 1, {3: 5}), "moved source"),
+        (lambda net, e, s: net.copy(e, s, 2, {3: -2}), "moved source"),
+        (lambda net, e, s: net.copy(e, s, 1, {99: 0}), "moved source"),
+        (lambda net, e, s: net.copy(e, s, 1, {e.start: 0}), "moved source"),
+        (lambda net, e, s: net.copy(e, s, 1, {3: 1.0}), "moved source"),
+        (lambda net, e, s: net.copy(e, s, 1, {True: 0}), "moved source"),
+        # a count that is not an int >= 0
+        (lambda net, e, s: net.copy(e, s, -1), "count"),
+        (lambda net, e, s: net.copy(e, s, 1.0), "count"),
+        (lambda net, e, s: net.copy(e, s, True), "count"),
+        (lambda net, e, s: net.copy(e, s, "1"), "count"),
+        (lambda net, e, s: net.copy(e, s, None), "count"),
+    ], ids=["source-in-span", "empty-span", "past-last-id", "not-a-range",
+            "synapse-out-of-span", "past-last-synapse", "negative-synapse",
+            "moved-past-last-id", "moved-onto-first-new-id", "moved-below-zero", "moved-unknown",
+            "moved-inside", "moved-float-stride", "moved-bool-source",
+            "count-negative", "count-float", "count-bool", "count-str",
+            "count-none"])
+    def test_bad_copies_raise_and_change_nothing(self, call, message):
+        net, entities, synapses = _copy_template()
+        before = _snapshot(_copy_template()[0])
+        with pytest.raises(ValueError, match=message):
+            call(net, entities, synapses)
+        assert _snapshot(net) == before
