@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Run the four canonical experiments and print traces plus summaries.
+"""Run the four canonical experiments and print traces plus a summary.
 
-Equivalent to `spikelogic run <experiment>` for each experiment in turn,
-followed by a resource and latency summary per block. Exits nonzero if
-any built-in check fails.
+Prints the checks and the trace of each experiment in turn, as
+`spikelogic run <experiment>` does under an `=== name` heading, then the
+closed-form neurons and synapses of each block kind at one size, classic
+against fast. Exits nonzero if any built-in check fails.
 """
 
 import sys

@@ -33,7 +33,6 @@ from .blocks import (
 from .resources import (
     AND_KINDS,
     BLOCK_KINDS,
-    AndKind,
     FormulaQuery,
     ReconcileReport,
     ResourceReport,

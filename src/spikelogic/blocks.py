@@ -9,16 +9,15 @@ delay to match its sibling that went through a NOT.
 Blocks accept either AND flavor. The classic AND spends two neurons and
 2 ms; the fast AND spends one neuron and 1 ms but leans on the shared
 constant spike source for its per-millisecond veto. Block latencies are
-fixed by construction; the latency table is the one in resources.py (a
-D latch with its input inverter built in takes one more ms from data).
+fixed by construction; the latency table is the one in resources.py.
 
-Resource accounting: a handle's report counts the synapses the block
-created, by their labels in the network's category ledger, plus one
-synapse per input tap (each input port is meant to be wired from
-exactly one driver). Decoder, mux, demux
-and memory reports include the CSS they were handed; the D latch report
-deliberately excludes CSS hookups and its optional input inverter so it
-composes cleanly into the memory totals.
+Resource accounting: a handle's report counts the neurons and the
+labelled synapses the block created, plus one synapse per input tap
+(each input port is meant to be wired from exactly one driver). Where
+the kind's closed forms count the CSS (resources._Kind.counts_css: the
+decoder, mux, demux and memory) it adds the CSS's 2 neurons and 2
+synapses; elsewhere (encoder, D latch) it leaves out the synapses from
+the CSS, so a D latch composes cleanly into the memory totals.
 
 Identical parts are built once and copied by Network.copy, which
 appends a template's entity and synapse spans again at an id offset
@@ -36,6 +35,7 @@ gate and latch.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
 
 from .gates import (
     CAT_INTERNAL_CSS,
@@ -56,10 +56,10 @@ from .gates import (
     wire,
 )
 from .resources import (
+    _FORMS,
     ResourceReport,
     and_kind_name,
     expected_latency,
-    _dlatch_items,
 )
 from .sim import Network
 
@@ -71,26 +71,27 @@ def _and_gate(net: Network, and_kind: str, css, fan_in: int) -> Handle:
 
 
 def _block(net: Network, start: tuple[int, int], kind: str, and_kind,
-           params: dict[str, int], ports: PortMap, *,
-           include_css: bool = True, whitelist=None,
-           neuron_count: int | None = None, **fields) -> Handle:
+           params: dict[str, int], ports: PortMap, css, **fields) -> Handle:
     """Handle over everything built since start = _mark(net), with its
-    resource report: the ledger labels of its synapses plus one synapse
-    per input tap, plus the CSS's 2 neurons and 2 synapses if
-    include_css; whitelist and neuron_count narrow the report."""
+    resource report: its neurons, the ledger labels of its synapses and
+    one synapse per input tap. Where the kind's closed forms count the
+    CSS, the report adds its 2 neurons and 2 synapses; elsewhere it
+    leaves out the synapses from the CSS."""
     handle = _spanned(net, start, kind, ports, expected_latency(kind, and_kind),
                       and_kind=and_kind, params=params, **fields)
-    span = handle.synapses
-    categories = Counter(net.categories[span.start:span.stop])
+    span = slice(handle.synapses.start, handle.synapses.stop)
+    neurons = len(handle.entities)
+    if _FORMS[kind].counts_css:
+        categories = Counter(net.categories[span])
+        neurons += 2
+        categories[CAT_INTERNAL_CSS] += 2
+    else:
+        from_css = css.entities if css is not None else ()
+        categories = Counter(compress(net.categories[span], [
+            syn.source not in from_css for syn in net.synapses[span]]))
     for taps in ports.inputs.values():
         for tap in taps:
             categories[tap.category] += 1
-    neurons = len(handle.entities) if neuron_count is None else neuron_count
-    if include_css:
-        neurons += 2
-        categories[CAT_INTERNAL_CSS] += 2
-    if whitelist is not None:
-        categories = Counter({k: v for k, v in categories.items() if k in whitelist})
     handle.resources = ResourceReport(neurons, sum(categories.values()),
                                       dict(sorted(categories.items())))
     return handle
@@ -136,7 +137,7 @@ def build_decoder(net: Network, n: int, and_kind, css) -> Handle:
     outputs, _, select_ports = _select_stage(net, n, ak, css, n)
     return _block(net, start, "decoder", ak, {"n": n},
                   PortMap(select_ports, {f"ch{j}": out
-                                         for j, out in enumerate(outputs)}))
+                                         for j, out in enumerate(outputs)}), css)
 
 
 def build_encoder(net: Network, num_inputs: int) -> Handle:
@@ -164,7 +165,7 @@ def build_encoder(net: Network, num_inputs: int) -> Handle:
         inputs[f"d{i}"] = tuple(taps)
     outputs = {f"or{b}": or_gates[b].output() for b in range(width)}
     return _block(net, start, "encoder", None, {"num_inputs": num_inputs},
-                  PortMap(inputs, outputs), include_css=False)
+                  PortMap(inputs, outputs), None)
 
 
 def build_multiplexer(net: Network, n: int, and_kind, css) -> Handle:
@@ -178,7 +179,7 @@ def build_multiplexer(net: Network, n: int, and_kind, css) -> Handle:
         ports_in[f"d{j}"] = retagged(padded(taps, 1), f"Data inputs to AND ({ak})")
         wire(net, out, collector.input_taps(f"in{j}"), category="AND to OR")
     return _block(net, start, "multiplexer", ak, {"n": n},
-                  PortMap(ports_in, {"out": collector.output()}))
+                  PortMap(ports_in, {"out": collector.output()}), css)
 
 
 def build_demultiplexer(net: Network, n: int, and_kind, css) -> Handle:
@@ -192,21 +193,17 @@ def build_demultiplexer(net: Network, n: int, and_kind, css) -> Handle:
     ports_in["d"] = tuple(data_taps)
     return _block(net, start, "demultiplexer", ak, {"n": n},
                   PortMap(ports_in, {f"ch{j}": out
-                                     for j, out in enumerate(outputs)}))
+                                     for j, out in enumerate(outputs)}), css)
 
 
-def build_d_latch(net: Network, and_kind, css,
-                  with_input_not: bool = False) -> Handle:
+def build_d_latch(net: Network, and_kind, css) -> Handle:
     """Level-sensitive latch: on a store spike, q tracks data; without
     store, q holds.
 
     Two AND gates gate the data path: store AND data sets the SR
     neuron, store AND inverted-data resets it (a stored 0 is an active
-    reset, and reset wins over set by construction). By default the
-    caller supplies the inverted data line on the data_not port;
-    with_input_not=True builds the inverter and pads store and data one
-    extra millisecond to stay aligned with it, which raises the
-    data-to-q delay by 1 ms over the block latency.
+    reset, and reset wins over set by construction). The caller
+    supplies the inverted data line on the data_not port.
     """
     ak = and_kind_name(and_kind)
     start = _mark(net)
@@ -217,32 +214,15 @@ def build_d_latch(net: Network, and_kind, css,
          category="AND to SR Latch (set)")
     wire(net, reset_and.output(), sr.input_taps("reset"),
          category="AND to SR Latch (reset)")
-    store_taps = retagged(set_and.input_taps("in0") + reset_and.input_taps("in0"),
-                          f"Store to AND ({ak})")
-    data_taps = retagged(set_and.input_taps("in1"), f"Data to AND ({ak})")
-    latency = expected_latency("d_latch", ak)
-    if with_input_not:
-        inverter = build_not(net, css)
-        wire(net, inverter.output(), reset_and.input_taps("in1"),
-             category=f"Inverted data to AND ({ak})")
-        inputs = {
-            "store": padded(store_taps, 1),
-            "data": padded(data_taps, 1) + retagged(inverter.input_taps("in"),
-                                                    "Data to NOT"),
-        }
-    else:
-        inverted_taps = retagged(reset_and.input_taps("in1"),
-                                 f"Inverted data to AND ({ak})")
-        inputs = {"store": store_taps, "data": data_taps,
-                  "data_not": inverted_taps}
-    # the report leaves out CSS hookups and the optional input inverter
-    core_neurons = sum(len(h.entities) for h in (set_and, reset_and, sr))
-    return _block(net, start, "d_latch", ak,
-                  {"with_input_not": int(with_input_not)},
-                  PortMap(inputs, {"q": sr.output("q")}),
-                  include_css=False, whitelist=set(_dlatch_items(ak)),
-                  neuron_count=core_neurons,
-                  data_latency_ms=latency + int(with_input_not))
+    inputs = {
+        "store": retagged(set_and.input_taps("in0") + reset_and.input_taps("in0"),
+                          f"Store to AND ({ak})"),
+        "data": retagged(set_and.input_taps("in1"), f"Data to AND ({ak})"),
+        "data_not": retagged(reset_and.input_taps("in1"),
+                             f"Inverted data to AND ({ak})"),
+    }
+    return _block(net, start, "d_latch", ak, {},
+                  PortMap(inputs, {"q": sr.output("q")}), css)
 
 
 def build_memory(net: Network, registers: int, bits: int, and_kind,
@@ -269,7 +249,7 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
     # and is latch 0 moved offsets[k] ids on. Latch 0 and its two wires
     # are copied along row 0, and row 0 down the rows, moving the data
     # inverter on one column and the store strobe one channel per copy.
-    latch = build_d_latch(net, ak, css, with_input_not=False)
+    latch = build_d_latch(net, ak, css)
     strobe, inverted = decoder.output("ch1"), column_nots[0].output()
     wire(net, strobe, latch.input_taps("store"))
     wire(net, inverted, latch.input_taps("data_not"),
@@ -293,4 +273,4 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
     outputs = {f"q{k // bits + 1}_{k % bits}": q + offset
                for k, offset in enumerate(offsets)}
     return _block(net, start, "memory", ak, {"r": registers, "c": bits},
-                  PortMap(inputs, outputs), decoder=decoder)
+                  PortMap(inputs, outputs), css, decoder=decoder)

@@ -14,6 +14,7 @@ configuration error (bad flags, unreadable stimulus, unwritable output).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -161,6 +162,14 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return status
 
 
+def _heading(command: str, kind: str, and_kind: str | None,
+             params: dict) -> str:
+    """The first line of verify and resources: kind, AND kind, size."""
+    parts = [f"{and_kind} AND"] if and_kind else []
+    parts += [f"{k}={v}" for k, v in params.items()]
+    return f"{command} {kind} ({', '.join(parts)})"
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         report = verify_block(args.block, args.and_kind, n=args.n,
@@ -168,9 +177,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                               seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    parts = [f"{report.and_kind} AND"] if report.and_kind else []
-    parts += [f"{k}={v}" for k, v in report.params.items()]
-    print(f"verify {report.kind} ({', '.join(parts)})")
+    print(_heading("verify", report.kind, report.and_kind, report.params))
     print(render_checks(report.checks), end="")
     return 0 if report.passed else 1
 
@@ -183,9 +190,7 @@ def _cmd_resources(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     handle = build_block(Network(), kind, ak, size)
-    params = ", ".join(f"{k}={v}" for k, v in handle.params.items())
-    kind_note = f"{ak} AND, " if ak else ""
-    print(f"resources {kind} ({kind_note}{params})")
+    print(_heading("resources", kind, ak, handle.params))
     report = handle.resources
     print(f"  measured: {report.neurons} neurons, "
           f"{report.synapses} synapses")
@@ -216,9 +221,17 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"run": _cmd_run, "verify": _cmd_verify,
                 "resources": _cmd_resources, "export": _cmd_export}
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()
+        return status
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # unwritable output; devnull takes the flush at exit (see the
+        # SIGPIPE note in the docs of Python's signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write output: stdout is closed", file=sys.stderr)
         return 2
 
 

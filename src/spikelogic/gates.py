@@ -66,7 +66,6 @@ class Handle:
     and_kind: str | None = None  # "classic" or "fast" on blocks with ANDs
     params: dict[str, int] = field(default_factory=dict)
     resources: ResourceReport | None = None
-    data_latency_ms: int | None = None
     decoder: Handle | None = None
 
     def output(self, name: str = "out") -> int:

@@ -76,6 +76,7 @@ from .resources import (
     _FORMS,
     FormulaQuery,
     and_kind_name,
+    _read_and_kind,
     expected_latency,
     formula_queries,
     formula_resources,
@@ -89,12 +90,13 @@ from .trace import SpikeRow, Trace, hex_word_row, spike_row, value_row
 DEFAULT_SEED = 7
 
 # The most synapses a block's closed form may count for it to be built.
-# A build peaks at about 330 bytes per counted synapse (148 MB for the
-# 447,200 of a classic memory with r=1023, c=32, on CPython 3.11), so
-# this admits builds of up to about 0.7 GB, 4.5 times that memory. It
-# refuses the select kinds from n=16 (classic) or n=17 (fast), the
-# encoder from 228,110 inputs and the memory from r*c of about 150k
-# (classic) or 180k (fast).
+# Under tracemalloc on CPython 3.11 a build peaks at about 190 bytes per
+# counted synapse: 85.8 MB (192 B each) for the 447,200 of a classic
+# memory with r=1023, c=32, 69.3 MB (186 B each) for the 372,512 of a
+# fast one. So this admits builds of up to about 0.4 GB, 4.5 times that
+# classic memory. It refuses the select kinds from n=16 (classic) or
+# n=17 (fast), the encoder from 228,110 inputs and the memory from r*c
+# of about 150k (classic) or 180k (fast).
 MAX_SYNAPSES = 2_000_000
 
 # The most trace cells an experiment may hold: duration_ms times its
@@ -412,8 +414,9 @@ def block_config(kind: str, and_kind=None, *, n: int | None = None,
                  registers: int | None = None, bits: int | None = None,
                  ) -> tuple[str | None, tuple[int, ...]]:
     """AND kind and size of one block kind. None picks the default
-    ("fast", and the size in BLOCKS). A size below the smallest
-    buildable one, or one whose closed form counts more than
+    ("fast", and the size in BLOCKS); a kind without an AND stage gets
+    None, but still rejects an unknown AND kind. A size below the
+    smallest buildable one, or one whose closed form counts more than
     MAX_SYNAPSES synapses, raises ValueError before anything is built."""
     if kind not in BLOCKS:
         raise ValueError(f"unknown block kind {kind!r}")
@@ -421,12 +424,11 @@ def block_config(kind: str, and_kind=None, *, n: int | None = None,
     given = {"n": n, "registers": registers, "bits": bits}
     size = tuple(value if given[flag] is None else given[flag]
                  for flag, value in spec.default.items())
-    forms = _FORMS[kind]  # no AND kind where the latency is keyed by None
+    forms = _FORMS[kind]
     least = (forms.m_form if spec.form == "m" else forms.n_form).least
     for flag, value in zip(spec.default, size):
         _require_size(f"{kind} {flag}", value, least[_QUERY_FIELDS[flag]])
-    ak = "fast" if and_kind is None else and_kind
-    ak = None if None in forms.latency else and_kind_name(ak)
+    ak = _read_and_kind(forms, "fast" if and_kind is None else and_kind)
     named = " ".join(f"{flag}={value}" for flag, value in zip(spec.default, size))
     _admit(f"{kind} {named}", [block_query(kind, ak, size)])
     return ak, size
@@ -907,12 +909,8 @@ def verify_block(kind: str, and_kind: str | None = None, *,
 # Files
 
 
-def export_spikes(signal_times: Mapping[str, Iterable[int]],
-                  format: str = "csv") -> str:
-    """Spike data as CSV rows "signal,time_ms" sorted by (time, signal);
-    "csv" is the only format."""
-    if format != "csv":
-        raise ValueError(f"unknown spike export format {format!r}")
+def export_spikes(signal_times: Mapping[str, Iterable[int]]) -> str:
+    """Spike data as CSV rows "signal,time_ms" sorted by (time, signal)."""
     # each signal's times merged into per-ms lists of its CSV field, the
     # name quoted as the csv module quotes it, in name order
     at: dict[int, list[str]] = defaultdict(list)

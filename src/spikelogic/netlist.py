@@ -15,6 +15,7 @@ Carryover factors are exact rationals and are stored as strings such as
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .sim import Network, NeuronParams
@@ -34,20 +35,20 @@ def _field(entry, key: str, where: str):
     return entry[key]
 
 
-def _id(entry, where: str) -> int:
-    eid = _field(entry, "id", where)
-    if type(eid) is not int:
-        raise ValueError(f"{where} field 'id' must be an integer, not {eid!r}")
-    return eid
+# what dumps writes for a carryover factor; Fraction would also read
+# floats and exponents, and build a huge int for "1e999999999"
+_RATIONAL = re.compile(r"[0-9]+(/[0-9]+)?")
 
 
 def _carryover(entry, where: str) -> Fraction:
     value = _field(entry, "carryover_factor", where)
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where} field 'carryover_factor' must be a "
-                         f"rational such as \"1/4\", not {value!r}") from None
+    try:  # TypeError: not a string; ValueError: too many digits; or "1/0"
+        if _RATIONAL.fullmatch(value):
+            return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"{where} field 'carryover_factor' must be a "
+                     f"rational such as \"1/4\", not {value!r}")
 
 
 def _entries(entry, key: str, where: str = "netlist") -> list:
@@ -57,10 +58,24 @@ def _entries(entry, key: str, where: str = "netlist") -> list:
     return value
 
 
+def _by_id(doc: dict, key: str, where: str) -> dict:
+    """The entries of one entity table by id; an id that is not an int,
+    or that is repeated, raises ValueError."""
+    entries = {}
+    for entry in _entries(doc, key):
+        eid = _field(entry, "id", where)
+        if type(eid) is not int:
+            raise ValueError(f"{where} field 'id' must be an integer, not {eid!r}")
+        if eid in entries:
+            raise ValueError(f"{where} field 'id' repeats {eid}")
+        entries[eid] = entry
+    return entries
+
+
 def from_document(doc: dict) -> tuple[Network, dict]:
     """Rebuild a network from a document; returns (net, annotations). A
-    missing field, a value of the wrong type, a non-list entity table or
-    non-object annotations raise ValueError."""
+    missing field, a value of the wrong type, a non-list entity table,
+    a repeated id or non-object annotations raise ValueError."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError(f"not a {FORMAT} document")
     version = doc.get("version")
@@ -71,10 +86,8 @@ def from_document(doc: dict) -> tuple[Network, dict]:
     if not isinstance(annotations, dict):
         raise ValueError("netlist field 'annotations' must be an object, "
                          f"not {annotations!r}")
-    neuron_entries = {_id(entry, "neuron entry"): entry
-                      for entry in _entries(doc, "neurons")}
-    source_entries = {_id(entry, "source entry"): entry
-                      for entry in _entries(doc, "sources")}
+    neuron_entries = _by_id(doc, "neurons", "neuron entry")
+    source_entries = _by_id(doc, "sources", "source entry")
     if neuron_entries.keys() & source_entries.keys():
         raise ValueError("an id appears as both neuron and source")
     total = len(neuron_entries) + len(source_entries)
@@ -95,7 +108,10 @@ def from_document(doc: dict) -> tuple[Network, dict]:
     for k, syn in enumerate(_entries(doc, "synapses")):
         net.connect(*(_field(syn, key, f"synapse {k}") for key in
                       ("source", "target", "weight_quanta", "delay_ms")))
-    net.record(*_entries(doc, "recorded"))
+    recorded = _entries(doc, "recorded")
+    net.record(*recorded)
+    if len(net.recorded) != len(recorded):
+        raise ValueError("netlist field 'recorded' repeats an id")
     return net, annotations
 
 

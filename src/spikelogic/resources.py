@@ -12,35 +12,29 @@ Everything known about a block kind sits in one entry of _FORMS: its
 latency per AND kind, its n-form and m-form, and the size fields a
 handle of given parameters answers in each form.
 
-Conventions baked into the tables: decoder, multiplexer, demultiplexer
-and memory totals include the constant spike source (two neurons, two
-internal synapses); the D latch totals exclude the CSS and any input
-inverter; the CSS bootstrap source never counts anywhere.
+One convention of each kind sits next to its forms, in _Kind.counts_css:
+decoder, multiplexer, demultiplexer and memory totals include the
+constant spike source (two neurons, two internal synapses) and its
+hookups; encoder and D latch totals include neither, so a D latch
+composes into the memory totals without counting its CSS synapses. The
+CSS bootstrap source never counts anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Mapping
 
-
-class AndKind(str, Enum):
-    CLASSIC = "classic"
-    FAST = "fast"
-
-
-AND_KINDS = tuple(kind.value for kind in AndKind)
+AND_KINDS = ("classic", "fast")
 
 
 def and_kind_name(value) -> str:
-    """The name of an AND kind given as a name or an AndKind; anything
-    else, None included, raises ValueError."""
-    name = getattr(value, "value", value)
-    if name not in AND_KINDS:
+    """value, if it names an AND kind; anything else, None included,
+    raises ValueError."""
+    if value not in AND_KINDS:
         raise ValueError(f"unknown AND kind {value!r}; expected one of "
                          f"{AND_KINDS}")
-    return name
+    return value
 
 
 def _clog2(x: int) -> int:
@@ -196,11 +190,14 @@ class _Form:
 @dataclass(frozen=True)
 class _Kind:
     """Latency in ms by AND kind (by None alone without an AND stage),
-    the n-form and the m-form (None where the kind has none)."""
+    the n-form, the m-form (None where the kind has none), and whether
+    the forms count the CSS: its 2 neurons and 2 internal synapses, and
+    the synapses from it."""
 
     latency: Mapping[str | None, int]
     n_form: _Form
     m_form: _Form | None
+    counts_css: bool
 
 
 def _select_kind(latency, items, n_totals, m_totals) -> _Kind:
@@ -217,7 +214,8 @@ def _select_kind(latency, items, n_totals, m_totals) -> _Kind:
 
     return _Kind(latency,
                  _Form({"n": 1}, n_form, lambda params: {"n": params["n"]}),
-                 _Form({"m": 1}, m_form, lambda params: {"m": 2 ** params["n"]}))
+                 _Form({"m": 1}, m_form, lambda params: {"m": 2 ** params["n"]}),
+                 True)
 
 
 def _full_memory(params: Mapping[str, int]) -> dict[str, int] | None:
@@ -241,7 +239,7 @@ _FORMS = {
          "fast": lambda m, depth: (m + depth + 2,
                                    2 * m + (m + 3) * depth + 2)}),
     "encoder": _Kind({None: 1}, _Form({"n": 2}, _encoder_n, lambda params: {
-        "n": params["num_inputs"]}), None),
+        "n": params["num_inputs"]}), None, False),
     "multiplexer": _select_kind(
         {"classic": 4, "fast": 3}, _mux_items,
         {"classic": lambda n: (2 ** (n + 1) + n + 3,
@@ -262,11 +260,11 @@ _FORMS = {
                                       3 * m + (2 * m + 3) * depth + 2),
          "fast": lambda m, depth: (m + depth + 2,
                                    3 * m + (m + 3) * depth + 2)}),
-    "d_latch": _Kind({"classic": 3, "fast": 2}, _D_LATCH, _D_LATCH),
+    "d_latch": _Kind({"classic": 3, "fast": 2}, _D_LATCH, _D_LATCH, False),
     "memory": _Kind({"classic": 6, "fast": 4},
                     _Form({"n": 1, "c": 1}, _memory_n, _full_memory),
                     _Form({"r": 1, "c": 1}, _memory_m, lambda params: {
-                        "r": params["r"], "c": params["c"]})),
+                        "r": params["r"], "c": params["c"]}), True),
 }
 
 BLOCK_KINDS = tuple(_FORMS)
@@ -358,18 +356,13 @@ def _check_params(handle, query: FormulaQuery) -> None:
         raise ValueError("size parameters of handle and query do not match")
 
 
-def reconcile(measured, query: FormulaQuery) -> ReconcileReport:
-    """Compare a handle's measured resources against the closed form.
-
-    Accepts a block handle (whose parameters must match the query) or a
-    bare ResourceReport. Category-level differences are reported when
-    both sides carry an itemization.
+def reconcile(handle, query: FormulaQuery) -> ReconcileReport:
+    """Compare a block handle's measured resources against the closed
+    form. The handle's parameters must match the query. Category-level
+    differences are reported when both sides carry an itemization.
     """
-    if isinstance(measured, ResourceReport):
-        report = measured
-    else:
-        _check_params(measured, query)
-        report = measured.resources
+    _check_params(handle, query)
+    report = handle.resources
     expected = formula_resources(query)
     diffs: list[str] = []
     if report.neurons != expected.neurons:

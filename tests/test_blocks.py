@@ -7,7 +7,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spikelogic import blocks, netlist
 from spikelogic.blocks import (
@@ -25,6 +25,7 @@ from spikelogic.gates import (
     build_css,
     build_not,
     build_or,
+    build_sr_latch,
     _require_css,
     drive,
     padded,
@@ -33,6 +34,7 @@ from spikelogic.gates import (
 )
 from spikelogic.harness import (
     BLOCKS,
+    block_config,
     build_block,
     fuzz_d_latch,
     fuzz_memory,
@@ -41,10 +43,8 @@ from spikelogic.harness import (
     sweep_encoder,
     sweep_multiplexer,
 )
-from spikelogic.oracles import latch_states
 from spikelogic.resources import (
     BLOCK_KINDS,
-    AndKind,
     FormulaQuery,
     expected_latency,
     reconcile,
@@ -110,32 +110,6 @@ class TestDLatch:
     def test_random_schedules(self, ak):
         check = fuzz_d_latch(ak, steps=96, seed=11)
         assert check.ok, check.detail
-
-    @pytest.mark.parametrize("ak", KINDS)
-    def test_with_input_not(self, ak):
-        rng = random.Random(5)
-        steps = 48
-        latency = expected_latency("d_latch", ak)
-        data_latency = latency + 1
-        duration = steps + data_latency + 2
-        store = [rng.random() < 0.4 for _ in range(duration - 1)]
-        data = [rng.random() < 0.5 for _ in range(duration - 1)]
-        net = Network()
-        css = build_css(net)
-        latch = build_d_latch(net, ak, css, with_input_not=True)
-        assert latch.data_latency_ms == data_latency
-        drive(net, latch, "store", net.add_source(
-            [t + 1 for t, bit in enumerate(store) if bit]))
-        drive(net, latch, "data", net.add_source(
-            [t + 1 for t, bit in enumerate(data) if bit]))
-        net.record(latch.output("q"))
-        record = net.run(duration)
-        states = latch_states(store, data)
-        want = {t for t in range(data_latency + 1, duration)
-                if states[t - data_latency - 1]}
-        got = {t for t in record.times(latch.output("q"))
-               if t >= data_latency + 1}
-        assert got == want
 
     def test_default_variant_has_no_inverter_port(self):
         net = Network()
@@ -238,6 +212,22 @@ class TestMeasuredResources:
         assert outcome.ok, outcome.diffs
 
     @pytest.mark.parametrize("ak", KINDS)
+    def test_stray_synapse_in_a_d_latch_fails_reconcile(self, ak, monkeypatch):
+        # the latch's report counts what it built, not what its closed
+        # form lists: one extra labelled synapse must show as a mismatch
+        def with_stray_synapse(net):
+            sr = build_sr_latch(net)
+            net.connect(sr.output("q"), sr.output("q"), 1, 2, "Extra")
+            return sr
+
+        monkeypatch.setattr(blocks, "build_sr_latch", with_stray_synapse)
+        net = Network()
+        handle = build_d_latch(net, ak, build_css(net))
+        outcome = reconcile(handle, FormulaQuery("d_latch", ak))
+        assert not outcome.ok
+        assert "category 'Extra': measured 1, formula 0" in outcome.diffs
+
+    @pytest.mark.parametrize("ak", KINDS)
     @pytest.mark.parametrize("registers,bits", [(1, 1), (1, 4), (3, 3),
                                                 (7, 2)])
     def test_full_memory_matches_both_forms(self, ak, registers, bits):
@@ -279,7 +269,7 @@ class TestPorts:
     def test_decoder_port_names(self):
         net = Network()
         css = build_css(net)
-        decoder = build_decoder(net, 2, AndKind.FAST, css)
+        decoder = build_decoder(net, 2, "fast", css)
         assert set(decoder.ports.inputs) == {"s0", "s1"}
         assert set(decoder.ports.outputs) == {"ch0", "ch1", "ch2", "ch3"}
 
@@ -313,8 +303,8 @@ class TestPorts:
             build_decoder(net, 2, "sluggish", css)
 
 
-# each block kind at a small and a larger size (the D latch without and
-# with its input inverter), built after a CSS of its own
+# each block kind at a small and a larger size (the D latch alone and
+# after another), built after a CSS of its own
 LEDGER_BUILDS = {
     "decoder": lambda net, ak, css, big: build_decoder(net, 1 + 2 * big, ak, css),
     "encoder": lambda net, ak, css, big: build_encoder(net, 2 + 3 * big),
@@ -322,8 +312,8 @@ LEDGER_BUILDS = {
         net, 1 + big, ak, css),
     "demultiplexer": lambda net, ak, css, big: build_demultiplexer(
         net, 1 + 2 * big, ak, css),
-    "d_latch": lambda net, ak, css, big: build_d_latch(
-        net, ak, css, with_input_not=big),
+    "d_latch": lambda net, ak, css, big: [
+        build_d_latch(net, ak, css) for _ in range(1 + big)][-1],
     "memory": lambda net, ak, css, big: build_memory(
         net, 1 + 2 * big, 1 + big, ak, css),
 }
@@ -381,6 +371,50 @@ def test_classic_equals_fast_shifted_by_latency_difference(kind, size):
             want = {t + shift for t in record.times(fast)
                     if latency["classic"] < t + shift < duration}
             assert got == want, (kind, words)
+
+
+# sizes as harness.build_block takes them, small enough for many examples
+DELAY_SIZES = {
+    "decoder": st.tuples(st.integers(1, 3)),
+    "encoder": st.tuples(st.integers(2, 6)),
+    "multiplexer": st.tuples(st.integers(1, 2)),
+    "demultiplexer": st.tuples(st.integers(1, 3)),
+    "d_latch": st.just(()),
+    "memory": st.tuples(st.integers(1, 4), st.integers(1, 3)),
+}
+
+
+@pytest.mark.parametrize("ak", KINDS)
+@pytest.mark.parametrize("kind", BLOCK_KINDS)
+@settings(max_examples=50)
+@given(data=st.data())
+def test_delaying_every_input_delays_every_output(kind, ak, data):
+    # words presented from t = 1 and from t = 1 + k give the same output
+    # trains k ms apart, compared once both are past the latency
+    size = data.draw(DELAY_SIZES[kind], label="size")
+    k = data.draw(st.integers(0, 13), label="k")
+    spec = BLOCKS[kind]
+    ports = spec.inputs(*size)
+    words = data.draw(st.lists(st.integers(0, 2 ** len(ports) - 1),
+                               min_size=1, max_size=24), label="words")
+    ak, _ = block_config(kind, ak)  # None without an AND stage
+    latency = expected_latency(kind, ak)
+    duration = k + len(words) + latency + 3
+    trains = []
+    for delay in (0, k):
+        net = Network()
+        block = build_block(net, kind, ak, size)
+        for b, port in enumerate(ports):
+            drive(net, block, port, net.add_source(
+                [delay + 1 + i for i, word in enumerate(words) if word >> b & 1]))
+        outputs = [block.output(name) for name in spec.outputs(*size)]
+        net.record(*outputs)
+        record = net.run(duration)
+        trains.append([record.trains[eid] for eid in outputs])
+    start = k + latency + 1
+    window = (1 << duration - start) - 1
+    assert [train >> start & window for train in trains[1]] == [
+        train >> start - k & window for train in trains[0]]
 
 
 def _sha256(text: str) -> str:
@@ -449,10 +483,8 @@ def test_stamped_latches_equal_a_built_one(ak, monkeypatch):
     [template] = built
     # a copy shares its template's report, kind and latencies
     assert template.resources == alone.resources
-    assert ((template.kind, template.and_kind, template.latency_ms,
-             template.data_latency_ms) == (alone.kind, alone.and_kind,
-                                           alone.latency_ms,
-                                           alone.data_latency_ms))
+    assert ((template.kind, template.and_kind, template.latency_ms)
+            == (alone.kind, alone.and_kind, alone.latency_ms))
     width = len(template.entities)
     block = len(template.synapses) + len(template.input_taps("store")) + len(
         template.input_taps("data_not"))
@@ -500,7 +532,7 @@ def _per_latch_memory(net, registers, bits, and_kind, css):
                for k, latch in enumerate(latches)}
     return blocks._block(net, start, "memory", and_kind,
                          {"r": registers, "c": bits}, PortMap(inputs, outputs),
-                         decoder=decoder)
+                         css, decoder=decoder)
 
 
 def _memory_block(build, registers: int, bits: int, ak: str) -> tuple:

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -223,6 +226,30 @@ def test_bad_size_is_usage_error(argv, capsys, tmp_path):
     assert len([line for line in err.splitlines()
                 if line.startswith("error:")]) == 1
 
+
+
+@pytest.mark.parametrize("argv", [
+    # with stdout buffered, 20 kB of table fails in print, and 125 bytes
+    # in the flush before exit
+    ["run", "memory", "--duration-ms", "200"],
+    ["resources", "encoder"],
+], ids=" ".join)
+def test_closed_stdout_is_unwritable_output(argv):
+    # the read end of the pipe closes before the child writes
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "spikelogic.cli", *argv], stdout=write,
+            stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        "error: cannot write output: stdout is closed"]
 
 
 def test_run_refuses_a_trace_over_the_cap(capsys):

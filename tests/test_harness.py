@@ -160,10 +160,6 @@ class TestExports:
         text = export_spikes({"A": (2,), "B": (2, 3)})
         assert text.splitlines() == ["signal,time_ms", "A,2", "B,2", "B,3"]
 
-    def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            export_spikes({}, format="xml")
-
     @given(st.dictionaries(
         st.text(' ,"\r\nab\u00e9', max_size=4),
         st.lists(st.integers(0, 30), max_size=8, unique=True).map(sorted),
@@ -276,6 +272,11 @@ class TestVerifyReports:
             verify_block("decoder", "")
         with pytest.raises(ValueError):
             run_experiment("d-latch", ExperimentConfig(and_kind=""))
+        # the encoder has no AND stage, but an unknown AND kind is still
+        # rejected rather than dropped
+        for call in (harness.block_config, verify_block, measure_latency):
+            with pytest.raises(ValueError, match="unknown AND kind 'bogus'"):
+                call("encoder", "bogus")
 
     def test_decoder_report_contents(self):
         report = verify_block("decoder", "fast", n=2)

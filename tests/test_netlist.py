@@ -138,6 +138,22 @@ MALFORMED = {
                               "carryover_factor"),
     "neuron-bad-carryover": (_first_with("neurons", "carryover_factor", "half"),
                              "carryover_factor"),
+    # Fraction would raise ZeroDivisionError or OverflowError for the
+    # first two and build a huge int for the third: only what dumps
+    # writes, digits or digits/digits, is read
+    "neuron-zero-denominator": (_first_with("neurons", "carryover_factor", "1/0"),
+                                "carryover_factor"),
+    "neuron-infinite-carryover": (_first_with("neurons", "carryover_factor",
+                                              float("inf")), "carryover_factor"),
+    "neuron-exponent-carryover": (_first_with("neurons", "carryover_factor",
+                                              "1e999999999"), "carryover_factor"),
+    "neuron-float-string-carryover": (_first_with("neurons", "carryover_factor",
+                                                  "0.5"), "carryover_factor"),
+    "neuron-repeated-id": (lambda doc: dict(doc, neurons=[*doc["neurons"],
+                                                          doc["neurons"][0]]),
+                           "'id' repeats 0"),
+    "recorded-repeated-id": (lambda doc: dict(doc, recorded=[
+        *doc["recorded"], doc["recorded"][0]]), "recorded"),
     "source-string-time": (_first_with("sources", "times", ["0"]), "times"),
     "source-times-number": (_first_with("sources", "times", 0), "times"),
     "synapse-string-weight": (_first_with("synapses", "weight_quanta", "1"),
@@ -226,6 +242,54 @@ def _document(net: Network, annotations: dict | None) -> dict:
         "recorded": list(net.recorded),
         "annotations": annotations or {},
     }
+
+
+def _mutated(doc: dict, data) -> dict:
+    """doc with one fault drawn from data: a key dropped, a value of
+    another type, an id out of range, or an entity or recorded id
+    repeated. Annotations are free-form, so only their type is changed."""
+    tables = [doc["neurons"], doc["sources"], doc["synapses"]]
+    entries = [doc, *(entry for table in tables for entry in table)]
+    lists = [doc["recorded"], *tables, *(source["times"] for source in doc["sources"])]
+    total = len(doc["neurons"]) + len(doc["sources"])
+    faults = {
+        # every key but the optional annotations
+        "drop": [(entry, key) for entry in entries for key in entry
+                 if (entry, key) != (doc, "annotations")],
+        "type": [(entry, key) for entry in entries for key in entry]
+        + [(items, i) for items in lists for i in range(len(items))],
+        "range": [(entry, "id") for table in tables[:2] for entry in table]
+        + [(syn, key) for syn in doc["synapses"] for key in ("source", "target")]
+        + [(doc["recorded"], i) for i in range(len(doc["recorded"]))],
+        "repeat": [table for table in (doc["neurons"], doc["sources"],
+                                       doc["recorded"]) if table],
+    }
+    fault = data.draw(st.sampled_from([name for name, at in faults.items() if at]))
+    at = data.draw(st.sampled_from(faults[fault]))
+    if fault == "repeat":
+        at.append(data.draw(st.sampled_from(at)))
+        return doc
+    place, key = at
+    if fault == "drop":
+        del place[key]
+    elif fault == "type":
+        place[key] = data.draw(st.sampled_from(
+            [None, True, 1, 1.5, "1", [], {}]).filter(
+                lambda value: type(value) is not type(place[key])))
+    else:
+        place[key] = data.draw(st.integers(total, total + 3)
+                               | st.integers(-3, -1))
+    return doc
+
+
+@settings(max_examples=200)
+@given(networks(), st.data())
+def test_mutated_documents_raise_value_error(net, data):
+    # a valid document with one fault is refused with ValueError, never
+    # another exception, and never silently loaded
+    doc = _mutated(netlist.to_document(net, {"block": "test"}), data)
+    with pytest.raises(ValueError):
+        netlist.from_document(doc)
 
 
 @settings(max_examples=60)

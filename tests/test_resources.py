@@ -1,5 +1,7 @@
 """Closed-form resource counts, latency table, reconciliation."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -154,17 +156,25 @@ class TestItemization:
         assert set(loose.by_category) == {"total"}
 
 
+def _decoder_reporting(report: ResourceReport):
+    """A fast n=2 decoder handle whose measured report is swapped."""
+    return replace(build_block(Network(), "decoder", "fast", (2,)),
+                   resources=report)
+
+
 class TestReconcile:
-    def test_accepts_bare_report(self):
+    def test_accepts_the_formula_report(self):
         expected = formula_resources(FormulaQuery("decoder", "fast", n=2))
-        outcome = reconcile(expected, FormulaQuery("decoder", "fast", n=2))
+        outcome = reconcile(_decoder_reporting(expected),
+                            FormulaQuery("decoder", "fast", n=2))
         assert outcome.ok and outcome.diffs == ()
 
     def test_detects_neuron_drift(self):
         base = formula_resources(FormulaQuery("decoder", "fast", n=2))
         doctored = ResourceReport(base.neurons + 1, base.synapses,
                                   base.by_category)
-        outcome = reconcile(doctored, FormulaQuery("decoder", "fast", n=2))
+        outcome = reconcile(_decoder_reporting(doctored),
+                            FormulaQuery("decoder", "fast", n=2))
         assert not outcome.ok
         assert any("neurons" in diff for diff in outcome.diffs)
 
@@ -174,7 +184,8 @@ class TestReconcile:
         items["CSS to NOT"] += 1
         items["Internal CSS"] -= 1
         doctored = ResourceReport(base.neurons, base.synapses, items)
-        outcome = reconcile(doctored, FormulaQuery("decoder", "fast", n=2))
+        outcome = reconcile(_decoder_reporting(doctored),
+                            FormulaQuery("decoder", "fast", n=2))
         assert not outcome.ok
         assert any("CSS to NOT" in diff for diff in outcome.diffs)
 
