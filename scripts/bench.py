@@ -12,8 +12,8 @@ each side runs its own perfbench/ unchanged.
 
 BENCH_<NAME>.json, written at the root of this tree, holds every run
 (workload, pair, side, which side went first, exit status, and the
-machine, detail and result lines), each side's commit and sha256 of its
-src/ tree, and a summary: per workload and
+machine, detail and result lines), each side's commit, sha256 of its
+src/ tree and line count of its src/**/*.py, and a summary: per workload and
 end-to-end metric, the median and quartiles of each side and the pairs
 this tree won; per workload and per-layer metric, each side's traced
 value.
@@ -63,6 +63,17 @@ def src_digest(checkout: Path) -> str:
         f"{hashlib.sha256((checkout / path).read_bytes()).hexdigest()}  {path}\n"
         for path in paths)
     return hashlib.sha256(listing.encode()).hexdigest()
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the checkout's src/**/*.py, less __pycache__, as this
+    counts them in the checkout:
+
+        find src -name '*.py' ! -path '*/__pycache__/*' | xargs cat | wc -l
+    """
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src").rglob("*.py")
+               if "__pycache__" not in path.relative_to(checkout).parts)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int,
@@ -173,6 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         "run_seconds": spec["run_seconds"],
         "commits": {side: describe(path) for side, path in checkouts.items()},
         "src_sha256": {side: src_digest(path) for side, path in checkouts.items()},
+        "src_lines": {side: src_lines(path) for side, path in checkouts.items()},
         "machine": machine,
         "summary": summarize(runs, spec, workloads),
         "runs": runs,

@@ -32,7 +32,7 @@ from .harness import (
     run_experiment,
     verify_block,
 )
-from .resources import BLOCK_KINDS, formula_queries, reconcile
+from .resources import AND_KINDS, BLOCK_KINDS, formula_queries, reconcile
 from .sim import Network
 from .trace import render_trace
 
@@ -42,7 +42,7 @@ class UsageError(Exception):
 
 
 def _add_block_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--and", dest="and_kind", choices=("classic", "fast"),
+    parser.add_argument("--and", dest="and_kind", choices=AND_KINDS,
                         help="AND realization (default depends on command)")
     parser.add_argument("--n", type=int,
                         help="select width; for the encoder, the input count")
@@ -216,11 +216,15 @@ def _cmd_resources(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {"run": _cmd_run, "verify": _cmd_verify,
                 "resources": _cmd_resources, "export": _cmd_export}
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        finally:
+            # --help writes to stdout before its SystemExit: flush it here,
+            # where a closed stdout is caught
+            sys.stdout.flush()
         status = handlers[args.command](args)
         sys.stdout.flush()
         return status

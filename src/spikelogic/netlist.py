@@ -8,15 +8,15 @@ simulation-identical to the original, synapse for synapse. A free-form
 annotations object rides along for block and port metadata; it is
 preserved verbatim and never interpreted here.
 
-Carryover factors are exact rationals and are stored as strings such as
-"0" or "1/4" to survive JSON without precision loss.
+Every neuron entry also carries "refractory_ms": 1 and
+"carryover_factor": "0", the one regime the simulator has: a neuron may
+fire on back-to-back milliseconds and keeps no charge between them. The
+fields keep the format at version 1; the loader accepts no other values.
 """
 
 from __future__ import annotations
 
 import json
-import re
-from fractions import Fraction
 
 from .sim import Network, NeuronParams
 
@@ -35,20 +35,8 @@ def _field(entry, key: str, where: str):
     return entry[key]
 
 
-# what dumps writes for a carryover factor; Fraction would also read
-# floats and exponents, and build a huge int for "1e999999999"
-_RATIONAL = re.compile(r"[0-9]+(/[0-9]+)?")
-
-
-def _carryover(entry, where: str) -> Fraction:
-    value = _field(entry, "carryover_factor", where)
-    try:  # TypeError: not a string; ValueError: too many digits; or "1/0"
-        if _RATIONAL.fullmatch(value):
-            return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        pass
-    raise ValueError(f"{where} field 'carryover_factor' must be a "
-                     f"rational such as \"1/4\", not {value!r}")
+# the fields every neuron entry holds, each with its one value
+_FIXED = {"refractory_ms": 1, "carryover_factor": "0"}
 
 
 def _entries(entry, key: str, where: str = "netlist") -> list:
@@ -74,8 +62,9 @@ def _by_id(doc: dict, key: str, where: str) -> dict:
 
 def from_document(doc: dict) -> tuple[Network, dict]:
     """Rebuild a network from a document; returns (net, annotations). A
-    missing field, a value of the wrong type, a non-list entity table,
-    a repeated id or non-object annotations raise ValueError."""
+    missing field, a value of the wrong type, a fixed neuron field with
+    another value, a non-list entity table, a repeated id or non-object
+    annotations raise ValueError."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError(f"not a {FORMAT} document")
     version = doc.get("version")
@@ -98,11 +87,14 @@ def from_document(doc: dict) -> tuple[Network, dict]:
         if eid in neuron_entries:
             entry = neuron_entries[eid]
             where = f"neuron {eid}"
+            for key, value in _FIXED.items():
+                got = _field(entry, key, where)
+                # type() rather than ==: true equals 1 but is not the value
+                if type(got) is not type(value) or got != value:
+                    raise ValueError(f"{where} field {key!r} must be "
+                                     f"{json.dumps(value)}, not {got!r}")
             net.add_neuron(NeuronParams(
-                threshold_quanta=_field(entry, "threshold_quanta", where),
-                refractory_ms=_field(entry, "refractory_ms", where),
-                carryover_factor=_carryover(entry, where),
-            ))
+                _field(entry, "threshold_quanta", where)))
         else:
             net.add_source(_entries(source_entries[eid], "times", f"source {eid}"))
     for k, syn in enumerate(_entries(doc, "synapses")):
@@ -120,7 +112,7 @@ def from_document(doc: dict) -> tuple[Network, dict]:
 # whose fields are all ints (the Network checks them), and json.dumps
 # for the rest
 _NEURON = ('    {\n      "id": %d,\n      "threshold_quanta": %d,\n'
-           '      "refractory_ms": %d,\n      "carryover_factor": %s\n    }')
+           '      "refractory_ms": 1,\n      "carryover_factor": "0"\n    }')
 _SOURCE = '    {\n      "id": %d,\n      "times": %s\n    }'
 _SYNAPSE = ('    {\n      "source": %d,\n      "target": %d,\n'
             '      "weight_quanta": %d,\n      "delay_ms": %d\n    }')
@@ -141,8 +133,7 @@ def _table(entries: list[str]) -> str:
 
 
 def dumps(net: Network, annotations: dict | None = None) -> str:
-    neurons = [_NEURON % (nid, params.threshold_quanta, params.refractory_ms,
-                          json.dumps(str(params.carryover_factor)))
+    neurons = [_NEURON % (nid, params.threshold_quanta)
                for nid, params in sorted(net.neurons.items())]
     sources = [_SOURCE % (sid, _ints(times, 3))
                for sid, times in sorted(net.sources.items())]

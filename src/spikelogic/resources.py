@@ -360,7 +360,12 @@ def reconcile(handle, query: FormulaQuery) -> ReconcileReport:
     """Compare a block handle's measured resources against the closed
     form. The handle's parameters must match the query. Category-level
     differences are reported when both sides carry an itemization.
+    Anything but a block handle, such as a bare report or a gate's
+    handle, raises ValueError.
     """
+    if not isinstance(getattr(handle, "resources", None), ResourceReport):
+        raise ValueError("reconcile takes a block handle, which carries a "
+                         f"resource report, not a {type(handle).__name__}")
     _check_params(handle, query)
     report = handle.resources
     expected = formula_resources(query)

@@ -2,28 +2,18 @@
 
 Time advances in whole milliseconds. Synapses carry signed integer
 weights ("quanta") and integer delays of at least 1 ms, so a spike
-emitted at time t is delivered at exactly t + delay, and a neuron fires
-in the same timestep its delivered input reaches threshold. All state
-is exact (ints, plus Fraction for the optional charge carryover), which
-makes runs bit-identical across repeats and independent of synapse
-insertion order.
-
-The default neuron (threshold 1, refractory 1 ms, no carryover) fires
-once per timestep whenever the net input that millisecond is at least
-one quantum, and may fire again the very next millisecond. Inhibition
-never accumulates as debt: leftover charge is clamped at zero after
-every step.
+emitted at time t is delivered at exactly t + delay. A neuron fires at
+t exactly when the weighted sum of its inputs delivered at t reaches its
+threshold, and keeps nothing into t + 1: it may fire again the very next
+millisecond, and inhibition never accumulates as debt. All state is
+integer, which makes runs bit-identical across repeats and independent
+of synapse insertion order.
 
 Two kernels produce the same SpikeRecord. Simulation is the reference:
 it steps one millisecond at a time and delivers each synaptic event on
-its own. Network.run uses it for any network that has a neuron with
-carryover or a refractory period above 1 ms. Every other network (all
-the circuits this package builds) is gate-like: each neuron fires at t
-exactly when the weighted sum of its inputs delayed to t reaches its
-threshold. For those, Network.run computes one spike train per entity,
-an int whose bit t is set when the entity spikes at t, in the
-topological order of the strongly connected components of the neuron
-graph:
+its own. Network.run computes one spike train per entity, an int whose
+bit t is set when the entity spikes at t, in the topological order of
+the strongly connected components of the neuron graph:
 
 - a neuron outside any cycle thresholds a bit-sliced sum of its
   shifted input trains;
@@ -37,7 +27,6 @@ graph:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 from types import MappingProxyType
@@ -46,30 +35,15 @@ from typing import Iterable, Mapping, NamedTuple
 
 @dataclass(frozen=True)
 class NeuronParams:
-    """Behavioral knobs for one neuron.
-
-    threshold_quanta: net input per timestep required to fire (>= 1).
-    refractory_ms: minimum spacing between consecutive fires; the
-        default of 1 permits firing on back-to-back timesteps.
-    carryover_factor: fraction of unspent positive charge retained into
-        the next timestep, rational in [0, 1). Zero keeps the gate-like
-        regime used by every circuit in this package.
-    """
+    """What sets one neuron apart: threshold_quanta, the net input in one
+    timestep required to fire (>= 1)."""
 
     threshold_quanta: int = 1
-    refractory_ms: int = 1
-    carryover_factor: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
         # type() rather than isinstance(): a bool is an int, not a count
         if type(self.threshold_quanta) is not int or self.threshold_quanta < 1:
             raise ValueError("threshold_quanta must be an integer >= 1")
-        if type(self.refractory_ms) is not int or self.refractory_ms < 0:
-            raise ValueError("refractory_ms must be an integer >= 0")
-        factor = Fraction(self.carryover_factor)
-        if not 0 <= factor < 1:
-            raise ValueError("carryover_factor must lie in [0, 1)")
-        object.__setattr__(self, "carryover_factor", factor)
 
 
 # shared by every neuron added without params: it is frozen, so one
@@ -248,35 +222,14 @@ class Network:
                 self.recorded.append(eid)
 
     def run(self, duration_ms: int) -> SpikeRecord:
-        """Simulate [0, duration_ms) and return spikes of recorded ids.
-
-        A gate-like network (no neuron with carryover or a refractory
-        period above 1 ms) runs on the levelized kernel, any other on
-        the reference Simulation; both give the same record.
-        """
+        """Simulate [0, duration_ms) and return spikes of recorded ids."""
         # type() rather than isinstance(): a bool is an int, not a duration
         if type(duration_ms) is not int or duration_ms < 1:
             raise ValueError(
                 f"duration_ms must be an integer >= 1, not {duration_ms!r}")
-        recorded = sorted(self._recorded_set)
-        gate_like = all(params.refractory_ms <= 1 and not params.carryover_factor
-                        for params in self.neurons.values())
-        trains = (_levelized_trains(self, duration_ms) if gate_like
-                  else _stepped_trains(self, duration_ms, recorded))
-        return SpikeRecord(duration_ms,
-                           trains={eid: trains[eid] for eid in recorded})
-
-
-def _stepped_trains(net: Network, duration: int,
-                    recorded: list[int]) -> dict[int, int]:
-    """Spike trains of the recorded ids, stepped by the reference kernel."""
-    sim = Simulation(net)
-    collected: dict[int, list[int]] = {eid: [] for eid in recorded}
-    for now in range(duration):
-        for eid in sim.step():
-            if eid in collected:
-                collected[eid].append(now)
-    return {eid: spike_train(times) for eid, times in collected.items()}
+        trains = _levelized_trains(self, duration_ms)
+        return SpikeRecord(duration_ms, trains={
+            eid: trains[eid] for eid in sorted(self._recorded_set)})
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +258,7 @@ def spike_train(times: Iterable[int]) -> int:
 
 
 def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
-    """Spike train of every entity of a gate-like network."""
+    """Spike train of every entity of the network."""
     mask = (1 << duration) - 1
     trains = {sid: spike_train(t for t in times if t < duration)
               for sid, times in net.sources.items()}
@@ -449,8 +402,13 @@ def _stepped_component(net: Network, component: list[int],
                 local[src] = sub.add_source(
                     compress(range(duration), _flags(trains[src])))
             sub.connect(local[src], local[nid], weight, delay)
-    stepped = _stepped_trains(sub, duration, [local[nid] for nid in component])
-    return {nid: stepped[local[nid]] for nid in component}
+    sim = Simulation(sub)
+    times: dict[int, list[int]] = {local[nid]: [] for nid in component}
+    for now in range(duration):
+        for eid in sim.step():
+            if eid in times:
+                times[eid].append(now)
+    return {nid: spike_train(times[local[nid]]) for nid in component}
 
 
 class Simulation:
@@ -458,8 +416,8 @@ class Simulation:
 
     step() processes the current timestep: sources scheduled for t emit,
     charge delivered at t is summed per neuron, neurons at or above
-    threshold fire (refractory permitting), and outgoing deliveries are
-    queued at t + delay. Returns the sorted ids that spiked at t.
+    threshold fire, and outgoing deliveries are queued at t + delay.
+    Returns the sorted ids that spiked at t.
     """
 
     def __init__(self, net: Network) -> None:
@@ -470,13 +428,6 @@ class Simulation:
             self._adjacency.setdefault(source, []).append((delay, target, weight))
         self._pending: dict[int, dict[int, int]] = {}
         self._source_pos = {sid: 0 for sid in net.sources}
-        self._last_fire: dict[int, int] = {}
-        # residual charge is tracked only for neurons that can carry it over
-        self._residual: dict[int, Fraction] = {
-            nid: Fraction(0)
-            for nid, params in net.neurons.items()
-            if params.carryover_factor
-        }
 
     def _deliver_from(self, entity_id: int, now: int) -> None:
         for delay, target, weight in self._adjacency.get(entity_id, ()):
@@ -493,30 +444,10 @@ class Simulation:
                 self._source_pos[sid] = pos + 1
                 fired.append(sid)
 
-        arrivals = self._pending.pop(now, {})
-        candidates: list[int] = list(arrivals)
-        if self._residual:
-            candidates.extend(
-                nid for nid, residue in self._residual.items()
-                if residue and nid not in arrivals
-            )
-
         neurons = self.net.neurons
-        for nid in candidates:
-            params = neurons[nid]
-            charge: int | Fraction = arrivals.get(nid, 0)
-            residue = self._residual.get(nid)
-            if residue:
-                charge = charge + params.carryover_factor * residue
-            last = self._last_fire.get(nid)
-            blocked = last is not None and (now - last) < params.refractory_ms
-            if not blocked and charge >= params.threshold_quanta:
+        for nid, charge in self._pending.pop(now, {}).items():
+            if charge >= neurons[nid].threshold_quanta:
                 fired.append(nid)
-                self._last_fire[nid] = now
-                if nid in self._residual:
-                    self._residual[nid] = Fraction(0)
-            elif nid in self._residual:
-                self._residual[nid] = Fraction(charge) if charge > 0 else Fraction(0)
 
         for eid in fired:
             self._deliver_from(eid, now)

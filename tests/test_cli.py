@@ -233,6 +233,9 @@ def test_bad_size_is_usage_error(argv, capsys, tmp_path):
     # in the flush before exit
     ["run", "memory", "--duration-ms", "200"],
     ["resources", "encoder"],
+    # the help text is written before the arguments are parsed
+    ["run", "--help"],
+    ["--help"],
 ], ids=" ".join)
 def test_closed_stdout_is_unwritable_output(argv):
     # the read end of the pipe closes before the child writes

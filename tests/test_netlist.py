@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -45,18 +44,6 @@ def test_synapse_count_matches_network():
     net = decoder_net()
     doc = netlist.to_document(net)
     assert len(doc["synapses"]) == len(net.synapses)
-
-
-def test_carryover_fraction_round_trip():
-    net = Network()
-    nid = net.add_neuron(NeuronParams(threshold_quanta=2,
-                                      carryover_factor=Fraction(1, 3)))
-    net.connect(net.add_source([0, 2]), nid, 2, 1)
-    net.record(nid)
-    rebuilt, _ = netlist.loads(netlist.dumps(net))
-    params = rebuilt.neurons[nid]
-    assert params.carryover_factor == Fraction(1, 3)
-    assert rebuilt.run(6) == net.run(6)
 
 
 def test_rejects_foreign_documents():
@@ -138,9 +125,20 @@ MALFORMED = {
                               "carryover_factor"),
     "neuron-bad-carryover": (_first_with("neurons", "carryover_factor", "half"),
                              "carryover_factor"),
-    # Fraction would raise ZeroDivisionError or OverflowError for the
-    # first two and build a huge int for the third: only what dumps
-    # writes, digits or digits/digits, is read
+    # the fixed fields hold only what dumps writes: refractory_ms the
+    # int 1 and carryover_factor the string "0"
+    "neuron-refractory-0": (_first_with("neurons", "refractory_ms", 0),
+                            "refractory_ms"),
+    "neuron-refractory-2": (_first_with("neurons", "refractory_ms", 2),
+                            "refractory_ms"),
+    "neuron-refractory-true": (_first_with("neurons", "refractory_ms", True),
+                               "refractory_ms"),
+    "neuron-half-carryover": (_first_with("neurons", "carryover_factor", "1/2"),
+                              "carryover_factor"),
+    "neuron-zero-fraction-carryover": (_first_with("neurons", "carryover_factor",
+                                                   "0/1"), "carryover_factor"),
+    "neuron-int-carryover": (_first_with("neurons", "carryover_factor", 0),
+                             "carryover_factor"),
     "neuron-zero-denominator": (_first_with("neurons", "carryover_factor", "1/0"),
                                 "carryover_factor"),
     "neuron-infinite-carryover": (_first_with("neurons", "carryover_factor",
@@ -197,17 +195,13 @@ JSON_VALUES = st.recursive(
 
 @st.composite
 def networks(draw):
-    """A random network: neurons with carryover, thresholds and refractory
-    periods; sources with empty or long schedules; synapses between them;
-    any subset of the entities recorded, none included."""
+    """A random network: neurons with thresholds 1 to 4; sources with
+    empty or long schedules; synapses between them; any subset of the
+    entities recorded, none included."""
     net = Network()
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.booleans()):
-            net.add_neuron(NeuronParams(
-                threshold_quanta=draw(st.integers(1, 4)),
-                refractory_ms=draw(st.integers(0, 3)),
-                carryover_factor=draw(st.fractions(0, 1, max_denominator=9)
-                                      .filter(lambda f: f < 1))))
+            net.add_neuron(NeuronParams(draw(st.integers(1, 4))))
         else:
             net.add_source(sorted(draw(st.one_of(
                 st.sets(st.integers(0, 30), max_size=4),
@@ -231,8 +225,7 @@ def _document(net: Network, annotations: dict | None) -> dict:
         "format": netlist.FORMAT,
         "version": netlist.VERSION,
         "neurons": [{"id": nid, "threshold_quanta": params.threshold_quanta,
-                     "refractory_ms": params.refractory_ms,
-                     "carryover_factor": str(params.carryover_factor)}
+                     "refractory_ms": 1, "carryover_factor": "0"}
                     for nid, params in sorted(net.neurons.items())],
         "sources": [{"id": sid, "times": list(times)}
                     for sid, times in sorted(net.sources.items())],
@@ -246,8 +239,9 @@ def _document(net: Network, annotations: dict | None) -> dict:
 
 def _mutated(doc: dict, data) -> dict:
     """doc with one fault drawn from data: a key dropped, a value of
-    another type, an id out of range, or an entity or recorded id
-    repeated. Annotations are free-form, so only their type is changed."""
+    another type, an id out of range, a fixed neuron field given another
+    value of its type, or an entity or recorded id repeated. Annotations
+    are free-form, so only their type is changed."""
     tables = [doc["neurons"], doc["sources"], doc["synapses"]]
     entries = [doc, *(entry for table in tables for entry in table)]
     lists = [doc["recorded"], *tables, *(source["times"] for source in doc["sources"])]
@@ -261,6 +255,8 @@ def _mutated(doc: dict, data) -> dict:
         "range": [(entry, "id") for table in tables[:2] for entry in table]
         + [(syn, key) for syn in doc["synapses"] for key in ("source", "target")]
         + [(doc["recorded"], i) for i in range(len(doc["recorded"]))],
+        "fixed": [(entry, key) for entry in doc["neurons"]
+                  for key in ("refractory_ms", "carryover_factor")],
         "repeat": [table for table in (doc["neurons"], doc["sources"],
                                        doc["recorded"]) if table],
     }
@@ -276,6 +272,10 @@ def _mutated(doc: dict, data) -> dict:
         place[key] = data.draw(st.sampled_from(
             [None, True, 1, 1.5, "1", [], {}]).filter(
                 lambda value: type(value) is not type(place[key])))
+    elif fault == "fixed":
+        place[key] = data.draw(st.integers(0, 3).filter(lambda ms: ms != 1)
+                               if key == "refractory_ms"
+                               else st.sampled_from(["1/2", "0/1", "1", ""]))
     else:
         place[key] = data.draw(st.integers(total, total + 3)
                                | st.integers(-3, -1))

@@ -16,6 +16,7 @@ from spikelogic.resources import (
     formula_resources,
     reconcile,
 )
+from spikelogic.gates import build_or
 from spikelogic.harness import build_block
 from spikelogic.sim import Network
 
@@ -188,6 +189,15 @@ class TestReconcile:
                             FormulaQuery("decoder", "fast", n=2))
         assert not outcome.ok
         assert any("CSS to NOT" in diff for diff in outcome.diffs)
+
+    @pytest.mark.parametrize("make", [
+        lambda: formula_resources(FormulaQuery("decoder", "fast", n=2)),
+        lambda: build_or(Network(), 2),
+        lambda: None,
+    ], ids=["report", "gate-handle", "none"])
+    def test_rejects_what_is_not_a_block_handle(self, make):
+        with pytest.raises(ValueError, match="block handle"):
+            reconcile(make(), FormulaQuery("decoder", "fast", n=2))
 
     def test_bad_queries(self):
         with pytest.raises(ValueError):

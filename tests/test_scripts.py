@@ -66,3 +66,24 @@ def test_bench_names_a_checkout_without_git_by_its_src_digest(tmp_path):
         assert shell.stdout.split()[0] == digest
     (tmp_path / "src" / "pkg" / "b.py").write_text("B = 3\n")
     assert bench.src_digest(tmp_path) != digest
+
+
+def test_bench_counts_the_lines_of_src_python_files(tmp_path):
+    bench = load_bench()
+    package = tmp_path / "src" / "pkg"
+    (package / "__pycache__").mkdir(parents=True)
+    (package / "a.py").write_text("A = 1\n")
+    (package / "b.py").write_text("\n\nB = 2\n")
+    # neither a file that is not Python nor the byte-code cache counts
+    (package / "notes.txt").write_text("one\ntwo\n")
+    (package / "__pycache__" / "stale.py").write_text("X = 0\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("T = 1\n")
+    assert bench.src_lines(tmp_path) == 4
+    if shutil.which("wc"):
+        shell = subprocess.run(
+            "find src -name '*.py' ! -path '*/__pycache__/*' | xargs cat | wc -l",
+            shell=True, cwd=tmp_path, capture_output=True, text=True, check=True)
+        assert int(shell.stdout) == 4
+    (package / "a.py").write_text("A = 1\nA += 1\n")
+    assert bench.src_lines(tmp_path) == 5

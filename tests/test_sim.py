@@ -1,6 +1,8 @@
-"""Simulator kernel: integration, thresholds, refractory, carryover."""
+"""Simulator kernel: construction, thresholds, the one neuron regime
+(fire when the input of one millisecond reaches threshold, keep
+nothing), determinism and template copies."""
 
-from fractions import Fraction
+from dataclasses import fields
 from itertools import permutations
 
 import pytest
@@ -26,14 +28,14 @@ class TestConstruction:
     def test_bad_neuron_params(self):
         with pytest.raises(ValueError):
             NeuronParams(threshold_quanta=0)
-        with pytest.raises(ValueError):
-            NeuronParams(refractory_ms=-1)
-        with pytest.raises(ValueError):
-            NeuronParams(carryover_factor=Fraction(1))
-        with pytest.raises(ValueError):
-            NeuronParams(carryover_factor=Fraction(-1, 2))
 
-    @pytest.mark.parametrize("field", ["threshold_quanta", "refractory_ms"])
+    def test_threshold_is_the_one_neuron_param(self):
+        # one regime: no refractory period, no charge carried over
+        assert [f.name for f in fields(NeuronParams)] == ["threshold_quanta"]
+        with pytest.raises(TypeError):
+            NeuronParams(refractory_ms=1)
+
+    @pytest.mark.parametrize("field", ["threshold_quanta"])
     @pytest.mark.parametrize("value", [True, False])
     def test_bool_neuron_params_rejected(self, field, value):
         with pytest.raises(ValueError):
@@ -148,12 +150,6 @@ class TestFiring:
         net.connect(net.add_source(range(0, 9)), nid, 1, 1)
         assert net.run(10).times(nid) == tuple(range(1, 10))
 
-    def test_refractory_blocks_second_fire(self):
-        net, nid = single_neuron(NeuronParams(refractory_ms=2))
-        net.connect(net.add_source([1, 2, 3]), nid, 1, 1)
-        # fires at 2, blocked at 3, fires again at 4
-        assert net.run(6).times(nid) == (2, 4)
-
     def test_self_loop_holds_state(self):
         net, nid = single_neuron()
         net.connect(nid, nid, 1, 1)
@@ -166,30 +162,6 @@ class TestCarryover:
         net, nid = single_neuron(NeuronParams(threshold_quanta=2))
         net.connect(net.add_source([1, 2]), nid, 1, 1)
         assert net.run(5).times(nid) == ()
-
-    def test_half_carryover_accumulates(self):
-        params = NeuronParams(threshold_quanta=3,
-                              carryover_factor=Fraction(1, 2))
-        net, nid = single_neuron(params)
-        net.connect(net.add_source([1, 2]), nid, 2, 1)
-        # charge at t=2: 2; at t=3: 2 + 1 = 3 -> fires
-        assert net.run(6).times(nid) == (3,)
-
-    def test_residual_resets_after_fire(self):
-        params = NeuronParams(threshold_quanta=2,
-                              carryover_factor=Fraction(1, 2))
-        net, nid = single_neuron(params)
-        net.connect(net.add_source([1, 2, 3]), nid, 2, 1)
-        # fires every step; residual cleared each time, never compounds
-        assert net.run(6).times(nid) == (2, 3, 4)
-
-    def test_negative_residual_clamped(self):
-        params = NeuronParams(carryover_factor=Fraction(1, 2))
-        net, nid = single_neuron(params)
-        net.connect(net.add_source([1]), nid, -5, 1)
-        net.connect(net.add_source([2]), nid, 1, 1)
-        # the inhibitory residue must not linger past the clamp
-        assert net.run(5).times(nid) == (3,)
 
 
 class TestDeterminism:
@@ -232,10 +204,7 @@ def test_synapse_is_plain_data():
         (0, 1, -2, 3)
 
 
-@pytest.mark.parametrize("params", [NeuronParams(),
-                                    NeuronParams(refractory_ms=2),
-                                    NeuronParams(carryover_factor=Fraction(1, 2))],
-                         ids=["levelized", "stepped-refractory", "stepped-carryover"])
+@pytest.mark.parametrize("params", [NeuronParams()], ids=["levelized"])
 def test_spike_record_is_read_only(params):
     net, nid = single_neuron(params)
     net.connect(net.add_source([1]), nid, 1, 1)

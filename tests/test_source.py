@@ -17,3 +17,12 @@ def test_no_branch_on_block_kind_strings():
                 path.read_text(encoding="utf-8").splitlines(), start=1)
             if KIND_DISPATCH.search(line)]
     assert hits == []
+
+
+def test_and_kinds_are_spelled_once():
+    # resources.AND_KINDS is the one list of AND kinds; the CLI's --and
+    # choices and every other reader take it from there
+    pair = re.compile(r'"classic",\s*"fast"|"fast",\s*"classic"')
+    hits = [path.name for path in sorted(SRC.glob("*.py"))
+            if pair.search(path.read_text(encoding="utf-8"))]
+    assert hits == ["resources.py"]
