@@ -14,8 +14,10 @@ BENCH_<NAME>.json, written at the root of this tree, holds every run
 (workload, pair, side, which side went first, exit status, and the
 machine, detail and result lines), each side's commit, sha256 of its
 src/ tree and line count of its src/**/*.py, and a summary: per workload and
-end-to-end metric, the median and quartiles of each side and the pairs
-this tree won; per workload and per-layer metric, each side's traced
+end-to-end metric, the median and quartiles of each side, the pairs
+this tree won, the ratio of the medians (this tree over the baseline)
+and whether that ratio regressed past the metric's bound in
+BENCHMARK.json; per workload and per-layer metric, each side's traced
 value.
 
 Exit status: 0 when every run was correct, 1 when a run failed, 2 on a
@@ -133,8 +135,11 @@ def summarize(runs: list[dict], spec: dict, workloads: list[str]) -> dict:
             entry["change_wins"] = sum(
                 sign * (pair["change"] - pair["baseline"]) > 0 for pair in both)
             if all(side in entry for side in SIDES) and entry["baseline"]["median"]:
-                entry["ratio"] = (entry["change"]["median"]
-                                  / entry["baseline"]["median"])
+                ratio = entry["change"]["median"] / entry["baseline"]["median"]
+                entry["ratio"] = ratio
+                entry["regressed"] = (ratio < 1 - metric["bound"]
+                                      if metric["better"] == "higher"
+                                      else ratio > 1 + metric["bound"])
             metrics[name] = entry
         layers = {metric["name"]: {side: value(traced[side], metric["name"])
                                    for side in SIDES if side in traced}

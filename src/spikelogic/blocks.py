@@ -154,15 +154,11 @@ def build_encoder(net: Network, num_inputs: int) -> Handle:
         for b in range(width)
     ]
     or_gates = [build_or(net, fan_ins[b]) for b in range(width)]
-    next_slot = [0] * width
     inputs: dict[str, tuple[InputTap, ...]] = {"d0": ()}
     for i in range(1, num_inputs):
-        taps: list[InputTap] = []
-        for b in range(width):
-            if (i >> b) & 1:
-                taps.extend(or_gates[b].input_taps(f"in{next_slot[b]}"))
-                next_slot[b] += 1
-        inputs[f"d{i}"] = tuple(taps)
+        # every port of an OR gate holds the same one tap
+        inputs[f"d{i}"] = tuple(tap for b in range(width) if (i >> b) & 1
+                                for tap in or_gates[b].input_taps("in0"))
     outputs = {f"or{b}": or_gates[b].output() for b in range(width)}
     return _block(net, start, "encoder", None, {"num_inputs": num_inputs},
                   PortMap(inputs, outputs), None)

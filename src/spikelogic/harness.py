@@ -17,10 +17,12 @@ canonical deterministic stimulus and built-in oracle checks:
   memory           ascending count written through a cycling address,
                    register rows decoded back out of the q spike trains.
 
-The runners share one pipeline. _stimulated applies the trace cap and
-the stimulus override to the canonical per-ms input words; each runner
-wires and runs its blocks and composes its checks from the BLOCKS word
-oracles; _result runs the checks and assembles the trace.
+The runners share one pipeline. Each runner prices its blocks, builds
+them and reads their ports from the built handles; _stimulated applies
+the trace cap and the stimulus override to the canonical per-ms input
+words; the runner wires and runs its blocks and composes its checks
+from the BLOCKS word oracles; _result runs the checks and assembles the
+trace.
 
 Checks compare spike sets only from (path latency + 1) onward: earlier
 timesteps fall into CSS warmup, where inverter outputs are not yet
@@ -41,7 +43,7 @@ import csv
 import io
 import operator
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -95,8 +97,9 @@ DEFAULT_SEED = 7
 # memory with r=1023, c=32, 69.3 MB (186 B each) for the 372,512 of a
 # fast one. So this admits builds of up to about 0.4 GB, 4.5 times that
 # classic memory. It refuses the select kinds from n=16 (classic) or
-# n=17 (fast), the encoder from 228,110 inputs and the memory from r*c
-# of about 150k (classic) or 180k (fast).
+# n=17 (fast), the encoder from 228,110 inputs and a memory of r
+# registers whose full memory of the same depth, n = r.bit_length(),
+# holds about (2^n - 1) * c = 150k latches (classic) or 180k (fast).
 MAX_SYNAPSES = 2_000_000
 
 # The most trace cells an experiment may hold: duration_ms times its
@@ -133,7 +136,8 @@ class Check:
 
 @dataclass
 class ExperimentResult:
-    """signal_times: the inputs' spike times, then the outputs'."""
+    """signal_times: the inputs' spike times inside the run, then the
+    outputs'."""
 
     name: str
     and_kind: str
@@ -151,8 +155,11 @@ class ExperimentResult:
 
     @property
     def signal_times(self) -> dict[str, tuple[int, ...]]:
-        return {**self.inputs, **{name: self.record.times(eid)
-                                  for name, eid in self.outputs.items()}}
+        # input times are sorted; those at or past the duration never ran
+        inside = {name: times[:bisect_left(times, self.duration_ms)]
+                  for name, times in self.inputs.items()}
+        return {**inside, **{name: self.record.times(eid)
+                             for name, eid in self.outputs.items()}}
 
     @property
     def passed(self) -> bool:
@@ -285,14 +292,6 @@ def _duration(duration_ms: int | None, default: int, signals: int) -> int:
 # Block table
 
 
-def _selects(n: int) -> list[str]:
-    return [f"s{b}" for b in range(n)]
-
-
-def _channels(n: int) -> list[str]:
-    return [f"ch{j}" for j in range(2 ** n)]
-
-
 @dataclass(frozen=True)
 class BlockSpec:
     """What the harness and the CLI know about one block kind.
@@ -300,22 +299,19 @@ class BlockSpec:
     A size is a tuple of ints, one per keyword of default (n, registers,
     bits; the encoder's input count is its n), reported under
     size_names; the callables take it unpacked after their other
-    arguments. Bit k of an input word drives port k of inputs(*size),
-    bit k of an output word is port k of outputs(*size), and
-    oracle(words, *size) maps per-ms input words to the output words the
-    block shows one latency later.
+    arguments. The built handle fixes the port order: bit k of an input
+    word drives its k-th input port and bit k of an output word is its
+    k-th output port. oracle(words, *size) maps per-ms input words to
+    the output words the block shows one latency later.
     """
 
     default: dict[str, int]
     size_names: tuple[str, ...]
     build: Callable[..., Handle]  # (net, and_kind, css, *size)
-    inputs: Callable[..., list[str]]
-    outputs: Callable[..., list[str]]
     oracle: Callable[..., list[int]]
     verify: Callable[..., list[Check]]  # (and_kind, rng, seed, *size)
     probe: tuple[str, ...]  # inputs spiking once for measure_latency
     probe_output: str
-    form: str = "n"  # the closed form that prices a size (see block_query)
 
 
 # Builders, sweeps and oracles are looked up at call time, through this
@@ -324,7 +320,6 @@ BLOCKS: dict[str, BlockSpec] = {
     "decoder": BlockSpec(
         {"n": 2}, ("n",),
         build=lambda net, ak, css, n: build_decoder(net, n, ak, css),
-        inputs=_selects, outputs=_channels,
         oracle=lambda words, n: [1 << decoder_channel(w) for w in words],
         verify=lambda ak, rng, seed, n: [
             sweep_decoder(n, ak),
@@ -334,8 +329,6 @@ BLOCKS: dict[str, BlockSpec] = {
     "encoder": BlockSpec(
         {"n": 4}, ("num_inputs",),
         build=lambda net, ak, css, m: build_encoder(net, m),
-        inputs=lambda m: [f"d{i}" for i in range(m)],
-        outputs=lambda m: [f"or{b}" for b in range((m - 1).bit_length())],
         oracle=lambda words, m: [
             encoder_value(i for i in range(m) if w >> i & 1) for w in words],
         # exhaustive up to 10 inputs, seeded subsets beyond
@@ -346,8 +339,6 @@ BLOCKS: dict[str, BlockSpec] = {
     "multiplexer": BlockSpec(
         {"n": 2}, ("n",),
         build=lambda net, ak, css, n: build_multiplexer(net, n, ak, css),
-        inputs=lambda n: _selects(n) + [f"d{j}" for j in range(2 ** n)],
-        outputs=lambda n: ["out"],
         oracle=lambda words, n: [int(mux_output(
             w & 2 ** n - 1, [w >> n + j & 1 for j in range(2 ** n)]))
             for w in words],
@@ -360,7 +351,6 @@ BLOCKS: dict[str, BlockSpec] = {
     "demultiplexer": BlockSpec(
         {"n": 2}, ("n",),
         build=lambda net, ak, css, n: build_demultiplexer(net, n, ak, css),
-        inputs=lambda n: _selects(n) + ["d"], outputs=_channels,
         oracle=lambda words, n: [sum(on << j for j, on in enumerate(
             demux_channels(w & 2 ** n - 1, bool(w >> n & 1), 2 ** n)))
             for w in words],
@@ -373,7 +363,6 @@ BLOCKS: dict[str, BlockSpec] = {
     "d_latch": BlockSpec(
         {}, (),
         build=lambda net, ak, css: build_d_latch(net, ak, css),
-        inputs=lambda: ["store", "data", "data_not"], outputs=lambda: ["q"],
         oracle=lambda words: [int(q) for q in latch_states(
             [w & 1 for w in words], [w >> 1 & 1 for w in words])],
         verify=lambda ak, rng, seed: [
@@ -382,10 +371,6 @@ BLOCKS: dict[str, BlockSpec] = {
     "memory": BlockSpec(
         {"registers": 3, "bits": 3}, ("registers", "bits"),
         build=lambda net, ak, css, r, c: build_memory(net, r, c, ak, css),
-        inputs=lambda r, c: _selects(r.bit_length()) + [
-            f"d{j}" for j in range(c)],
-        outputs=lambda r, c: [f"q{i}_{j}" for i in range(1, r + 1)
-                              for j in range(c)],
         oracle=lambda words, r, c: [
             sum(map(operator.lshift, state, range(0, r * c, c)))
             for state in memory_states(
@@ -393,21 +378,24 @@ BLOCKS: dict[str, BlockSpec] = {
                 [w >> r.bit_length() for w in words], r, c)],
         verify=lambda ak, rng, seed, r, c: [
             fuzz_memory(r, c, ak, writes=VERIFY_TRIALS, seed=seed)],
-        probe=("s0", "d0"), probe_output="q1_0", form="m"),
+        probe=("s0", "d0"), probe_output="q1_0"),
 }
 
-# the FormulaQuery field of each size keyword
-_QUERY_FIELDS = {"n": "n", "registers": "r", "bits": "c"}
+# the n-form field of each size keyword; registers price at their
+# bit_length (see block_query)
+_QUERY_FIELDS = {"n": "n", "registers": "n", "bits": "c"}
 
 
 def block_query(kind: str, and_kind: str | None,
                 size: Sequence[int]) -> FormulaQuery:
-    """The closed form that prices a block of this size before it is
-    built: the memory's m-form, which holds at any occupancy, and every
-    other kind's n-form."""
-    spec = BLOCKS[kind]
-    return FormulaQuery(kind, and_kind, spec.form, **{
-        _QUERY_FIELDS[flag]: value for flag, value in zip(spec.default, size)})
+    """The n-form that prices a block of this size before it is built.
+    A memory of r registers is priced as the full memory of its depth,
+    n = r.bit_length(): exact at r = 2^n - 1, an upper bound below it,
+    where the decoder still has all 2^n channels but fewer latches are
+    built."""
+    return FormulaQuery(kind, and_kind, "n", **{
+        _QUERY_FIELDS[flag]: value.bit_length() if flag == "registers" else value
+        for flag, value in zip(BLOCKS[kind].default, size)})
 
 
 def block_config(kind: str, and_kind=None, *, n: int | None = None,
@@ -415,19 +403,24 @@ def block_config(kind: str, and_kind=None, *, n: int | None = None,
                  ) -> tuple[str | None, tuple[int, ...]]:
     """AND kind and size of one block kind. None picks the default
     ("fast", and the size in BLOCKS); a kind without an AND stage gets
-    None, but still rejects an unknown AND kind. A size below the
-    smallest buildable one, or one whose closed form counts more than
-    MAX_SYNAPSES synapses, raises ValueError before anything is built."""
+    None, but still rejects an unknown AND kind. A size keyword the kind
+    does not read, a size below the smallest buildable one, or one whose
+    closed form counts more than MAX_SYNAPSES synapses raises ValueError
+    before anything is built."""
     if kind not in BLOCKS:
         raise ValueError(f"unknown block kind {kind!r}")
     spec = BLOCKS[kind]
     given = {"n": n, "registers": registers, "bits": bits}
+    for flag, value in given.items():
+        if value is not None and flag not in spec.default:
+            takes = " and ".join(spec.default) or "no size"
+            raise ValueError(f"{kind} takes {takes}, not {flag}")
     size = tuple(value if given[flag] is None else given[flag]
                  for flag, value in spec.default.items())
     forms = _FORMS[kind]
-    least = (forms.m_form if spec.form == "m" else forms.n_form).least
     for flag, value in zip(spec.default, size):
-        _require_size(f"{kind} {flag}", value, least[_QUERY_FIELDS[flag]])
+        _require_size(f"{kind} {flag}", value,
+                      forms.n_form.least[_QUERY_FIELDS[flag]])
     ak = _read_and_kind(forms, "fast" if and_kind is None else and_kind)
     named = " ".join(f"{flag}={value}" for flag, value in zip(spec.default, size))
     _admit(f"{kind} {named}", [block_query(kind, ak, size)])
@@ -467,12 +460,14 @@ def build_block(net: Network, kind: str, and_kind: str | None,
 def check_pipelined(kind: str, and_kind: str | None, size: Sequence[int],
                     words: Sequence[int], label: str,
                     ok_detail: str = "") -> Check:
-    """Present words[i] at t = 1 + i, one source per input port in port
-    order (bit k drives port k), for len(words) + latency + 3 ms; every
-    output must follow the kind's oracle, delayed by the latency. A word
-    that is not an int in [0, 2^ports) raises ValueError."""
-    spec = BLOCKS[kind]
-    ports = spec.inputs(*size)
+    """Present words[i] at t = 1 + i, one source per input port of the
+    built block in its port order (bit k drives port k), for len(words)
+    + latency + 3 ms; every output must follow the kind's oracle,
+    delayed by the latency. A word that is not an int in [0, 2^ports)
+    raises ValueError."""
+    net = Network()
+    block = build_block(net, kind, and_kind, size)
+    ports = block.ports.inputs
     limit = 1 << len(ports)
     for i, word in enumerate(words):
         # type() rather than isinstance(): a bool is an int, not a word
@@ -481,20 +476,24 @@ def check_pipelined(kind: str, and_kind: str | None, size: Sequence[int],
                              f"[0, 2^{len(ports)})")
     latency = expected_latency(kind, and_kind)
     stream = [0, *words] + [0] * (latency + 2)
-    net = Network()
-    block = build_block(net, kind, and_kind, size)
     for k, port in enumerate(ports):
         drive(net, block, port, net.add_source(
             [t for t, word in enumerate(stream) if word >> k & 1]))
-    outputs = {name: block.output(name) for name in spec.outputs(*size)}
+    outputs = block.ports.outputs
     net.record(*outputs.values())
     record = net.run(len(stream))
-    return _expect_delayed(record, outputs, spec.oracle(stream, *size),
+    return _expect_delayed(record, outputs, BLOCKS[kind].oracle(stream, *size),
                            latency, label, ok_detail)
 
 
 # ---------------------------------------------------------------------------
 # Experiments
+
+
+def _sizes(cfg: ExperimentConfig) -> dict[str, int | None]:
+    """cfg's size keywords for block_config, which rejects those the
+    experiment's block does not read."""
+    return {"n": cfg.n, "registers": cfg.registers, "bits": cfg.bits}
 
 
 def _stimulated(cfg: ExperimentConfig, names: Sequence[str], recorded: int,
@@ -527,25 +526,25 @@ def _result(name: str, ak: str, params: dict, net: Network,
 
 
 def _run_decoder_encoder(cfg: ExperimentConfig) -> ExperimentResult:
-    ak, (n,) = block_config("decoder", cfg.and_kind, n=cfg.n)
+    ak, (n,) = block_config("decoder", cfg.and_kind, **_sizes(cfg))
     _admit(f"decoder-encoder n={n}", [block_query("decoder", ak, (n,)),
                                       block_query("encoder", None, (2 ** n,))])
     dec_latency = expected_latency("decoder", ak)
     total = dec_latency + 1
-    duration, inputs, words = _stimulated(
-        cfg, _selects(n), 2 ** n + n, max(16, 2 * 2 ** n + total + 2),
-        lambda ms: [(t - 1) % 2 ** n for t in range(ms)])
 
     net = Network()
     decoder = build_block(net, "decoder", ak, (n,))
     encoder = build_encoder(net, 2 ** n)
-    for j in range(2 ** n):
-        wire(net, decoder.output(f"ch{j}"), encoder.input_taps(f"d{j}"))
+    channels, ors = decoder.ports.outputs, encoder.ports.outputs
+    # channel j drives input d_j
+    for channel, taps in zip(channels.values(), encoder.ports.inputs.values()):
+        wire(net, channel, taps)
+    duration, inputs, words = _stimulated(
+        cfg, list(decoder.ports.inputs), len(channels) + len(ors),
+        max(16, 2 * 2 ** n + total + 2),
+        lambda ms: [(t - 1) % 2 ** n for t in range(ms)])
     for name, times in inputs.items():
         drive(net, decoder, name, net.add_source(times))
-    channels = {name: decoder.output(name) for name in _channels(n)}
-    ors = {name: encoder.output(name)
-           for name in BLOCKS["encoder"].outputs(2 ** n)}
     net.record(*channels.values(), *ors.values())
     record = net.run(duration)
 
@@ -576,33 +575,32 @@ def _control_chunks(n: int, duration_ms: int, seed: int) -> list[int]:
 
 
 def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
-    ak, (n,) = block_config("multiplexer", cfg.and_kind, n=cfg.n)
+    ak, (n,) = block_config("multiplexer", cfg.and_kind, **_sizes(cfg))
     _admit(f"mux-demux n={n}", [block_query(kind, ak, (n,)) for kind
                                 in ("multiplexer", "demultiplexer")])
     mux_latency = expected_latency("multiplexer", ak)
     total = mux_latency + expected_latency("demultiplexer", ak)
-    # data line d_j spikes every 2^j ms from t=1
-    duration, inputs, words = _stimulated(
-        cfg, BLOCKS["multiplexer"].inputs(n), 2 ** n + 1, 110,
-        lambda ms: [word | sum(1 << n + j for j in range(2 ** n)
-                               if (t - 1) % 2 ** j == 0) for t, word
-                    in enumerate(_control_chunks(n, ms, cfg.seed))])
 
     net = Network()
     css = build_css(net)
     mux = build_multiplexer(net, n, ak, css)
     demux = build_demultiplexer(net, n, ak, css)
-    wire(net, mux.output("out"), demux.input_taps("d"))
-    for b in range(n):
-        source = net.add_source(inputs[f"s{b}"])
-        drive(net, mux, f"s{b}", source)
-        # the demux sees the same controls, delayed to match the data
-        # that is still in flight through the mux
-        drive(net, demux, f"s{b}", source, extra_delay_ms=mux_latency)
-    for j in range(2 ** n):
-        drive(net, mux, f"d{j}", net.add_source(inputs[f"d{j}"]))
     out_id = mux.output("out")
-    channels = {name: demux.output(name) for name in _channels(n)}
+    wire(net, out_id, demux.input_taps("d"))
+    channels = demux.ports.outputs
+    # data line d_j spikes every 2^j ms from t=1
+    duration, inputs, words = _stimulated(
+        cfg, list(mux.ports.inputs), len(mux.ports.outputs) + len(channels),
+        110, lambda ms: [word | sum(1 << n + j for j in range(2 ** n)
+                                    if (t - 1) % 2 ** j == 0) for t, word
+                         in enumerate(_control_chunks(n, ms, cfg.seed))])
+    for name, times in inputs.items():
+        source = net.add_source(times)
+        drive(net, mux, name, source)
+        if name in demux.ports.inputs:
+            # the demux sees the same select lines, delayed to match the
+            # data that is still in flight through the mux
+            drive(net, demux, name, source, extra_delay_ms=mux_latency)
     net.record(out_id, *channels.values())
     record = net.run(duration)
 
@@ -623,7 +621,8 @@ def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_d_latch(cfg: ExperimentConfig) -> ExperimentResult:
     ak, _ = block_config(
-        "d_latch", "classic" if cfg.and_kind is None else cfg.and_kind)
+        "d_latch", "classic" if cfg.and_kind is None else cfg.and_kind,
+        **_sizes(cfg))
     # external inverter in the data path
     data_latency = expected_latency("d_latch", ak) + 1
     duration, inputs, words = _stimulated(
@@ -667,25 +666,22 @@ def _channel_mark(j: int) -> str:
 
 
 def _run_memory(cfg: ExperimentConfig) -> ExperimentResult:
-    ak, (registers, bits) = block_config(
-        "memory", cfg.and_kind, registers=cfg.registers, bits=cfg.bits)
+    ak, (registers, bits) = block_config("memory", cfg.and_kind,
+                                         **_sizes(cfg))
     depth = registers.bit_length()
     latency = expected_latency("memory", ak)
-    duration, inputs, words = _stimulated(
-        cfg, BLOCKS["memory"].inputs(registers, bits),
-        registers * bits + 2 ** depth, 30,
-        lambda ms: [t % (registers + 1) | t % 2 ** bits << depth
-                    for t in range(ms)])
-    addresses = [w & (2 ** depth - 1) for w in words]
 
     net = Network()
     memory = build_block(net, "memory", ak, (registers, bits))
+    decoder = memory.decoder
+    q_ids, channels = memory.ports.outputs, decoder.ports.outputs
+    duration, inputs, words = _stimulated(
+        cfg, list(memory.ports.inputs), len(q_ids) + len(channels), 30,
+        lambda ms: [t % (registers + 1) | t % 2 ** bits << depth
+                    for t in range(ms)])
+    addresses = [w & (2 ** depth - 1) for w in words]
     for name, times in inputs.items():
         drive(net, memory, name, net.add_source(times))
-    q_ids = {name: memory.output(name)
-             for name in BLOCKS["memory"].outputs(registers, bits)}
-    decoder = memory.decoder
-    channels = {name: decoder.output(name) for name in _channels(depth)}
     net.record(*q_ids.values(), *channels.values())
     record = net.run(duration)
 
@@ -928,8 +924,9 @@ def export_spikes(signal_times: Mapping[str, Iterable[int]]) -> str:
 
 
 def parse_stimulus(text: str) -> dict[str, tuple[int, ...]]:
-    """Parse a stimulus CSV of "signal,time_ms" rows; a header line is
-    tolerated. Times are deduplicated and sorted per signal."""
+    """Parse a stimulus CSV of "signal,time_ms" rows. Line 1 is a header,
+    and skipped, when its time field holds no digit. Times are
+    deduplicated and sorted per signal."""
     collected: dict[str, set[int]] = {}
     for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -937,7 +934,7 @@ def parse_stimulus(text: str) -> dict[str, tuple[int, ...]]:
         if len(row) != 2:
             raise ValueError(f"stimulus line {lineno}: expected 2 columns")
         name, raw_time = row[0].strip(), row[1].strip()
-        if lineno == 1 and not raw_time.lstrip("-").isdigit():
+        if lineno == 1 and not any(ch in "0123456789" for ch in raw_time):
             continue  # header
         if not name:
             raise ValueError(f"stimulus line {lineno}: empty signal name")

@@ -33,7 +33,6 @@ from spikelogic.gates import (
     wire,
 )
 from spikelogic.harness import (
-    BLOCKS,
     block_config,
     build_block,
     fuzz_d_latch,
@@ -347,23 +346,22 @@ def test_category_ledger_labels_every_block_synapse(kind, ak, big):
 def test_classic_equals_fast_shifted_by_latency_difference(kind, size):
     # one network holds both blocks, each port of both driven by one
     # source per input bit; 20 seeded streams of 60 random words
-    spec = BLOCKS[kind]
     latency = {ak: expected_latency(kind, ak) for ak in KINDS}
     shift = latency["classic"] - latency["fast"]
-    ports = spec.inputs(*size)
     rng = random.Random(7)
     for _ in range(20):
-        words = [rng.randrange(2 ** len(ports)) for _ in range(60)]
-        duration = len(words) + latency["classic"] + 3
         net = Network()
         built = {ak: build_block(net, kind, ak, size) for ak in KINDS}
+        ports = list(built["classic"].ports.inputs)
+        assert list(built["fast"].ports.inputs) == ports
+        words = [rng.randrange(2 ** len(ports)) for _ in range(60)]
+        duration = len(words) + latency["classic"] + 3
         for k, port in enumerate(ports):
             source = net.add_source(
                 [1 + i for i, word in enumerate(words) if word >> k & 1])
             for block in built.values():
                 drive(net, block, port, source)
-        outputs = {ak: [built[ak].output(name) for name in spec.outputs(*size)]
-                   for ak in KINDS}
+        outputs = {ak: list(built[ak].ports.outputs.values()) for ak in KINDS}
         net.record(*outputs["classic"], *outputs["fast"])
         record = net.run(duration)
         for classic, fast in zip(outputs["classic"], outputs["fast"]):
@@ -393,21 +391,20 @@ def test_delaying_every_input_delays_every_output(kind, ak, data):
     # trains k ms apart, compared once both are past the latency
     size = data.draw(DELAY_SIZES[kind], label="size")
     k = data.draw(st.integers(0, 13), label="k")
-    spec = BLOCKS[kind]
-    ports = spec.inputs(*size)
-    words = data.draw(st.lists(st.integers(0, 2 ** len(ports) - 1),
-                               min_size=1, max_size=24), label="words")
     ak, _ = block_config(kind, ak)  # None without an AND stage
+    width = len(build_block(Network(), kind, ak, size).ports.inputs)
+    words = data.draw(st.lists(st.integers(0, 2 ** width - 1),
+                               min_size=1, max_size=24), label="words")
     latency = expected_latency(kind, ak)
     duration = k + len(words) + latency + 3
     trains = []
     for delay in (0, k):
         net = Network()
         block = build_block(net, kind, ak, size)
-        for b, port in enumerate(ports):
+        for b, port in enumerate(block.ports.inputs):
             drive(net, block, port, net.add_source(
                 [delay + 1 + i for i, word in enumerate(words) if word >> b & 1]))
-        outputs = [block.output(name) for name in spec.outputs(*size)]
+        outputs = list(block.ports.outputs.values())
         net.record(*outputs)
         record = net.run(duration)
         trains.append([record.trains[eid] for eid in outputs])

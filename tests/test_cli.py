@@ -162,6 +162,13 @@ STIMULI = {
     "d-latch": "store,2\ndata1,2\ndata2,5\nstore,6\ndata1,9\nstore,11\n",
     "memory": "s0,2\nd0,2\ns1,4\nd1,4\nd2,4\ns0,7\ns1,7\nd2,7\n",
 }
+# the size flags each experiment reads; any other is refused
+SIZE_FLAGS = {
+    "decoder-encoder": ["--n", "3"],
+    "mux-demux": ["--n", "3"],
+    "d-latch": [],
+    "memory": ["--registers", "5", "--bits", "2"],
+}
 EXPERIMENT_PINS = dict(
     line.split() for line in (PINNED.parent / "experiment-sha256.txt")
     .read_text(encoding="ascii").splitlines())
@@ -170,9 +177,9 @@ EXPERIMENT_COMMANDS = [
     for name in STIMULI for ak in ("classic", "fast")
     for fmt in ("table", "raster", "csv")
 ] + [
-    (f"{name}-sized", ["run", name, "--n", "3", "--registers", "5",
-                       "--bits", "2", "--duration-ms", "77", "--seed", "3"])
-    for name in STIMULI
+    (f"{name}-sized", ["run", name, *flags, "--duration-ms", "77",
+                       "--seed", "3"])
+    for name, flags in SIZE_FLAGS.items()
 ] + [(f"{name}-stimulus", ["run", name, "--stimulus", STIMULUS])
      for name in STIMULI]
 
@@ -214,6 +221,13 @@ NON_ASCII_STIMULUS = "NON_ASCII_STIMULUS"
     ["verify", "memory", "--registers", "10000000000"],
     ["run", "memory", "--stimulus", NON_ASCII_STIMULUS],
     ["run", "memory", "--duration-ms", "100000000"],
+    # a size flag the block or the experiment does not read
+    ["verify", "d_latch", "--registers", "9", "--bits", "2"],
+    ["resources", "decoder", "--bits", "2"],
+    ["verify", "memory", "--n", "3"],
+    ["run", "d-latch", "--n", "5", "--registers", "3"],
+    ["run", "decoder-encoder", "--registers", "5"],
+    ["run", "mux-demux", "--bits", "2"],
 ], ids=" ".join)
 def test_bad_size_is_usage_error(argv, capsys, tmp_path):
     stimulus = tmp_path / "bad.csv"

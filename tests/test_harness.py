@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spikelogic import harness, netlist
 from spikelogic.harness import (
@@ -32,7 +32,12 @@ from spikelogic.harness import (
     sweep_multiplexer,
     verify_block,
 )
-from spikelogic.resources import BLOCK_KINDS, expected_latency, reconcile
+from spikelogic.resources import (
+    BLOCK_KINDS,
+    expected_latency,
+    formula_resources,
+    reconcile,
+)
 from spikelogic.sim import Network
 from spikelogic.trace import render_trace
 from support import shuffle_synapses
@@ -66,6 +71,18 @@ class TestExperiments:
     ])
     def test_zero_size_rejected(self, name, config):
         with pytest.raises(ValueError):
+            run_experiment(name, config)
+
+    @pytest.mark.parametrize("name, config, flag", [
+        ("d-latch", ExperimentConfig(n=5, registers=3), "n"),
+        ("decoder-encoder", ExperimentConfig(registers=5), "registers"),
+        ("mux-demux", ExperimentConfig(bits=2), "bits"),
+        ("memory", ExperimentConfig(n=3), "n"),
+    ])
+    def test_size_the_experiment_does_not_read_rejected(self, name, config,
+                                                        flag):
+        # refused, naming the keyword, rather than run at the default size
+        with pytest.raises(ValueError, match=f", not {flag}$"):
             run_experiment(name, config)
 
     def test_d_latch_trace_matches_golden(self):
@@ -136,9 +153,25 @@ class TestStimulus:
         with pytest.raises(ValueError, match="of signal data1"):
             run_experiment("d-latch", config)
 
+    def test_times_past_the_run_are_not_exported(self):
+        # store at 100 lies past the 16 ms run: the trace shows no spike
+        # there, and neither does the CSV
+        config = ExperimentConfig(stimulus={"store": [2, 100], "data1": [2]})
+        result = run_experiment("d-latch", config)
+        assert result.duration_ms == 16
+        assert result.signal_times["store"] == (2,)
+        assert "store,100" not in export_spikes(result.signal_times)
+
     def test_parse_stimulus(self):
         text = "signal,time_ms\nstore,3\nstore,1\nstore,3\ndata1,2\n"
         assert parse_stimulus(text) == {"store": (1, 3), "data1": (2,)}
+
+    @pytest.mark.parametrize("text", ["s0,1.5\ns1,3\n", "s0,x1\n",
+                                      "s0, 2ms\n", "s0,+-1\n"])
+    def test_first_row_with_a_digit_is_not_a_header(self, text):
+        # rejected as on any other line, not skipped
+        with pytest.raises(ValueError, match="stimulus line 1: bad time"):
+            parse_stimulus(text)
 
     def test_parse_skips_blank_lines(self):
         assert parse_stimulus("a,1\n\na,2\n") == {"a": (1, 2)}
@@ -146,7 +179,7 @@ class TestStimulus:
     def test_parse_rejects_bad_rows(self):
         with pytest.raises(ValueError):
             parse_stimulus("a,1,2\n")
-        # a non-numeric time is only forgiven on line 1 (header)
+        # a time without a digit is only forgiven on line 1 (header)
         with pytest.raises(ValueError):
             parse_stimulus("a,1\nb,x\n")
         with pytest.raises(ValueError):
@@ -349,8 +382,13 @@ def test_measure_latency_full_table():
     (lambda: verify_block("decoder", n=10 ** 10), "at least 10,000,000,000"),
     (lambda: verify_block("encoder", n=10 ** 10), "at least 10,000,000,000"),
     (lambda: fuzz_memory(2 ** 16 - 1, 64, "fast"), "47,316,530"),
+    # 2^15 registers take a decoder of 16 lines, all of whose 2^16
+    # channels are built: priced as the full classic memory of n=16,
+    # 2^16 (2 * 16 + 13 * 2 + 1) + 3 * 16 - 10 * 2 + 2
+    (lambda: verify_block("memory", "classic", registers=2 ** 15, bits=2),
+     "3,866,654"),
 ], ids=["verify_block", "sweep_decoder", "run_experiment", "unprintable",
-        "select-n", "encoder-n", "fuzz_memory"])
+        "select-n", "encoder-n", "fuzz_memory", "partial-memory"])
 def test_oversized_block_raises_before_it_is_built(call, count, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("a builder ran")
@@ -397,8 +435,35 @@ def test_experiment_prices_every_block_before_building(name, cfg, cap, count,
     assert ran == []
 
 
+@pytest.mark.parametrize("kind, sizes, flag", [
+    ("d_latch", {"registers": 9, "bits": 2}, "registers"),
+    ("decoder", {"bits": 2}, "bits"),
+    ("encoder", {"registers": 3}, "registers"),
+    ("memory", {"n": 3}, "n"),
+])
+def test_block_config_rejects_a_size_the_kind_does_not_read(kind, sizes, flag):
+    # refused, naming the keyword, rather than dropped for the default
+    with pytest.raises(ValueError, match=f", not {flag}$"):
+        harness.block_config(kind, **sizes)
+
+
+def _assert_priced(kind: str, ak: str, size: tuple) -> None:
+    """block_query's price is the built block's, except for a partially
+    filled memory: priced as the full memory of its depth, it builds
+    fewer latches than that."""
+    ak, _ = harness.block_config(kind, ak)  # None without an AND stage
+    query = harness.block_query(kind, ak, size)
+    built = build_block(Network(), kind, ak, size)
+    if kind == "memory" and size[0] != 2 ** size[0].bit_length() - 1:
+        assert (query.form, query.n, query.c) == (
+            "n", size[0].bit_length(), size[1])
+        assert formula_resources(query).synapses > built.resources.synapses
+    else:
+        assert reconcile(built, query).ok
+
+
 # sizes as harness.build_block takes them; the memory at full and at
-# partial occupancy, where only its m-form prices it
+# partial occupancy
 SIZED = [(kind, size) for kind in BLOCK_KINDS
          for size in {"decoder": [(1,), (3,)], "encoder": [(2,), (5,)],
                       "multiplexer": [(1,), (3,)],
@@ -410,13 +475,26 @@ SIZED = [(kind, size) for kind in BLOCK_KINDS
 @pytest.mark.parametrize("kind, size", SIZED,
                          ids=[f"{kind}-{size}" for kind, size in SIZED])
 def test_block_query_prices_the_built_block(kind, size, ak):
-    ak, _ = harness.block_config(kind, ak)  # None without an AND stage
-    query = harness.block_query(kind, ak, size)
-    built = build_block(Network(), kind, ak, size)
-    if kind == "memory" and size[0] != 2 ** size[0].bit_length() - 1:
-        assert query.form == "m" and (query.r, query.c) == size
-    else:
-        assert reconcile(built, query).ok
+    _assert_priced(kind, ak, size)
+
+
+# the same, at sizes drawn small enough to build many
+PRICED_SIZES = {
+    "decoder": st.tuples(st.integers(1, 5)),
+    "encoder": st.tuples(st.integers(2, 40)),
+    "multiplexer": st.tuples(st.integers(1, 4)),
+    "demultiplexer": st.tuples(st.integers(1, 5)),
+    "d_latch": st.just(()),
+    "memory": st.tuples(st.integers(1, 20), st.integers(1, 4)),
+}
+
+
+@pytest.mark.parametrize("ak", ["classic", "fast"])
+@pytest.mark.parametrize("kind", BLOCK_KINDS)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_block_price_is_at_least_the_build(kind, ak, data):
+    _assert_priced(kind, ak, data.draw(PRICED_SIZES[kind], label="size"))
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)

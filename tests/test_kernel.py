@@ -16,6 +16,7 @@ from spikelogic.harness import (
     EXPERIMENTS,
     ExperimentConfig,
     block_config,
+    build_block,
     check_pipelined,
     run_experiment,
 )
@@ -129,7 +130,7 @@ def test_check_pipelined_networks(kind, and_kind, monkeypatch):
     runs = _capture_runs(monkeypatch)
     ak, size = block_config(kind, and_kind)
     rng = random.Random(f"{kind}-{and_kind}")
-    width = len(BLOCKS[kind].inputs(*size))
+    width = len(build_block(Network(), kind, ak, size).ports.inputs)
     check_pipelined(kind, ak, size,
                     [rng.randrange(2 ** width) for _ in range(40)], kind)
     ((net, record),) = runs

@@ -87,3 +87,40 @@ def test_bench_counts_the_lines_of_src_python_files(tmp_path):
         assert int(shell.stdout) == 4
     (package / "a.py").write_text("A = 1\nA += 1\n")
     assert bench.src_lines(tmp_path) == 5
+
+
+def _timed_runs(workload: str, metric: str,
+                sides: dict[str, list[float]]) -> list[dict]:
+    """Timed runs of one workload, pair k of each side reading the
+    metric's k-th value."""
+    return [{"workload": workload, "pair": pair, "side": side, "trace": 0,
+             "result": {"metrics": {metric: {"value": value}}}}
+            for side, values in sides.items()
+            for pair, value in enumerate(values)]
+
+
+def test_bench_summary_flags_a_median_past_its_bound():
+    bench = load_bench()
+    spec = {"end_to_end": [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "events_per_s", "better": "higher", "bound": 0.25},
+    ], "per_layer": []}
+    # (metric, baseline values, change values, regressed): each side's
+    # median is its middle value
+    cases = [
+        ("wall_s", [1.0, 2.0, 3.0], [1.0, 2.4, 3.0], False),
+        ("wall_s", [1.0, 2.0, 3.0], [1.0, 2.6, 3.0], True),
+        ("wall_s", [1.0, 2.0, 3.0], [0.1, 0.2, 0.3], False),
+        ("events_per_s", [90.0, 100.0, 110.0], [70.0, 80.0, 90.0], False),
+        ("events_per_s", [90.0, 100.0, 110.0], [60.0, 70.0, 80.0], True),
+        ("events_per_s", [90.0, 100.0, 110.0], [900.0, 1000.0, 1100.0], False),
+    ]
+    for metric, baseline, change, regressed in cases:
+        runs = _timed_runs("w", metric, {"baseline": baseline, "change": change})
+        entry = bench.summarize(runs, spec, ["w"])["w"]["end_to_end"][metric]
+        assert entry["ratio"] == change[1] / baseline[1]
+        assert entry["regressed"] is regressed, (metric, change)
+    # without a median on both sides there is no ratio to bound
+    runs = _timed_runs("w", "wall_s", {"baseline": [1.0, 2.0], "change": [5.0]})
+    entry = bench.summarize(runs, spec, ["w"])["w"]["end_to_end"]["wall_s"]
+    assert "ratio" not in entry and "regressed" not in entry
