@@ -103,14 +103,13 @@ def _select_stage(net: Network, n: int, and_kind: str, css, fan_in: int,
     truth table: channel j's input b sees the direct line when bit b of
     j is set, the inverted line otherwise. Only gate 0 runs its builder;
     gates 1 to 2^n - 1 are copied from it. Returns each gate's output,
-    each gate's taps (every input port of an AND has the same taps) and
-    the select ports."""
+    the taps of each gate's one input port and the select ports."""
     _require_size("n", n, 1)
     _require_css(css)
     inverters = [build_not(net, css) for _ in range(n)]
     first = _and_gate(net, and_kind, css, fan_in)
     offsets = [0, *net.copy(first.entities, first.synapses, 2 ** n - 1)]
-    taps = first.input_taps("in0")
+    taps = first.input_taps("in")
     gate_taps = [padded(taps, 0, offset) for offset in offsets]
     direct_taps = [padded(taps, 1, offset) for offset in offsets]
     category = f"NOT to AND ({and_kind})"
@@ -149,16 +148,11 @@ def build_encoder(net: Network, num_inputs: int) -> Handle:
     _require_size("num_inputs", num_inputs, 2)
     start = _mark(net)
     width = (num_inputs - 1).bit_length()
-    fan_ins = [
-        sum(1 for i in range(1, num_inputs) if (i >> b) & 1)
-        for b in range(width)
-    ]
-    or_gates = [build_or(net, fan_ins[b]) for b in range(width)]
+    or_gates = [build_or(net) for _ in range(width)]
     inputs: dict[str, tuple[InputTap, ...]] = {"d0": ()}
     for i in range(1, num_inputs):
-        # every port of an OR gate holds the same one tap
         inputs[f"d{i}"] = tuple(tap for b in range(width) if (i >> b) & 1
-                                for tap in or_gates[b].input_taps("in0"))
+                                for tap in or_gates[b].input_taps("in"))
     outputs = {f"or{b}": or_gates[b].output() for b in range(width)}
     return _block(net, start, "encoder", None, {"num_inputs": num_inputs},
                   PortMap(inputs, outputs), None)
@@ -170,10 +164,10 @@ def build_multiplexer(net: Network, n: int, and_kind, css) -> Handle:
     ak = and_kind_name(and_kind)
     start = _mark(net)
     outputs, gate_taps, ports_in = _select_stage(net, n, ak, css, n + 1)
-    collector = build_or(net, 2 ** n)
+    collector = build_or(net)
     for j, (out, taps) in enumerate(zip(outputs, gate_taps)):
         ports_in[f"d{j}"] = retagged(padded(taps, 1), f"Data inputs to AND ({ak})")
-        wire(net, out, collector.input_taps(f"in{j}"), category="AND to OR")
+        wire(net, out, collector.input_taps("in"), category="AND to OR")
     return _block(net, start, "multiplexer", ak, {"n": n},
                   PortMap(ports_in, {"out": collector.output()}), css)
 
@@ -211,10 +205,10 @@ def build_d_latch(net: Network, and_kind, css) -> Handle:
     wire(net, reset_and.output(), sr.input_taps("reset"),
          category="AND to SR Latch (reset)")
     inputs = {
-        "store": retagged(set_and.input_taps("in0") + reset_and.input_taps("in0"),
+        "store": retagged(set_and.input_taps("in") + reset_and.input_taps("in"),
                           f"Store to AND ({ak})"),
-        "data": retagged(set_and.input_taps("in1"), f"Data to AND ({ak})"),
-        "data_not": retagged(reset_and.input_taps("in1"),
+        "data": retagged(set_and.input_taps("in"), f"Data to AND ({ak})"),
+        "data_not": retagged(reset_and.input_taps("in"),
                              f"Inverted data to AND ({ak})"),
     }
     return _block(net, start, "d_latch", ak, {},
@@ -268,5 +262,5 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
     q = latch.output("q")
     outputs = {f"q{k // bits + 1}_{k % bits}": q + offset
                for k, offset in enumerate(offsets)}
-    return _block(net, start, "memory", ak, {"r": registers, "c": bits},
+    return _block(net, start, "memory", ak, {"registers": registers, "bits": bits},
                   PortMap(inputs, outputs), css, decoder=decoder)

@@ -1,10 +1,11 @@
 """Spiking logic gates built from default integer-threshold neurons.
 
 Each builder adds neurons and internal synapses to a Network and returns
-a Handle naming the gate's ports and spanning what it added. Input ports are exposed as
-connection descriptors (taps) rather than pre-made synapses, so callers
-wire their own upstream drivers; gate latency is the sum of synapse
-delays on the output path.
+a Handle naming the gate's ports and spanning what it added. Input ports
+are connection descriptors (taps), not pre-made synapses, so callers
+wire their own drivers: NOT, OR and AND each have one port, `in`, for
+every driver, as their inputs are symmetric, and the SR latch has set
+and reset. Gate latency is the sum of delays on the output path.
 
 Gates that must act in the absence of input (NOT, the single-neuron
 fast AND) lean on a constant spike source (CSS): two neurons in a
@@ -123,11 +124,8 @@ def wire(net: Network, source_id: int, taps: tuple[InputTap, ...], *,
 def drive(net: Network, handle: Handle, port_name: str, source_id: int, *,
           extra_delay_ms: int = 0) -> None:
     """Wire a driver to a named input port of a gate or block handle."""
-    try:
-        taps = handle.ports.inputs[port_name]
-    except KeyError:
-        raise ValueError(f"unknown input port {port_name!r}") from None
-    wire(net, source_id, taps, extra_delay_ms=extra_delay_ms)
+    wire(net, source_id, handle.input_taps(port_name),
+         extra_delay_ms=extra_delay_ms)
 
 
 def _require_css(css) -> None:
@@ -188,19 +186,16 @@ def build_not(net: Network, css: Handle) -> Handle:
     return _spanned(net, start, "not", ports, 1)
 
 
-def build_or(net: Network, fan_in: int) -> Handle:
-    """OR: one neuron, every input excitatory +1 with delay 1.
+def build_or(net: Network) -> Handle:
+    """OR: one neuron, which each driver wired to `in` excites +1, delay 1.
 
     Coincident inputs still yield a single output spike per timestep.
     """
-    _require_size("fan_in", fan_in, 1)
     start = _mark(net)
     neuron = net.add_neuron()
-    inputs = {
-        f"in{i}": (InputTap(neuron, 1, 1, CAT_INPUT_TO_OR),)
-        for i in range(fan_in)
-    }
-    return _spanned(net, start, "or", PortMap(inputs, {"out": neuron}), 1)
+    ports = PortMap(inputs={"in": (InputTap(neuron, 1, 1, CAT_INPUT_TO_OR),)},
+                    outputs={"out": neuron})
+    return _spanned(net, start, "or", ports, 1)
 
 
 def _and_weights(fan_in: int) -> tuple[int, int]:
@@ -214,40 +209,35 @@ def _and_weights(fan_in: int) -> tuple[int, int]:
 def build_and_classic(net: Network, fan_in: int) -> Handle:
     """Two-neuron AND with 2 ms latency and no CSS dependence.
 
-    Collector X fires on any input; output Y sums all inputs at t+2
-    against X's veto, leaving net +1 only when every input was present.
+    Collector X fires on any spike at `in`; output Y sums them at t+2
+    against X's veto, leaving net +1 only when fan_in drivers wired to
+    `in` spiked in the same ms.
     """
     veto, direct = _and_weights(fan_in)
     start = _mark(net)
     collector = net.add_neuron()
     out = net.add_neuron()
     net.connect(collector, out, veto, 1, "Internal AND (classic)")
-    inputs = {
-        f"in{i}": (
-            InputTap(collector, 1, 1, "Input to AND (classic)"),
-            InputTap(out, direct, 2, "Input to AND (classic)"),
-        )
-        for i in range(fan_in)
-    }
-    return _spanned(net, start, "and_classic", PortMap(inputs, {"out": out}), 2)
+    taps = (InputTap(collector, 1, 1, "Input to AND (classic)"),
+            InputTap(out, direct, 2, "Input to AND (classic)"))
+    return _spanned(net, start, "and_classic",
+                    PortMap({"in": taps}, {"out": out}), 2)
 
 
 def build_and_fast(net: Network, css: Handle, fan_in: int) -> Handle:
     """Single-neuron AND with 1 ms latency.
 
-    The CSS delivers the veto, -(fan_in - 1) per millisecond, so only a
-    full input set nets +1.
+    The CSS delivers the veto, -(fan_in - 1) per millisecond, so only
+    fan_in drivers wired to `in` spiking in the same ms net +1.
     """
     veto, direct = _and_weights(fan_in)
     _require_css(css)
     start = _mark(net)
     neuron = net.add_neuron()
     css_feed(net, css, neuron, veto, "CSS to AND (fast)")
-    inputs = {
-        f"in{i}": (InputTap(neuron, direct, 1, "Input to AND (fast)"),)
-        for i in range(fan_in)
-    }
-    return _spanned(net, start, "and_fast", PortMap(inputs, {"out": neuron}), 1)
+    taps = (InputTap(neuron, direct, 1, "Input to AND (fast)"),)
+    return _spanned(net, start, "and_fast",
+                    PortMap({"in": taps}, {"out": neuron}), 1)
 
 
 def build_sr_latch(net: Network) -> Handle:

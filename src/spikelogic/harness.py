@@ -297,16 +297,15 @@ class BlockSpec:
     """What the harness and the CLI know about one block kind.
 
     A size is a tuple of ints, one per keyword of default (n, registers,
-    bits; the encoder's input count is its n), reported under
-    size_names; the callables take it unpacked after their other
-    arguments. The built handle fixes the port order: bit k of an input
-    word drives its k-th input port and bit k of an output word is its
-    k-th output port. oracle(words, *size) maps per-ms input words to
+    bits; the encoder's input count is its n); the callables take it
+    unpacked after their other arguments. The built handle fixes the
+    port order and names the size in its params: bit k of an input word
+    drives its k-th input port and bit k of an output word is its k-th
+    output port. oracle(words, *size) maps per-ms input words to
     the output words the block shows one latency later.
     """
 
     default: dict[str, int]
-    size_names: tuple[str, ...]
     build: Callable[..., Handle]  # (net, and_kind, css, *size)
     oracle: Callable[..., list[int]]
     verify: Callable[..., list[Check]]  # (and_kind, rng, seed, *size)
@@ -318,7 +317,7 @@ class BlockSpec:
 # module's globals, so a caller may wrap them (the benchmark traces them).
 BLOCKS: dict[str, BlockSpec] = {
     "decoder": BlockSpec(
-        {"n": 2}, ("n",),
+        {"n": 2},
         build=lambda net, ak, css, n: build_decoder(net, n, ak, css),
         oracle=lambda words, n: [1 << decoder_channel(w) for w in words],
         verify=lambda ak, rng, seed, n: [
@@ -327,7 +326,7 @@ BLOCKS: dict[str, BlockSpec] = {
                                   for _ in range(VERIFY_TRIALS)])],
         probe=("s0",), probe_output="ch1"),
     "encoder": BlockSpec(
-        {"n": 4}, ("num_inputs",),
+        {"n": 4},
         build=lambda net, ak, css, m: build_encoder(net, m),
         oracle=lambda words, m: [
             encoder_value(i for i in range(m) if w >> i & 1) for w in words],
@@ -337,7 +336,7 @@ BLOCKS: dict[str, BlockSpec] = {
                                      for _ in range(VERIFY_TRIALS)])],
         probe=("d1",), probe_output="or0"),
     "multiplexer": BlockSpec(
-        {"n": 2}, ("n",),
+        {"n": 2},
         build=lambda net, ak, css, n: build_multiplexer(net, n, ak, css),
         oracle=lambda words, n: [int(mux_output(
             w & 2 ** n - 1, [w >> n + j & 1 for j in range(2 ** n)]))
@@ -349,7 +348,7 @@ BLOCKS: dict[str, BlockSpec] = {
                 for _ in range(VERIFY_TRIALS)])],
         probe=("s0", "d1"), probe_output="out"),
     "demultiplexer": BlockSpec(
-        {"n": 2}, ("n",),
+        {"n": 2},
         build=lambda net, ak, css, n: build_demultiplexer(net, n, ak, css),
         oracle=lambda words, n: [sum(on << j for j, on in enumerate(
             demux_channels(w & 2 ** n - 1, bool(w >> n & 1), 2 ** n)))
@@ -361,7 +360,7 @@ BLOCKS: dict[str, BlockSpec] = {
                 for _ in range(VERIFY_TRIALS)])],
         probe=("s0", "d"), probe_output="ch1"),
     "d_latch": BlockSpec(
-        {}, (),
+        {},
         build=lambda net, ak, css: build_d_latch(net, ak, css),
         oracle=lambda words: [int(q) for q in latch_states(
             [w & 1 for w in words], [w >> 1 & 1 for w in words])],
@@ -369,7 +368,7 @@ BLOCKS: dict[str, BlockSpec] = {
             fuzz_d_latch(ak, steps=VERIFY_TRIALS, seed=seed)],
         probe=("store", "data"), probe_output="q"),
     "memory": BlockSpec(
-        {"registers": 3, "bits": 3}, ("registers", "bits"),
+        {"registers": 3, "bits": 3},
         build=lambda net, ak, css, r, c: build_memory(net, r, c, ak, css),
         oracle=lambda words, r, c: [
             sum(map(operator.lshift, state, range(0, r * c, c)))
@@ -897,8 +896,7 @@ def verify_block(kind: str, and_kind: str | None = None, *,
     checks.append(Check(f"measured latency {measured} ms equals table value",
                         measured == wanted,
                         "" if measured == wanted else f"expected {wanted}"))
-    return VerifyReport(kind, ak, dict(zip(spec.size_names, size)),
-                        tuple(checks))
+    return VerifyReport(kind, ak, handle.params, tuple(checks))
 
 
 # ---------------------------------------------------------------------------

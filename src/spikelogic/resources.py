@@ -220,8 +220,8 @@ def _select_kind(latency, items, n_totals, m_totals) -> _Kind:
 
 def _full_memory(params: Mapping[str, int]) -> dict[str, int] | None:
     # the n-form assumes full occupancy, r = 2^n - 1
-    n = params["r"].bit_length()
-    return {"n": n, "c": params["c"]} if params["r"] == 2 ** n - 1 else None
+    n = params["registers"].bit_length()
+    return {"n": n, "c": params["bits"]} if params["registers"] == 2 ** n - 1 else None
 
 
 # the D latch has no size, so its m-form is its n-form
@@ -264,7 +264,7 @@ _FORMS = {
     "memory": _Kind({"classic": 6, "fast": 4},
                     _Form({"n": 1, "c": 1}, _memory_n, _full_memory),
                     _Form({"r": 1, "c": 1}, _memory_m, lambda params: {
-                        "r": params["r"], "c": params["c"]}), True),
+                        "r": params["registers"], "c": params["bits"]}), True),
 }
 
 BLOCK_KINDS = tuple(_FORMS)

@@ -25,7 +25,6 @@ from typing import Sequence
 
 from .sim import _flags
 
-_SPIKE_CELLS = frozenset(("", "1"))
 _TABLE_MARKS = bytes.maketrans(b"0", b" ")
 _RASTER_MARKS = str.maketrans("01", ".|")
 
@@ -118,11 +117,9 @@ def _digits(train: int, length: int) -> str:
 
 def _spike_digits(row: TraceRow | SpikeRow) -> str | None:
     """A spike row's digits, "1" where it spikes and "0" elsewhere, one per
-    ms; also of a row whose cells are all "" or "1". None for any other."""
+    ms; None for a value row, whatever its cells."""
     if isinstance(row, SpikeRow):
         return _digits(row.train, row.duration_ms)
-    if _SPIKE_CELLS.issuperset(row.cells):
-        return "".join(["1" if cell else "0" for cell in row.cells])
     return None
 
 

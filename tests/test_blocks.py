@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,6 @@ from spikelogic.gates import (
     build_and_fast,
     build_css,
     build_not,
-    build_or,
     build_sr_latch,
     _require_css,
     drive,
@@ -278,6 +278,17 @@ class TestPorts:
         assert encoder.input_taps("d0") == ()
         assert set(encoder.ports.outputs) == {"or0", "or1"}
 
+    def test_encoder_build_peak_memory(self):
+        # an OR gate has one input port, not one per input it ORs, so
+        # 4096 inputs (12 OR gates of 2048 inputs each) peak under 2 MB
+        tracemalloc.start()
+        try:
+            build_encoder(Network(), 4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
     def test_mux_demux_port_names(self):
         net = Network()
         css = build_css(net)
@@ -528,7 +539,8 @@ def _per_latch_memory(net, registers, bits, and_kind, css):
     outputs = {f"q{k // bits + 1}_{k % bits}": latch.output("q")
                for k, latch in enumerate(latches)}
     return blocks._block(net, start, "memory", and_kind,
-                         {"r": registers, "c": bits}, PortMap(inputs, outputs),
+                         {"registers": registers, "bits": bits},
+                         PortMap(inputs, outputs),
                          css, decoder=decoder)
 
 
@@ -581,17 +593,17 @@ def _per_gate_select_stage(net, n, and_kind, css, fan_in):
     for b in range(n):
         taps = list(inverters[b].input_taps("in"))
         for j, gate in enumerate(gates):
-            gate_taps = gate.input_taps(f"in{b}")
+            gate_taps = gate.input_taps("in")
             if (j >> b) & 1:
                 taps.extend(padded(gate_taps, 1))
             else:
                 wire(net, inverters[b].output(), gate_taps,
                      category=f"NOT to AND ({and_kind})")
         select_ports[f"s{b}"] = tuple(taps)
-    # every input port of an AND has the same taps, so one stands for all
-    assert all(len(set(gate.ports.inputs.values())) == 1 for gate in gates)
+    # an AND has one input port, which every select line drives
+    assert all(list(gate.ports.inputs) == ["in"] for gate in gates)
     return ([gate.output() for gate in gates],
-            [gate.input_taps("in0") for gate in gates], select_ports)
+            [gate.input_taps("in") for gate in gates], select_ports)
 
 
 SELECT_BUILDERS = {"decoder": build_decoder, "multiplexer": build_multiplexer,
@@ -646,12 +658,11 @@ def test_select_stage_runs_one_and_builder(kind, calls, ak, monkeypatch):
     lambda net, css: build_memory(net, True, 1, "classic", css),
     lambda net, css: build_encoder(net, 3.0),
     lambda net, css: build_encoder(net, True),
-    lambda net, css: build_or(net, 2.0),
     lambda net, css: build_and_fast(net, css, 2.0),
     lambda net, css: build_and_classic(net, True),
 ], ids=["decoder-bool", "decoder-float", "mux-float", "demux-bool",
         "memory-bits-bool", "memory-bits-float", "memory-registers-float",
-        "memory-registers-bool", "encoder-float", "encoder-bool", "or-float",
+        "memory-registers-bool", "encoder-float", "encoder-bool",
         "and-fast-float", "and-classic-bool"])
 def test_builders_reject_sizes_that_are_not_ints(build):
     net = Network()

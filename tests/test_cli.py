@@ -43,6 +43,17 @@ def test_run_raster(capsys):
     assert "|" in out
 
 
+def test_raster_lists_a_blank_register_as_a_value_row(capsys):
+    # a register that holds 0 has only "" cells, which a raster must not
+    # draw as a quiet spike row
+    assert run_cli("run", "memory", "--registers", "7", "--bits", "1",
+                   "--format", "raster") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(maxsplit=2)[2] for line in lines
+            if line.startswith(("Register 1 ", "Register 2 "))] == \
+        ["t=5: 0x01", "(blank throughout)"]
+
+
 def test_run_csv(capsys):
     assert run_cli("run", "decoder-encoder", "--format", "csv") == 0
     out = capsys.readouterr().out

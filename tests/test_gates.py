@@ -27,6 +27,12 @@ def drive_all(net, gate, schedules):
         drive(net, gate, port, net.add_source(times))
 
 
+def drive_in(net, gate, *schedules):
+    """Wire one source per schedule to the gate's one input port."""
+    for times in schedules:
+        drive(net, gate, "in", net.add_source(times))
+
+
 schedule = st.sets(st.integers(min_value=1, max_value=24), max_size=12)
 
 
@@ -99,54 +105,54 @@ class TestNot:
 class TestOr:
     def test_single_input_forwards(self):
         net = Network()
-        gate = build_or(net, 2)
-        drive_all(net, gate, {"in0": (2,)})
+        gate = build_or(net)
+        drive_in(net, gate, (2,))
         net.record(gate.output())
         assert net.run(5).times(gate.output()) == (3,)
 
     def test_simultaneous_inputs_one_spike(self):
         net = Network()
-        gate = build_or(net, 2)
-        drive_all(net, gate, {"in0": (2,), "in1": (2,)})
+        gate = build_or(net)
+        drive_in(net, gate, (2,), (2,))
         net.record(gate.output())
         assert net.run(5).times(gate.output()) == (3,)
 
     @given(schedule, schedule)
     def test_boolean_conformance(self, t0, t1):
         net = Network()
-        gate = build_or(net, 2)
-        drive_all(net, gate, {"in0": sorted(t0), "in1": sorted(t1)})
+        gate = build_or(net)
+        drive_in(net, gate, sorted(t0), sorted(t1))
         net.record(gate.output())
         assert set(net.run(27).times(gate.output())) == \
             {t + 1 for t in (t0 | t1) if t + 1 < 27}
 
     def test_resource_footprint(self):
         net = Network()
-        gate = build_or(net, 3)
+        gate = build_or(net)
         assert len(gate.entities) == 1
         assert not labels(net, gate)
-        assert all(len(gate.input_taps(f"in{k}")) == 1 for k in range(3))
+        assert len(gate.input_taps("in")) == 1
 
 
 class TestClassicAnd:
     def test_coincident_inputs_fire(self):
         net = Network()
         gate = build_and_classic(net, 2)
-        drive_all(net, gate, {"in0": (5,), "in1": (5,)})
+        drive_in(net, gate, (5,), (5,))
         net.record(gate.output())
         assert net.run(9).times(gate.output()) == (7,)
 
     def test_lone_input_blocked(self):
         net = Network()
         gate = build_and_classic(net, 2)
-        drive_all(net, gate, {"in0": (5,)})
+        drive_in(net, gate, (5,))
         net.record(gate.output())
         assert net.run(9).times(gate.output()) == ()
 
     def test_staggered_inputs_blocked(self):
         net = Network()
         gate = build_and_classic(net, 2)
-        drive_all(net, gate, {"in0": (5,), "in1": (6,)})
+        drive_in(net, gate, (5,), (6,))
         net.record(gate.output())
         assert net.run(10).times(gate.output()) == ()
 
@@ -155,7 +161,7 @@ class TestClassicAnd:
         gate = build_and_classic(net, 3)
         assert len(gate.entities) == 2
         assert labels(net, gate) == ["Internal AND (classic)"]
-        assert all(len(gate.input_taps(f"in{k}")) == 2 for k in range(3))
+        assert len(gate.input_taps("in")) == 2
 
     def test_rejects_fan_in_zero(self):
         net = Network()
@@ -167,21 +173,21 @@ class TestFastAnd:
     def test_coincident_inputs_fire(self):
         net, css = css_net()
         gate = build_and_fast(net, css, 2)
-        drive_all(net, gate, {"in0": (5,), "in1": (5,)})
+        drive_in(net, gate, (5,), (5,))
         net.record(gate.output())
         assert net.run(9).times(gate.output()) == (6,)
 
     def test_lone_input_blocked(self):
         net, css = css_net()
         gate = build_and_fast(net, css, 2)
-        drive_all(net, gate, {"in0": (5,)})
+        drive_in(net, gate, (5,))
         net.record(gate.output())
         assert net.run(9).times(gate.output()) == ()
 
     def test_pipelines_every_ms(self):
         net, css = css_net()
         gate = build_and_fast(net, css, 2)
-        drive_all(net, gate, {"in0": range(2, 10), "in1": range(2, 10)})
+        drive_in(net, gate, range(2, 10), range(2, 10))
         net.record(gate.output())
         assert net.run(11).times(gate.output()) == tuple(range(3, 11))
 
@@ -190,7 +196,7 @@ class TestFastAnd:
         gate = build_and_fast(net, css, 3)
         assert len(gate.entities) == 1
         assert sorted(labels(net, gate)) == ["CSS to AND (fast)"] * 2
-        assert all(len(gate.input_taps(f"in{k}")) == 1 for k in range(3))
+        assert len(gate.input_taps("in")) == 1
 
     def test_rejects_fan_in_zero(self):
         net, css = css_net()
@@ -207,8 +213,8 @@ class TestAndEquivalence:
         classic = build_and_classic(net, fan_in)
         for k in range(fan_in):
             src = net.add_source(sorted(schedules[k]))
-            drive(net, fast, f"in{k}", src)
-            drive(net, classic, f"in{k}", src)
+            drive(net, fast, "in", src)
+            drive(net, classic, "in", src)
         net.record(fast.output(), classic.output())
         record = net.run(29)
         # schedules start at t=1, so arrivals land after CSS warmup and
@@ -224,7 +230,7 @@ class TestAndEquivalence:
         net, css = css_net()
         gate = build_and_fast(net, css, fan_in)
         for k in range(fan_in):
-            drive(net, gate, f"in{k}", net.add_source(
+            drive(net, gate, "in", net.add_source(
                 [2 + i for i, w in enumerate(words) if (w >> k) & 1]))
         net.record(gate.output())
         duration = len(words) + 4
@@ -263,18 +269,30 @@ class TestSrLatch:
         assert labels(net, latch) == ["Internal SR Latch"]
 
 
+@pytest.mark.parametrize("build, ports", [
+    (build_not, ["in"]),
+    (lambda net, css: build_or(net), ["in"]),
+    (lambda net, css: build_and_classic(net, 3), ["in"]),
+    (lambda net, css: build_and_fast(net, css, 3), ["in"]),
+    (lambda net, css: build_sr_latch(net), ["set", "reset"]),
+], ids=["not", "or", "and-classic", "and-fast", "sr-latch"])
+def test_gate_input_ports(build, ports):
+    net, css = css_net()
+    assert list(build(net, css).ports.inputs) == ports
+
+
 def test_drive_rejects_unknown_port():
     net = Network()
-    gate = build_or(net, 1)
+    gate = build_or(net)
     src = net.add_source([1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="or has no input port 'in9'"):
         drive(net, gate, "in9", src)
 
 
 def test_wire_pads_delay():
     net = Network()
-    gate = build_or(net, 1)
+    gate = build_or(net)
     src = net.add_source([2])
-    wire(net, src, gate.input_taps("in0"), extra_delay_ms=2)
+    wire(net, src, gate.input_taps("in"), extra_delay_ms=2)
     net.record(gate.output())
     assert net.run(7).times(gate.output()) == (5,)

@@ -192,7 +192,7 @@ class TestReconcile:
 
     @pytest.mark.parametrize("make", [
         lambda: formula_resources(FormulaQuery("decoder", "fast", n=2)),
-        lambda: build_or(Network(), 2),
+        lambda: build_or(Network()),
         lambda: None,
     ], ids=["report", "gate-handle", "none"])
     def test_rejects_what_is_not_a_block_handle(self, make):

@@ -26,3 +26,16 @@ def test_and_kinds_are_spelled_once():
     hits = [path.name for path in sorted(SRC.glob("*.py"))
             if pair.search(path.read_text(encoding="utf-8"))]
     assert hits == ["resources.py"]
+
+
+def test_no_input_port_is_named_by_index():
+    # the inputs of a gate are symmetric, so NOT, OR and AND have one
+    # input port, "in", that every driver is wired to; "in0", "in1" or
+    # f"in{k}" would bring back one identical port per driver
+    indexed = re.compile(r"""["']in\d+["']|f["']in\{""")
+    hits = [f"{path.name}:{lineno}: {line.strip()}"
+            for path in sorted(SRC.parent.rglob("*.py"))
+            for lineno, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), start=1)
+            if indexed.search(line)]
+    assert hits == []

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spikelogic.trace import (
+    SpikeRow,
     Trace,
     TraceRow,
     hex_word_row,
@@ -126,7 +127,8 @@ def ref_masked_cells(row):
 
 
 def ref_is_spike_row(row):
-    return all(cell in ("", "1") for cell in row.cells)
+    # by row type: a value row of "" and "1" cells is still a value row
+    return isinstance(row, SpikeRow)
 
 
 def ref_render_table(trace):
@@ -182,8 +184,9 @@ LABELS = st.text("abcq_ 0123", min_size=1, max_size=12)
 @st.composite
 def traces(draw):
     """A trace of spike rows from random trains (which keep them), value
-    rows of "" and "1" cells (which render as spike rows), and value rows
-    of cells 1-5 characters wide (or blank), each with its own valid_from."""
+    rows of "" and "1" cells (which a raster lists as changes, as it does
+    any value row), and value rows of cells 1-5 characters wide (or
+    blank), each with its own valid_from."""
     duration = draw(st.integers(1, 40))
     rows = []
     for _ in range(draw(st.integers(0, 6))):
