@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--stimulus", type=Path,
                      help="CSV of signal,time_ms rows replacing the "
                           "canonical inputs")
-    run.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    run.add_argument("--seed", type=int)
     run.add_argument("--out", type=Path,
                      help="directory for trace.txt, spikes.csv, netlist.json")
     run.add_argument("--format", choices=("table", "raster", "csv"),
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_block_options(export)
     export.add_argument("--duration-ms", type=int, dest="duration_ms")
     export.add_argument("--stimulus", type=Path)
-    export.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    export.add_argument("--seed", type=int)
     export.add_argument("--out", type=Path, required=True)
     return parser
 
@@ -200,8 +200,8 @@ def _cmd_resources(args: argparse.Namespace) -> int:
 
     queries = formula_queries(handle)
     if queries is None:  # a partially occupied memory
-        print(f"  closed forms assume full occupancy r = 2^n - 1; "
-              f"skipped for r={size[0]}")
+        print(f"  closed forms assume full occupancy registers = 2^n - 1; "
+              f"skipped for registers={size[0]}")
     status = 0
     for query in queries or ():
         outcome = reconcile(handle, query)

@@ -116,14 +116,15 @@ VERIFY_TRIALS = 64
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Options for run_experiment; None picks the experiment default."""
+    """Options for run_experiment; None picks the experiment default
+    (DEFAULT_SEED for mux-demux, the one experiment that reads a seed)."""
 
     and_kind: str | None = None
     n: int | None = None
     registers: int | None = None
     bits: int | None = None
     duration_ms: int | None = None
-    seed: int = DEFAULT_SEED
+    seed: int | None = None
     stimulus: Mapping[str, Sequence[int]] | None = None
 
 
@@ -587,12 +588,13 @@ def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
     out_id = mux.output("out")
     wire(net, out_id, demux.input_taps("d"))
     channels = demux.ports.outputs
+    seed = DEFAULT_SEED if cfg.seed is None else cfg.seed
     # data line d_j spikes every 2^j ms from t=1
     duration, inputs, words = _stimulated(
         cfg, list(mux.ports.inputs), len(mux.ports.outputs) + len(channels),
         110, lambda ms: [word | sum(1 << n + j for j in range(2 ** n)
                                     if (t - 1) % 2 ** j == 0) for t, word
-                         in enumerate(_control_chunks(n, ms, cfg.seed))])
+                         in enumerate(_control_chunks(n, ms, seed))])
     for name, times in inputs.items():
         source = net.add_source(times)
         drive(net, mux, name, source)
@@ -723,12 +725,16 @@ EXPERIMENTS = tuple(_RUNNERS)
 def run_experiment(name: str,
                    config: ExperimentConfig | None = None) -> ExperimentResult:
     """Build, stimulate and check one canned experiment. None in the
-    config picks the experiment default; a size or duration below 1
-    raises ValueError."""
+    config picks the experiment default; a size or duration below 1, or
+    a seed given to an experiment other than mux-demux, which alone
+    reads one, raises ValueError."""
     if name not in _RUNNERS:
         raise ValueError(
             f"unknown experiment {name!r}; expected one of {EXPERIMENTS}")
-    return _RUNNERS[name](config or ExperimentConfig())
+    config = config or ExperimentConfig()
+    if config.seed is not None and name != "mux-demux":
+        raise ValueError(f"{name} reads no seed, got seed={config.seed!r}")
+    return _RUNNERS[name](config)
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +846,8 @@ def fuzz_memory(registers: int, bits: int, and_kind: str, writes: int = 64,
     return check_pipelined(
         "memory", ak, (registers, bits),
         [address | word << depth for address, word in zip(addresses, words)],
-        f"memory r={registers} c={bits} {ak}: {writes} random writes",
+        f"memory registers={registers} bits={bits} {ak}: "
+        f"{writes} random writes",
         f"final contents {list(final)}")
 
 
@@ -882,8 +889,8 @@ def verify_block(kind: str, and_kind: str | None = None, *,
     if queries is None:  # a partially occupied memory
         checks.append(Check(
             "resource formulas skipped", True,
-            f"closed forms assume full occupancy r = 2^n - 1, "
-            f"got r={size[0]}"))
+            f"closed forms assume full occupancy registers = 2^n - 1, "
+            f"got registers={size[0]}"))
     for query in queries or ():
         result = reconcile(handle, query)
         checks.append(Check(

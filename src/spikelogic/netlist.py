@@ -24,11 +24,6 @@ FORMAT = "spiking-netlist"
 VERSION = 1
 
 
-def to_document(net: Network, annotations: dict | None = None) -> dict:
-    """The netlist as a JSON object: what dumps writes, parsed."""
-    return json.loads(dumps(net, annotations))
-
-
 def _field(entry, key: str, where: str):
     if not isinstance(entry, dict) or key not in entry:
         raise ValueError(f"{where} has no {key!r} field")

@@ -11,17 +11,17 @@ of synapse insertion order.
 
 Two kernels produce the same SpikeRecord. Simulation is the reference:
 it steps one millisecond at a time and delivers each synaptic event on
-its own. Network.run computes one spike train per entity, an int whose
-bit t is set when the entity spikes at t, in the topological order of
-the strongly connected components of the neuron graph:
+its own. Network.run never calls it. It plans each neuron's synapses
+that land inside the run and computes one spike train per entity, an
+int whose bit t is set when the entity spikes at t, in the topological
+order of the strongly connected components of the neuron graph:
 
 - a neuron outside any cycle thresholds a bit-sliced sum of its
   shifted input trains;
-- a lone neuron whose self-synapses all have delay 1 and a positive
-  total weight (the SR latch) takes a closed form, a carry chain;
-- any other feedback component (the CSS ring) is stepped alone by
-  Simulation, with sources replaying its input trains, which are known
-  already.
+- a lone neuron whose self-synapses all have delay 1 and a total
+  weight of at least 0 (the SR latch) takes a closed form, a carry chain;
+- any other feedback component (the CSS ring) is stepped alone, one
+  millisecond at a time, on the known trains of its inputs.
 """
 
 from __future__ import annotations
@@ -262,66 +262,59 @@ def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
     mask = (1 << duration) - 1
     trains = {sid: spike_train(t for t in times if t < duration)
               for sid, times in net.sources.items()}
-    # fan-in per neuron: summed weight per (source, delay) that can land
-    # inside the run; the sum is all a threshold neuron sees
-    summed: dict[int, dict[tuple[int, int], int]] = {nid: {} for nid in net.neurons}
-    for source, target, weight, delay in net.synapses:
-        if delay < duration:
-            terms = summed[target]
-            key = (source, delay)
-            terms[key] = terms.get(key, 0) + weight
-    fan_in = {nid: {key: weight for key, weight in terms.items() if weight}
-              for nid, terms in summed.items()}
-    depends = {nid: [src for src, _ in terms if src in fan_in]
-               for nid, terms in fan_in.items()}
-    for component in _components(depends):
+    # the plan: per neuron, its synapses that can land inside the run
+    fan_in: dict[int, list[Synapse]] = {nid: [] for nid in net.neurons}
+    for syn in net.synapses:
+        if syn.delay_ms < duration:
+            fan_in[syn.target].append(syn)
+    for component in _components(fan_in):
         nid = component[0]
-        threshold = net.neurons[nid].threshold_quanta
-        loop = {delay: w for (src, delay), w in fan_in[nid].items() if src == nid}
-        if len(component) > 1 or (loop and (set(loop) != {1} or loop[1] < 0)):
+        loop = [(delay, w) for src, _, w, delay in fan_in[nid] if src == nid]
+        held = sum(w for _, w in loop)
+        if len(component) > 1 or held < 0 or any(d != 1 for d, _ in loop):
             trains.update(_stepped_component(net, component, fan_in, trains,
                                              duration))
             continue
         inputs = [((trains[src] << delay) & mask, weight)
-                  for (src, delay), weight in fan_in[nid].items() if src != nid]
+                  for src, _, weight, delay in fan_in[nid] if src != nid]
         planes, offset = _bit_sliced_sum(inputs, mask)
-        fire = _at_least(planes, threshold + offset, mask)
-        if not loop:
-            trains[nid] = fire
-            continue
-        # SR latch: it fires at t on its inputs alone (fire) or, having
-        # fired at t - 1, with the loop's weight added (active, which
-        # holds fire): q(t) = fire(t) | (active(t) & q(t-1)), the carry
-        # chain of active + fire, whose carry into bit t + 1 is q(t)
-        active = _at_least(planes, threshold - loop[1] + offset, mask)
-        trains[nid] = (((active + fire) ^ active ^ fire) >> 1) & mask
+        threshold = net.neurons[nid].threshold_quanta + offset
+        fire = _at_least(planes, threshold, mask)
+        if held:
+            # SR latch: it fires at t on its inputs alone (fire) or, having
+            # fired at t - 1, with the loop's weight added (active, which
+            # holds fire): q(t) = fire(t) | (active(t) & q(t-1)), the carry
+            # chain of active + fire, whose carry into bit t + 1 is q(t)
+            active = _at_least(planes, threshold - held, mask)
+            fire = (((active + fire) ^ active ^ fire) >> 1) & mask
+        trains[nid] = fire
     return trains
 
 
-def _components(depends: dict[int, list[int]]) -> list[list[int]]:
-    """Strongly connected components of the graph node -> its
-    dependencies, each after every component it depends on (iterative
+def _components(fan_in: dict[int, list[Synapse]]) -> list[list[int]]:
+    """Strongly connected components of the graph neuron -> its synapses'
+    neuron sources, each after every component it depends on (iterative
     Tarjan, which emits a component once all it reaches are emitted)."""
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     stack: list[int] = []
     on_stack: set[int] = set()
     order: list[list[int]] = []
-    for root in depends:
+    for root in fan_in:
         if root in index:
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
         on_stack.add(root)
-        work = [(root, iter(depends[root]))]
+        work = [(root, iter(fan_in[root]))]
         while work:
-            node, successors = work[-1]
-            for nxt in successors:
-                if nxt not in index:
+            node, synapses = work[-1]
+            for nxt, _, _, _ in synapses:
+                if nxt not in index and nxt in fan_in:  # not a spike source
                     index[nxt] = low[nxt] = len(index)
                     stack.append(nxt)
                     on_stack.add(nxt)
-                    work.append((nxt, iter(depends[nxt])))
+                    work.append((nxt, iter(fan_in[nxt])))
                     break
                 if nxt in on_stack:
                     low[node] = min(low[node], index[nxt])
@@ -389,26 +382,28 @@ def _at_least(planes: list[int], threshold: int, mask: int) -> int:
 
 
 def _stepped_component(net: Network, component: list[int],
-                       fan_in: dict[int, dict[tuple[int, int], int]],
+                       fan_in: dict[int, list[Synapse]],
                        trains: dict[int, int], duration: int) -> dict[int, int]:
-    """Trains of one feedback component, stepped by the reference kernel
-    on a network of its own neurons, fed by sources that replay the
-    known trains of everything outside it."""
-    sub = Network()
-    local = {nid: sub.add_neuron(net.neurons[nid]) for nid in component}
-    for nid in component:
-        for (src, delay), weight in fan_in[nid].items():
-            if src not in local:
-                local[src] = sub.add_source(
-                    compress(range(duration), _flags(trains[src])))
-            sub.connect(local[src], local[nid], weight, delay)
-    sim = Simulation(sub)
-    times: dict[int, list[int]] = {local[nid]: [] for nid in component}
-    for now in range(duration):
-        for eid in sim.step():
-            if eid in times:
-                times[eid].append(now)
-    return {nid: spike_train(times[local[nid]]) for nid in component}
+    """Trains of one feedback component, stepped one ms at a time on byte
+    flags, pad zero ticks ahead of t = 0: the known trains of its inputs
+    from outside, and the rows its members fill in as they fire."""
+    pad = max(syn.delay_ms for nid in component for syn in fan_in[nid])
+    rows = {nid: bytearray(pad + duration) for nid in component}
+    rows.update({src: bytes(pad) + _flags(trains[src]).ljust(duration, b"\0")
+                 for src in {syn.source for nid in component
+                             for syn in fan_in[nid]} - rows.keys()})
+    steps = [(rows[nid], net.neurons[nid].threshold_quanta,
+              [(rows[src], delay, weight)
+               for src, _, weight, delay in fan_in[nid]])
+             for nid in component]
+    for now in range(pad, pad + duration):
+        for row, threshold, inputs in steps:
+            charge = 0
+            for flags, delay, weight in inputs:
+                charge += flags[now - delay] * weight
+            row[now] = charge >= threshold
+    return {nid: int(rows[nid][pad:][::-1].translate(_DIGIT) or b"0", 2)
+            for nid in component}
 
 
 class Simulation:

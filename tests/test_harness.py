@@ -65,9 +65,13 @@ class TestExperiments:
         ("d-latch", ExperimentConfig(duration_ms="16")),
         ("memory", ExperimentConfig(duration_ms=16.0)),
         ("decoder-encoder", ExperimentConfig(duration_ms=True)),
-        # None would seed the control schedule from the clock
-        ("mux-demux", ExperimentConfig(seed=None)),
+        # a seed that is not an int
+        ("mux-demux", ExperimentConfig(seed="7")),
         ("mux-demux", ExperimentConfig(seed=7.0)),
+        # a seed where only mux-demux reads one
+        ("decoder-encoder", ExperimentConfig(seed=7)),
+        ("d-latch", ExperimentConfig(seed=7)),
+        ("memory", ExperimentConfig(seed=7)),
     ])
     def test_zero_size_rejected(self, name, config):
         with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
 """Differential tests: Network.run against the reference Simulation.
 
-Network.run computes every network with the levelized kernel; its
-record must equal the one the reference kernel steps out, spike for
-spike.
+Network.run computes every network with the levelized kernel, feedback
+components included, and never steps Simulation itself; its record
+must equal the one the reference kernel steps out, spike for spike.
 """
 
 import random
@@ -92,6 +92,80 @@ def test_random_gate_like_networks(case):
     assert_matches_reference(*case)
 
 
+@st.composite
+def rings(draw):
+    """A ring of 2 to 4 neurons (delays 1 to 3, weights of either sign)
+    fed from outside, directly or through a relay neuron, by periodic
+    inputs that go quiet early, go quiet late or never go quiet, a
+    reader neuron outside it, and a duration."""
+    net = Network()
+    duration = draw(st.integers(1, 60))
+    ring = [net.add_neuron(draw(PARAMS)) for _ in range(draw(st.integers(2, 4)))]
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        net.connect(a, b, draw(WEIGHTS), draw(st.integers(1, 3)))
+    for _ in range(draw(st.integers(1, 3))):
+        # quiet from ms 5, from 3 ms before the end, or spiking past it
+        end = draw(st.sampled_from([5, max(duration - 3, 1), duration + 5]))
+        feed = net.add_source(range(draw(st.integers(0, 3)), end,
+                                    draw(st.integers(1, 4))))
+        if draw(st.booleans()):
+            relay = net.add_neuron()
+            net.connect(feed, relay, 1, draw(st.integers(1, 3)))
+            feed = relay
+        for target in draw(st.lists(st.sampled_from(ring), min_size=1,
+                                    max_size=2)):
+            net.connect(feed, target, draw(WEIGHTS), draw(st.integers(1, 3)))
+    reader = net.add_neuron()
+    net.connect(draw(st.sampled_from(ring)), reader, 1, draw(st.integers(1, 3)))
+    net.record(*net.sources, *net.neurons)
+    return net, duration
+
+
+@given(rings())
+def test_random_rings(case):
+    assert_matches_reference(*case)
+
+
+def _duplicate_synapses(net, feed, nid):
+    # two synapses of one (source, target, delay) add up to the threshold
+    net.connect(feed, nid, 1, 2)
+    net.connect(feed, nid, 1, 2)
+
+
+def _cancelling_feed_forward_pair(net, feed, nid):
+    # +2 and -2 on one edge cancel, leaving the other input to fire nid
+    net.connect(feed, nid, 2, 1)
+    net.connect(feed, nid, -2, 1)
+    net.connect(feed, nid, 1, 3)
+
+
+def _cancelling_ring(net, feed, nid):
+    # a ring of nid and one more neuron whose edges both cancel
+    other = net.add_neuron()
+    net.connect(feed, nid, 1, 1)
+    net.connect(feed, other, 1, 2)
+    for a, b in ((nid, other), (other, nid)):
+        net.connect(a, b, 1, 1)
+        net.connect(a, b, -1, 1)
+    net.record(other)
+
+
+@pytest.mark.parametrize("wire", [
+    _duplicate_synapses, _cancelling_feed_forward_pair, _cancelling_ring,
+], ids=["duplicates", "cancelling-pair", "cancelling-ring"])
+def test_synapses_that_add_up_or_cancel(wire):
+    # the kernel sums a neuron's synapses one by one: equal or cancelling
+    # ones need no merging to match the reference (test_self_loops holds
+    # the cancelling self-loops, (1, -1) at delays 1 and 2)
+    for threshold in (1, 2):
+        net = Network()
+        nid = net.add_neuron(NeuronParams(threshold_quanta=threshold))
+        feed = net.add_source([0, 1, 4, 5, 6, 11, 17, 18])
+        wire(net, feed, nid)
+        net.record(feed, nid)
+        assert_matches_reference(net, 24)
+
+
 @pytest.mark.parametrize("loop", [(1,), (2,), (1, 1), (1, -1), (-1,),
                                   (2, -1), (-2,)])
 @pytest.mark.parametrize("delay", [1, 2])
@@ -137,6 +211,39 @@ def test_check_pipelined_networks(kind, and_kind, monkeypatch):
     assert_matches_reference(net, record.duration_ms, record)
 
 
+@pytest.fixture
+def without_the_reference(monkeypatch):
+    """Simulation cannot be constructed, nor a Network inside Network.run."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} constructed")
+
+    monkeypatch.setattr(Simulation, "__init__", refuse)
+    original = Network.run
+
+    def run(net, duration_ms):
+        with monkeypatch.context() as inside:
+            inside.setattr(Network, "__init__", refuse)
+            return original(net, duration_ms)
+
+    monkeypatch.setattr(Network, "run", run)
+
+
+@pytest.mark.parametrize("and_kind", ["classic", "fast"])
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_canned_experiments_run_without_the_reference(
+        name, and_kind, without_the_reference):
+    assert run_experiment(name, ExperimentConfig(and_kind=and_kind)).passed
+
+
+@pytest.mark.parametrize("kind", BLOCKS)
+def test_check_pipelined_runs_without_the_reference(kind,
+                                                    without_the_reference):
+    # the kind's own sweeps, each a check_pipelined run on valid words
+    ak, size = block_config(kind)
+    checks = BLOCKS[kind].verify(ak, random.Random(kind), 7, *size)
+    assert checks and all(check.ok for check in checks)
+
+
 @pytest.mark.parametrize("and_kind", ["classic", "fast"])
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_canned_experiments(name, and_kind):
@@ -160,3 +267,19 @@ def test_run_memory_does_not_grow_with_the_duration():
         tracemalloc.stop()
     assert record.trains == {nid: 1 << 2}
     assert peak < 8 * 2 ** 20
+
+
+def test_run_plan_memory_per_synapse():
+    # the plan holds, per neuron, a list of the network's own synapses:
+    # a 100 ms run of a classic memory with r=255, c=16 (47,235
+    # synapses) peaks at about 130 bytes per synapse
+    net = Network()
+    memory = build_block(net, "memory", "classic", (255, 16))
+    net.record(*memory.ports.outputs.values())
+    tracemalloc.start()
+    try:
+        net.run(100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * len(net.synapses)

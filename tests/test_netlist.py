@@ -12,7 +12,7 @@ from spikelogic.harness import ExperimentConfig, run_experiment
 from spikelogic.blocks import build_decoder
 from spikelogic.gates import build_css, drive
 from spikelogic.sim import Network, NeuronParams
-from support import shuffle_synapses
+from support import shuffle_synapses, to_document
 
 
 def decoder_net():
@@ -33,7 +33,7 @@ def test_round_trip_simulates_identically():
 
 
 def test_decoder_fast_n2_has_eight_neuron_entries():
-    doc = netlist.to_document(decoder_net())
+    doc = to_document(decoder_net())
     assert len(doc["neurons"]) == 8
     assert len(doc["sources"]) == 3  # CSS bootstrap + two selects
     assert doc["format"] == netlist.FORMAT
@@ -42,12 +42,12 @@ def test_decoder_fast_n2_has_eight_neuron_entries():
 
 def test_synapse_count_matches_network():
     net = decoder_net()
-    doc = netlist.to_document(net)
+    doc = to_document(net)
     assert len(doc["synapses"]) == len(net.synapses)
 
 
 def test_rejects_foreign_documents():
-    doc = netlist.to_document(decoder_net())
+    doc = to_document(decoder_net())
     with pytest.raises(ValueError):
         netlist.from_document({**doc, "format": "other"})
     with pytest.raises(ValueError):
@@ -55,7 +55,7 @@ def test_rejects_foreign_documents():
 
 
 def test_rejects_sparse_ids():
-    doc = netlist.to_document(decoder_net())
+    doc = to_document(decoder_net())
     broken = dict(doc)
     broken["neurons"] = [dict(entry, id=entry["id"] + 100)
                          for entry in doc["neurons"]]
@@ -169,7 +169,7 @@ MALFORMED = {
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_documents_raise_value_error(case):
     breakage, named = MALFORMED[case]
-    doc = breakage(netlist.to_document(decoder_net()))
+    doc = breakage(to_document(decoder_net()))
     with pytest.raises(ValueError, match=named):
         netlist.from_document(doc)
     with pytest.raises(ValueError, match=named):
@@ -177,7 +177,7 @@ def test_malformed_documents_raise_value_error(case):
 
 
 def test_document_without_annotations_loads_with_empty_ones():
-    doc = netlist.to_document(decoder_net())
+    doc = to_document(decoder_net())
     del doc["annotations"]
     _, annotations = netlist.from_document(doc)
     assert annotations == {}
@@ -287,7 +287,7 @@ def _mutated(doc: dict, data) -> dict:
 def test_mutated_documents_raise_value_error(net, data):
     # a valid document with one fault is refused with ValueError, never
     # another exception, and never silently loaded
-    doc = _mutated(netlist.to_document(net, {"block": "test"}), data)
+    doc = _mutated(to_document(net, {"block": "test"}), data)
     with pytest.raises(ValueError):
         netlist.from_document(doc)
 
@@ -298,7 +298,7 @@ def test_mutated_documents_raise_value_error(net, data):
 def test_writer_equals_indented_json_dumps(net, annotations):
     assert netlist.dumps(net, annotations) == json.dumps(
         _document(net, annotations), indent=2) + "\n"
-    assert netlist.to_document(net, annotations) == _document(net, annotations)
+    assert to_document(net, annotations) == _document(net, annotations)
 
 
 @settings(max_examples=40)
