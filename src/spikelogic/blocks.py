@@ -52,7 +52,6 @@ from .gates import (
     _require_size,
     _spanned,
     padded,
-    retagged,
     wire,
 )
 from .resources import (
@@ -103,16 +102,16 @@ def _select_stage(net: Network, n: int, and_kind: str, css, fan_in: int,
     truth table: channel j's input b sees the direct line when bit b of
     j is set, the inverted line otherwise. Only gate 0 runs its builder;
     gates 1 to 2^n - 1 are copied from it. Returns each gate's output,
-    the taps of each gate's one input port and the select ports."""
+    its input taps (labelled as the inverters' wires) and the select ports."""
     _require_size("n", n, 1)
     _require_css(css)
     inverters = [build_not(net, css) for _ in range(n)]
     first = _and_gate(net, and_kind, css, fan_in)
     offsets = [0, *net.copy(first.entities, first.synapses, 2 ** n - 1)]
     taps = first.input_taps("in")
-    gate_taps = [padded(taps, 0, offset) for offset in offsets]
-    direct_taps = [padded(taps, 1, offset) for offset in offsets]
     category = f"NOT to AND ({and_kind})"
+    gate_taps = [padded(taps, 0, offset, category) for offset in offsets]
+    direct_taps = [padded(taps, 1, offset) for offset in offsets]
     select_ports: dict[str, tuple[InputTap, ...]] = {}
     for b, inverter in enumerate(inverters):
         ports, inverted = list(inverter.input_taps("in")), []
@@ -122,7 +121,7 @@ def _select_stage(net: Network, n: int, and_kind: str, css, fan_in: int,
             else:
                 inverted.extend(gate_taps[j])
         # one call, in channel order: the synapse order of gate-by-gate wiring
-        wire(net, inverter.output(), inverted, category=category)
+        wire(net, inverter.output(), inverted)
         select_ports[f"s{b}"] = tuple(ports)
     out = first.output()
     return [out + offset for offset in offsets], gate_taps, select_ports
@@ -165,9 +164,10 @@ def build_multiplexer(net: Network, n: int, and_kind, css) -> Handle:
     start = _mark(net)
     outputs, gate_taps, ports_in = _select_stage(net, n, ak, css, n + 1)
     collector = build_or(net)
+    to_or = padded(collector.input_taps("in"), category="AND to OR")
     for j, (out, taps) in enumerate(zip(outputs, gate_taps)):
-        ports_in[f"d{j}"] = retagged(padded(taps, 1), f"Data inputs to AND ({ak})")
-        wire(net, out, collector.input_taps("in"), category="AND to OR")
+        ports_in[f"d{j}"] = padded(taps, 1, category=f"Data inputs to AND ({ak})")
+        wire(net, out, to_or)
     return _block(net, start, "multiplexer", ak, {"n": n},
                   PortMap(ports_in, {"out": collector.output()}), css)
 
@@ -177,10 +177,8 @@ def build_demultiplexer(net: Network, n: int, and_kind, css) -> Handle:
     ak = and_kind_name(and_kind)
     start = _mark(net)
     outputs, gate_taps, ports_in = _select_stage(net, n, ak, css, n + 1)
-    data_taps: list[InputTap] = []
-    for taps in gate_taps:
-        data_taps.extend(retagged(padded(taps, 1), f"Data inputs to AND ({ak})"))
-    ports_in["d"] = tuple(data_taps)
+    ports_in["d"] = tuple(tap for taps in gate_taps for tap in padded(
+        taps, 1, category=f"Data inputs to AND ({ak})"))
     return _block(net, start, "demultiplexer", ak, {"n": n},
                   PortMap(ports_in, {f"ch{j}": out
                                      for j, out in enumerate(outputs)}), css)
@@ -200,16 +198,15 @@ def build_d_latch(net: Network, and_kind, css) -> Handle:
     set_and = _and_gate(net, ak, css, 2)
     reset_and = _and_gate(net, ak, css, 2)
     sr = build_sr_latch(net)
-    wire(net, set_and.output(), sr.input_taps("set"),
-         category="AND to SR Latch (set)")
-    wire(net, reset_and.output(), sr.input_taps("reset"),
-         category="AND to SR Latch (reset)")
+    for gate, port in ((set_and, "set"), (reset_and, "reset")):
+        wire(net, gate.output(), padded(sr.input_taps(port),
+                                        category=f"AND to SR Latch ({port})"))
     inputs = {
-        "store": retagged(set_and.input_taps("in") + reset_and.input_taps("in"),
-                          f"Store to AND ({ak})"),
-        "data": retagged(set_and.input_taps("in"), f"Data to AND ({ak})"),
-        "data_not": retagged(reset_and.input_taps("in"),
-                             f"Inverted data to AND ({ak})"),
+        "store": padded(set_and.input_taps("in") + reset_and.input_taps("in"),
+                        category=f"Store to AND ({ak})"),
+        "data": padded(set_and.input_taps("in"), category=f"Data to AND ({ak})"),
+        "data_not": padded(reset_and.input_taps("in"),
+                           category=f"Inverted data to AND ({ak})"),
     }
     return _block(net, start, "d_latch", ak, {},
                   PortMap(inputs, {"q": sr.output("q")}), css)
@@ -242,8 +239,8 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
     latch = build_d_latch(net, ak, css)
     strobe, inverted = decoder.output("ch1"), column_nots[0].output()
     wire(net, strobe, latch.input_taps("store"))
-    wire(net, inverted, latch.input_taps("data_not"),
-         extra_delay_ms=decoder.latency_ms - 1)
+    wire(net, inverted, padded(latch.input_taps("data_not"),
+                               decoder.latency_ms - 1))
     columns = [0, *net.copy(latch.entities,
                             range(latch.synapses.start, len(net.synapses)),
                             bits - 1, {inverted: len(column_nots[0].entities)})]
@@ -255,7 +252,7 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
     inputs = dict(decoder.ports.inputs)
     data = latch.input_taps("data")
     for j in range(bits):
-        taps = list(retagged(column_nots[j].input_taps("in"), "Data to NOT"))
+        taps = list(padded(column_nots[j].input_taps("in"), category="Data to NOT"))
         for offset in offsets[j::bits]:
             taps.extend(padded(data, decoder.latency_ms, offset))
         inputs[f"d{j}"] = tuple(taps)

@@ -20,7 +20,6 @@ from pathlib import Path
 
 from . import netlist
 from .harness import (
-    DEFAULT_SEED,
     EXPERIMENTS,
     ExperimentConfig,
     ExperimentResult,
@@ -74,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="oracle sweeps for one block")
     verify.add_argument("block", choices=BLOCK_KINDS)
     _add_block_options(verify)
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    verify.add_argument("--seed", type=int)
 
     resources = sub.add_parser(
         "resources", help="resource counts for one block")

@@ -6,6 +6,8 @@ are connection descriptors (taps), not pre-made synapses, so callers
 wire their own drivers: NOT, OR and AND each have one port, `in`, for
 every driver, as their inputs are symmetric, and the SR latch has set
 and reset. Gate latency is the sum of delays on the output path.
+padded is the one tap transform (delay, offset, relabel); wire and drive
+connect taps as given, so a driver gets exactly the taps it is wired to.
 
 Gates that must act in the absence of input (NOT, the single-neuron
 fast AND) lean on a constant spike source (CSS): two neurons in a
@@ -95,37 +97,25 @@ def _spanned(net: Network, start: tuple[int, int], kind: str, ports: PortMap,
                   range(start[1], end[1]), **fields)
 
 
-def padded(taps: tuple[InputTap, ...], extra_delay_ms: int,
-           offset: int = 0) -> tuple[InputTap, ...]:
-    """Copies of taps with extra delay, used to align converging paths,
-    and with targets offset ids on: the taps of a copy made by
-    Network.copy."""
-    if extra_delay_ms == 0 and offset == 0:
-        return tuple(taps)
-    return tuple(InputTap(t.target + offset, t.weight_quanta,
-                          t.delay_ms + extra_delay_ms, t.category) for t in taps)
+def padded(taps: tuple[InputTap, ...], extra_delay_ms: int = 0,
+           offset: int = 0, category: str | None = None) -> tuple[InputTap, ...]:
+    """The one tap transform: copies of taps with extra delay, used to
+    align converging paths, with targets offset ids on (the taps of a
+    copy made by Network.copy), and labelled category when one is given."""
+    return tuple(InputTap(target + offset, weight, delay + extra_delay_ms,
+                          label if category is None else category)
+                 for target, weight, delay, label in taps)
 
 
-def retagged(taps: tuple[InputTap, ...], category: str) -> tuple[InputTap, ...]:
-    return tuple(InputTap(t.target, t.weight_quanta, t.delay_ms, category)
-                 for t in taps)
+def wire(net: Network, source_id: int, taps: tuple[InputTap, ...]) -> None:
+    """Connect one driver to every tap as given, a synapse per tap."""
+    for target, weight, delay, category in taps:
+        net.connect(source_id, target, weight, delay, category)
 
 
-def wire(net: Network, source_id: int, taps: tuple[InputTap, ...], *,
-         extra_delay_ms: int = 0, category: str | None = None) -> None:
-    """Connect one driver to every tap, labelled with the tap's category
-    unless category overrides it."""
-    for tap in taps:
-        net.connect(source_id, tap.target, tap.weight_quanta,
-                    tap.delay_ms + extra_delay_ms,
-                    category if category is not None else tap.category)
-
-
-def drive(net: Network, handle: Handle, port_name: str, source_id: int, *,
-          extra_delay_ms: int = 0) -> None:
+def drive(net: Network, handle: Handle, port_name: str, source_id: int) -> None:
     """Wire a driver to a named input port of a gate or block handle."""
-    wire(net, source_id, handle.input_taps(port_name),
-         extra_delay_ms=extra_delay_ms)
+    wire(net, source_id, handle.input_taps(port_name))
 
 
 def _require_css(css) -> None:

@@ -78,6 +78,7 @@ from .resources import (
     _FORMS,
     FormulaQuery,
     and_kind_name,
+    _kind,
     _read_and_kind,
     expected_latency,
     formula_queries,
@@ -226,6 +227,17 @@ def _random(seed: int) -> random.Random:
     return random.Random(seed)
 
 
+def _seeded(seed: int | None) -> int:
+    """The seed a recipe that draws reads: None picks DEFAULT_SEED."""
+    return DEFAULT_SEED if seed is None else seed
+
+
+def _unseeded(seed: int | None, recipe: str) -> None:
+    """None for a recipe that draws nothing, which refuses a seed."""
+    if seed is not None:
+        raise ValueError(f"{recipe} reads no seed, got seed={seed!r}")
+
+
 def _diff_detail(signal: str, got: int, want: int) -> str:
     parts = [f"signal {signal}"]
     for what, train in (("unexpected", got & ~want), ("missing", want & ~got)):
@@ -309,7 +321,7 @@ class BlockSpec:
     default: dict[str, int]
     build: Callable[..., Handle]  # (net, and_kind, css, *size)
     oracle: Callable[..., list[int]]
-    verify: Callable[..., list[Check]]  # (and_kind, rng, seed, *size)
+    verify: Callable[..., list[Check]]  # (and_kind, rng, seed or None, *size)
     probe: tuple[str, ...]  # inputs spiking once for measure_latency
     probe_output: str
 
@@ -332,9 +344,9 @@ BLOCKS: dict[str, BlockSpec] = {
         oracle=lambda words, m: [
             encoder_value(i for i in range(m) if w >> i & 1) for w in words],
         # exhaustive up to 10 inputs, seeded subsets beyond
-        verify=lambda ak, rng, seed, m: [sweep_encoder(
-            m, None if m <= 10 else [rng.randrange(2 ** m)
-                                     for _ in range(VERIFY_TRIALS)])],
+        verify=lambda ak, rng, seed, m: [sweep_encoder(m, [
+            rng.randrange(2 ** m) for _ in range(VERIFY_TRIALS)] if m > 10
+            else _unseeded(seed, f"encoder n={m}, which sweeps every subset,"))],
         probe=("d1",), probe_output="or0"),
     "multiplexer": BlockSpec(
         {"n": 2},
@@ -345,7 +357,7 @@ BLOCKS: dict[str, BlockSpec] = {
         verify=lambda ak, rng, seed, n: [
             sweep_multiplexer(n, ak),
             sweep_multiplexer(n, ak, [
-                (rng.randrange(2 ** n), rng.randrange(2 ** 2 ** n))
+                rng.randrange(2 ** n) | rng.randrange(2 ** 2 ** n) << n
                 for _ in range(VERIFY_TRIALS)])],
         probe=("s0", "d1"), probe_output="out"),
     "demultiplexer": BlockSpec(
@@ -357,7 +369,7 @@ BLOCKS: dict[str, BlockSpec] = {
         verify=lambda ak, rng, seed, n: [
             sweep_demultiplexer(n, ak),
             sweep_demultiplexer(n, ak, [
-                (rng.randrange(2 ** n), rng.randrange(2))
+                rng.randrange(2 ** n) | rng.randrange(2) << n
                 for _ in range(VERIFY_TRIALS)])],
         probe=("s0", "d"), probe_output="ch1"),
     "d_latch": BlockSpec(
@@ -366,7 +378,7 @@ BLOCKS: dict[str, BlockSpec] = {
         oracle=lambda words: [int(q) for q in latch_states(
             [w & 1 for w in words], [w >> 1 & 1 for w in words])],
         verify=lambda ak, rng, seed: [
-            fuzz_d_latch(ak, steps=VERIFY_TRIALS, seed=seed)],
+            fuzz_d_latch(ak, steps=VERIFY_TRIALS, seed=_seeded(seed))],
         probe=("store", "data"), probe_output="q"),
     "memory": BlockSpec(
         {"registers": 3, "bits": 3},
@@ -377,7 +389,7 @@ BLOCKS: dict[str, BlockSpec] = {
                 [w & 2 ** r.bit_length() - 1 for w in words],
                 [w >> r.bit_length() for w in words], r, c)],
         verify=lambda ak, rng, seed, r, c: [
-            fuzz_memory(r, c, ak, writes=VERIFY_TRIALS, seed=seed)],
+            fuzz_memory(r, c, ak, writes=VERIFY_TRIALS, seed=_seeded(seed))],
         probe=("s0", "d0"), probe_output="q1_0"),
 }
 
@@ -392,10 +404,14 @@ def block_query(kind: str, and_kind: str | None,
     A memory of r registers is priced as the full memory of its depth,
     n = r.bit_length(): exact at r = 2^n - 1, an upper bound below it,
     where the decoder still has all 2^n channels but fewer latches are
-    built."""
+    built; an unknown kind or a size of the wrong length raises ValueError."""
+    _kind(kind)
+    flags = BLOCKS[kind].default
+    if len(size) != len(flags):
+        raise ValueError(f"{kind} takes a size ({', '.join(flags)}), not {size!r}")
     return FormulaQuery(kind, and_kind, "n", **{
         _QUERY_FIELDS[flag]: value.bit_length() if flag == "registers" else value
-        for flag, value in zip(BLOCKS[kind].default, size)})
+        for flag, value in zip(flags, size)})
 
 
 def block_config(kind: str, and_kind=None, *, n: int | None = None,
@@ -407,8 +423,7 @@ def block_config(kind: str, and_kind=None, *, n: int | None = None,
     does not read, a size below the smallest buildable one, or one whose
     closed form counts more than MAX_SYNAPSES synapses raises ValueError
     before anything is built."""
-    if kind not in BLOCKS:
-        raise ValueError(f"unknown block kind {kind!r}")
+    forms = _kind(kind)
     spec = BLOCKS[kind]
     given = {"n": n, "registers": registers, "bits": bits}
     for flag, value in given.items():
@@ -417,7 +432,6 @@ def block_config(kind: str, and_kind=None, *, n: int | None = None,
             raise ValueError(f"{kind} takes {takes}, not {flag}")
     size = tuple(value if given[flag] is None else given[flag]
                  for flag, value in spec.default.items())
-    forms = _FORMS[kind]
     for flag, value in zip(spec.default, size):
         _require_size(f"{kind} {flag}", value,
                       forms.n_form.least[_QUERY_FIELDS[flag]])
@@ -452,7 +466,9 @@ def _admit(label: str, queries: Sequence[FormulaQuery]) -> None:
 
 def build_block(net: Network, kind: str, and_kind: str | None,
                 size: Sequence[int]) -> Handle:
-    """Build one block on net, after the CSS it needs (if any)."""
+    """Build one block on net, after its CSS (if any), once block_config admits it."""
+    block_query(kind, and_kind, size)  # the kind and the size's length
+    block_config(kind, and_kind, **dict(zip(BLOCKS[kind].default, size)))
     css = None if None in _FORMS[kind].latency else build_css(net)
     return BLOCKS[kind].build(net, and_kind, css, *size)
 
@@ -588,20 +604,19 @@ def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
     out_id = mux.output("out")
     wire(net, out_id, demux.input_taps("d"))
     channels = demux.ports.outputs
-    seed = DEFAULT_SEED if cfg.seed is None else cfg.seed
     # data line d_j spikes every 2^j ms from t=1
     duration, inputs, words = _stimulated(
         cfg, list(mux.ports.inputs), len(mux.ports.outputs) + len(channels),
         110, lambda ms: [word | sum(1 << n + j for j in range(2 ** n)
                                     if (t - 1) % 2 ** j == 0) for t, word
-                         in enumerate(_control_chunks(n, ms, seed))])
+                         in enumerate(_control_chunks(n, ms, _seeded(cfg.seed)))])
     for name, times in inputs.items():
         source = net.add_source(times)
         drive(net, mux, name, source)
         if name in demux.ports.inputs:
             # the demux sees the same select lines, delayed to match the
             # data that is still in flight through the mux
-            drive(net, demux, name, source, extra_delay_ms=mux_latency)
+            wire(net, source, padded(demux.input_taps(name), mux_latency))
     net.record(out_id, *channels.values())
     record = net.run(duration)
 
@@ -732,8 +747,8 @@ def run_experiment(name: str,
         raise ValueError(
             f"unknown experiment {name!r}; expected one of {EXPERIMENTS}")
     config = config or ExperimentConfig()
-    if config.seed is not None and name != "mux-demux":
-        raise ValueError(f"{name} reads no seed, got seed={config.seed!r}")
+    if name != "mux-demux":
+        _unseeded(config.seed, name)
     return _RUNNERS[name](config)
 
 
@@ -767,50 +782,33 @@ def sweep_encoder(num_inputs: int,
         f"{len(subsets)} subsets")
 
 
-def _packed(cases: Sequence[tuple[int, int]], n: int, width: int,
-            what: str) -> list[int]:
-    """(select, data) cases as select | data << n words; a select that is
-    not an int in [0, 2^n), or data not an int in [0, 2^width), raises
-    ValueError rather than packing into another case."""
-    words = []
-    for i, case in enumerate(cases):
-        select, value = case
-        # type() rather than isinstance(): a bool is an int, not a word
-        if not (type(select) is int and 0 <= select < 1 << n
-                and type(value) is int and 0 <= value < 1 << width):
-            raise ValueError(f"case {i} is {case!r}, not a select word in "
-                             f"[0, 2^{n}) and a {what} in [0, 2^{width})")
-        words.append(select | value << n)
-    return words
-
-
 def sweep_multiplexer(n: int, and_kind: str,
-                      cases: Sequence[tuple[int, int]] | None = None) -> Check:
-    """Pipelined (select word, data mask) cases; default visits every
-    select word against selected/other lines on and off."""
+                      words: Sequence[int] | None = None) -> Check:
+    """Pipelined select | data << n words, data masking the 2^n data lines;
+    default visits every select word against selected/other lines on and off."""
     ak, (n,) = block_config("multiplexer", and_kind_name(and_kind), n=n)
-    if cases is None:
+    if words is None:
         others = [2 ** 2 ** n - 1 & ~(1 << s) for s in range(2 ** n)]
-        cases = [(select, d_sel << select | d_others * others[select])
+        words = [select | (d_sel << select | d_others * others[select]) << n
                  for select in range(2 ** n)
                  for d_sel in (0, 1) for d_others in (0, 1)]
     return check_pipelined(
-        "multiplexer", ak, (n,), _packed(cases, n, 2 ** n, "data mask"),
-        f"multiplexer n={n} {ak}: {len(cases)} pipelined cases",
-        f"{len(cases)} cases")
+        "multiplexer", ak, (n,), words,
+        f"multiplexer n={n} {ak}: {len(words)} pipelined cases",
+        f"{len(words)} cases")
 
 
 def sweep_demultiplexer(n: int, and_kind: str,
-                        cases: Sequence[tuple[int, int]] | None = None) -> Check:
-    """Pipelined (select word, data bit) cases; default visits every
-    select word with data present and absent."""
+                        words: Sequence[int] | None = None) -> Check:
+    """Pipelined select | data << n words, data the one data bit;
+    default visits every select word with data present and absent."""
     ak, (n,) = block_config("demultiplexer", and_kind_name(and_kind), n=n)
-    if cases is None:
-        cases = [(select, d) for select in range(2 ** n) for d in (0, 1)]
+    if words is None:
+        words = [select | d << n for select in range(2 ** n) for d in (0, 1)]
     return check_pipelined(
-        "demultiplexer", ak, (n,), _packed(cases, n, 1, "data bit"),
-        f"demultiplexer n={n} {ak}: {len(cases)} pipelined cases",
-        f"{len(cases)} cases")
+        "demultiplexer", ak, (n,), words,
+        f"demultiplexer n={n} {ak}: {len(words)} pipelined cases",
+        f"{len(words)} cases")
 
 
 def fuzz_d_latch(and_kind: str, steps: int = 64,
@@ -876,14 +874,15 @@ def measure_latency(kind: str, and_kind: str | None = None, *,
 def verify_block(kind: str, and_kind: str | None = None, *,
                  n: int | None = None, registers: int | None = None,
                  bits: int | None = None,
-                 seed: int = DEFAULT_SEED) -> VerifyReport:
+                 seed: int | None = None) -> VerifyReport:
     """Sweep, fuzz, time and reconcile one block; everything a quick
     confidence pass needs, as a printable report. None picks the default
-    size; a size below the smallest buildable one raises ValueError."""
+    size, and DEFAULT_SEED where cases are drawn; a size below the smallest
+    buildable one, or a seed where no case is drawn, raises ValueError."""
     ak, size = block_config(kind, and_kind, n=n, registers=registers,
                             bits=bits)
     spec = BLOCKS[kind]
-    checks = spec.verify(ak, _random(seed), seed, *size)
+    checks = spec.verify(ak, _random(_seeded(seed)), seed, *size)
     handle = build_block(Network(), kind, ak, size)
     queries = formula_queries(handle)
     if queries is None:  # a partially occupied memory

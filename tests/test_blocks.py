@@ -29,7 +29,6 @@ from spikelogic.gates import (
     _require_css,
     drive,
     padded,
-    retagged,
     wire,
 )
 from spikelogic.harness import (
@@ -527,12 +526,12 @@ def _per_latch_memory(net, registers, bits, and_kind, css):
     for k in range(registers * bits):
         latch = build_d_latch(net, and_kind, css)
         wire(net, decoder.output(f"ch{k // bits + 1}"), latch.input_taps("store"))
-        wire(net, column_nots[k % bits].output(), latch.input_taps("data_not"),
-             extra_delay_ms=decoder.latency_ms - 1)
+        wire(net, column_nots[k % bits].output(),
+             padded(latch.input_taps("data_not"), decoder.latency_ms - 1))
         latches.append(latch)
     inputs = dict(decoder.ports.inputs)
     for j in range(bits):
-        taps = list(retagged(column_nots[j].input_taps("in"), "Data to NOT"))
+        taps = list(padded(column_nots[j].input_taps("in"), category="Data to NOT"))
         for latch in latches[j::bits]:
             taps.extend(padded(latch.input_taps("data"), decoder.latency_ms))
         inputs[f"d{j}"] = tuple(taps)
@@ -589,21 +588,21 @@ def _per_gate_select_stage(net, n, and_kind, css, fan_in):
     _require_css(css)
     inverters = [build_not(net, css) for _ in range(n)]
     gates = [blocks._and_gate(net, and_kind, css, fan_in) for _ in range(2 ** n)]
+    # the inverted taps carry the label of the inverters' wires
+    inverted = [padded(gate.input_taps("in"), category=f"NOT to AND ({and_kind})")
+                for gate in gates]
     select_ports = {}
     for b in range(n):
         taps = list(inverters[b].input_taps("in"))
         for j, gate in enumerate(gates):
-            gate_taps = gate.input_taps("in")
             if (j >> b) & 1:
-                taps.extend(padded(gate_taps, 1))
+                taps.extend(padded(gate.input_taps("in"), 1))
             else:
-                wire(net, inverters[b].output(), gate_taps,
-                     category=f"NOT to AND ({and_kind})")
+                wire(net, inverters[b].output(), inverted[j])
         select_ports[f"s{b}"] = tuple(taps)
     # an AND has one input port, which every select line drives
     assert all(list(gate.ports.inputs) == ["in"] for gate in gates)
-    return ([gate.output() for gate in gates],
-            [gate.input_taps("in") for gate in gates], select_ports)
+    return [gate.output() for gate in gates], inverted, select_ports
 
 
 SELECT_BUILDERS = {"decoder": build_decoder, "multiplexer": build_multiplexer,

@@ -243,6 +243,8 @@ NON_ASCII_STIMULUS = "NON_ASCII_STIMULUS"
     ["run", "decoder-encoder", "--seed", "1"],
     ["run", "d-latch", "--seed", "1"],
     ["run", "memory", "--seed", "1"],
+    # a seed the verify recipe does not read: the encoder up to 10 inputs
+    ["verify", "encoder", "--seed", "1"],
 ], ids=" ".join)
 def test_bad_size_is_usage_error(argv, capsys, tmp_path):
     stimulus = tmp_path / "bad.csv"

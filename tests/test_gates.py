@@ -12,6 +12,7 @@ from spikelogic.gates import (
     build_sr_latch,
     css_feed,
     drive,
+    padded,
     wire,
 )
 from spikelogic.sim import Network
@@ -293,6 +294,6 @@ def test_wire_pads_delay():
     net = Network()
     gate = build_or(net)
     src = net.add_source([2])
-    wire(net, src, gate.input_taps("in"), extra_delay_ms=2)
+    wire(net, src, padded(gate.input_taps("in"), 2))
     net.record(gate.output())
     assert net.run(7).times(gate.output()) == (5,)

@@ -249,8 +249,10 @@ class TestVerifyReports:
         ("encoder", {"n": 3.0}),
         ("memory", {"bits": 2.0}),
         ("memory", {"registers": True}),
-        ("decoder", {"seed": None}),
+        ("decoder", {"seed": 7.0}),
         ("d_latch", {"seed": "7"}),
+        # up to 10 inputs the encoder sweeps every subset and draws none
+        ("encoder", {"seed": 1}),
     ])
     def test_zero_size_rejected(self, kind, size):
         with pytest.raises(ValueError):
@@ -288,16 +290,19 @@ class TestVerifyReports:
         (lambda: sweep_decoder(2, "fast", [-1]), "word 0 is -1"),
         (lambda: sweep_encoder(4, [2.5]), "word 0 is 2.5"),
         (lambda: sweep_encoder(4, [3, 16]), "word 1 is 16"),
-        (lambda: sweep_multiplexer(2, "fast", [(4, 1)]), "case 0 is (4, 1)"),
-        (lambda: sweep_multiplexer(2, "fast", [(0, 1), (1, 16)]),
-         "case 1 is (1, 16)"),
-        (lambda: sweep_demultiplexer(2, "fast", [(4, 1)]), "case 0 is (4, 1)"),
-        (lambda: sweep_demultiplexer(2, "fast", [(1, 2)]), "case 0 is (1, 2)"),
-        (lambda: sweep_demultiplexer(2, "fast", [(1.0, 1)]),
-         "case 0 is (1.0, 1)"),
+        # select | data << n words: n = 2 select and 4 data ports for the
+        # multiplexer, 2 select and 1 data port for the demultiplexer
+        (lambda: sweep_multiplexer(2, "fast", [2 ** 6]), "word 0 is 64"),
+        (lambda: sweep_multiplexer(2, "fast", [1 << 2, 1 | 16 << 2]),
+         "word 1 is 65"),
+        (lambda: sweep_demultiplexer(2, "fast", [2 ** 3]), "word 0 is 8"),
+        (lambda: sweep_demultiplexer(2, "fast", [1 | 2 << 2]), "word 0 is 9"),
+        (lambda: sweep_demultiplexer(2, "fast", [1.0]), "word 0 is 1.0"),
+        # a (select, data) case is not a word
+        (lambda: sweep_multiplexer(2, "fast", [(4, 1)]), "word 0 is (4, 1)"),
     ], ids=["decoder-over", "decoder-bool", "decoder-negative",
             "encoder-float", "encoder-over", "mux-select", "mux-mask",
-            "demux-select", "demux-data", "demux-float"])
+            "demux-select", "demux-data", "demux-float", "mux-tuple"])
     def test_sweeps_reject_words_outside_the_ports(self, sweep, named):
         # a word must not wrap onto another or pass for one that does not
         # exist; the error names its index and value
@@ -391,8 +396,11 @@ def test_measure_latency_full_table():
     # 2^16 (2 * 16 + 13 * 2 + 1) + 3 * 16 - 10 * 2 + 2
     (lambda: verify_block("memory", "classic", registers=2 ** 15, bits=2),
      "3,866,654"),
+    (lambda: check_pipelined("decoder", "fast", (30,), [0], "x"),
+     "34,359,738,460"),
 ], ids=["verify_block", "sweep_decoder", "run_experiment", "unprintable",
-        "select-n", "encoder-n", "fuzz_memory", "partial-memory"])
+        "select-n", "encoder-n", "fuzz_memory", "partial-memory",
+        "check_pipelined"])
 def test_oversized_block_raises_before_it_is_built(call, count, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("a builder ran")
@@ -403,6 +411,43 @@ def test_oversized_block_raises_before_it_is_built(call, count, monkeypatch):
     with pytest.raises(ValueError,
                        match=f"needs {count} synapses by its closed form"):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_pipelined("nand", "fast", (2,), [0], "x"),
+     "unknown block kind 'nand'"),
+    (lambda: harness.block_query("nand", "fast", (2,)),
+     "unknown block kind 'nand'"),
+    (lambda: check_pipelined("decoder", "fast", (2, 3), [0], "x"),
+     "decoder takes a size (n), not (2, 3)"),
+    (lambda: harness.block_query("decoder", "fast", (2, 5)),
+     "decoder takes a size (n), not (2, 5)"),
+    (lambda: build_block(Network(), "memory", "fast", (3,)),
+     "memory takes a size (registers, bits), not (3,)"),
+    (lambda: build_block(Network(), "d_latch", "fast", (1,)),
+     "d_latch takes a size (), not (1,)"),
+], ids=["check-kind", "query-kind", "check-length", "query-length",
+        "build-short", "build-long"])
+def test_unknown_kind_or_size_length_raises(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_verify_draws_encoder_cases_from_the_seed(monkeypatch):
+    # past 10 inputs the encoder sweeps seeded subsets; its label prints
+    # no case, so only the words handed to check_pipelined show the seed
+    handed = []
+
+    def recorded(kind, and_kind, size, words, label, ok_detail=""):
+        handed.append(list(words))
+        return harness.Check(label, True)
+
+    monkeypatch.setattr(harness, "check_pipelined", recorded)
+    for seed in (1, 2, None, DEFAULT_SEED):
+        verify_block("encoder", n=11, seed=seed)
+    assert len(handed) == 4
+    assert handed[0] != handed[1]
+    assert handed[2] == handed[3]
 
 
 def test_synapse_cap_admits_its_own_count(monkeypatch):

@@ -1,5 +1,6 @@
 """Guards on the package source itself."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -39,3 +40,26 @@ def test_no_input_port_is_named_by_index():
                 path.read_text(encoding="utf-8").splitlines(), start=1)
             if indexed.search(line)]
     assert hits == []
+
+
+def _called(node: ast.Call) -> str | None:
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_taps_change_in_padded_alone():
+    # gates.padded is the one tap transform, and a wire connects its taps
+    # as given: no second relabelling helper, no tuple packing beside the
+    # per-ms words, and no wire or drive that delays or relabels
+    defined, keyworded = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                defined[node.name] = node.args
+            elif (isinstance(node, ast.Call) and node.keywords
+                  and _called(node) in ("wire", "drive")):
+                keyworded.append(f"{path.name}:{node.lineno}: {_called(node)}")
+    assert "retagged" not in defined and "_packed" not in defined
+    for name in ("wire", "drive"):
+        assert not (defined[name].kwonlyargs or defined[name].defaults), name
+    assert keyworded == []
