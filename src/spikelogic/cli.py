@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Callable, Iterator
 
 from . import netlist
 from .harness import (
@@ -29,11 +30,16 @@ from .harness import (
     parse_stimulus,
     render_checks,
     run_experiment,
+    spike_csv,
     verify_block,
 )
 from .resources import AND_KINDS, BLOCK_KINDS, formula_queries, reconcile
 from .sim import Network
-from .trace import render_trace
+from .trace import render_raster, render_table, render_trace
+
+# export_spikes and render_trace, the whole-string writers, are not called
+# here; they stay names of this module for callers that wrap them here,
+# as the benchmark's traced runs do
 
 
 class UsageError(Exception):
@@ -108,18 +114,39 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         stimulus=stimulus)
 
 
+# the file of --out that each stdout format also goes to
+_FILES = {"table": "trace.txt", "csv": "spikes.csv"}
+
+
+def _streams(result: ExperimentResult) -> dict[str, Callable[[], Iterator[str]]]:
+    """Each output format's text, chunk by chunk, made when called."""
+    return {"table": lambda: render_table(result.trace),
+            "raster": lambda: render_raster(result.trace),
+            "csv": lambda: spike_csv(result.signal_trains, result.duration_ms)}
+
+
 def _write_outputs(result: ExperimentResult, out_dir: Path,
-                   table: str, csv: str) -> None:
+                   shown: str | None = None) -> None:
+    """Write trace.txt, spikes.csv and netlist.json to out_dir, streamed.
+    The file of the format shown on stdout comes first, written in one
+    pass with stdout."""
+    streams = _streams(result)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "trace.txt").write_text(table, encoding="ascii")
-        (out_dir / "spikes.csv").write_text(csv, encoding="ascii")
+        for style in sorted(_FILES, key=lambda style: style != shown):
+            with open(out_dir / _FILES[style], "w", encoding="ascii") as fh:
+                for chunk in streams[style]():
+                    fh.write(chunk)
+                    if style == shown:
+                        sys.stdout.write(chunk)
         annotations = {"experiment": result.name,
                        "and_kind": result.and_kind,
                        "params": result.params,
                        "duration_ms": result.duration_ms,
                        "checks": [check.label for check in result.checks]}
         netlist.save(result.net, out_dir / "netlist.json", annotations)
+    except BrokenPipeError:
+        raise  # stdout's, which main reports
     except OSError as exc:
         raise UsageError(f"cannot write outputs: {exc}") from exc
 
@@ -139,22 +166,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"experiment {result.name} ({result.and_kind} AND, {params}, "
           f"{result.duration_ms} ms)")
     print(render_checks(result.checks), end="")
-    text = (export_spikes(result.signal_times) if args.format == "csv"
-            else render_trace(result.trace, style=args.format))
-    print(text, end="")
+    if args.out is None or args.format not in _FILES:
+        sys.stdout.writelines(_streams(result)[args.format]())
     if args.out is not None:
-        # trace.txt holds the table and spikes.csv the CSV: reuse the one
-        # stdout got
-        table = text if args.format == "table" else render_trace(result.trace)
-        csv = text if args.format == "csv" else export_spikes(result.signal_times)
-        _write_outputs(result, args.out, table, csv)
+        _write_outputs(result, args.out, args.format)
     return status
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
     result, status = _run_checked(args)
-    _write_outputs(result, args.out, render_trace(result.trace),
-                   export_spikes(result.signal_times))
+    _write_outputs(result, args.out)
     print(f"wrote trace.txt, spikes.csv, netlist.json to {args.out}")
     if status:
         print("warning: experiment checks failed", file=sys.stderr)

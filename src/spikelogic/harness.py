@@ -17,12 +17,12 @@ canonical deterministic stimulus and built-in oracle checks:
   memory           ascending count written through a cycling address,
                    register rows decoded back out of the q spike trains.
 
-The runners share one pipeline. Each runner prices its blocks, builds
-them and reads their ports from the built handles; _stimulated applies
-the trace cap and the stimulus override to the canonical per-ms input
-words; the runner wires and runs its blocks and composes its checks
-from the BLOCKS word oracles; _result runs the checks and assembles the
-trace.
+The runners share one pipeline. Each runner prices its blocks and, in
+_duration, its trace from their sizes, then builds them and reads their
+ports from the built handles; _stimulated applies the stimulus override
+to the canonical per-ms input words; the runner wires and runs its
+blocks and composes its checks from the BLOCKS word oracles; _result
+runs the checks and assembles the trace.
 
 Checks compare spike sets only from (path latency + 1) onward: earlier
 timesteps fall into CSS warmup, where inverter outputs are not yet
@@ -44,9 +44,9 @@ import io
 import operator
 import random
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import compress
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .blocks import (
     build_d_latch,
@@ -85,7 +85,7 @@ from .resources import (
     formula_resources,
     reconcile,
 )
-from .sim import Network, SpikeRecord, spike_train
+from .sim import Network, SpikeRecord, _flags, spike_train
 from .trace import SpikeRow, Trace, hex_word_row, spike_row, value_row
 
 # Default seed for the randomized chunks of the mux-demux control
@@ -104,11 +104,14 @@ DEFAULT_SEED = 7
 MAX_SYNAPSES = 2_000_000
 
 # The most trace cells an experiment may hold: duration_ms times its
-# input and recorded signals. At the peak of `spikelogic run --out` a
-# cell costs 30 to 50 bytes (memory r=63 c=8 and d-latch, CPython 3.11):
-# 8 for its slot in its row, 5 to 8 characters in each transient copy of
-# the table, and its share of the per-ms header strings and tick ints.
-# So this admits about 0.5 GB; the memory-cli benchmark holds 582,000.
+# input and recorded signals. Outputs are streamed a row or a ms at a
+# time, so no copy of the table is held, and most of what a run holds
+# is per ms: header strings, column widths and ends, input words and
+# tick ints, about 130 bytes. At the peak of `spikelogic run --format
+# table --out` (tracemalloc, CPython 3.11) a cell costs 3 to 5 bytes
+# for memory r=63 c=8 (582 signals, 1,000 and 10,000 ms) and 16 for
+# d-latch at 10^6 ms (9 signals); decoder-encoder n=1 (4 signals) at
+# the cap peaks at 468 MB RSS. The memory-cli benchmark holds 582,000.
 MAX_TRACE_CELLS = 10_000_000
 
 # verify_block's seeded cases after each exhaustive sweep, or fuzz steps
@@ -162,6 +165,14 @@ class ExperimentResult:
                   for name, times in self.inputs.items()}
         return {**inside, **{name: self.record.times(eid)
                              for name, eid in self.outputs.items()}}
+
+    @property
+    def signal_trains(self) -> dict[str, int]:
+        """The trains of signal_times."""
+        return {**{name: _input_train(times, self.duration_ms)
+                   for name, times in self.inputs.items()},
+                **{name: self.record.trains[eid]
+                   for name, eid in self.outputs.items()}}
 
     @property
     def passed(self) -> bool:
@@ -290,15 +301,9 @@ def _spike_rows(record: SpikeRecord, outputs: Mapping[str, int],
             for name, eid in outputs.items()]
 
 
-def _duration(duration_ms: int | None, default: int, signals: int) -> int:
-    """The run's duration; each of its signals takes a cell per ms."""
-    duration = default if duration_ms is None else duration_ms
-    _require_size("duration_ms", duration, 1)
-    if duration * signals > MAX_TRACE_CELLS:
-        raise ValueError(f"a {duration:,} ms run of {signals} signals holds "
-                         f"{duration * signals:,} trace cells, more than the "
-                         f"{MAX_TRACE_CELLS:,} a run may hold")
-    return duration
+def _input_train(times: Sequence[int], duration_ms: int) -> int:
+    """The train of an input's times inside a run of duration_ms."""
+    return spike_train(t for t in times if t < duration_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +469,19 @@ def _admit(label: str, queries: Sequence[FormulaQuery]) -> None:
                      f"than the {MAX_SYNAPSES:,} a build may hold")
 
 
+def _ports(kind: str, and_kind: str | None,
+           size: Sequence[int]) -> tuple[int, int]:
+    """The input and output port counts of a block, once block_config
+    admits it."""
+    block_query(kind, and_kind, size)  # the kind and the size's length
+    block_config(kind, and_kind, **dict(zip(BLOCKS[kind].default, size)))
+    return _FORMS[kind].ports(*size)
+
+
 def build_block(net: Network, kind: str, and_kind: str | None,
                 size: Sequence[int]) -> Handle:
     """Build one block on net, after its CSS (if any), once block_config admits it."""
-    block_query(kind, and_kind, size)  # the kind and the size's length
-    block_config(kind, and_kind, **dict(zip(BLOCKS[kind].default, size)))
+    _ports(kind, and_kind, size)
     css = None if None in _FORMS[kind].latency else build_css(net)
     return BLOCKS[kind].build(net, and_kind, css, *size)
 
@@ -480,16 +493,16 @@ def check_pipelined(kind: str, and_kind: str | None, size: Sequence[int],
     built block in its port order (bit k drives port k), for len(words)
     + latency + 3 ms; every output must follow the kind's oracle,
     delayed by the latency. A word that is not an int in [0, 2^ports)
-    raises ValueError."""
+    raises ValueError before anything is built."""
+    inputs = _ports(kind, and_kind, size)[0]
+    for i, word in enumerate(words):
+        # type() rather than isinstance(): a bool is an int, not a word
+        if type(word) is not int or not 0 <= word < 1 << inputs:
+            raise ValueError(f"word {i} is {word!r}, not an int in "
+                             f"[0, 2^{inputs})")
     net = Network()
     block = build_block(net, kind, and_kind, size)
     ports = block.ports.inputs
-    limit = 1 << len(ports)
-    for i, word in enumerate(words):
-        # type() rather than isinstance(): a bool is an int, not a word
-        if type(word) is not int or not 0 <= word < limit:
-            raise ValueError(f"word {i} is {word!r}, not an int in "
-                             f"[0, 2^{len(ports)})")
     latency = expected_latency(kind, and_kind)
     stream = [0, *words] + [0] * (latency + 2)
     for k, port in enumerate(ports):
@@ -512,19 +525,33 @@ def _sizes(cfg: ExperimentConfig) -> dict[str, int | None]:
     return {"n": cfg.n, "registers": cfg.registers, "bits": cfg.bits}
 
 
-def _stimulated(cfg: ExperimentConfig, names: Sequence[str], recorded: int,
-                default_ms: int, canonical: Callable[[int], Sequence[int]],
-                ) -> tuple[int, dict[str, tuple[int, ...]], list[int]]:
-    """The duration, the inputs and the per-ms input words of a run that
-    records `recorded` outputs. canonical(duration) gives the default
-    per-ms words, bit k driving names[k] from t=1 on; cfg.stimulus
-    replaces them."""
-    duration = _duration(cfg.duration_ms, default_ms, len(names) + recorded)
+def _duration(cfg: ExperimentConfig, default_ms: int, label: str,
+              queries: Sequence[FormulaQuery], signals: int) -> int:
+    """The run's duration, default_ms unless cfg names one, once _admit
+    admits its blocks, a query each, and its trace fits MAX_TRACE_CELLS:
+    a cell per ms for each of its signals, inputs and recorded outputs.
+    It runs before any builder, so a refused run builds nothing."""
+    duration = default_ms if cfg.duration_ms is None else cfg.duration_ms
+    _admit(label, queries)
+    _require_size("duration_ms", duration, 1)
+    if duration * signals > MAX_TRACE_CELLS:
+        raise ValueError(f"a {duration:,} ms run of {signals} signals holds "
+                         f"{duration * signals:,} trace cells, more than the "
+                         f"{MAX_TRACE_CELLS:,} a run may hold")
+    return duration
+
+
+def _stimulated(cfg: ExperimentConfig, names: Sequence[str], duration: int,
+                canonical: Callable[[int], Sequence[int]],
+                ) -> tuple[dict[str, tuple[int, ...]], list[int]]:
+    """The inputs and the per-ms input words of a run. canonical(duration)
+    gives the default per-ms words, bit k driving names[k] from t=1 on;
+    cfg.stimulus replaces them."""
     words = canonical(duration)
     inputs = _resolve_inputs(
         {name: tuple(t for t in range(1, duration) if words[t] >> k & 1)
          for k, name in enumerate(names)}, cfg.stimulus)
-    return duration, inputs, _words_from_bits(list(inputs.values()), duration)
+    return inputs, _words_from_bits(list(inputs.values()), duration)
 
 
 def _result(name: str, ak: str, params: dict, net: Network,
@@ -534,8 +561,8 @@ def _result(name: str, ak: str, params: dict, net: Network,
     """Each check is _expect_delayed's arguments after the record; the
     trace shows the inputs, then rows."""
     duration = record.duration_ms
-    rows = [spike_row(signal, spike_train(t for t in times if t < duration),
-                      duration) for signal, times in inputs.items()] + rows
+    rows = [spike_row(signal, _input_train(times, duration), duration)
+            for signal, times in inputs.items()] + rows
     return ExperimentResult(
         name, ak, params, net, record, Trace(duration, tuple(rows)), inputs,
         outputs, tuple(_expect_delayed(record, *check) for check in checks))
@@ -543,10 +570,12 @@ def _result(name: str, ak: str, params: dict, net: Network,
 
 def _run_decoder_encoder(cfg: ExperimentConfig) -> ExperimentResult:
     ak, (n,) = block_config("decoder", cfg.and_kind, **_sizes(cfg))
-    _admit(f"decoder-encoder n={n}", [block_query("decoder", ak, (n,)),
-                                      block_query("encoder", None, (2 ** n,))])
     dec_latency = expected_latency("decoder", ak)
     total = dec_latency + 1
+    duration = _duration(
+        cfg, max(16, 2 * 2 ** n + total + 2), f"decoder-encoder n={n}",
+        [block_query("decoder", ak, (n,)), block_query("encoder", None, (2 ** n,))],
+        sum(_FORMS["decoder"].ports(n)) + _FORMS["encoder"].ports(2 ** n)[1])
 
     net = Network()
     decoder = build_block(net, "decoder", ak, (n,))
@@ -555,9 +584,8 @@ def _run_decoder_encoder(cfg: ExperimentConfig) -> ExperimentResult:
     # channel j drives input d_j
     for channel, taps in zip(channels.values(), encoder.ports.inputs.values()):
         wire(net, channel, taps)
-    duration, inputs, words = _stimulated(
-        cfg, list(decoder.ports.inputs), len(channels) + len(ors),
-        max(16, 2 * 2 ** n + total + 2),
+    inputs, words = _stimulated(
+        cfg, list(decoder.ports.inputs), duration,
         lambda ms: [(t - 1) % 2 ** n for t in range(ms)])
     for name, times in inputs.items():
         drive(net, decoder, name, net.add_source(times))
@@ -592,8 +620,10 @@ def _control_chunks(n: int, duration_ms: int, seed: int) -> list[int]:
 
 def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
     ak, (n,) = block_config("multiplexer", cfg.and_kind, **_sizes(cfg))
-    _admit(f"mux-demux n={n}", [block_query(kind, ak, (n,)) for kind
-                                in ("multiplexer", "demultiplexer")])
+    duration = _duration(
+        cfg, 110, f"mux-demux n={n}", [block_query(kind, ak, (n,)) for kind
+                                       in ("multiplexer", "demultiplexer")],
+        sum(_FORMS["multiplexer"].ports(n)) + _FORMS["demultiplexer"].ports(n)[1])
     mux_latency = expected_latency("multiplexer", ak)
     total = mux_latency + expected_latency("demultiplexer", ak)
 
@@ -605,11 +635,11 @@ def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
     wire(net, out_id, demux.input_taps("d"))
     channels = demux.ports.outputs
     # data line d_j spikes every 2^j ms from t=1
-    duration, inputs, words = _stimulated(
-        cfg, list(mux.ports.inputs), len(mux.ports.outputs) + len(channels),
-        110, lambda ms: [word | sum(1 << n + j for j in range(2 ** n)
-                                    if (t - 1) % 2 ** j == 0) for t, word
-                         in enumerate(_control_chunks(n, ms, _seeded(cfg.seed)))])
+    inputs, words = _stimulated(
+        cfg, list(mux.ports.inputs), duration,
+        lambda ms: [word | sum(1 << n + j for j in range(2 ** n)
+                               if (t - 1) % 2 ** j == 0) for t, word
+                    in enumerate(_control_chunks(n, ms, _seeded(cfg.seed)))])
     for name, times in inputs.items():
         source = net.add_source(times)
         drive(net, mux, name, source)
@@ -641,8 +671,10 @@ def _run_d_latch(cfg: ExperimentConfig) -> ExperimentResult:
         **_sizes(cfg))
     # external inverter in the data path
     data_latency = expected_latency("d_latch", ak) + 1
-    duration, inputs, words = _stimulated(
-        cfg, ("store", "data1", "data2"), 6, 16,
+    # store, data1 and data2, and the q of each of 6 latches
+    duration = _duration(cfg, 16, "d-latch", [], 3 + 6 * _FORMS["d_latch"].ports()[1])
+    inputs, words = _stimulated(
+        cfg, ("store", "data1", "data2"), duration,
         lambda ms: [(t in (1, 2, 3, 8)) | (t in (1, 3, 4)) << 1
                     | (t in (3, 5)) << 2 for t in range(ms)])
 
@@ -686,13 +718,16 @@ def _run_memory(cfg: ExperimentConfig) -> ExperimentResult:
                                          **_sizes(cfg))
     depth = registers.bit_length()
     latency = expected_latency("memory", ak)
+    # block_config priced the memory; its trace adds the decoder channels
+    duration = _duration(cfg, 30, "memory", [], sum(_FORMS["memory"].ports(
+        registers, bits)) + _FORMS["decoder"].ports(depth)[1])
 
     net = Network()
     memory = build_block(net, "memory", ak, (registers, bits))
     decoder = memory.decoder
     q_ids, channels = memory.ports.outputs, decoder.ports.outputs
-    duration, inputs, words = _stimulated(
-        cfg, list(memory.ports.inputs), len(q_ids) + len(channels), 30,
+    inputs, words = _stimulated(
+        cfg, list(memory.ports.inputs), duration,
         lambda ms: [t % (registers + 1) | t % 2 ** bits << depth
                     for t in range(ms)])
     addresses = [w & (2 ** depth - 1) for w in words]
@@ -909,22 +944,31 @@ def verify_block(kind: str, and_kind: str | None = None, *,
 # Files
 
 
-def export_spikes(signal_times: Mapping[str, Iterable[int]]) -> str:
-    """Spike data as CSV rows "signal,time_ms" sorted by (time, signal)."""
-    # each signal's times merged into per-ms lists of its CSV field, the
-    # name quoted as the csv module quotes it, in name order
-    at: dict[int, list[str]] = defaultdict(list)
-    for name in sorted(signal_times):
+def spike_csv(trains: Mapping[str, int], duration_ms: int) -> Iterator[str]:
+    """Spike data as CSV rows "signal,time_ms" sorted by (time, signal),
+    from each signal's train over duration_ms: the header, then the rows
+    of one ms at a time."""
+    names = sorted(name for name, train in trains.items() if train)
+    fields = []  # each name quoted as the csv module quotes it
+    for name in names:
         line = io.StringIO()
         csv.writer(line).writerow([name, ""])
-        field = line.getvalue()[:-3]  # less ",\r\n"
-        for t in signal_times[name]:
-            at[t].append(field)
-    rows = ["signal,time_ms\r\n"]
-    for t in sorted(at):
-        end = f",{int(t)}\r\n"
-        rows.append(end.join(at[t]) + end)
-    return "".join(rows)
+        fields.append(line.getvalue()[:-3])  # less ",\r\n"
+    yield "signal,time_ms\r\n"
+    # a flag row per signal, one byte per ms, read a column per ms
+    flags = [_flags(trains[name])[:duration_ms].ljust(duration_ms, b"\0")
+             for name in names]
+    for t, column in enumerate(zip(*flags)):
+        if any(column):
+            end = f",{t}\r\n"
+            yield end.join(compress(fields, column)) + end
+
+
+def export_spikes(signal_times: Mapping[str, Iterable[int]]) -> str:
+    """Spike data as CSV rows "signal,time_ms" sorted by (time, signal)."""
+    trains = {name: spike_train(times) for name, times in signal_times.items()}
+    return "".join(spike_csv(
+        trains, max(map(int.bit_length, trains.values()), default=0)))
 
 
 def parse_stimulus(text: str) -> dict[str, tuple[int, ...]]:

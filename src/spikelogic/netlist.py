@@ -17,6 +17,8 @@ fields keep the format at version 1; the loader accepts no other values.
 from __future__ import annotations
 
 import json
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .sim import Network, NeuronParams
 
@@ -102,7 +104,7 @@ def from_document(doc: dict) -> tuple[Network, dict]:
     return net, annotations
 
 
-# dumps writes the document as json.dumps(..., indent=2) would, without
+# the document is written as json.dumps(..., indent=2) would, without
 # its pure-Python encoder: one template per neuron and per synapse,
 # whose fields are all ints (the Network checks them), and json.dumps
 # for the rest
@@ -111,6 +113,8 @@ _NEURON = ('    {\n      "id": %d,\n      "threshold_quanta": %d,\n'
 _SOURCE = '    {\n      "id": %d,\n      "times": %s\n    }'
 _SYNAPSE = ('    {\n      "source": %d,\n      "target": %d,\n'
             '      "weight_quanta": %d,\n      "delay_ms": %d\n    }')
+# the entries of one chunk of the document
+_BLOCK = 256
 
 
 def _ints(values, depth: int) -> str:
@@ -123,22 +127,34 @@ def _ints(values, depth: int) -> str:
     return "[" + pad + "  " + items + pad + "]"
 
 
-def _table(entries: list[str]) -> str:
-    return "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+def _table(entries: Iterable[str]) -> Iterator[str]:
+    """A list of entries, _BLOCK of them a chunk."""
+    entries = iter(entries)
+    head = "[\n"
+    while block := list(islice(entries, _BLOCK)):
+        yield head + ",\n".join(block)
+        head = ",\n"
+    yield "[]" if head == "[\n" else "\n  ]"
+
+
+def _chunks(net: Network, annotations: dict | None = None) -> Iterator[str]:
+    """The document of net, in chunks of at most _BLOCK entries."""
+    yield (f'{{\n  "format": {json.dumps(FORMAT)},\n  "version": {VERSION},\n'
+           '  "neurons": ')
+    yield from _table(_NEURON % (nid, net.neurons[nid].threshold_quanta)
+                      for nid in sorted(net.neurons))
+    yield ',\n  "sources": '
+    yield from _table(_SOURCE % (sid, _ints(net.sources[sid], 3))
+                      for sid in sorted(net.sources))
+    yield ',\n  "synapses": '
+    yield from _table(_SYNAPSE % syn for syn in net.synapses)
+    annotations = json.dumps(annotations or {}, indent=2).replace("\n", "\n  ")
+    yield (f',\n  "recorded": {_ints(net.recorded, 1)},\n'
+           f'  "annotations": {annotations}\n}}\n')
 
 
 def dumps(net: Network, annotations: dict | None = None) -> str:
-    neurons = [_NEURON % (nid, params.threshold_quanta)
-               for nid, params in sorted(net.neurons.items())]
-    sources = [_SOURCE % (sid, _ints(times, 3))
-               for sid, times in sorted(net.sources.items())]
-    annotations = json.dumps(annotations or {}, indent=2).replace("\n", "\n  ")
-    return (f'{{\n  "format": {json.dumps(FORMAT)},\n  "version": {VERSION},\n'
-            f'  "neurons": {_table(neurons)},\n'
-            f'  "sources": {_table(sources)},\n'
-            f'  "synapses": {_table([_SYNAPSE % syn for syn in net.synapses])},\n'
-            f'  "recorded": {_ints(net.recorded, 1)},\n'
-            f'  "annotations": {annotations}\n}}\n')
+    return "".join(_chunks(net, annotations))
 
 
 def loads(text: str) -> tuple[Network, dict]:
@@ -147,7 +163,7 @@ def loads(text: str) -> tuple[Network, dict]:
 
 def save(net: Network, path, annotations: dict | None = None) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps(net, annotations))
+        fh.writelines(_chunks(net, annotations))
 
 
 def load(path) -> tuple[Network, dict]:

@@ -9,8 +9,9 @@ synapses, so a measured handle can be reconciled against the formulas
 category by category.
 
 Everything known about a block kind sits in one entry of _FORMS: its
-latency per AND kind, its n-form and m-form, and the size fields a
-handle of given parameters answers in each form.
+latency per AND kind, its n-form and m-form, the size fields a handle
+of given parameters answers in each form, and its port counts by size,
+which price a run's trace before anything is built.
 
 One convention of each kind sits next to its forms, in _Kind.counts_css:
 decoder, multiplexer, demultiplexer and memory totals include the
@@ -190,20 +191,22 @@ class _Form:
 @dataclass(frozen=True)
 class _Kind:
     """Latency in ms by AND kind (by None alone without an AND stage),
-    the n-form, the m-form (None where the kind has none), and whether
-    the forms count the CSS: its 2 neurons and 2 internal synapses, and
-    the synapses from it."""
+    the n-form, the m-form (None where the kind has none), whether the
+    forms count the CSS: its 2 neurons and 2 internal synapses, and the
+    synapses from it; and the counts of input and output ports of a block
+    of the given size, its handle's params in order."""
 
     latency: Mapping[str | None, int]
     n_form: _Form
     m_form: _Form | None
     counts_css: bool
+    ports: Callable[..., tuple[int, int]]
 
 
-def _select_kind(latency, items, n_totals, m_totals) -> _Kind:
+def _select_kind(latency, items, n_totals, m_totals, ports) -> _Kind:
     """A block of n select lines and m = 2^n channels. n_totals and
     m_totals map an AND kind to its (neurons, synapses) formula of n,
-    and of m and depth = ceil(log2(m))."""
+    and of m and depth = ceil(log2(m)); ports gives its port counts by n."""
     def n_form(ak: str, n: int) -> ResourceReport:
         return _report(*n_totals[ak](n), items(n, ak))
 
@@ -215,7 +218,7 @@ def _select_kind(latency, items, n_totals, m_totals) -> _Kind:
     return _Kind(latency,
                  _Form({"n": 1}, n_form, lambda params: {"n": params["n"]}),
                  _Form({"m": 1}, m_form, lambda params: {"m": 2 ** params["n"]}),
-                 True)
+                 True, ports)
 
 
 def _full_memory(params: Mapping[str, int]) -> dict[str, int] | None:
@@ -237,9 +240,10 @@ _FORMS = {
         {"classic": lambda m, depth: (2 * m + depth + 2,
                                       m + (2 * m + 3) * depth + 2),
          "fast": lambda m, depth: (m + depth + 2,
-                                   2 * m + (m + 3) * depth + 2)}),
+                                   2 * m + (m + 3) * depth + 2)},
+        lambda n: (n, 2 ** n)),
     "encoder": _Kind({None: 1}, _Form({"n": 2}, _encoder_n, lambda params: {
-        "n": params["num_inputs"]}), None, False),
+        "n": params["num_inputs"]}), None, False, lambda m: (m, _clog2(m))),
     "multiplexer": _select_kind(
         {"classic": 4, "fast": 3}, _mux_items,
         {"classic": lambda n: (2 ** (n + 1) + n + 3,
@@ -249,7 +253,8 @@ _FORMS = {
         {"classic": lambda m, depth: (2 * m + depth + 3,
                                       4 * m + (2 * m + 3) * depth + 2),
          "fast": lambda m, depth: (m + depth + 3,
-                                   4 * m + (m + 3) * depth + 2)}),
+                                   4 * m + (m + 3) * depth + 2)},
+        lambda n: (n + 2 ** n, 1)),
     "demultiplexer": _select_kind(
         {"classic": 3, "fast": 2}, _demux_items,
         {"classic": lambda n: (2 ** (n + 1) + n + 2,
@@ -259,12 +264,15 @@ _FORMS = {
         {"classic": lambda m, depth: (2 * m + depth + 2,
                                       3 * m + (2 * m + 3) * depth + 2),
          "fast": lambda m, depth: (m + depth + 2,
-                                   3 * m + (m + 3) * depth + 2)}),
-    "d_latch": _Kind({"classic": 3, "fast": 2}, _D_LATCH, _D_LATCH, False),
+                                   3 * m + (m + 3) * depth + 2)},
+        lambda n: (n + 1, 2 ** n)),
+    "d_latch": _Kind({"classic": 3, "fast": 2}, _D_LATCH, _D_LATCH, False,
+                     lambda: (3, 1)),
     "memory": _Kind({"classic": 6, "fast": 4},
                     _Form({"n": 1, "c": 1}, _memory_n, _full_memory),
                     _Form({"r": 1, "c": 1}, _memory_m, lambda params: {
-                        "r": params["registers"], "c": params["bits"]}), True),
+                        "r": params["registers"], "c": params["bits"]}), True,
+                    lambda r, c: (r.bit_length() + c, r * c)),
 }
 
 BLOCK_KINDS = tuple(_FORMS)

@@ -10,7 +10,9 @@ outputs are kept out of rendered output and golden files.
 
 Two styles: "table" is a fixed-width grid, one column per millisecond;
 "raster" is one line per row with a character per millisecond (| spike,
-. quiet, space masked), and value rows listed as their changes.
+. quiet, space masked), and value rows listed as their changes. Each
+renderer yields one line per row, so a caller can write a trace as it
+is rendered; render_trace joins the lines.
 
 Rendering is a pure function of the trace, so repeated runs of a
 deterministic experiment produce byte-identical text.
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, groupby, repeat
 from operator import lshift, or_
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .sim import _flags
 
@@ -115,57 +117,50 @@ def _digits(train: int, length: int) -> str:
     return format(train, "b")[::-1][:length].ljust(length, "0")
 
 
-def _spike_digits(row: TraceRow | SpikeRow) -> str | None:
-    """A spike row's digits, "1" where it spikes and "0" elsewhere, one per
-    ms; None for a value row, whatever its cells."""
-    if isinstance(row, SpikeRow):
-        return _digits(row.train, row.duration_ms)
-    return None
-
-
-def render_table(trace: Trace) -> str:
-    """A fixed-width grid. Value rows pad cell by cell; a spike row's
-    marks go into a copy of one blank line, a run of equal widths at once."""
+def render_table(trace: Trace) -> Iterator[str]:
+    """A fixed-width grid, one line per row. Value rows pad cell by cell;
+    a spike row's marks go into a copy of one blank line, a run of equal
+    widths at once."""
     label_width = max([len("t (ms)")] + [len(r.label) for r in trace.rows])
     duration = trace.duration_ms
     header = [str(t) for t in range(duration)]
     widths = list(map(len, header))
-    spiking = list(map(_spike_digits, trace.rows))
-    for row, digits in zip(trace.rows, spiking):
+    for row in trace.rows:
         start = min(row.valid_from, duration)
-        if digits is None:
+        if not isinstance(row, SpikeRow):
             cells = row.cells[start:duration]
             widths[start:start + len(cells)] = map(max, widths[start:], map(len, cells))
     # column t ends at ends[t + 1] after the label; runs ends each run
     ends = list(accumulate([w + 1 for w in widths], initial=-1))
     runs = list(accumulate(len(list(run)) for _, run in groupby(widths)))
     blank = bytearray(b" " * (ends[-1] + 1))
-    lines = [" ".join(["t (ms)".ljust(label_width),
-                       *map(str.rjust, header, widths)])]
-    for row, digits in zip(trace.rows, spiking):
+    yield " ".join(["t (ms)".ljust(label_width),
+                    *map(str.rjust, header, widths)]) + "\n"
+    for row in trace.rows:
         start = min(row.valid_from, duration)
         label = row.label.ljust(label_width)
-        if digits is not None:
+        if isinstance(row, SpikeRow):
             # " " or "1" per ms
-            marks = ("0" * start + digits[start:duration]).ljust(
-                duration, "0").encode().translate(_TABLE_MARKS)
+            digits = _digits(row.train, duration)
+            marks = ("0" * start + digits[start:]).encode().translate(_TABLE_MARKS)
             line = bytearray(blank)
             for a, b in zip([0] + runs, runs):
                 line[ends[a + 1]:ends[b] + 1:widths[a] + 1] = marks[a:b]
-            lines.append(label + line.decode())
+            yield label + line.decode() + "\n"
         else:
             cells = ("",) * start + row.cells[start:duration]
-            lines.append(" ".join([label, *map(str.rjust, cells, widths)]))
-    return "\n".join(lines) + "\n"
+            yield " ".join([label, *map(str.rjust, cells, widths)]) + "\n"
 
 
-def render_raster(trace: Trace) -> str:
+def render_raster(trace: Trace) -> Iterator[str]:
+    """One line per row; a trace of no rows is one empty line."""
     label_width = max([0] + [len(r.label) for r in trace.rows])
-    lines = []
+    if not trace.rows:
+        yield "\n"
     for row in trace.rows:
-        digits = _spike_digits(row)
-        if digits is not None:
-            start = min(row.valid_from, len(digits))
+        if isinstance(row, SpikeRow):
+            start = min(row.valid_from, row.duration_ms)
+            digits = _digits(row.train, row.duration_ms)
             text = " " * start + digits[start:].translate(_RASTER_MARKS)
         else:  # the changes of the row
             cells = row.cells[row.valid_from:]
@@ -173,13 +168,13 @@ def render_raster(trace: Trace) -> str:
                 f"t={t}: {cell or '(blank)'}" for t, (cell, previous) in
                 enumerate(zip(cells, ("", *cells)), row.valid_from)
                 if cell != previous) or "(blank throughout)"
-        lines.append(f"{row.label.ljust(label_width)} {text}")
-    return "\n".join(lines) + "\n"
+        yield f"{row.label.ljust(label_width)} {text}\n"
+
+
+_STYLES = {"table": render_table, "raster": render_raster}
 
 
 def render_trace(trace: Trace, style: str = "table") -> str:
-    if style == "table":
-        return render_table(trace)
-    if style == "raster":
-        return render_raster(trace)
-    raise ValueError(f"unknown trace style {style!r}")
+    if style not in _STYLES:
+        raise ValueError(f"unknown trace style {style!r}")
+    return "".join(_STYLES[style](trace))

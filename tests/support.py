@@ -3,7 +3,7 @@
 import json
 import random
 
-from spikelogic import netlist
+from spikelogic import harness, netlist
 from spikelogic.sim import Network
 
 
@@ -19,3 +19,13 @@ def shuffle_synapses(net: Network, seed: int) -> Network:
     random.Random(seed).shuffle(doc["synapses"])
     rebuilt, _ = netlist.from_document(doc)
     return rebuilt
+
+
+def refuse_builds(monkeypatch) -> None:
+    """Make every builder the harness calls raise AssertionError."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("a builder ran")
+
+    for name in vars(harness):
+        if name.startswith("build_"):
+            monkeypatch.setattr(harness, name, no_build)

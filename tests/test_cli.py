@@ -1,10 +1,14 @@
 """Command-line interface: subcommands and exit codes."""
 
+import contextlib
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,6 +16,7 @@ import pytest
 from spikelogic import cli, netlist
 from spikelogic.harness import Check, VerifyReport
 from spikelogic.resources import BLOCK_KINDS
+from support import refuse_builds
 
 
 def run_cli(*argv):
@@ -101,21 +106,50 @@ def test_export_writes_files(tmp_path):
     assert net.run(4).duration_ms == 4
 
 
-def test_run_csv_with_out_writes_the_printed_csv(tmp_path, monkeypatch, capsys):
+def _counted(monkeypatch, name):
+    """The calls of cli's global `name` from now on."""
     calls = []
+    original = getattr(cli, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return export(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    export = cli.export_spikes
-    monkeypatch.setattr(cli, "export_spikes", counted)
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_run_csv_with_out_writes_the_printed_csv(tmp_path, monkeypatch, capsys):
+    calls = _counted(monkeypatch, "spike_csv")
     out_dir = tmp_path / "exp"
     assert run_cli("run", "d-latch", "--format", "csv", "--out", str(out_dir)) == 0
     out = capsys.readouterr().out
     assert len(calls) == 1
     assert (out_dir / "spikes.csv").read_bytes() == \
         out[out.index("signal,time_ms"):].encode("ascii")
+
+
+def test_run_table_with_out_writes_the_printed_table(tmp_path, monkeypatch,
+                                                     capsys):
+    calls = _counted(monkeypatch, "render_table")
+    out_dir = tmp_path / "exp"
+    assert run_cli("run", "memory", "--format", "table", "--out", str(out_dir)) == 0
+    out = capsys.readouterr().out
+    assert len(calls) == 1
+    assert (out_dir / "trace.txt").read_bytes() == \
+        out[out.index("t (ms)"):].encode("ascii")
+
+
+@pytest.mark.parametrize("command", ["run", "export"])
+def test_out_naming_a_file_is_unwritable_output(command, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="ascii")
+    assert run_cli(command, "d-latch", "--out", str(taken)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: cannot write outputs:")
 
 
 def test_run_with_stimulus(tmp_path, capsys):
@@ -284,6 +318,48 @@ def test_closed_stdout_is_unwritable_output(argv):
     assert result.returncode == 2
     assert result.stderr.splitlines() == [
         "error: cannot write output: stdout is closed"]
+
+
+def test_run_refuses_an_over_cap_trace_before_building(monkeypatch, capsys):
+    # 10^6 ms of 33,802 signals: 10 + 32 inputs, 1023 x 32 latch outputs
+    # and 1024 decoder channels
+    refuse_builds(monkeypatch)
+    tick = time.perf_counter()
+    assert run_cli("run", "memory", "--registers", "1023", "--bits", "32",
+                   "--duration-ms", "1000000") == 2
+    assert time.perf_counter() - tick < 0.05
+    assert capsys.readouterr().err == (
+        "error: a 1,000,000 ms run of 33802 signals holds 33,802,000,000 "
+        "trace cells, more than the 10,000,000 a run may hold\n")
+
+
+def test_run_with_out_streams_its_outputs(tmp_path):
+    # the memory-cli benchmark's run: a classic 63 x 8 memory written at a
+    # seeded random address and word every ms for 1,000 ms. Its table is
+    # 2.9 MB and its CSV 2.6 MB; written as whole strings they and their
+    # encoded copies took the pass to a 14 MB peak, streamed it is 3 MB.
+    rng = random.Random(0)
+    rows = ["signal,time_ms"]
+    for t in range(1, 1000):
+        address, word = rng.randrange(64), rng.randrange(256)
+        rows += [f"s{b},{t}" for b in range(6) if address >> b & 1]
+        rows += [f"d{j},{t}" for j in range(8) if word >> j & 1]
+    stimulus = tmp_path / "stimulus.csv"
+    stimulus.write_text("\n".join(rows) + "\n", encoding="ascii")
+    argv = ["run", "memory", "--and", "classic", "--registers", "63",
+            "--bits", "8", "--duration-ms", "1000", "--stimulus",
+            str(stimulus), "--format", "table", "--out", str(tmp_path / "out")]
+    with open(os.devnull, "w", encoding="ascii") as devnull, \
+            contextlib.redirect_stdout(devnull):
+        assert run_cli(*argv) == 0  # first calls set up what they cache
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 7e6
+    assert (tmp_path / "out" / "trace.txt").stat().st_size > 2.5e6
 
 
 def test_run_refuses_a_trace_over_the_cap(capsys):

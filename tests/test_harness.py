@@ -33,6 +33,7 @@ from spikelogic.harness import (
     verify_block,
 )
 from spikelogic.resources import (
+    _FORMS,
     BLOCK_KINDS,
     expected_latency,
     formula_resources,
@@ -40,7 +41,7 @@ from spikelogic.resources import (
 )
 from spikelogic.sim import Network
 from spikelogic.trace import render_trace
-from support import shuffle_synapses
+from support import refuse_builds, shuffle_synapses
 
 GOLDEN = Path(__file__).parent / "data"
 
@@ -413,6 +414,16 @@ def test_oversized_block_raises_before_it_is_built(call, count, monkeypatch):
         call()
 
 
+def test_bad_word_raises_before_the_block_is_built(monkeypatch):
+    refuse_builds(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(
+            "word 0 is -1, not an int in [0, 2^14)")):
+        check_pipelined("decoder", "fast", (14,), [-1], "x")
+    with pytest.raises(ValueError, match=re.escape(
+            "word 1 is 64, not an int in [0, 2^6)")):
+        check_pipelined("memory", "classic", (7, 3), [0, 64], "x")
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: check_pipelined("nand", "fast", (2,), [0], "x"),
      "unknown block kind 'nand'"),
@@ -499,10 +510,13 @@ def test_block_config_rejects_a_size_the_kind_does_not_read(kind, sizes, flag):
 def _assert_priced(kind: str, ak: str, size: tuple) -> None:
     """block_query's price is the built block's, except for a partially
     filled memory: priced as the full memory of its depth, it builds
-    fewer latches than that."""
+    fewer latches than that. The port counts the kind prices a run's
+    trace by are the built block's."""
     ak, _ = harness.block_config(kind, ak)  # None without an AND stage
     query = harness.block_query(kind, ak, size)
     built = build_block(Network(), kind, ak, size)
+    assert _FORMS[kind].ports(*size) == (len(built.ports.inputs),
+                                         len(built.ports.outputs))
     if kind == "memory" and size[0] != 2 ** size[0].bit_length() - 1:
         assert (query.form, query.n, query.c) == (
             "n", size[0].bit_length(), size[1])
@@ -544,6 +558,22 @@ PRICED_SIZES = {
 @given(data=st.data())
 def test_block_price_is_at_least_the_build(kind, ak, data):
     _assert_priced(kind, ak, data.draw(PRICED_SIZES[kind], label="size"))
+
+
+@pytest.mark.parametrize("ak", ["classic", "fast"])
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_trace_is_priced_before_anything_is_built(name, ak, monkeypatch):
+    # the signals priced from the sizes are those of the built handles:
+    # the input ports driven and the output ports recorded
+    config = ExperimentConfig(and_kind=ak, **{
+        "decoder-encoder": {"n": 3}, "mux-demux": {"n": 3}, "d-latch": {},
+        "memory": {"registers": 5, "bits": 2}}[name])
+    result = run_experiment(name, config)
+    cells = result.duration_ms * (len(result.inputs) + len(result.outputs))
+    monkeypatch.setattr(harness, "MAX_TRACE_CELLS", cells - 1)
+    refuse_builds(monkeypatch)
+    with pytest.raises(ValueError, match=f"holds {cells:,} trace cells"):
+        run_experiment(name, config)
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
