@@ -10,7 +10,7 @@ a verification harness with canned end-to-end experiments.
 
 from types import ModuleType as _ModuleType
 
-from .sim import Network, NeuronParams, SpikeRecord, Synapse
+from .sim import Network, SpikeRecord, Synapse
 from .gates import (
     Handle,
     build_and_classic,

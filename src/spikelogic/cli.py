@@ -122,7 +122,8 @@ def _streams(result: ExperimentResult) -> dict[str, Callable[[], Iterator[str]]]
     """Each output format's text, chunk by chunk, made when called."""
     return {"table": lambda: render_table(result.trace),
             "raster": lambda: render_raster(result.trace),
-            "csv": lambda: spike_csv(result.signal_trains, result.duration_ms)}
+            "csv": lambda: spike_csv(result.signal_trains,
+                                      range(result.duration_ms))}
 
 
 def _write_outputs(result: ExperimentResult, out_dir: Path,

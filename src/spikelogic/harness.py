@@ -45,7 +45,7 @@ import operator
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .blocks import (
@@ -261,6 +261,10 @@ def _diff_detail(signal: str, got: int, want: int) -> str:
     return ", ".join(parts)
 
 
+# ms per block of _word_trains: an add copies a block's int, not a train
+_SPAN = 4096
+
+
 def _word_trains(words: Sequence[int], count: int, stop: int) -> list[int]:
     """Train k of count spikes at t where bit k of words[t] is set, for
     1 <= t < stop: from the set bits of the words, or of their changes
@@ -268,14 +272,19 @@ def _word_trains(words: Sequence[int], count: int, stop: int) -> list[int]:
     seq = [0, *words[1:stop], 0]
     by_change = (sum(map(int.bit_count, map(operator.xor, seq[1:], seq)))
                  < sum(map(int.bit_count, seq)))
-    trains = [0] * count
-    for t, (word, previous) in enumerate(zip(seq, [0, *seq])):
-        bits = word ^ previous if by_change else word
-        while bits:
-            low = bits & -bits
-            on = by_change and word & low  # the bit turned on at t
-            trains[low.bit_length() - 1] += -(1 << t) if on else 1 << t
-            bits ^= low
+    trains, before = [0] * count, [0, *seq]
+    for base in range(0, len(seq), _SPAN):
+        block = [0] * count
+        for t, (word, previous) in enumerate(zip(seq[base:base + _SPAN],
+                                                 before[base:base + _SPAN])):
+            bits = word ^ previous if by_change else word
+            while bits:
+                low = bits & -bits
+                on = by_change and word & low  # the bit turned on at t
+                block[low.bit_length() - 1] += -(1 << t) if on else 1 << t
+                bits ^= low
+        trains = [train + (value << base) if value else train
+                  for train, value in zip(trains, block)]
     return trains
 
 
@@ -944,10 +953,10 @@ def verify_block(kind: str, and_kind: str | None = None, *,
 # Files
 
 
-def spike_csv(trains: Mapping[str, int], duration_ms: int) -> Iterator[str]:
+def spike_csv(trains: Mapping[str, int], ticks: Sequence[int]) -> Iterator[str]:
     """Spike data as CSV rows "signal,time_ms" sorted by (time, signal),
-    from each signal's train over duration_ms: the header, then the rows
-    of one ms at a time."""
+    from each signal's train, whose bit i is a spike at ticks[i]: the
+    header, then the rows of one tick at a time."""
     names = sorted(name for name, train in trains.items() if train)
     fields = []  # each name quoted as the csv module quotes it
     for name in names:
@@ -955,20 +964,28 @@ def spike_csv(trains: Mapping[str, int], duration_ms: int) -> Iterator[str]:
         csv.writer(line).writerow([name, ""])
         fields.append(line.getvalue()[:-3])  # less ",\r\n"
     yield "signal,time_ms\r\n"
-    # a flag row per signal, one byte per ms, read a column per ms
-    flags = [_flags(trains[name])[:duration_ms].ljust(duration_ms, b"\0")
+    # a flag row per signal, one byte per tick, read a column per tick
+    flags = [_flags(trains[name])[:len(ticks)].ljust(len(ticks), b"\0")
              for name in names]
-    for t, column in enumerate(zip(*flags)):
+    for t, column in zip(ticks, zip(*flags)):
         if any(column):
             end = f",{t}\r\n"
             yield end.join(compress(fields, column)) + end
 
 
 def export_spikes(signal_times: Mapping[str, Iterable[int]]) -> str:
-    """Spike data as CSV rows "signal,time_ms" sorted by (time, signal)."""
-    trains = {name: spike_train(times) for name, times in signal_times.items()}
-    return "".join(spike_csv(
-        trains, max(map(int.bit_length, trains.values()), default=0)))
+    """Spike data as CSV rows "signal,time_ms" sorted by (time, signal).
+    A time that is not an integer >= 0 raises ValueError."""
+    times = {name: tuple(ts) for name, ts in signal_times.items()}
+    for t in chain.from_iterable(times.values()):
+        # type() rather than isinstance(): a bool is an int, not a time
+        if type(t) is not int or t < 0:
+            raise ValueError(f"spike times must be integers >= 0, not {t!r}")
+    # bit k of a train is the k-th distinct time: no bit per ms up to the last
+    ticks = sorted(set().union(*times.values()))
+    rank = {t: k for k, t in enumerate(ticks)}
+    return "".join(spike_csv({name: spike_train(map(rank.__getitem__, ts))
+                              for name, ts in times.items()}, ticks))
 
 
 def parse_stimulus(text: str) -> dict[str, tuple[int, ...]]:

@@ -1,7 +1,7 @@
 """Versioned JSON serialization of a network.
 
 The document records everything a simulation depends on: every neuron
-with its parameters, every source with its schedule, every synapse, and
+with its threshold, every source with its schedule, every synapse, and
 which ids are recorded. Ids are written out explicitly and entities are
 recreated in ascending id order on import, so an imported network is
 simulation-identical to the original, synapse for synapse. A free-form
@@ -20,7 +20,7 @@ import json
 from itertools import islice
 from typing import Iterable, Iterator
 
-from .sim import Network, NeuronParams
+from .sim import Network
 
 FORMAT = "spiking-netlist"
 VERSION = 1
@@ -90,8 +90,7 @@ def from_document(doc: dict) -> tuple[Network, dict]:
                 if type(got) is not type(value) or got != value:
                     raise ValueError(f"{where} field {key!r} must be "
                                      f"{json.dumps(value)}, not {got!r}")
-            net.add_neuron(NeuronParams(
-                _field(entry, "threshold_quanta", where)))
+            net.add_neuron(_field(entry, "threshold_quanta", where))
         else:
             net.add_source(_entries(source_entries[eid], "times", f"source {eid}"))
     for k, syn in enumerate(_entries(doc, "synapses")):
@@ -141,7 +140,7 @@ def _chunks(net: Network, annotations: dict | None = None) -> Iterator[str]:
     """The document of net, in chunks of at most _BLOCK entries."""
     yield (f'{{\n  "format": {json.dumps(FORMAT)},\n  "version": {VERSION},\n'
            '  "neurons": ')
-    yield from _table(_NEURON % (nid, net.neurons[nid].threshold_quanta)
+    yield from _table(_NEURON % (nid, net.neurons[nid])
                       for nid in sorted(net.neurons))
     yield ',\n  "sources": '
     yield from _table(_SOURCE % (sid, _ints(net.sources[sid], 3))

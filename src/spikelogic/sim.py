@@ -33,24 +33,6 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 
-@dataclass(frozen=True)
-class NeuronParams:
-    """What sets one neuron apart: threshold_quanta, the net input in one
-    timestep required to fire (>= 1)."""
-
-    threshold_quanta: int = 1
-
-    def __post_init__(self) -> None:
-        # type() rather than isinstance(): a bool is an int, not a count
-        if type(self.threshold_quanta) is not int or self.threshold_quanta < 1:
-            raise ValueError("threshold_quanta must be an integer >= 1")
-
-
-# shared by every neuron added without params: it is frozen, so one
-# validated instance serves them all
-_DEFAULT_PARAMS = NeuronParams()
-
-
 class Synapse(NamedTuple):
     source: int
     target: int
@@ -98,7 +80,7 @@ class Network:
     """
 
     def __init__(self) -> None:
-        self.neurons: dict[int, NeuronParams] = {}
+        self.neurons: dict[int, int] = {}  # id -> threshold_quanta
         self.sources: dict[int, tuple[int, ...]] = {}
         self.synapses: list[Synapse] = []
         self.categories: list[str] = []
@@ -111,13 +93,13 @@ class Network:
         self._next_id += 1
         return eid
 
-    def add_neuron(self, params: NeuronParams | None = None) -> int:
-        if params is None:
-            params = _DEFAULT_PARAMS
-        elif not isinstance(params, NeuronParams):
-            raise ValueError("params must be a NeuronParams instance")
+    def add_neuron(self, threshold_quanta: int = 1) -> int:
+        """Add a neuron firing when one ms's input reaches threshold_quanta."""
+        # type() rather than isinstance(): a bool is an int, not a count
+        if type(threshold_quanta) is not int or threshold_quanta < 1:
+            raise ValueError("threshold_quanta must be an integer >= 1")
         nid = self._take_id()
-        self.neurons[nid] = params
+        self.neurons[nid] = threshold_quanta
         return nid
 
     def add_source(self, schedule: Iterable[int]) -> int:
@@ -166,7 +148,7 @@ class Network:
              moved: Mapping[int, int] | None = None) -> range:
         """Append count copies of a template (the neurons of entities, then
         the synapses of synapses, each landing in entities) with the same
-        params, weights, delays and labels, and return their id offsets.
+        thresholds, weights, delays and labels, and return their id offsets.
         A source in entities moves with its copy; one outside stays put
         unless moved gives its stride: copy k takes it from source +
         (k + 1) * stride, an existing id. The template is checked once, a
@@ -278,7 +260,7 @@ def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
         inputs = [((trains[src] << delay) & mask, weight)
                   for src, _, weight, delay in fan_in[nid] if src != nid]
         planes, offset = _bit_sliced_sum(inputs, mask)
-        threshold = net.neurons[nid].threshold_quanta + offset
+        threshold = net.neurons[nid] + offset
         fire = _at_least(planes, threshold, mask)
         if held:
             # SR latch: it fires at t on its inputs alone (fire) or, having
@@ -392,7 +374,7 @@ def _stepped_component(net: Network, component: list[int],
     rows.update({src: bytes(pad) + _flags(trains[src]).ljust(duration, b"\0")
                  for src in {syn.source for nid in component
                              for syn in fan_in[nid]} - rows.keys()})
-    steps = [(rows[nid], net.neurons[nid].threshold_quanta,
+    steps = [(rows[nid], net.neurons[nid],
               [(rows[src], delay, weight)
                for src, _, weight, delay in fan_in[nid]])
              for nid in component]
@@ -441,7 +423,7 @@ class Simulation:
 
         neurons = self.net.neurons
         for nid, charge in self._pending.pop(now, {}).items():
-            if charge >= neurons[nid].threshold_quanta:
+            if charge >= neurons[nid]:
                 fired.append(nid)
 
         for eid in fired:

@@ -39,7 +39,7 @@ from spikelogic.resources import (
     formula_resources,
     reconcile,
 )
-from spikelogic.sim import Network
+from spikelogic.sim import Network, spike_train
 from spikelogic.trace import render_trace
 from support import refuse_builds, shuffle_synapses
 
@@ -197,6 +197,16 @@ class TestExports:
     def test_csv_ordering(self):
         text = export_spikes({"A": (2,), "B": (2, 3)})
         assert text.splitlines() == ["signal,time_ms", "A,2", "B,2", "B,3"]
+
+    def test_csv_of_distant_times(self):
+        # rows are cut at the distinct times only, not every ms up to 10^7
+        text = export_spikes({"a": (3, 10 ** 7), "b": (5,)})
+        assert text == "signal,time_ms\r\na,3\r\nb,5\r\na,10000000\r\n"
+
+    @pytest.mark.parametrize("time", [-1, True, "1", 1.5, None])
+    def test_bad_times_raise(self, time):
+        with pytest.raises(ValueError, match="spike times"):
+            export_spikes({"a": (2,), "b": (time,)})
 
     @given(st.dictionaries(
         st.text(' ,"\r\nab\u00e9', max_size=4),
@@ -369,6 +379,42 @@ def test_pipelined_check_reports_first_wrong_output(monkeypatch):
                             [rng.randrange(2 ** 4) for _ in range(40)], "late")
     assert check.detail == ("signal q1_0, unexpected at [26, 33, 44, 46], "
                             "missing at [27, 39, 45]")
+
+
+SPAN = harness._SPAN
+
+
+@st.composite
+def word_streams(draw):
+    """(words, count, stop) for _word_trains: stop around the multiples
+    of its block span, and either sparse one-hot words (walked by their
+    set bits) or dense words held between a few changes (walked by their
+    changes), with changes drawn near the block edges too."""
+    count = draw(st.integers(1, 4))
+    stop = draw(st.sampled_from([1, 2, 100, SPAN - 1, SPAN, SPAN + 1,
+                                 2 * SPAN + 1]))
+    length = max(0, stop + draw(st.integers(-2, 2)))
+    ticks = st.one_of(st.integers(0, length), st.sampled_from(
+        [SPAN - 1, SPAN, SPAN + 1, 2 * SPAN - 1, 2 * SPAN, 2 * SPAN + 1]))
+    words = [0] * length
+    if draw(st.booleans()):
+        for t in draw(st.lists(ticks, max_size=20)):
+            if t < length:
+                words[t] = 1 << draw(st.integers(0, count - 1))
+    else:
+        for t in sorted(draw(st.lists(ticks, max_size=8))):
+            words[t:] = [draw(st.integers(0, 2 ** count - 1))] * (length - t)
+    return words, count, stop
+
+
+@settings(max_examples=60, deadline=None)
+@given(word_streams())
+def test_word_trains_match_each_bit(case):
+    words, count, stop = case
+    assert harness._word_trains(words, count, stop) == [
+        spike_train(t for t in range(1, min(stop, len(words)))
+                    if words[t] >> k & 1)
+        for k in range(count)]
 
 
 def test_measure_latency_full_table():

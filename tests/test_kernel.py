@@ -20,7 +20,7 @@ from spikelogic.harness import (
     check_pipelined,
     run_experiment,
 )
-from spikelogic.sim import Network, NeuronParams, Simulation, SpikeRecord
+from spikelogic.sim import Network, Simulation, SpikeRecord
 
 
 def stepped_times(net: Network, duration_ms: int) -> dict[int, tuple[int, ...]]:
@@ -54,7 +54,7 @@ def assert_matches_reference(net: Network, duration_ms: int,
 
 
 WEIGHTS = st.integers(-3, 3).filter(bool)
-PARAMS = st.builds(NeuronParams, threshold_quanta=st.integers(1, 3))
+THRESHOLDS = st.integers(1, 4)
 
 
 @st.composite
@@ -68,7 +68,7 @@ def networks(draw):
     schedules = st.lists(st.integers(0, 40), max_size=10, unique=True).map(sorted)
     sources = [net.add_source(draw(schedules))
                for _ in range(draw(st.integers(0, 3)))]
-    neurons = [net.add_neuron(draw(PARAMS))
+    neurons = [net.add_neuron(draw(THRESHOLDS))
                for _ in range(draw(st.integers(1, 6)))]
     entities = st.sampled_from(sources + neurons)
     targets = st.sampled_from(neurons)
@@ -100,7 +100,7 @@ def rings(draw):
     reader neuron outside it, and a duration."""
     net = Network()
     duration = draw(st.integers(1, 60))
-    ring = [net.add_neuron(draw(PARAMS)) for _ in range(draw(st.integers(2, 4)))]
+    ring = [net.add_neuron(draw(THRESHOLDS)) for _ in range(draw(st.integers(2, 4)))]
     for a, b in zip(ring, ring[1:] + ring[:1]):
         net.connect(a, b, draw(WEIGHTS), draw(st.integers(1, 3)))
     for _ in range(draw(st.integers(1, 3))):
@@ -159,7 +159,7 @@ def test_synapses_that_add_up_or_cancel(wire):
     # the cancelling self-loops, (1, -1) at delays 1 and 2)
     for threshold in (1, 2):
         net = Network()
-        nid = net.add_neuron(NeuronParams(threshold_quanta=threshold))
+        nid = net.add_neuron(threshold)
         feed = net.add_source([0, 1, 4, 5, 6, 11, 17, 18])
         wire(net, feed, nid)
         net.record(feed, nid)
@@ -174,7 +174,7 @@ def test_self_loops(loop, delay, threshold):
     # a latch-like neuron under random set (+threshold) and reset (-3)
     rng = random.Random(f"{loop}{delay}{threshold}")
     net = Network()
-    nid = net.add_neuron(NeuronParams(threshold_quanta=threshold))
+    nid = net.add_neuron(threshold)
     for weight in loop:
         net.connect(nid, nid, weight, delay)
     sets = net.add_source(sorted(rng.sample(range(40), 8)))

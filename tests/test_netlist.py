@@ -11,7 +11,7 @@ from spikelogic import netlist
 from spikelogic.harness import ExperimentConfig, run_experiment
 from spikelogic.blocks import build_decoder
 from spikelogic.gates import build_css, drive
-from spikelogic.sim import Network, NeuronParams
+from spikelogic.sim import Network
 from support import shuffle_synapses, to_document
 
 
@@ -108,6 +108,8 @@ MALFORMED = {
     "no-recorded": (lambda doc: _without(doc, "recorded"), "recorded"),
     "neuron-no-threshold": (_first_without("neurons", "threshold_quanta"),
                             "threshold_quanta"),
+    "neuron-threshold-0": (_first_with("neurons", "threshold_quanta", 0),
+                           "threshold_quanta"),
     "neuron-no-carryover": (_first_without("neurons", "carryover_factor"),
                             "carryover_factor"),
     "neuron-no-id": (_first_without("neurons", "id"), "id"),
@@ -201,7 +203,7 @@ def networks(draw):
     net = Network()
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.booleans()):
-            net.add_neuron(NeuronParams(draw(st.integers(1, 4))))
+            net.add_neuron(draw(st.integers(1, 4)))
         else:
             net.add_source(sorted(draw(st.one_of(
                 st.sets(st.integers(0, 30), max_size=4),
@@ -224,9 +226,9 @@ def _document(net: Network, annotations: dict | None) -> dict:
     return {
         "format": netlist.FORMAT,
         "version": netlist.VERSION,
-        "neurons": [{"id": nid, "threshold_quanta": params.threshold_quanta,
+        "neurons": [{"id": nid, "threshold_quanta": threshold,
                      "refractory_ms": 1, "carryover_factor": "0"}
-                    for nid, params in sorted(net.neurons.items())],
+                    for nid, threshold in sorted(net.neurons.items())],
         "sources": [{"id": sid, "times": list(times)}
                     for sid, times in sorted(net.sources.items())],
         "synapses": [{"source": syn.source, "target": syn.target,

@@ -2,18 +2,17 @@
 (fire when the input of one millisecond reaches threshold, keep
 nothing), determinism and template copies."""
 
-from dataclasses import fields
 from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from spikelogic.sim import Network, NeuronParams, SpikeRecord, Synapse
+from spikelogic.sim import Network, SpikeRecord, Synapse
 
 
-def single_neuron(params: NeuronParams | None = None):
+def single_neuron(threshold_quanta: int = 1):
     net = Network()
-    nid = net.add_neuron(params)
+    nid = net.add_neuron(threshold_quanta)
     net.record(nid)
     return net, nid
 
@@ -26,20 +25,24 @@ class TestConstruction:
         assert net.add_neuron() == 2
 
     def test_bad_neuron_params(self):
-        with pytest.raises(ValueError):
-            NeuronParams(threshold_quanta=0)
+        net = Network()
+        for value in (0, -1, True, 1.0, "1", None):
+            with pytest.raises(ValueError, match="threshold_quanta"):
+                net.add_neuron(value)
+        assert net.neurons == {}
 
     def test_threshold_is_the_one_neuron_param(self):
         # one regime: no refractory period, no charge carried over
-        assert [f.name for f in fields(NeuronParams)] == ["threshold_quanta"]
+        net = Network()
+        assert net.neurons[net.add_neuron(threshold_quanta=3)] == 3
         with pytest.raises(TypeError):
-            NeuronParams(refractory_ms=1)
+            net.add_neuron(refractory_ms=1)
 
     @pytest.mark.parametrize("field", ["threshold_quanta"])
     @pytest.mark.parametrize("value", [True, False])
     def test_bool_neuron_params_rejected(self, field, value):
         with pytest.raises(ValueError):
-            NeuronParams(**{field: value})
+            Network().add_neuron(**{field: value})
 
     def test_connect_keeps_category_ledger(self):
         net = Network()
@@ -128,8 +131,7 @@ class TestFiring:
         weights = (1, 2, -1)
         for threshold in (1, 2, 3):
             for mask in range(8):
-                net, nid = single_neuron(
-                    NeuronParams(threshold_quanta=threshold))
+                net, nid = single_neuron(threshold)
                 for k, w in enumerate(weights):
                     if (mask >> k) & 1:
                         net.connect(net.add_source([1]), nid, w, 1)
@@ -159,7 +161,7 @@ class TestFiring:
 
 class TestCarryover:
     def test_zero_carryover_forgets_subthreshold_charge(self):
-        net, nid = single_neuron(NeuronParams(threshold_quanta=2))
+        net, nid = single_neuron(2)
         net.connect(net.add_source([1, 2]), nid, 1, 1)
         assert net.run(5).times(nid) == ()
 
@@ -168,7 +170,7 @@ class TestDeterminism:
     def _demo_net(self, order):
         net = Network()
         a = net.add_neuron()
-        b = net.add_neuron(NeuronParams(threshold_quanta=2))
+        b = net.add_neuron(2)
         s1 = net.add_source([1, 3, 4])
         s2 = net.add_source([2, 3])
         edges = [(s1, a, 1, 1), (s2, a, -1, 1), (s1, b, 1, 1),
@@ -204,9 +206,8 @@ def test_synapse_is_plain_data():
         (0, 1, -2, 3)
 
 
-@pytest.mark.parametrize("params", [NeuronParams()], ids=["levelized"])
-def test_spike_record_is_read_only(params):
-    net, nid = single_neuron(params)
+def test_spike_record_is_read_only():
+    net, nid = single_neuron()
     net.connect(net.add_source([1]), nid, 1, 1)
     record = net.run(4)
     assert record.times(nid) == (2,)
@@ -233,7 +234,7 @@ def _copy_template() -> tuple[Network, range, range]:
     net = Network()
     source = net.add_source([1, 3])
     feeder = [net.add_neuron() for _ in range(5)][2]
-    a = net.add_neuron(NeuronParams(threshold_quanta=2))
+    a = net.add_neuron(2)
     b = net.add_neuron()
     start = len(net.synapses)
     net.connect(source, a, 1, 1, "in")

@@ -63,3 +63,18 @@ def test_taps_change_in_padded_alone():
     for name in ("wire", "drive"):
         assert not (defined[name].kwonlyargs or defined[name].defaults), name
     assert keyworded == []
+
+
+def test_a_neuron_is_its_threshold():
+    # Network.neurons maps an id to its threshold_quanta, a plain int:
+    # no module defines or imports a wrapper around that one field
+    names = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+    assert "NeuronParams" not in names
