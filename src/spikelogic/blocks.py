@@ -49,7 +49,6 @@ from .gates import (
     build_sr_latch,
     _mark,
     _require_css,
-    _require_size,
     _spanned,
     padded,
     wire,
@@ -60,7 +59,7 @@ from .resources import (
     and_kind_name,
     expected_latency,
 )
-from .sim import Network
+from .sim import Network, _require_int
 
 
 def _and_gate(net: Network, and_kind: str, css, fan_in: int) -> Handle:
@@ -103,7 +102,7 @@ def _select_stage(net: Network, n: int, and_kind: str, css, fan_in: int,
     j is set, the inverted line otherwise. Only gate 0 runs its builder;
     gates 1 to 2^n - 1 are copied from it. Returns each gate's output,
     its input taps (labelled as the inverters' wires) and the select ports."""
-    _require_size("n", n, 1)
+    _require_int("n", n, 1)
     _require_css(css)
     inverters = [build_not(net, css) for _ in range(n)]
     first = _and_gate(net, and_kind, css, fan_in)
@@ -144,7 +143,7 @@ def build_encoder(net: Network, num_inputs: int) -> Handle:
     Input 0 is deliberately unconnected, so driving it changes nothing
     and an all-silent input reads as index 0. Simultaneously active
     inputs combine as the bitwise OR of their indices."""
-    _require_size("num_inputs", num_inputs, 2)
+    _require_int("num_inputs", num_inputs, 2)
     start = _mark(net)
     width = (num_inputs - 1).bit_length()
     or_gates = [build_or(net) for _ in range(width)]
@@ -227,8 +226,8 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
     becomes visible on the q outputs after the block latency.
     """
     ak = and_kind_name(and_kind)
-    _require_size("registers", registers, 1)
-    _require_size("bits", bits, 1)
+    _require_int("registers", registers, 1)
+    _require_int("bits", bits, 1)
     start = _mark(net)
     decoder = build_decoder(net, registers.bit_length(), ak, css)
     column_nots = [build_not(net, css) for _ in range(bits)]

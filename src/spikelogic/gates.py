@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .resources import ResourceReport
-from .sim import Network
+from .sim import Network, _require_int
 
 # Synapse category labels used for resource accounting. The wiring
 # helpers label every synapse in the network's category ledger, and the
@@ -123,15 +123,6 @@ def _require_css(css) -> None:
         raise ValueError("a constant spike source handle (build_css) is required")
 
 
-def _require_size(name: str, value, least: int) -> None:
-    """A builder's size argument must be an int of at least least."""
-    # type() rather than isinstance(): a bool is an int, not a size
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, not {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-
-
 def build_css(net: Network) -> Handle:
     """Constant spike source: a two-neuron 1 ms ring plus a bootstrap.
 
@@ -192,7 +183,7 @@ def _and_weights(fan_in: int) -> tuple[int, int]:
     """(veto, direct) weights: only a full input set nets +1. Fan-in 1
     doubles the direct weight against a -1 veto, since a zero-weight
     veto synapse is not allowed."""
-    _require_size("fan_in", fan_in, 1)
+    _require_int("fan_in", fan_in, 1)
     return (-1, 2) if fan_in == 1 else (-(fan_in - 1), 1)
 
 

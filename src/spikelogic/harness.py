@@ -45,7 +45,7 @@ import operator
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .blocks import (
@@ -60,7 +60,6 @@ from .gates import (
     Handle,
     build_css,
     build_not,
-    _require_size,
     drive,
     padded,
     wire,
@@ -85,7 +84,7 @@ from .resources import (
     formula_resources,
     reconcile,
 )
-from .sim import Network, SpikeRecord, _flags, spike_train
+from .sim import Network, SpikeRecord, _flags, _require_int, _times, spike_train
 from .trace import SpikeRow, Trace, hex_word_row, spike_row, value_row
 
 # Default seed for the randomized chunks of the mux-demux control
@@ -207,16 +206,9 @@ def _resolve_inputs(canonical: dict[str, tuple[int, ...]],
         raise ValueError(
             f"stimulus signals {sorted(unknown)} do not match the "
             f"experiment inputs {sorted(canonical)}")
-    inputs = {}
-    for name in canonical:
-        times = tuple(stimulus.get(name, ()))
-        for t in times:
-            # type() rather than isinstance(): a bool is an int, not a time
-            if type(t) is not int or t < 0:
-                raise ValueError(f"stimulus time {t!r} of signal {name} is "
-                                 "not an int >= 0")
-        inputs[name] = tuple(sorted(set(times)))
-    return inputs
+    return {name: tuple(sorted(set(_times(f"stimulus times of signal {name}",
+                                          stimulus.get(name, ())))))
+            for name in canonical}
 
 
 def _words_from_bits(bit_times: Sequence[Iterable[int]],
@@ -392,7 +384,7 @@ BLOCKS: dict[str, BlockSpec] = {
         oracle=lambda words: [int(q) for q in latch_states(
             [w & 1 for w in words], [w >> 1 & 1 for w in words])],
         verify=lambda ak, rng, seed: [
-            fuzz_d_latch(ak, steps=VERIFY_TRIALS, seed=_seeded(seed))],
+            fuzz_d_latch(ak, seed=_seeded(seed))],
         probe=("store", "data"), probe_output="q"),
     "memory": BlockSpec(
         {"registers": 3, "bits": 3},
@@ -403,7 +395,7 @@ BLOCKS: dict[str, BlockSpec] = {
                 [w & 2 ** r.bit_length() - 1 for w in words],
                 [w >> r.bit_length() for w in words], r, c)],
         verify=lambda ak, rng, seed, r, c: [
-            fuzz_memory(r, c, ak, writes=VERIFY_TRIALS, seed=_seeded(seed))],
+            fuzz_memory(r, c, ak, seed=_seeded(seed))],
         probe=("s0", "d0"), probe_output="q1_0"),
 }
 
@@ -413,17 +405,22 @@ _QUERY_FIELDS = {"n": "n", "registers": "n", "bits": "c"}
 
 
 def block_query(kind: str, and_kind: str | None,
-                size: Sequence[int]) -> FormulaQuery:
+                size: tuple[int, ...]) -> FormulaQuery:
     """The n-form that prices a block of this size before it is built.
     A memory of r registers is priced as the full memory of its depth,
     n = r.bit_length(): exact at r = 2^n - 1, an upper bound below it,
     where the decoder still has all 2^n channels but fewer latches are
-    built; an unknown kind or a size of the wrong length raises ValueError."""
-    _kind(kind)
+    built. The one check of a block: an unknown kind or AND kind, a size
+    not a tuple of the kind's length, or an entry that is not an int of
+    the smallest buildable size or more raises ValueError."""
+    forms = _kind(kind)
     flags = BLOCKS[kind].default
-    if len(size) != len(flags):
+    if type(size) is not tuple or len(size) != len(flags):
         raise ValueError(f"{kind} takes a size ({', '.join(flags)}), not {size!r}")
-    return FormulaQuery(kind, and_kind, "n", **{
+    for flag, value in zip(flags, size):
+        _require_int(f"{kind} {flag}", value,
+                     forms.n_form.least[_QUERY_FIELDS[flag]])
+    return FormulaQuery(kind, _read_and_kind(forms, and_kind), "n", **{
         _QUERY_FIELDS[flag]: value.bit_length() if flag == "registers" else value
         for flag, value in zip(flags, size)})
 
@@ -437,22 +434,24 @@ def block_config(kind: str, and_kind=None, *, n: int | None = None,
     does not read, a size below the smallest buildable one, or one whose
     closed form counts more than MAX_SYNAPSES synapses raises ValueError
     before anything is built."""
-    forms = _kind(kind)
-    spec = BLOCKS[kind]
+    _kind(kind)
+    default = BLOCKS[kind].default
     given = {"n": n, "registers": registers, "bits": bits}
     for flag, value in given.items():
-        if value is not None and flag not in spec.default:
-            takes = " and ".join(spec.default) or "no size"
+        if value is not None and flag not in default:
+            takes = " and ".join(default) or "no size"
             raise ValueError(f"{kind} takes {takes}, not {flag}")
     size = tuple(value if given[flag] is None else given[flag]
-                 for flag, value in spec.default.items())
-    for flag, value in zip(spec.default, size):
-        _require_size(f"{kind} {flag}", value,
-                      forms.n_form.least[_QUERY_FIELDS[flag]])
-    ak = _read_and_kind(forms, "fast" if and_kind is None else and_kind)
-    named = " ".join(f"{flag}={value}" for flag, value in zip(spec.default, size))
-    _admit(f"{kind} {named}", [block_query(kind, ak, size)])
-    return ak, size
+                 for flag, value in default.items())
+    return _admitted(kind, "fast" if and_kind is None else and_kind, size), size
+
+
+def _admitted(kind: str, and_kind: str | None, size: tuple[int, ...]) -> str | None:
+    """The AND kind block_query reads, once _admit admits the block."""
+    query = block_query(kind, and_kind, size)
+    named = " ".join(map("{}={}".format, BLOCKS[kind].default, size))
+    _admit(f"{kind} {named}", [query])
+    return query.and_kind
 
 
 def _admit(label: str, queries: Sequence[FormulaQuery]) -> None:
@@ -478,24 +477,15 @@ def _admit(label: str, queries: Sequence[FormulaQuery]) -> None:
                      f"than the {MAX_SYNAPSES:,} a build may hold")
 
 
-def _ports(kind: str, and_kind: str | None,
-           size: Sequence[int]) -> tuple[int, int]:
-    """The input and output port counts of a block, once block_config
-    admits it."""
-    block_query(kind, and_kind, size)  # the kind and the size's length
-    block_config(kind, and_kind, **dict(zip(BLOCKS[kind].default, size)))
-    return _FORMS[kind].ports(*size)
-
-
 def build_block(net: Network, kind: str, and_kind: str | None,
-                size: Sequence[int]) -> Handle:
-    """Build one block on net, after its CSS (if any), once block_config admits it."""
-    _ports(kind, and_kind, size)
+                size: tuple[int, ...]) -> Handle:
+    """Build one block on net, after its CSS (if any), once _admit admits it."""
+    _admitted(kind, and_kind, size)
     css = None if None in _FORMS[kind].latency else build_css(net)
     return BLOCKS[kind].build(net, and_kind, css, *size)
 
 
-def check_pipelined(kind: str, and_kind: str | None, size: Sequence[int],
+def check_pipelined(kind: str, and_kind: str | None, size: tuple[int, ...],
                     words: Sequence[int], label: str,
                     ok_detail: str = "") -> Check:
     """Present words[i] at t = 1 + i, one source per input port of the
@@ -503,7 +493,8 @@ def check_pipelined(kind: str, and_kind: str | None, size: Sequence[int],
     + latency + 3 ms; every output must follow the kind's oracle,
     delayed by the latency. A word that is not an int in [0, 2^ports)
     raises ValueError before anything is built."""
-    inputs = _ports(kind, and_kind, size)[0]
+    _admitted(kind, and_kind, size)
+    inputs = _FORMS[kind].ports(*size)[0]
     for i, word in enumerate(words):
         # type() rather than isinstance(): a bool is an int, not a word
         if type(word) is not int or not 0 <= word < 1 << inputs:
@@ -542,7 +533,7 @@ def _duration(cfg: ExperimentConfig, default_ms: int, label: str,
     It runs before any builder, so a refused run builds nothing."""
     duration = default_ms if cfg.duration_ms is None else cfg.duration_ms
     _admit(label, queries)
-    _require_size("duration_ms", duration, 1)
+    _require_int("duration_ms", duration, 1)
     if duration * signals > MAX_TRACE_CELLS:
         raise ValueError(f"a {duration:,} ms run of {signals} signals holds "
                          f"{duration * signals:,} trace cells, more than the "
@@ -855,13 +846,13 @@ def sweep_demultiplexer(n: int, and_kind: str,
         f"{len(words)} cases")
 
 
-def fuzz_d_latch(and_kind: str, steps: int = 64,
+def fuzz_d_latch(and_kind: str, steps: int = VERIFY_TRIALS,
                  seed: int = DEFAULT_SEED) -> Check:
     """Random store/data schedule against the hold/track oracle. The
     inverted data line is supplied as an ideal complement source; after
     the schedule store stays down and the latch must hold."""
     ak, _ = block_config("d_latch", and_kind_name(and_kind))
-    _require_size("steps", steps, 1)
+    _require_int("steps", steps, 1)
     rng = _random(seed)
     store_bits = [rng.random() < 0.4 for _ in range(steps)]
     data_bits = [rng.random() < 0.5 for _ in range(steps)]
@@ -872,14 +863,14 @@ def fuzz_d_latch(and_kind: str, steps: int = 64,
         f"{steps} steps, seed {seed}")
 
 
-def fuzz_memory(registers: int, bits: int, and_kind: str, writes: int = 64,
-                seed: int = DEFAULT_SEED) -> Check:
+def fuzz_memory(registers: int, bits: int, and_kind: str,
+                writes: int = VERIFY_TRIALS, seed: int = DEFAULT_SEED) -> Check:
     """Random write stream (addresses may hit the non-operation channel
     and, at partial occupancy, register-free channels) against the
     array-write oracle, checked on the full q timelines."""
     ak, (registers, bits) = block_config(
         "memory", and_kind_name(and_kind), registers=registers, bits=bits)
-    _require_size("writes", writes, 1)
+    _require_int("writes", writes, 1)
     rng = _random(seed)
     depth = registers.bit_length()
     addresses = [rng.randrange(2 ** depth) for _ in range(writes)]
@@ -976,11 +967,8 @@ def spike_csv(trains: Mapping[str, int], ticks: Sequence[int]) -> Iterator[str]:
 def export_spikes(signal_times: Mapping[str, Iterable[int]]) -> str:
     """Spike data as CSV rows "signal,time_ms" sorted by (time, signal).
     A time that is not an integer >= 0 raises ValueError."""
-    times = {name: tuple(ts) for name, ts in signal_times.items()}
-    for t in chain.from_iterable(times.values()):
-        # type() rather than isinstance(): a bool is an int, not a time
-        if type(t) is not int or t < 0:
-            raise ValueError(f"spike times must be integers >= 0, not {t!r}")
+    times = {name: _times(f"spike times of {name}", ts)
+             for name, ts in signal_times.items()}
     # bit k of a train is the k-th distinct time: no bit per ms up to the last
     ticks = sorted(set().union(*times.values()))
     rank = {t: k for k, t in enumerate(ticks)}

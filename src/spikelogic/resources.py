@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+from .sim import _require_int
+
 AND_KINDS = ("classic", "fast")
 
 
@@ -47,8 +49,7 @@ def _clog2(x: int) -> int:
 
 def encoder_synapse_sum(num_inputs: int) -> int:
     """Synapses of an encoder: one per set bit of each input index >= 1."""
-    if num_inputs < 2:
-        raise ValueError("num_inputs must be >= 2")
+    _require_int("num_inputs", num_inputs, 2)
     return sum(bin(i - 1).count("1") for i in range(2, num_inputs + 1))
 
 
@@ -314,10 +315,8 @@ def formula_resources(query: FormulaQuery) -> ResourceReport:
     """Evaluate the published closed form selected by the query."""
     form = _form(query)
     for name, least in form.least.items():
-        value = getattr(query, name)
-        if value is None or value < least:
-            raise ValueError(f"the {query.form}-form of the {query.kind} "
-                             f"needs {name} >= {least}")
+        _require_int(f"the {query.form}-form of the {query.kind}'s {name}",
+                     getattr(query, name), least)
     ak = _read_and_kind(_FORMS[query.kind], query.and_kind)
     return form.formula(ak, *(getattr(query, name) for name in form.least))
 

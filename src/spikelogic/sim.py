@@ -26,11 +26,34 @@ order of the strongly connected components of the neuron graph:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+
+def _require_int(name: str, value, least: int) -> None:
+    """value must be an int of at least least, else ValueError names it."""
+    # type() rather than isinstance(): a bool is an int, not a count
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _times(what: str, values: Iterable[int]) -> tuple[int, ...]:
+    """values as a tuple of ints >= 0, else ValueError names what."""
+    try:
+        times = tuple(values)
+    except TypeError:
+        raise ValueError(f"{what} must be a list of ints, not {values!r}") from None
+    # type() rather than isinstance(): a bool is an int, not a time
+    if {*map(type, times)} - {int} or min(times, default=0) < 0:
+        bad = next(t for t in times if type(t) is not int or t < 0)
+        raise ValueError(f"{what} must be integers >= 0, not {bad!r}")
+    return times
 
 
 class Synapse(NamedTuple):
@@ -95,9 +118,7 @@ class Network:
 
     def add_neuron(self, threshold_quanta: int = 1) -> int:
         """Add a neuron firing when one ms's input reaches threshold_quanta."""
-        # type() rather than isinstance(): a bool is an int, not a count
-        if type(threshold_quanta) is not int or threshold_quanta < 1:
-            raise ValueError("threshold_quanta must be an integer >= 1")
+        _require_int("threshold_quanta", threshold_quanta, 1)
         nid = self._take_id()
         self.neurons[nid] = threshold_quanta
         return nid
@@ -107,14 +128,9 @@ class Network:
 
         The schedule must be strictly increasing non-negative integers.
         """
-        times = tuple(schedule)
-        for prev, cur in zip((-1,) + times, times):
-            # type() rather than isinstance(): a bool is an int, not a time
-            if type(cur) is not int or cur < 0:
-                raise ValueError(
-                    f"source spike times must be integers >= 0, not {cur!r}")
-            if cur <= prev:
-                raise ValueError("source schedule must be strictly increasing")
+        times = _times("source spike times", schedule)
+        if not all(map(operator.lt, times, times[1:])):
+            raise ValueError("source schedule must be strictly increasing")
         sid = self._take_id()
         self.sources[sid] = times
         return sid
@@ -149,14 +165,12 @@ class Network:
         """Append count copies of a template (the neurons of entities, then
         the synapses of synapses, each landing in entities) with the same
         thresholds, weights, delays and labels, and return their id offsets.
-        A source in entities moves with its copy; one outside stays put
-        unless moved gives its stride: copy k takes it from source +
-        (k + 1) * stride, an existing id. The template is checked once, a
-        ValueError leaving the network unchanged; its synapses passed
-        connect(), so their shifted copies need no check."""
-        # type() rather than isinstance(): a bool is an int, not a count
-        if type(count) is not int or count < 0:
-            raise ValueError(f"count must be an integer >= 0, not {count!r}")
+        A synapse from a template neuron moves with its copy; one from
+        outside keeps its source unless moved gives that source a stride:
+        copy k takes it from source + (k + 1) * stride, an existing id. The
+        template is checked once, a ValueError leaving the network unchanged;
+        its synapses passed connect(), so their shifted copies need no check."""
+        _require_int("count", count, 0)
         if not (type(entities) is range and entities.step == 1 and entities
                 and all(map(self.neurons.__contains__, entities))):
             raise ValueError(f"{entities!r} is not a range of neuron ids")
@@ -205,10 +219,7 @@ class Network:
 
     def run(self, duration_ms: int) -> SpikeRecord:
         """Simulate [0, duration_ms) and return spikes of recorded ids."""
-        # type() rather than isinstance(): a bool is an int, not a duration
-        if type(duration_ms) is not int or duration_ms < 1:
-            raise ValueError(
-                f"duration_ms must be an integer >= 1, not {duration_ms!r}")
+        _require_int("duration_ms", duration_ms, 1)
         trains = _levelized_trains(self, duration_ms)
         return SpikeRecord(duration_ms, trains={
             eid: trains[eid] for eid in sorted(self._recorded_set)})
@@ -224,15 +235,19 @@ _DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 
 def _flags(train: int) -> bytes:
     """One byte per tick from t = 0 (trailing zero ticks may be missing):
-    1 where the train spikes, else 0."""
+    1 where the train spikes, else 0. A negative train raises ValueError."""
+    if train < 0:
+        raise ValueError(f"a spike train must be >= 0, not {train}")
     return format(train, "b")[::-1].encode().translate(_FLAG)
 
 
 def spike_train(times: Iterable[int]) -> int:
-    """The train (bit t set: a spike at t) of the given spike times."""
-    times = tuple(times)
-    if min(times, default=0) < 0:
-        raise ValueError("spike times must be >= 0")
+    """The train (bit t set: a spike at t) of spike times, ints >= 0."""
+    return _train(_times("spike times", times))
+
+
+def _train(times: Sequence[int]) -> int:
+    """spike_train of times already checked."""
     flags = bytearray(max(times, default=-1) + 1)
     for t in times:
         flags[t] = 1
@@ -242,7 +257,8 @@ def spike_train(times: Iterable[int]) -> int:
 def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
     """Spike train of every entity of the network."""
     mask = (1 << duration) - 1
-    trains = {sid: spike_train(t for t in times if t < duration)
+    # add_source checked the schedules
+    trains = {sid: _train([t for t in times if t < duration])
               for sid, times in net.sources.items()}
     # the plan: per neuron, its synapses that can land inside the run
     fan_in: dict[int, list[Synapse]] = {nid: [] for nid in net.neurons}

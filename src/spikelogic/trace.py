@@ -8,11 +8,11 @@ masks everything before its
 valid_from timestep, which is how start-up transients of CSS-driven
 outputs are kept out of rendered output and golden files.
 
-Two styles: "table" is a fixed-width grid, one column per millisecond;
-"raster" is one line per row with a character per millisecond (| spike,
-. quiet, space masked), and value rows listed as their changes. Each
-renderer yields one line per row, so a caller can write a trace as it
-is rendered; render_trace joins the lines.
+Two renderers: render_table draws a fixed-width grid, one column per
+millisecond; render_raster draws one line per row with a character per
+millisecond (| spike, . quiet, space masked), and value rows listed as
+their changes. Each yields one line per row, so a caller can write a
+trace as it is rendered; render_trace joins a table's lines.
 
 Rendering is a pure function of the trace, so repeated runs of a
 deterministic experiment produce byte-identical text.
@@ -25,16 +25,10 @@ from itertools import accumulate, groupby, repeat
 from operator import lshift, or_
 from typing import Iterator, Sequence
 
-from .sim import _flags
+from .sim import _flags, _require_int
 
 _TABLE_MARKS = bytes.maketrans(b"0", b" ")
 _RASTER_MARKS = str.maketrans("01", ".|")
-
-
-def _check_valid_from(valid_from: int) -> None:
-    # type() rather than isinstance(): a bool is an int, not a time
-    if type(valid_from) is not int or valid_from < 0:
-        raise ValueError(f"valid_from must be an integer >= 0, not {valid_from!r}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +40,7 @@ class TraceRow:
     valid_from: int = 0
 
     def __post_init__(self) -> None:
-        _check_valid_from(self.valid_from)
+        _require_int("valid_from", self.valid_from, 0)
 
 
 @dataclass(frozen=True)
@@ -61,7 +55,7 @@ class SpikeRow:
     valid_from: int = 0
 
     def __post_init__(self) -> None:
-        _check_valid_from(self.valid_from)
+        _require_int("valid_from", self.valid_from, 0)
         if self.train < 0 or self.train >> self.duration_ms:
             raise ValueError("a spike row's train must lie in [0, 2**duration_ms)")
 
@@ -86,7 +80,9 @@ class Trace:
 
 def spike_row(label: str, train: int, duration_ms: int,
               valid_from: int = 0) -> SpikeRow:
-    """The row of a train, less its spikes from duration_ms on."""
+    """The row of a train >= 0, less its spikes from duration_ms on."""
+    if train < 0:
+        raise ValueError(f"the train of {label} must be >= 0, not {train}")
     return SpikeRow(label, train & ~(-1 << duration_ms), duration_ms, valid_from)
 
 
@@ -171,10 +167,5 @@ def render_raster(trace: Trace) -> Iterator[str]:
         yield f"{row.label.ljust(label_width)} {text}\n"
 
 
-_STYLES = {"table": render_table, "raster": render_raster}
-
-
-def render_trace(trace: Trace, style: str = "table") -> str:
-    if style not in _STYLES:
-        raise ValueError(f"unknown trace style {style!r}")
-    return "".join(_STYLES[style](trace))
+def render_trace(trace: Trace) -> str:
+    return "".join(render_table(trace))

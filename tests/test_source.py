@@ -78,3 +78,35 @@ def test_a_neuron_is_its_threshold():
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 names.add(node.id)
     assert "NeuronParams" not in names
+
+
+def test_one_check_per_kind_of_input():
+    # sim._require_int checks every count, size, duration and valid_from,
+    # and sim._times every spike-time list; an inline int check is left
+    # only where a value needs more than "an int of at least k" or where
+    # a hot path pays per item
+    defined, inline = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                defined.setdefault(node.name, []).append(path.name)
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        defined.setdefault(target.id, []).append(path.name)
+            if isinstance(node, ast.FunctionDef):
+                for inner in ast.walk(node):
+                    if (isinstance(inner, ast.Compare)
+                            and isinstance(inner.ops[0], ast.IsNot)
+                            and ast.unparse(inner.comparators[0]) == "int"
+                            and ast.unparse(inner.left).startswith("type(")):
+                        inline.add(f"{path.stem}.{node.name}")
+    assert defined["_require_int"] == ["sim.py"]
+    assert defined["_times"] == ["sim.py"]
+    for gone in ("_require_size", "_check_valid_from", "_ports", "_STYLES"):
+        assert gone not in defined, gone
+    assert inline == {
+        "sim._require_int", "sim._times", "sim.connect", "sim.copy",
+        "sim.record", "harness._random", "harness.check_pipelined",
+        "netlist._by_id", "netlist.from_document"}

@@ -97,9 +97,6 @@ def test_row_lookup():
 def test_render_trace_dispatch():
     trace = demo_trace()
     assert render_trace(trace) == "".join(render_table(trace))
-    assert render_trace(trace, style="raster") == "".join(render_raster(trace))
-    with pytest.raises(ValueError):
-        render_trace(trace, style="plot")
 
 
 # The per-cell implementations the row builders and renderers replaced,
