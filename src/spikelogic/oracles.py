@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .sim import _require_int
+
 
 def decoder_channel(word: int) -> int:
     """The one channel a decoder activates: the input word itself.
@@ -71,8 +73,8 @@ def memory_states(addresses: Sequence[int], words: Sequence[int],
     """
     if len(addresses) != len(words):
         raise ValueError("address and word streams must have equal length")
-    if registers < 1 or bits < 1:
-        raise ValueError("need registers >= 1 and bits >= 1")
+    _require_int("registers", registers, 1)
+    _require_int("bits", bits, 1)
     mask = (1 << bits) - 1
     contents = [0] * (registers + 1)
     timeline: list[tuple[int, ...]] = []

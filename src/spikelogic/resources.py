@@ -42,8 +42,6 @@ def and_kind_name(value) -> str:
 
 def _clog2(x: int) -> int:
     """Ceil of log2 for x >= 1 (0 for x = 1), exact integer arithmetic."""
-    if x < 1:
-        raise ValueError("argument must be >= 1")
     return (x - 1).bit_length()
 
 

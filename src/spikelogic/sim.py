@@ -76,6 +76,7 @@ class SpikeRecord:
     def __init__(self, duration_ms: int,
                  spikes: Mapping[int, Iterable[int]] | None = None, *,
                  trains: Mapping[int, int] | None = None) -> None:
+        _require_int("duration_ms", duration_ms, 0)
         if trains is None:
             trains = {eid: spike_train(times) for eid, times in spikes.items()}
         object.__setattr__(self, "duration_ms", duration_ms)

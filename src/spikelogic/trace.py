@@ -56,6 +56,7 @@ class SpikeRow:
 
     def __post_init__(self) -> None:
         _require_int("valid_from", self.valid_from, 0)
+        _require_int("duration_ms", self.duration_ms, 0)
         if self.train < 0 or self.train >> self.duration_ms:
             raise ValueError("a spike row's train must lie in [0, 2**duration_ms)")
 
@@ -71,6 +72,9 @@ class Trace:
     duration_ms: int
     rows: tuple[TraceRow | SpikeRow, ...] = ()
 
+    def __post_init__(self) -> None:
+        _require_int("duration_ms", self.duration_ms, 0)
+
     def row(self, label: str) -> TraceRow | SpikeRow:
         for row in self.rows:
             if row.label == label:
@@ -83,6 +87,7 @@ def spike_row(label: str, train: int, duration_ms: int,
     """The row of a train >= 0, less its spikes from duration_ms on."""
     if train < 0:
         raise ValueError(f"the train of {label} must be >= 0, not {train}")
+    _require_int("duration_ms", duration_ms, 0)
     return SpikeRow(label, train & ~(-1 << duration_ms), duration_ms, valid_from)
 
 
@@ -97,6 +102,7 @@ def hex_word_row(label: str, bit_trains: Sequence[int],
     """Register contents per ms from its bit trains, least significant
     first, in hex, blank while 0. Each 8 trains make a byte per ms (their
     flags, shifted), or-ed into the words; each word is formatted once."""
+    _require_int("duration_ms", duration_ms, 0)
     words = [0] * duration_ms
     for b in range(0, len(bit_trains), 8):
         byte = 0

@@ -15,9 +15,10 @@ from spikelogic.harness import (
     spike_csv,
     verify_block,
 )
+from spikelogic.oracles import memory_states
 from spikelogic.resources import FormulaQuery, formula_resources
 from spikelogic.sim import Network, SpikeRecord, spike_train
-from spikelogic.trace import hex_word_row, spike_row, value_row
+from spikelogic.trace import SpikeRow, Trace, hex_word_row, spike_row, value_row
 
 
 def _neuron() -> Network:
@@ -72,6 +73,16 @@ TAKES_INT = {
     "value_row": (lambda v: value_row("v", ["x"], valid_from=v), "valid_from"),
     "hex_word_row": (lambda v: hex_word_row("r", [1], 3, valid_from=v),
                      "valid_from"),
+    "spike_row-duration": (lambda v: spike_row("a", 1, v), "duration_ms"),
+    "hex_word_row-duration": (lambda v: hex_word_row("r", [1], v),
+                              "duration_ms"),
+    "SpikeRow-duration": (lambda v: SpikeRow("a", 0, v), "duration_ms"),
+    "Trace-duration": (lambda v: Trace(v), "duration_ms"),
+    "SpikeRecord-duration": (lambda v: SpikeRecord(v, trains={0: 1}),
+                             "duration_ms"),
+    "memory_states-registers": (lambda v: memory_states([1], [1], v, 2),
+                                "registers"),
+    "memory_states-bits": (lambda v: memory_states([1], [1], 2, v), "bits"),
     "formula-n": (lambda v: formula_resources(
         FormulaQuery("decoder", "fast", n=v)), "decoder's n"),
     "formula-m": (lambda v: formula_resources(
