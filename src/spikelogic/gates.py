@@ -25,15 +25,10 @@ from typing import NamedTuple
 from .resources import ResourceReport
 from .sim import Network, _require_int
 
-# Synapse category labels used for resource accounting. The wiring
-# helpers label every synapse in the network's category ledger, and the
-# closed-form resource module itemizes expected counts under the same
-# labels.
+# The label of the CSS ring's two synapses. Every synapse carries the
+# label resources.py itemizes its closed-form count under; blocks._block
+# adds these two to the report of a kind whose closed forms count a CSS.
 CAT_INTERNAL_CSS = "Internal CSS"
-CAT_CSS_TO_NOT = "CSS to NOT"
-CAT_INPUT_TO_NOT = "Input to NOT"
-CAT_INPUT_TO_OR = "Input to OR"
-CAT_INTERNAL_SR = "Internal SR Latch"
 
 
 class InputTap(NamedTuple):
@@ -159,9 +154,9 @@ def build_not(net: Network, css: Handle) -> Handle:
     """
     start = _mark(net)
     neuron = net.add_neuron()
-    css_feed(net, css, neuron, 1, CAT_CSS_TO_NOT)
+    css_feed(net, css, neuron, 1, "CSS to NOT")
     ports = PortMap(
-        inputs={"in": (InputTap(neuron, -1, 1, CAT_INPUT_TO_NOT),)},
+        inputs={"in": (InputTap(neuron, -1, 1, "Input to NOT"),)},
         outputs={"out": neuron},
     )
     return _spanned(net, start, "not", ports, 1)
@@ -174,7 +169,7 @@ def build_or(net: Network) -> Handle:
     """
     start = _mark(net)
     neuron = net.add_neuron()
-    ports = PortMap(inputs={"in": (InputTap(neuron, 1, 1, CAT_INPUT_TO_OR),)},
+    ports = PortMap(inputs={"in": (InputTap(neuron, 1, 1, "Input to OR"),)},
                     outputs={"out": neuron})
     return _spanned(net, start, "or", ports, 1)
 
@@ -229,7 +224,7 @@ def build_sr_latch(net: Network) -> Handle:
     """
     start = _mark(net)
     neuron = net.add_neuron()
-    net.connect(neuron, neuron, 1, 1, CAT_INTERNAL_SR)
+    net.connect(neuron, neuron, 1, 1, "Internal SR Latch")
     inputs = {
         "set": (InputTap(neuron, 1, 1, "Input to SR Latch (set)"),),
         "reset": (InputTap(neuron, -2, 1, "Input to SR Latch (reset)"),),

@@ -33,8 +33,8 @@ not match the experiment's input ports are rejected.
 Every block kind is declared once, in BLOCKS. check_pipelined() is the
 one truth-table check: one input word per ms, outputs compared with the
 kind's word oracle delayed by its latency. verify_block() packages
-sweeps or fuzzing, latency measurement and resource reconciliation into
-one report, which is what the command-line verify subcommand prints.
+sweeps or fuzzing, resource reconciliation and measure_latency()'s walk
+over every input-to-output path into one report, as verify prints it.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import operator
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, count
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .blocks import (
@@ -84,7 +84,8 @@ from .resources import (
     formula_resources,
     reconcile,
 )
-from .sim import Network, SpikeRecord, _flags, _require_int, _times, spike_train
+from .sim import (Network, SpikeRecord, _components, _flags, _require_int,
+                  _times, spike_train)
 from .trace import SpikeRow, Trace, hex_word_row, spike_row, value_row
 
 # Default seed for the randomized chunks of the mux-demux control
@@ -194,21 +195,6 @@ def render_checks(checks: Iterable[Check]) -> str:
     return "\n".join(f"{'PASS' if check.ok else 'FAIL'}  {check.label}"
                      + (f": {check.detail}" if check.detail else "")
                      for check in checks) + "\n"
-
-
-def _resolve_inputs(canonical: dict[str, tuple[int, ...]],
-                    stimulus: Mapping[str, Sequence[int]] | None,
-                    ) -> dict[str, tuple[int, ...]]:
-    if stimulus is None:
-        return canonical
-    unknown = set(stimulus) - set(canonical)
-    if unknown:
-        raise ValueError(
-            f"stimulus signals {sorted(unknown)} do not match the "
-            f"experiment inputs {sorted(canonical)}")
-    return {name: tuple(sorted(set(_times(f"stimulus times of signal {name}",
-                                          stimulus.get(name, ())))))
-            for name in canonical}
 
 
 def _words_from_bits(bit_times: Sequence[Iterable[int]],
@@ -328,8 +314,6 @@ class BlockSpec:
     build: Callable[..., Handle]  # (net, and_kind, css, *size)
     oracle: Callable[..., list[int]]
     verify: Callable[..., list[Check]]  # (and_kind, rng, seed or None, *size)
-    probe: tuple[str, ...]  # inputs spiking once for measure_latency
-    probe_output: str
 
 
 # Builders, sweeps and oracles are looked up at call time, through this
@@ -342,8 +326,7 @@ BLOCKS: dict[str, BlockSpec] = {
         verify=lambda ak, rng, seed, n: [
             sweep_decoder(n, ak),
             sweep_decoder(n, ak, [rng.randrange(2 ** n)
-                                  for _ in range(VERIFY_TRIALS)])],
-        probe=("s0",), probe_output="ch1"),
+                                  for _ in range(VERIFY_TRIALS)])]),
     "encoder": BlockSpec(
         {"n": 4},
         build=lambda net, ak, css, m: build_encoder(net, m),
@@ -352,8 +335,7 @@ BLOCKS: dict[str, BlockSpec] = {
         # exhaustive up to 10 inputs, seeded subsets beyond
         verify=lambda ak, rng, seed, m: [sweep_encoder(m, [
             rng.randrange(2 ** m) for _ in range(VERIFY_TRIALS)] if m > 10
-            else _unseeded(seed, f"encoder n={m}, which sweeps every subset,"))],
-        probe=("d1",), probe_output="or0"),
+            else _unseeded(seed, f"encoder n={m}, which sweeps every subset,"))]),
     "multiplexer": BlockSpec(
         {"n": 2},
         build=lambda net, ak, css, n: build_multiplexer(net, n, ak, css),
@@ -364,8 +346,7 @@ BLOCKS: dict[str, BlockSpec] = {
             sweep_multiplexer(n, ak),
             sweep_multiplexer(n, ak, [
                 rng.randrange(2 ** n) | rng.randrange(2 ** 2 ** n) << n
-                for _ in range(VERIFY_TRIALS)])],
-        probe=("s0", "d1"), probe_output="out"),
+                for _ in range(VERIFY_TRIALS)])]),
     "demultiplexer": BlockSpec(
         {"n": 2},
         build=lambda net, ak, css, n: build_demultiplexer(net, n, ak, css),
@@ -376,16 +357,14 @@ BLOCKS: dict[str, BlockSpec] = {
             sweep_demultiplexer(n, ak),
             sweep_demultiplexer(n, ak, [
                 rng.randrange(2 ** n) | rng.randrange(2) << n
-                for _ in range(VERIFY_TRIALS)])],
-        probe=("s0", "d"), probe_output="ch1"),
+                for _ in range(VERIFY_TRIALS)])]),
     "d_latch": BlockSpec(
         {},
         build=lambda net, ak, css: build_d_latch(net, ak, css),
         oracle=lambda words: [int(q) for q in latch_states(
             [w & 1 for w in words], [w >> 1 & 1 for w in words])],
         verify=lambda ak, rng, seed: [
-            fuzz_d_latch(ak, seed=_seeded(seed))],
-        probe=("store", "data"), probe_output="q"),
+            fuzz_d_latch(ak, seed=_seeded(seed))]),
     "memory": BlockSpec(
         {"registers": 3, "bits": 3},
         build=lambda net, ak, css, r, c: build_memory(net, r, c, ak, css),
@@ -395,8 +374,7 @@ BLOCKS: dict[str, BlockSpec] = {
                 [w & 2 ** r.bit_length() - 1 for w in words],
                 [w >> r.bit_length() for w in words], r, c)],
         verify=lambda ak, rng, seed, r, c: [
-            fuzz_memory(r, c, ak, seed=_seeded(seed))],
-        probe=("s0", "d0"), probe_output="q1_0"),
+            fuzz_memory(r, c, ak, seed=_seeded(seed))]),
 }
 
 # the n-form field of each size keyword; registers price at their
@@ -479,9 +457,10 @@ def _admit(label: str, queries: Sequence[FormulaQuery]) -> None:
 
 def build_block(net: Network, kind: str, and_kind: str | None,
                 size: tuple[int, ...]) -> Handle:
-    """Build one block on net, after its CSS (if any), once _admit admits it."""
+    """Build one block on net, after its CSS if it reads one (its closed
+    forms count a CSS, or its ANDs are fast), once _admit admits it."""
     _admitted(kind, and_kind, size)
-    css = None if None in _FORMS[kind].latency else build_css(net)
+    css = build_css(net) if _FORMS[kind].counts_css or and_kind == "fast" else None
     return BLOCKS[kind].build(net, and_kind, css, *size)
 
 
@@ -495,7 +474,10 @@ def check_pipelined(kind: str, and_kind: str | None, size: tuple[int, ...],
     raises ValueError before anything is built."""
     _admitted(kind, and_kind, size)
     inputs = _FORMS[kind].ports(*size)[0]
-    for i, word in enumerate(words):
+    latency = expected_latency(kind, and_kind)
+    # words read once, so an iterator is checked and run alike
+    stream = [0, *words] + [0] * (latency + 2)
+    for i, word in enumerate(stream, -1):  # word i at t = 1 + i
         # type() rather than isinstance(): a bool is an int, not a word
         if type(word) is not int or not 0 <= word < 1 << inputs:
             raise ValueError(f"word {i} is {word!r}, not an int in "
@@ -503,8 +485,6 @@ def check_pipelined(kind: str, and_kind: str | None, size: tuple[int, ...],
     net = Network()
     block = build_block(net, kind, and_kind, size)
     ports = block.ports.inputs
-    latency = expected_latency(kind, and_kind)
-    stream = [0, *words] + [0] * (latency + 2)
     for k, port in enumerate(ports):
         drive(net, block, port, net.add_source(
             [t for t, word in enumerate(stream) if word >> k & 1]))
@@ -546,11 +526,19 @@ def _stimulated(cfg: ExperimentConfig, names: Sequence[str], duration: int,
                 ) -> tuple[dict[str, tuple[int, ...]], list[int]]:
     """The inputs and the per-ms input words of a run. canonical(duration)
     gives the default per-ms words, bit k driving names[k] from t=1 on;
-    cfg.stimulus replaces them."""
+    cfg.stimulus replaces them: a name it gives that is no input, or a
+    time that is not an int >= 0, raises ValueError."""
     words = canonical(duration)
-    inputs = _resolve_inputs(
-        {name: tuple(t for t in range(1, duration) if words[t] >> k & 1)
-         for k, name in enumerate(names)}, cfg.stimulus)
+    inputs = {name: tuple(t for t in range(1, duration) if words[t] >> k & 1)
+              for k, name in enumerate(names)}
+    if cfg.stimulus is not None:
+        unknown = set(cfg.stimulus) - set(names)
+        if unknown:
+            raise ValueError(f"stimulus signals {sorted(unknown)} do not match "
+                             f"the experiment inputs {sorted(names)}")
+        inputs = {name: tuple(sorted(set(_times(
+            f"stimulus times of signal {name}", cfg.stimulus.get(name, ())))))
+            for name in names}
     return inputs, _words_from_bits(list(inputs.values()), duration)
 
 
@@ -887,23 +875,38 @@ def fuzz_memory(registers: int, bits: int, and_kind: str,
 def measure_latency(kind: str, and_kind: str | None = None, *,
                     n: int | None = None, registers: int | None = None,
                     bits: int | None = None) -> int:
-    """Empirical input-to-output delay: present one probe word at t=4
-    (safely past CSS warmup) and time the first response spike. Sizes
-    default as in verify_block."""
+    """The one delay of every path from an input port of the built block
+    to an output, from a walk over its synapses: the block is not run. An
+    output that no path reaches, or that paths reach at more than one
+    delay or at another than the other outputs, raises ValueError naming
+    it and its delays. Sizes default as in verify_block."""
     ak, size = block_config(kind, and_kind, n=n, registers=registers,
                             bits=bits)
-    spec = BLOCKS[kind]
-    probe = 4
     net = Network()
     block = build_block(net, kind, ak, size)
-    for port in spec.probe:
-        drive(net, block, port, net.add_source([probe]))
-    out = block.output(spec.probe_output)
-    net.record(out)
-    times = net.run(probe + 12).times(out)
-    if not times:
-        raise RuntimeError(f"{kind}: probe produced no output spike")
-    return times[0] - probe
+    # bit d of arrive[eid]: a path from an input port reaches eid in d ms
+    arrive = [0] * (len(net.neurons) + len(net.sources))
+    for taps in block.ports.inputs.values():
+        for target, _, delay, _ in taps:
+            arrive[target] |= 1 << delay
+    fan_in = {nid: [] for nid in net.neurons}
+    for syn in net.synapses:
+        if syn.source != syn.target:  # an SR latch's hold is no new path
+            fan_in[syn.target].append(syn)
+    # _components puts every source before its targets, and its one
+    # cycle, the CSS ring, is reached from no input. Inhibitory synapses
+    # are paths too: channel 0 is reached only through the inverters.
+    for nid in chain.from_iterable(_components(fan_in)):
+        for source, _, _, delay in fan_in[nid]:
+            arrive[nid] |= arrive[source] << delay
+    shared = None
+    for name, eid in block.ports.outputs.items():
+        if arrive[eid].bit_count() != 1 or shared not in (None, arrive[eid]):
+            delays = list(compress(count(), _flags(arrive[eid])))
+            raise ValueError(f"{kind} output {name} has path delays {delays}"
+                             " ms, not the one delay of every output")
+        shared = arrive[eid]
+    return shared.bit_length() - 1
 
 
 def verify_block(kind: str, and_kind: str | None = None, *,
@@ -932,11 +935,14 @@ def verify_block(kind: str, and_kind: str | None = None, *,
             f"({handle.resources.neurons} neurons, "
             f"{handle.resources.synapses} synapses)",
             result.ok, "; ".join(result.diffs)))
-    measured = measure_latency(kind, ak, **dict(zip(spec.default, size)))
     wanted = expected_latency(kind, ak)
-    checks.append(Check(f"measured latency {measured} ms equals table value",
-                        measured == wanted,
-                        "" if measured == wanted else f"expected {wanted}"))
+    try:
+        measured = measure_latency(kind, ak, **dict(zip(spec.default, size)))
+        label, detail = f"measured latency {measured} ms", f"expected {wanted}"
+    except ValueError as mismatch:  # paths of more than one delay
+        measured, label, detail = None, "latency", str(mismatch)
+    checks.append(Check(f"{label} equals table value", measured == wanted,
+                        "" if measured == wanted else detail))
     return VerifyReport(kind, ak, handle.params, tuple(checks))
 
 
@@ -991,11 +997,10 @@ def parse_stimulus(text: str) -> dict[str, tuple[int, ...]]:
             continue  # header
         if not name:
             raise ValueError(f"stimulus line {lineno}: empty signal name")
-        try:
-            time = int(raw_time)
-        except ValueError:
-            raise ValueError(
-                f"stimulus line {lineno}: bad time {raw_time!r}") from None
+        # ASCII digits only: int() also reads "1_000", "+5" and other scripts' digits
+        if not (raw_time.isascii() and raw_time.removeprefix("-").isdigit()):
+            raise ValueError(f"stimulus line {lineno}: bad time {raw_time!r}")
+        time = int(raw_time)
         if time < 0:
             raise ValueError(f"stimulus line {lineno}: negative time")
         collected.setdefault(name, set()).add(time)

@@ -29,3 +29,18 @@ def refuse_builds(monkeypatch) -> None:
     for name in vars(harness):
         if name.startswith("build_"):
             monkeypatch.setattr(harness, name, no_build)
+
+
+def slow_one_synapse(monkeypatch, builder: str, category: str) -> None:
+    """Wrap harness.<builder> so that the first synapse labelled category
+    in the block it builds takes 1 ms longer than built."""
+    build = getattr(harness, builder)
+
+    def slowed(net, *args):
+        block = build(net, *args)
+        k = next(k for k in block.synapses if net.categories[k] == category)
+        net.synapses[k] = net.synapses[k]._replace(
+            delay_ms=net.synapses[k].delay_ms + 1)
+        return block
+
+    monkeypatch.setattr(harness, builder, slowed)

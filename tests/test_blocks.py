@@ -117,6 +117,20 @@ class TestDLatch:
         with pytest.raises(ValueError):
             latch.input_taps("nope")
 
+    def test_only_the_fast_latch_is_built_with_a_css(self):
+        # a classic latch reads no CSS, so its network is the latch alone;
+        # a fast one's ANDs take their veto from a CSS built before it
+        net = Network()
+        latch = build_block(net, "d_latch", "classic", ())
+        assert latch.entities == range(len(net.neurons) + len(net.sources))
+        assert latch.synapses == range(len(net.synapses))
+        net = Network()
+        latch = build_block(net, "d_latch", "fast", ())
+        # the CSS: 2 neurons and a bootstrap source, 2 ring synapses and
+        # the bootstrap's
+        assert (latch.entities.start, latch.synapses.start) == (3, 3)
+        assert net.categories[:2] == ["Internal CSS"] * 2
+
 
 class TestMemory:
     @pytest.mark.parametrize("ak", KINDS)

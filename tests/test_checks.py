@@ -1,11 +1,13 @@
 """Every count, size, duration, valid_from, spike-time list and train is
 checked by one rule: anything else raises ValueError naming it."""
 
+import json
 import re
 
 import pytest
 
-from spikelogic import harness
+from spikelogic import harness, netlist
+from spikelogic.gates import build_css, build_not
 from spikelogic.harness import (
     ExperimentConfig,
     build_block,
@@ -25,6 +27,13 @@ def _neuron() -> Network:
     net = Network()
     net.add_neuron()
     return net
+
+
+def _shared_id() -> dict:
+    """A netlist document whose id 0 is a neuron and a source."""
+    doc = json.loads(netlist.dumps(_neuron()))
+    doc["sources"] = [{"id": 0, "times": []}]
+    return doc
 
 
 # (call, what its message must name)
@@ -62,6 +71,18 @@ CALLS = {
                         "spike train"),
     "record-train": (lambda: SpikeRecord(3, trains={0: -1}).times(0),
                      "spike train"),
+    # a train with a spike at or past its row's duration
+    "SpikeRow-train": (lambda: SpikeRow("a", 8, 3), "spike row's train"),
+    "output-port": (lambda: build_css(Network()).output("nope"),
+                    "css has no output port 'nope'"),
+    "not-without-css": (lambda: build_not(Network(), None),
+                        "constant spike source handle"),
+    "netlist-shared-id": (lambda: netlist.from_document(_shared_id()),
+                          "both neuron and source"),
+    "memory_states-lengths": (lambda: memory_states([1, 2], [1], 2, 2),
+                              "equal length"),
+    "formula-form": (lambda: formula_resources(
+        FormulaQuery("decoder", "fast", "x", n=2)), "unknown form 'x'"),
 }
 # each takes one int of at least some value
 TAKES_INT = {

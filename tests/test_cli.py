@@ -13,10 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from spikelogic import cli, netlist
+from spikelogic import blocks, cli, netlist
 from spikelogic.harness import Check, VerifyReport
 from spikelogic.resources import BLOCK_KINDS
-from support import refuse_builds
+from support import refuse_builds, slow_one_synapse
 
 
 def run_cli(*argv):
@@ -86,6 +86,43 @@ def test_resources_prints_anchor(capsys):
     out = capsys.readouterr().out
     assert "12 neurons, 28 synapses" in out
     assert "n-form" in out and "OK" in out
+
+
+def test_resources_mismatch_exits_one(monkeypatch, capsys):
+    # each SR latch a second self-synapse: the built latch counts one
+    # synapse more than its closed form
+    build = blocks.build_sr_latch
+
+    def doubled(net):
+        latch = build(net)
+        net.connect(latch.output("q"), latch.output("q"), 1, 2,
+                    "Internal SR Latch")
+        return latch
+
+    monkeypatch.setattr(blocks, "build_sr_latch", doubled)
+    assert run_cli("resources", "d_latch", "--and", "classic") == 1
+    out = capsys.readouterr().out
+    assert "  n-form: 5 neurons, 13 synapses ... MISMATCH\n" in out
+    assert "    synapses: measured 14, formula 13\n" in out
+    assert "    category 'Internal SR Latch': measured 2, formula 1\n" in out
+
+
+@pytest.mark.parametrize("builder, category, argv, named", [
+    ("build_decoder", "NOT to AND (fast)", ["decoder"],
+     "decoder output ch0 has path delays [2, 3] ms"),
+    ("build_memory", "AND to SR Latch (set)", ["memory", "--and", "classic"],
+     "memory output q1_0 has path delays [6, 7] ms"),
+], ids=["decoder", "memory"])
+def test_verify_fails_a_path_of_another_delay(builder, category, argv, named,
+                                              monkeypatch, capsys):
+    # a failed check, not an error: exit 1, no traceback
+    slow_one_synapse(monkeypatch, builder, category)
+    assert run_cli("verify", *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == (
+        f"FAIL  latency equals table value: {named}, not the one delay "
+        "of every output")
+    assert captured.err == ""
 
 
 def test_resources_partial_memory_notes_skip(capsys):

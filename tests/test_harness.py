@@ -41,7 +41,7 @@ from spikelogic.resources import (
 )
 from spikelogic.sim import Network, spike_train
 from spikelogic.trace import render_trace
-from support import refuse_builds, shuffle_synapses
+from support import refuse_builds, shuffle_synapses, slow_one_synapse
 
 GOLDEN = Path(__file__).parent / "data"
 
@@ -187,10 +187,14 @@ class TestStimulus:
         # a time without a digit is only forgiven on line 1 (header)
         with pytest.raises(ValueError):
             parse_stimulus("a,1\nb,x\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative time"):
             parse_stimulus("a,-3\n")
         with pytest.raises(ValueError):
             parse_stimulus(",4\n")
+        # ASCII digits only, which int() alone reads more than
+        for text in ("a,1_000\n", "a,+5\n", "a,1\nb,\u0661\n"):
+            with pytest.raises(ValueError, match="bad time"):
+                parse_stimulus(text)
 
 
 class TestExports:
@@ -417,12 +421,77 @@ def test_word_trains_match_each_bit(case):
         for k in range(count)]
 
 
+# sizes as measure_latency takes them, the memory at full and at
+# partial occupancy
+LATENCY_SIZES = {
+    "decoder": [{"n": n} for n in (1, 2, 3, 10)],
+    "multiplexer": [{"n": n} for n in (1, 2, 3)],
+    "demultiplexer": [{"n": n} for n in (1, 2, 3)],
+    "d_latch": [{}],
+    "memory": [{"registers": r, "bits": c}
+               for r, c in ((1, 1), (3, 3), (5, 2), (7, 3))],
+}
+
+
 def test_measure_latency_full_table():
     for kind in ("decoder", "multiplexer", "demultiplexer", "d_latch",
                  "memory"):
         for ak in ("classic", "fast"):
             assert measure_latency(kind, ak) == expected_latency(kind, ak)
+            for size in LATENCY_SIZES[kind]:
+                assert measure_latency(kind, ak, **size) == \
+                    expected_latency(kind, ak), (kind, ak, size)
     assert measure_latency("encoder") == expected_latency("encoder")
+    for m in (2, 4, 9):
+        assert measure_latency("encoder", n=m) == expected_latency("encoder")
+
+
+def test_measure_latency_runs_nothing(monkeypatch):
+    # the latency comes from the built block's synapses, not a run
+    def no_run(*args):
+        raise AssertionError("a network ran")
+
+    monkeypatch.setattr(Network, "run", no_run)
+    for kind in BLOCK_KINDS:
+        ak, _ = harness.block_config(kind)  # None without an AND stage
+        assert measure_latency(kind, ak) == expected_latency(kind, ak)
+
+
+@pytest.mark.parametrize("builder, category, ak, named", [
+    # inverter s0's synapse to gate 0 of the select stage
+    ("build_decoder", "NOT to AND (fast)", "fast",
+     "decoder output ch0 has path delays [2, 3] ms"),
+    ("build_decoder", "NOT to AND (classic)", "classic",
+     "decoder output ch0 has path delays [3, 4] ms"),
+    # the set path of the first latch, q1_0
+    ("build_memory", "AND to SR Latch (set)", "fast",
+     "memory output q1_0 has path delays [4, 5] ms"),
+    ("build_memory", "AND to SR Latch (set)", "classic",
+     "memory output q1_0 has path delays [6, 7] ms"),
+], ids=["decoder-fast", "decoder-classic", "memory-fast", "memory-classic"])
+def test_measure_latency_names_a_slowed_path(builder, category, ak, named,
+                                             monkeypatch):
+    # one internal synapse 1 ms slow: the output it reaches has two
+    # path delays, the table's and one more
+    slow_one_synapse(monkeypatch, builder, category)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        measure_latency(builder.removeprefix("build_"), ak)
+    report = verify_block(builder.removeprefix("build_"), ak)
+    assert report.checks[-1] == harness.Check(
+        "latency equals table value", False,
+        f"{named}, not the one delay of every output")
+
+
+def test_pipelined_check_reads_an_iterator_once(monkeypatch):
+    # the oracle of a decoder that is given no word: channel 0 every ms.
+    # Words 1, 2 and 3 must show on ch1 to ch3 whether they come as a
+    # list or as an iterator, which the check must not use up first
+    idle = replace(BLOCKS["decoder"], oracle=lambda words, n: [1] * len(words))
+    monkeypatch.setitem(BLOCKS, "decoder", idle)
+    checks = [check_pipelined("decoder", "fast", (2,), words, "idle")
+              for words in ([1, 2, 3, 0], iter([1, 2, 3, 0]))]
+    assert checks[0] == checks[1]
+    assert checks[0].detail == "signal ch0, missing at [3, 4, 5]"
 
 
 @pytest.mark.parametrize("call, count", [

@@ -110,3 +110,17 @@ def test_one_check_per_kind_of_input():
         "sim._require_int", "sim._times", "sim.connect", "sim.copy",
         "sim.record", "harness._random", "harness.check_pipelined",
         "netlist._by_id", "netlist.from_document"}
+
+
+def test_the_library_raises_value_error():
+    # a bad input is a ValueError naming it; the two others are
+    # Trace.row's KeyError, a lookup by label, and the CLI's UsageError,
+    # which main turns into exit 2. A bare raise re-raises.
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(f"{path.stem}: {ast.unparse(exc)}")
+    assert {hit for hit in raised if not hit.endswith(": ValueError")} == {
+        "trace: KeyError", "cli: UsageError"}
