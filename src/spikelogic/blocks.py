@@ -30,12 +30,19 @@ inverter moved one column on per copy, then copies row 0 whole for
 every other register with the store strobe moved one decoder channel
 on per row. Entity ids and synapse order are those of building every
 gate and latch.
+
+Taps and wires are made in bulk too: padded moves a port's taps to
+every copy's offset in one call, and wire hands a driver's taps to
+Network.connect_taps, which checks them at once and raises what a
+connect() per tap would. A select line takes its taps from one tuple
+per stage, so each gate's taps are made once and shared by the n lines.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress
+from itertools import chain, compress, cycle
+from operator import itemgetter
 
 from .gates import (
     CAT_INTERNAL_CSS,
@@ -87,43 +94,39 @@ def _block(net: Network, start: tuple[int, int], kind: str, and_kind,
         from_css = css.entities if css is not None else ()
         categories = Counter(compress(net.categories[span], [
             syn.source not in from_css for syn in net.synapses[span]]))
-    for taps in ports.inputs.values():
-        for tap in taps:
-            categories[tap.category] += 1
+    categories.update(map(itemgetter(3), chain.from_iterable(ports.inputs.values())))
     handle.resources = ResourceReport(neurons, sum(categories.values()),
                                       dict(sorted(categories.items())))
     return handle
 
 
 def _select_stage(net: Network, n: int, and_kind: str, css, fan_in: int,
-                  ) -> tuple[list[int], list[tuple[InputTap, ...]], dict]:
+                  ) -> tuple[list[int], tuple[InputTap, ...], dict]:
     """n inverters plus 2^n coincidence gates wired per the binary
     truth table: channel j's input b sees the direct line when bit b of
     j is set, the inverted line otherwise. Only gate 0 runs its builder;
     gates 1 to 2^n - 1 are copied from it. Returns each gate's output,
-    its input taps (labelled as the inverters' wires) and the select ports."""
+    the gates' input taps in channel order (labelled as the inverters'
+    wires), and the select ports."""
     _require_int("n", n, 1)
     _require_css(css)
     inverters = [build_not(net, css) for _ in range(n)]
     first = _and_gate(net, and_kind, css, fan_in)
     offsets = [0, *net.copy(first.entities, first.synapses, 2 ** n - 1)]
     taps = first.input_taps("in")
-    category = f"NOT to AND ({and_kind})"
-    gate_taps = [padded(taps, 0, offset, category) for offset in offsets]
-    direct_taps = [padded(taps, 1, offset) for offset in offsets]
+    # every gate's taps made once and shared by the n select lines
+    inverted = padded(taps, 0, offsets, f"NOT to AND ({and_kind})")
+    direct = padded(taps, 1, offsets)
     select_ports: dict[str, tuple[InputTap, ...]] = {}
     for b, inverter in enumerate(inverters):
-        ports, inverted = list(inverter.input_taps("in")), []
-        for j in range(2 ** n):
-            if (j >> b) & 1:
-                ports.extend(direct_taps[j])
-            else:
-                inverted.extend(gate_taps[j])
-        # one call, in channel order: the synapse order of gate-by-gate wiring
-        wire(net, inverter.output(), inverted)
-        select_ports[f"s{b}"] = tuple(ports)
+        # in channel order, the taps of 2^b channels with bit b clear,
+        # then of 2^b with it set; one wire keeps gate-by-gate order
+        run = len(taps) << b
+        wire(net, inverter.output(), compress(inverted, cycle([1] * run + [0] * run)))
+        select_ports[f"s{b}"] = (*inverter.input_taps("in"),
+                                 *compress(direct, cycle([0] * run + [1] * run)))
     out = first.output()
-    return [out + offset for offset in offsets], gate_taps, select_ports
+    return [out + offset for offset in offsets], inverted, select_ports
 
 
 def build_decoder(net: Network, n: int, and_kind, css) -> Handle:
@@ -164,8 +167,10 @@ def build_multiplexer(net: Network, n: int, and_kind, css) -> Handle:
     outputs, gate_taps, ports_in = _select_stage(net, n, ak, css, n + 1)
     collector = build_or(net)
     to_or = padded(collector.input_taps("in"), category="AND to OR")
-    for j, (out, taps) in enumerate(zip(outputs, gate_taps)):
-        ports_in[f"d{j}"] = padded(taps, 1, category=f"Data inputs to AND ({ak})")
+    data = padded(gate_taps, 1, category=f"Data inputs to AND ({ak})")
+    width = len(data) // len(outputs)
+    for j, out in enumerate(outputs):
+        ports_in[f"d{j}"] = data[j * width:(j + 1) * width]
         wire(net, out, to_or)
     return _block(net, start, "multiplexer", ak, {"n": n},
                   PortMap(ports_in, {"out": collector.output()}), css)
@@ -176,8 +181,7 @@ def build_demultiplexer(net: Network, n: int, and_kind, css) -> Handle:
     ak = and_kind_name(and_kind)
     start = _mark(net)
     outputs, gate_taps, ports_in = _select_stage(net, n, ak, css, n + 1)
-    ports_in["d"] = tuple(tap for taps in gate_taps for tap in padded(
-        taps, 1, category=f"Data inputs to AND ({ak})"))
+    ports_in["d"] = padded(gate_taps, 1, category=f"Data inputs to AND ({ak})")
     return _block(net, start, "demultiplexer", ak, {"n": n},
                   PortMap(ports_in, {f"ch{j}": out
                                      for j, out in enumerate(outputs)}), css)
@@ -251,10 +255,9 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
     inputs = dict(decoder.ports.inputs)
     data = latch.input_taps("data")
     for j in range(bits):
-        taps = list(padded(column_nots[j].input_taps("in"), category="Data to NOT"))
-        for offset in offsets[j::bits]:
-            taps.extend(padded(data, decoder.latency_ms, offset))
-        inputs[f"d{j}"] = tuple(taps)
+        inputs[f"d{j}"] = (
+            padded(column_nots[j].input_taps("in"), category="Data to NOT")
+            + padded(data, decoder.latency_ms, offsets[j::bits]))
     q = latch.output("q")
     outputs = {f"q{k // bits + 1}_{k % bits}": q + offset
                for k, offset in enumerate(offsets)}

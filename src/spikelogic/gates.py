@@ -20,7 +20,8 @@ millisecond from t=2 onward.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
 from .resources import ResourceReport
 from .sim import Network, _require_int
@@ -93,19 +94,32 @@ def _spanned(net: Network, start: tuple[int, int], kind: str, ports: PortMap,
 
 
 def padded(taps: tuple[InputTap, ...], extra_delay_ms: int = 0,
-           offset: int = 0, category: str | None = None) -> tuple[InputTap, ...]:
+           offset: int | Sequence[int] = 0,
+           category: str | None = None) -> tuple[InputTap, ...]:
     """The one tap transform: copies of taps with extra delay, used to
     align converging paths, with targets offset ids on (the taps of a
-    copy made by Network.copy), and labelled category when one is given."""
-    return tuple(InputTap(target + offset, weight, delay + extra_delay_ms,
-                          label if category is None else category)
-                 for target, weight, delay, label in taps)
+    copy made by Network.copy), and labelled category when one is given.
+    A sequence of offsets gives the taps moved to each offset in turn."""
+    _require_int("extra_delay_ms", extra_delay_ms, 0)
+    offsets = (offset,) if type(offset) is int else offset
+    # type() rather than isinstance(): a bool is an int, not an offset
+    if not isinstance(offsets, Sequence) or {*map(type, offsets)} - {int}:
+        raise ValueError("offset must be an int or a sequence of ints, "
+                         f"not {offset!r}")
+    if category is not None and not isinstance(category, str):
+        raise ValueError(f"category must be a str or None, not {category!r}")
+    targets, weights, delays, labels = zip(*taps) if taps else [()] * 4
+    copies = len(offsets)
+    return tuple(map(tuple.__new__, repeat(InputTap), zip(
+        [target + moved for moved in offsets for target in targets],
+        weights * copies, [delay + extra_delay_ms for delay in delays] * copies,
+        labels * copies if category is None else repeat(category))))
 
 
 def wire(net: Network, source_id: int, taps: tuple[InputTap, ...]) -> None:
-    """Connect one driver to every tap as given, a synapse per tap."""
-    for target, weight, delay, category in taps:
-        net.connect(source_id, target, weight, delay, category)
+    """Connect one driver to every tap as given, a synapse per tap, all
+    checked at once; an error is the one connect() would raise."""
+    net.connect_taps(source_id, taps)
 
 
 def drive(net: Network, handle: Handle, port_name: str, source_id: int) -> None:

@@ -161,6 +161,29 @@ class Network:
         self.categories.append(category)
         return len(self.synapses) - 1
 
+    def connect_taps(self, source: int, taps: Iterable[Sequence]) -> None:
+        """Add one synapse from source per (target, weight_quanta, delay_ms,
+        category) tap, in order: what a connect() per tap adds, checked
+        at once. Taps connect() refuses are replayed through it one by
+        one, so the error and the synapses added before the bad tap are
+        connect()'s."""
+        taps = tuple(taps)
+        # every tap a 4-tuple, every field but the label an int (a bool
+        # refused), the source an entity, the targets neurons
+        if (type(source) is int and (source in self.neurons or source in self.sources)
+                and all(map(isinstance, taps, repeat(tuple)))
+                and {*map(len, taps)} == {4}):
+            targets, weights, delays, labels = zip(*taps)
+            if ({*map(type, targets), *map(type, weights), *map(type, delays)}
+                    == {int} and 0 not in weights
+                    and min(delays) >= 1 and self.neurons.keys() >= {*targets}):
+                self.synapses.extend(map(tuple.__new__, repeat(Synapse),
+                                         zip(repeat(source), targets, weights, delays)))
+                self.categories.extend(labels)
+                return
+        for target, weight_quanta, delay_ms, category in taps:
+            self.connect(source, target, weight_quanta, delay_ms, category)
+
     def copy(self, entities: range, synapses: range, count: int,
              moved: Mapping[int, int] | None = None) -> range:
         """Append count copies of a template (the neurons of entities, then

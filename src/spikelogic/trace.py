@@ -21,7 +21,7 @@ deterministic experiment produce byte-identical text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, chain, groupby, repeat
 from operator import lshift, or_
 from typing import Iterator, Sequence
 
@@ -126,12 +126,13 @@ def render_table(trace: Trace) -> Iterator[str]:
     label_width = max([len("t (ms)")] + [len(r.label) for r in trace.rows])
     duration = trace.duration_ms
     header = [str(t) for t in range(duration)]
-    widths = list(map(len, header))
-    for row in trace.rows:
-        start = min(row.valid_from, duration)
-        if not isinstance(row, SpikeRow):
-            cells = row.cells[start:duration]
-            widths[start:start + len(cells)] = map(max, widths[start:], map(len, cells))
+    # each column as wide as its widest cell: a value row's cell lengths,
+    # 0 where it is masked or has no cell; repeat(0) gives max two
+    # arguments where there is no value row
+    widths = list(map(max, map(len, header), repeat(0), *[
+        chain(repeat(0, min(row.valid_from, duration)),
+              map(len, row.cells[row.valid_from:duration]), repeat(0))
+        for row in trace.rows if not isinstance(row, SpikeRow)]))
     # column t ends at ends[t + 1] after the label; runs ends each run
     ends = list(accumulate([w + 1 for w in widths], initial=-1))
     runs = list(accumulate(len(list(run)) for _, run in groupby(widths)))

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -616,7 +617,9 @@ def _per_gate_select_stage(net, n, and_kind, css, fan_in):
         select_ports[f"s{b}"] = tuple(taps)
     # an AND has one input port, which every select line drives
     assert all(list(gate.ports.inputs) == ["in"] for gate in gates)
-    return [gate.output() for gate in gates], inverted, select_ports
+    # the gates' taps in channel order, one tuple
+    return ([gate.output() for gate in gates], tuple(chain.from_iterable(inverted)),
+            select_ports)
 
 
 SELECT_BUILDERS = {"decoder": build_decoder, "multiplexer": build_multiplexer,

@@ -6,8 +6,8 @@ import re
 
 import pytest
 
-from spikelogic import harness, netlist
-from spikelogic.gates import build_css, build_not
+from spikelogic import blocks, harness, netlist
+from spikelogic.gates import InputTap, build_css, build_not, padded
 from spikelogic.harness import (
     ExperimentConfig,
     build_block,
@@ -27,6 +27,9 @@ def _neuron() -> Network:
     net = Network()
     net.add_neuron()
     return net
+
+
+TAPS = (InputTap(0, 1, 1, "a"), InputTap(1, -1, 2, "b"))
 
 
 def _shared_id() -> dict:
@@ -83,6 +86,15 @@ CALLS = {
                               "equal length"),
     "formula-form": (lambda: formula_resources(
         FormulaQuery("decoder", "fast", "x", n=2)), "unknown form 'x'"),
+    # an offset is an int, or a sequence of them, a bool refused: True
+    # would move every tap onto the next neuron id
+    "padded-offset-bool": (lambda: padded(TAPS, 0, True), "offset"),
+    "padded-offset-float": (lambda: padded(TAPS, 0, 1.0), "offset"),
+    "padded-offset-str": (lambda: padded(TAPS, 0, "1"), "offset"),
+    "padded-offset-none": (lambda: padded(TAPS, 0, None), "offset"),
+    "padded-offsets-bool": (lambda: padded(TAPS, 0, [0, True]), "offset"),
+    "padded-offsets-set": (lambda: padded(TAPS, 0, {0, 3}), "offset"),
+    "padded-category-int": (lambda: padded(TAPS, category=5), "category"),
 }
 # each takes one int of at least some value
 TAKES_INT = {
@@ -112,6 +124,7 @@ TAKES_INT = {
         FormulaQuery("memory", "fast", n=2, c=v)), "memory's c"),
     "formula-r": (lambda v: formula_resources(
         FormulaQuery("memory", "fast", "m", r=v, c=2)), "memory's r"),
+    "padded-delay": (lambda v: padded(TAPS, v), "extra_delay_ms"),
 }
 for _name, (_call, _named) in TAKES_INT.items():
     for _value in (True, 1.5, "1", None, -1):
@@ -147,3 +160,28 @@ def test_each_public_call_prices_its_blocks_as_often(call, admits, monkeypatch):
                         lambda *args: calls.append(args) or admit(*args))
     call()
     assert len(calls) == admits
+
+
+@pytest.mark.parametrize("call, connects, paddeds", [
+    (lambda: check_pipelined("decoder", "fast", (10,), [0, 1023, 5], "x"), 25, 2),
+    (lambda: check_pipelined("decoder", "fast", (10,), range(1, 600, 7), "x"),
+     25, 2),
+    (lambda: build_block(Network(), "memory", "classic", (63, 8)), 35, 24),
+], ids=["decoder-3-words", "decoder-86-words", "memory-63x8"])
+def test_a_block_is_wired_a_driver_at_a_time(call, connects, paddeds,
+                                             monkeypatch):
+    # a driver's taps go in one Network.connect_taps call and a port's
+    # taps come from one padded call, so neither count grows with the
+    # block; a per-tap loop would make thousands
+    calls = {"connect": 0, "padded": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Network, "connect", counted("connect", Network.connect))
+    monkeypatch.setattr(blocks, "padded", counted("padded", blocks.padded))
+    call()
+    assert calls == {"connect": connects, "padded": paddeds}

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spikelogic.gates import (
+    InputTap,
     build_and_classic,
     build_and_fast,
     build_css,
@@ -15,7 +16,7 @@ from spikelogic.gates import (
     padded,
     wire,
 )
-from spikelogic.sim import Network
+from spikelogic.sim import Network, Synapse
 
 
 def css_net():
@@ -297,3 +298,94 @@ def test_wire_pads_delay():
     wire(net, src, padded(gate.input_taps("in"), 2))
     net.record(gate.output())
     assert net.run(7).times(gate.output()) == (5,)
+
+
+def test_padded_moves_taps_to_each_offset_in_turn():
+    taps = (InputTap(0, 1, 1, "a"), InputTap(1, -2, 2, "b"))
+    assert padded(taps, 1, [0, 5, 3], "c") == (
+        padded(taps, 1, 0, "c") + padded(taps, 1, 5, "c") + padded(taps, 1, 3, "c"))
+    assert padded(taps, 0, range(0, 6, 3)) == taps + padded(taps, 0, 3)
+    assert padded(taps, 2, []) == () and padded((), 0, [1, 2]) == ()
+
+
+def _taps_net() -> Network:
+    """Neurons 0, 1 and 2, then spike source 3."""
+    net = Network()
+    for _ in range(3):
+        net.add_neuron()
+    net.add_source([1])
+    return net
+
+
+def _wired_both_ways(source, taps, as_generator: bool) -> None:
+    """wire() must leave what the per-tap connect() loop leaves: the same
+    synapses and labels, the ones before a bad tap included, and the same
+    exception type and message."""
+    per_tap, bulk = _taps_net(), _taps_net()
+
+    def connect_each():
+        for target, weight, delay, category in taps:
+            per_tap.connect(source, target, weight, delay, category)
+
+    given_taps = (tap for tap in taps) if as_generator else tuple(taps)
+    assert _outcome(bulk, lambda: wire(bulk, source, given_taps)) == _outcome(
+        per_tap, connect_each)
+
+
+def _outcome(net: Network, wiring) -> tuple:
+    """What wiring leaves in net: its synapses and labels, and the type
+    and message of what it raised, if anything."""
+    try:
+        wiring()
+        raised = None
+    except Exception as error:  # noqa: BLE001 - compared, not handled
+        raised = (type(error), str(error))
+    assert all(type(syn) is Synapse for syn in net.synapses)
+    return net.synapses, net.categories, raised
+
+
+NEURON = st.sampled_from([0, 1, 2])
+WEIGHT = st.sampled_from([-2, -1, 1, 3])
+DELAY = st.integers(1, 4)
+LABEL = st.sampled_from(["a", "b", ""])
+GOOD_TAP = st.builds(InputTap, NEURON, WEIGHT, DELAY, LABEL)
+BAD_TAP = st.one_of(
+    st.tuples(NEURON, st.sampled_from([True, False, 1.0, 0]), DELAY, LABEL),
+    st.tuples(NEURON, WEIGHT, st.sampled_from([0, True, -1, 1.0]), LABEL),
+    # unknown, not an int, a bool, a spike source
+    st.tuples(st.sampled_from([99, -1, "0", 1.0, None, True, 3]), WEIGHT,
+              DELAY, LABEL),
+    st.tuples(NEURON, WEIGHT, DELAY),
+    st.tuples(NEURON, WEIGHT, DELAY, LABEL, LABEL),
+    st.lists(NEURON, min_size=4, max_size=4),  # connect unpacks a list too
+    st.just(7),
+)
+# a neuron or a spike source, or not an entity
+SOURCES = st.one_of(st.sampled_from([0, 2, 3]),
+                    st.sampled_from([99, -1, True, "0", None, 1.0]))
+BAD = [(1, True, 1, "a"), (1, 1.0, 1, "a"), (1, 0, 1, "a"), (1, 1, 0, "a"),
+       (1, 1, True, "a"), (1, 1, -1, "a"), (99, 1, 1, "a"), (-1, 1, 1, "a"),
+       ("0", 1, 1, "a"), (1.0, 1, 1, "a"), (True, 1, 1, "a"), (3, 1, 1, "a"),
+       (1, 1, 1), (1, 1, 1, "a", "b"), 7]
+
+
+@pytest.mark.parametrize("as_generator", [False, True], ids=["tuple", "generator"])
+@pytest.mark.parametrize("source, bad", [(0, bad) for bad in BAD] + [
+    (source, None) for source in (99, -1, True, "0", None, 1.0)],
+    ids=[f"tap-{bad!r}" for bad in BAD] + [
+        f"source-{source!r}" for source in (99, -1, True, "0", None, 1.0)])
+def test_wire_refuses_what_connect_refuses(source, bad, as_generator):
+    good = [InputTap(0, 1, 1, "a"), InputTap(2, -1, 2, "b")]
+    _wired_both_ways(source, good + ([] if bad is None else [bad]) + good,
+                     as_generator)
+    _wired_both_ways(source, [], as_generator)
+
+
+@given(SOURCES, st.lists(GOOD_TAP, max_size=6),
+       st.lists(st.tuples(st.integers(0, 6), BAD_TAP), max_size=2), st.booleans())
+def test_wire_adds_and_raises_what_a_connect_per_tap_does(source, good, bad,
+                                                          as_generator):
+    taps = list(good)
+    for at, tap in bad:
+        taps.insert(at, tap)
+    _wired_both_ways(source, taps, as_generator)

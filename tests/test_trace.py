@@ -241,6 +241,15 @@ def test_render_table_matches_reference(trace):
     assert "".join(lines) == ref_render_table(trace)
 
 
+def test_render_table_widens_a_column_past_255_characters():
+    # column widths are ints, not bytes; a row masked past the duration
+    # and a spike row widen nothing
+    trace = Trace(3, (value_row("v", ["", "x" * 300, "ab"]),
+                      value_row("w", ["abcd"] * 3, valid_from=5),
+                      spike_row("s", 0b101, 3)))
+    assert "".join(render_table(trace)) == ref_render_table(trace)
+
+
 @given(traces())
 def test_render_raster_matches_reference(trace):
     lines = list(render_raster(trace))
