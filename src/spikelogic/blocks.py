@@ -48,7 +48,6 @@ from .gates import (
     CAT_INTERNAL_CSS,
     Handle,
     InputTap,
-    PortMap,
     build_and_classic,
     build_and_fast,
     build_not,
@@ -76,13 +75,15 @@ def _and_gate(net: Network, and_kind: str, css, fan_in: int) -> Handle:
 
 
 def _block(net: Network, start: tuple[int, int], kind: str, and_kind,
-           params: dict[str, int], ports: PortMap, css, **fields) -> Handle:
+           params: dict[str, int], inputs: dict[str, tuple[InputTap, ...]],
+           outputs: dict[str, int], css, **fields) -> Handle:
     """Handle over everything built since start = _mark(net), with its
     resource report: its neurons, the ledger labels of its synapses and
     one synapse per input tap. Where the kind's closed forms count the
     CSS, the report adds its 2 neurons and 2 synapses; elsewhere it
     leaves out the synapses from the CSS."""
-    handle = _spanned(net, start, kind, ports, expected_latency(kind, and_kind),
+    handle = _spanned(net, start, kind, inputs, outputs,
+                      expected_latency(kind, and_kind),
                       and_kind=and_kind, params=params, **fields)
     span = slice(handle.synapses.start, handle.synapses.stop)
     neurons = len(handle.entities)
@@ -94,7 +95,7 @@ def _block(net: Network, start: tuple[int, int], kind: str, and_kind,
         from_css = css.entities if css is not None else ()
         categories = Counter(compress(net.categories[span], [
             syn.source not in from_css for syn in net.synapses[span]]))
-    categories.update(map(itemgetter(3), chain.from_iterable(ports.inputs.values())))
+    categories.update(map(itemgetter(3), chain.from_iterable(inputs.values())))
     handle.resources = ResourceReport(neurons, sum(categories.values()),
                                       dict(sorted(categories.items())))
     return handle
@@ -135,9 +136,8 @@ def build_decoder(net: Network, n: int, and_kind, css) -> Handle:
     ak = and_kind_name(and_kind)
     start = _mark(net)
     outputs, _, select_ports = _select_stage(net, n, ak, css, n)
-    return _block(net, start, "decoder", ak, {"n": n},
-                  PortMap(select_ports, {f"ch{j}": out
-                                         for j, out in enumerate(outputs)}), css)
+    return _block(net, start, "decoder", ak, {"n": n}, select_ports,
+                  {f"ch{j}": out for j, out in enumerate(outputs)}, css)
 
 
 def build_encoder(net: Network, num_inputs: int) -> Handle:
@@ -156,7 +156,7 @@ def build_encoder(net: Network, num_inputs: int) -> Handle:
                                 for tap in or_gates[b].input_taps("in"))
     outputs = {f"or{b}": or_gates[b].output() for b in range(width)}
     return _block(net, start, "encoder", None, {"num_inputs": num_inputs},
-                  PortMap(inputs, outputs), None)
+                  inputs, outputs, None)
 
 
 def build_multiplexer(net: Network, n: int, and_kind, css) -> Handle:
@@ -172,8 +172,8 @@ def build_multiplexer(net: Network, n: int, and_kind, css) -> Handle:
     for j, out in enumerate(outputs):
         ports_in[f"d{j}"] = data[j * width:(j + 1) * width]
         wire(net, out, to_or)
-    return _block(net, start, "multiplexer", ak, {"n": n},
-                  PortMap(ports_in, {"out": collector.output()}), css)
+    return _block(net, start, "multiplexer", ak, {"n": n}, ports_in,
+                  {"out": collector.output()}, css)
 
 
 def build_demultiplexer(net: Network, n: int, and_kind, css) -> Handle:
@@ -182,9 +182,8 @@ def build_demultiplexer(net: Network, n: int, and_kind, css) -> Handle:
     start = _mark(net)
     outputs, gate_taps, ports_in = _select_stage(net, n, ak, css, n + 1)
     ports_in["d"] = padded(gate_taps, 1, category=f"Data inputs to AND ({ak})")
-    return _block(net, start, "demultiplexer", ak, {"n": n},
-                  PortMap(ports_in, {f"ch{j}": out
-                                     for j, out in enumerate(outputs)}), css)
+    return _block(net, start, "demultiplexer", ak, {"n": n}, ports_in,
+                  {f"ch{j}": out for j, out in enumerate(outputs)}, css)
 
 
 def build_d_latch(net: Network, and_kind, css) -> Handle:
@@ -211,8 +210,8 @@ def build_d_latch(net: Network, and_kind, css) -> Handle:
         "data_not": padded(reset_and.input_taps("in"),
                            category=f"Inverted data to AND ({ak})"),
     }
-    return _block(net, start, "d_latch", ak, {},
-                  PortMap(inputs, {"q": sr.output("q")}), css)
+    return _block(net, start, "d_latch", ak, {}, inputs,
+                  {"q": sr.output("q")}, css)
 
 
 def build_memory(net: Network, registers: int, bits: int, and_kind,
@@ -252,7 +251,7 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
                     range(latch.synapses.start, end[1]), registers - 1,
                     {strobe: strobe - decoder.output("ch0")})
     offsets = [row + column for row in (0, *rows) for column in columns]
-    inputs = dict(decoder.ports.inputs)
+    inputs = dict(decoder.inputs)
     data = latch.input_taps("data")
     for j in range(bits):
         inputs[f"d{j}"] = (
@@ -262,4 +261,4 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
     outputs = {f"q{k // bits + 1}_{k % bits}": q + offset
                for k, offset in enumerate(offsets)}
     return _block(net, start, "memory", ak, {"registers": registers, "bits": bits},
-                  PortMap(inputs, outputs), css, decoder=decoder)
+                  inputs, outputs, css, decoder=decoder)

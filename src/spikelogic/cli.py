@@ -24,6 +24,7 @@ from .harness import (
     EXPERIMENTS,
     ExperimentConfig,
     ExperimentResult,
+    _sizes,
     block_config,
     build_block,
     export_spikes,
@@ -109,9 +110,8 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     return ExperimentConfig(
-        and_kind=args.and_kind, n=args.n, registers=args.registers,
-        bits=args.bits, duration_ms=args.duration_ms, seed=args.seed,
-        stimulus=stimulus)
+        and_kind=args.and_kind, **_sizes(args), duration_ms=args.duration_ms,
+        seed=args.seed, stimulus=stimulus)
 
 
 # the file of --out that each stdout format also goes to
@@ -193,9 +193,8 @@ def _heading(command: str, kind: str, and_kind: str | None,
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        report = verify_block(args.block, args.and_kind, n=args.n,
-                              registers=args.registers, bits=args.bits,
-                              seed=args.seed)
+        report = verify_block(args.block, args.and_kind, seed=args.seed,
+                              **_sizes(args))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     print(_heading("verify", report.kind, report.and_kind, report.params))
@@ -206,8 +205,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_resources(args: argparse.Namespace) -> int:
     kind = args.block
     try:
-        ak, size = block_config(kind, args.and_kind, n=args.n,
-                                registers=args.registers, bits=args.bits)
+        ak, size = block_config(kind, args.and_kind, **_sizes(args))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     handle = build_block(Network(), kind, ak, size)

@@ -42,15 +42,10 @@ class InputTap(NamedTuple):
 
 
 @dataclass
-class PortMap:
-    inputs: dict[str, tuple[InputTap, ...]] = field(default_factory=dict)
-    outputs: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
 class Handle:
-    """A built gate or block: its ports and latency, and the spans of
-    entity ids and synapse indices its builder added to the network.
+    """A built gate or block: its input ports' taps and output ports'
+    ids, its latency, and the spans of entity ids and synapse indices
+    its builder added to the network.
 
     Builders add both contiguously, so a block's spans cover those of
     its parts. Blocks also carry their AND kind, size parameters and
@@ -58,7 +53,8 @@ class Handle:
     """
 
     kind: str
-    ports: PortMap
+    inputs: dict[str, tuple[InputTap, ...]]
+    outputs: dict[str, int]
     latency_ms: int
     entities: range
     synapses: range
@@ -69,13 +65,13 @@ class Handle:
 
     def output(self, name: str = "out") -> int:
         try:
-            return self.ports.outputs[name]
+            return self.outputs[name]
         except KeyError:
             raise ValueError(f"{self.kind} has no output port {name!r}") from None
 
     def input_taps(self, name: str) -> tuple[InputTap, ...]:
         try:
-            return self.ports.inputs[name]
+            return self.inputs[name]
         except KeyError:
             raise ValueError(f"{self.kind} has no input port {name!r}") from None
 
@@ -85,11 +81,12 @@ def _mark(net: Network) -> tuple[int, int]:
     return len(net.neurons) + len(net.sources), len(net.synapses)
 
 
-def _spanned(net: Network, start: tuple[int, int], kind: str, ports: PortMap,
+def _spanned(net: Network, start: tuple[int, int], kind: str,
+             inputs: dict[str, tuple[InputTap, ...]], outputs: dict[str, int],
              latency_ms: int, **fields) -> Handle:
     """A handle over everything added to net since start = _mark(net)."""
     end = _mark(net)
-    return Handle(kind, ports, latency_ms, range(start[0], end[0]),
+    return Handle(kind, inputs, outputs, latency_ms, range(start[0], end[0]),
                   range(start[1], end[1]), **fields)
 
 
@@ -147,8 +144,8 @@ def build_css(net: Network) -> Handle:
     net.connect(phase_a, phase_b, 1, 1, CAT_INTERNAL_CSS)
     net.connect(phase_b, phase_a, 1, 1, CAT_INTERNAL_CSS)
     net.connect(net.add_source((0,)), phase_a, 1, 1)
-    ports = PortMap(outputs={"phase_a": phase_a, "phase_b": phase_b})
-    return _spanned(net, start, "css", ports, 0)
+    return _spanned(net, start, "css", {},
+                    {"phase_a": phase_a, "phase_b": phase_b}, 0)
 
 
 def css_feed(net: Network, css: Handle, target: int, weight_quanta: int,
@@ -169,11 +166,9 @@ def build_not(net: Network, css: Handle) -> Handle:
     start = _mark(net)
     neuron = net.add_neuron()
     css_feed(net, css, neuron, 1, "CSS to NOT")
-    ports = PortMap(
-        inputs={"in": (InputTap(neuron, -1, 1, "Input to NOT"),)},
-        outputs={"out": neuron},
-    )
-    return _spanned(net, start, "not", ports, 1)
+    return _spanned(net, start, "not",
+                    {"in": (InputTap(neuron, -1, 1, "Input to NOT"),)},
+                    {"out": neuron}, 1)
 
 
 def build_or(net: Network) -> Handle:
@@ -183,9 +178,9 @@ def build_or(net: Network) -> Handle:
     """
     start = _mark(net)
     neuron = net.add_neuron()
-    ports = PortMap(inputs={"in": (InputTap(neuron, 1, 1, "Input to OR"),)},
-                    outputs={"out": neuron})
-    return _spanned(net, start, "or", ports, 1)
+    return _spanned(net, start, "or",
+                    {"in": (InputTap(neuron, 1, 1, "Input to OR"),)},
+                    {"out": neuron}, 1)
 
 
 def _and_weights(fan_in: int) -> tuple[int, int]:
@@ -210,8 +205,7 @@ def build_and_classic(net: Network, fan_in: int) -> Handle:
     net.connect(collector, out, veto, 1, "Internal AND (classic)")
     taps = (InputTap(collector, 1, 1, "Input to AND (classic)"),
             InputTap(out, direct, 2, "Input to AND (classic)"))
-    return _spanned(net, start, "and_classic",
-                    PortMap({"in": taps}, {"out": out}), 2)
+    return _spanned(net, start, "and_classic", {"in": taps}, {"out": out}, 2)
 
 
 def build_and_fast(net: Network, css: Handle, fan_in: int) -> Handle:
@@ -226,8 +220,7 @@ def build_and_fast(net: Network, css: Handle, fan_in: int) -> Handle:
     neuron = net.add_neuron()
     css_feed(net, css, neuron, veto, "CSS to AND (fast)")
     taps = (InputTap(neuron, direct, 1, "Input to AND (fast)"),)
-    return _spanned(net, start, "and_fast",
-                    PortMap({"in": taps}, {"out": neuron}), 1)
+    return _spanned(net, start, "and_fast", {"in": taps}, {"out": neuron}, 1)
 
 
 def build_sr_latch(net: Network) -> Handle:
@@ -243,4 +236,4 @@ def build_sr_latch(net: Network) -> Handle:
         "set": (InputTap(neuron, 1, 1, "Input to SR Latch (set)"),),
         "reset": (InputTap(neuron, -2, 1, "Input to SR Latch (reset)"),),
     }
-    return _spanned(net, start, "sr_latch", PortMap(inputs, {"q": neuron}), 1)
+    return _spanned(net, start, "sr_latch", inputs, {"q": neuron}, 1)

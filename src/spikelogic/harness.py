@@ -377,7 +377,7 @@ BLOCKS: dict[str, BlockSpec] = {
             fuzz_memory(r, c, ak, seed=_seeded(seed))]),
 }
 
-# the n-form field of each size keyword; registers price at their
+# every size keyword, with its n-form field; registers price at their
 # bit_length (see block_query)
 _QUERY_FIELDS = {"n": "n", "registers": "n", "bits": "c"}
 
@@ -403,23 +403,22 @@ def block_query(kind: str, and_kind: str | None,
         for flag, value in zip(flags, size)})
 
 
-def block_config(kind: str, and_kind=None, *, n: int | None = None,
-                 registers: int | None = None, bits: int | None = None,
+def block_config(kind: str, and_kind=None, **sizes: int | None,
                  ) -> tuple[str | None, tuple[int, ...]]:
-    """AND kind and size of one block kind. None picks the default
-    ("fast", and the size in BLOCKS); a kind without an AND stage gets
-    None, but still rejects an unknown AND kind. A size keyword the kind
-    does not read, a size below the smallest buildable one, or one whose
-    closed form counts more than MAX_SYNAPSES synapses raises ValueError
-    before anything is built."""
+    """AND kind and size of one block kind, from size keywords named as
+    in BLOCKS[kind].default. None picks the default ("fast", and the size
+    in BLOCKS); a kind without an AND stage gets None, but still rejects
+    an unknown AND kind. A size keyword the kind does not read, a size
+    below the smallest buildable one, or one whose closed form counts
+    more than MAX_SYNAPSES synapses raises ValueError before anything is
+    built."""
     _kind(kind)
     default = BLOCKS[kind].default
-    given = {"n": n, "registers": registers, "bits": bits}
-    for flag, value in given.items():
+    for flag, value in sizes.items():
         if value is not None and flag not in default:
             takes = " and ".join(default) or "no size"
             raise ValueError(f"{kind} takes {takes}, not {flag}")
-    size = tuple(value if given[flag] is None else given[flag]
+    size = tuple(value if sizes.get(flag) is None else sizes[flag]
                  for flag, value in default.items())
     return _admitted(kind, "fast" if and_kind is None else and_kind, size), size
 
@@ -484,11 +483,11 @@ def check_pipelined(kind: str, and_kind: str | None, size: tuple[int, ...],
                              f"[0, 2^{inputs})")
     net = Network()
     block = build_block(net, kind, and_kind, size)
-    ports = block.ports.inputs
+    ports = block.inputs
     for k, port in enumerate(ports):
         drive(net, block, port, net.add_source(
             [t for t, word in enumerate(stream) if word >> k & 1]))
-    outputs = block.ports.outputs
+    outputs = block.outputs
     net.record(*outputs.values())
     record = net.run(len(stream))
     return _expect_delayed(record, outputs, BLOCKS[kind].oracle(stream, *size),
@@ -499,20 +498,18 @@ def check_pipelined(kind: str, and_kind: str | None, size: tuple[int, ...],
 # Experiments
 
 
-def _sizes(cfg: ExperimentConfig) -> dict[str, int | None]:
-    """cfg's size keywords for block_config, which rejects those the
-    experiment's block does not read."""
-    return {"n": cfg.n, "registers": cfg.registers, "bits": cfg.bits}
+def _sizes(options) -> dict[str, int | None]:
+    """The size keywords of an ExperimentConfig or of the CLI's options,
+    for block_config, which rejects those the block does not read."""
+    return {flag: getattr(options, flag) for flag in _QUERY_FIELDS}
 
 
-def _duration(cfg: ExperimentConfig, default_ms: int, label: str,
-              queries: Sequence[FormulaQuery], signals: int) -> int:
-    """The run's duration, default_ms unless cfg names one, once _admit
-    admits its blocks, a query each, and its trace fits MAX_TRACE_CELLS:
-    a cell per ms for each of its signals, inputs and recorded outputs.
-    It runs before any builder, so a refused run builds nothing."""
+def _duration(cfg: ExperimentConfig, default_ms: int, signals: int) -> int:
+    """The run's duration, default_ms unless cfg names one, once its
+    trace fits MAX_TRACE_CELLS: a cell per ms for each of its signals,
+    inputs and recorded outputs. It runs before any builder, so a
+    refused run builds nothing."""
     duration = default_ms if cfg.duration_ms is None else cfg.duration_ms
-    _admit(label, queries)
     _require_int("duration_ms", duration, 1)
     if duration * signals > MAX_TRACE_CELLS:
         raise ValueError(f"a {duration:,} ms run of {signals} signals holds "
@@ -560,20 +557,21 @@ def _run_decoder_encoder(cfg: ExperimentConfig) -> ExperimentResult:
     ak, (n,) = block_config("decoder", cfg.and_kind, **_sizes(cfg))
     dec_latency = expected_latency("decoder", ak)
     total = dec_latency + 1
+    _admit(f"decoder-encoder n={n}", [block_query("decoder", ak, (n,)),
+                                      block_query("encoder", None, (2 ** n,))])
     duration = _duration(
-        cfg, max(16, 2 * 2 ** n + total + 2), f"decoder-encoder n={n}",
-        [block_query("decoder", ak, (n,)), block_query("encoder", None, (2 ** n,))],
+        cfg, max(16, 2 * 2 ** n + total + 2),
         sum(_FORMS["decoder"].ports(n)) + _FORMS["encoder"].ports(2 ** n)[1])
 
     net = Network()
     decoder = build_block(net, "decoder", ak, (n,))
     encoder = build_encoder(net, 2 ** n)
-    channels, ors = decoder.ports.outputs, encoder.ports.outputs
+    channels, ors = decoder.outputs, encoder.outputs
     # channel j drives input d_j
-    for channel, taps in zip(channels.values(), encoder.ports.inputs.values()):
+    for channel, taps in zip(channels.values(), encoder.inputs.values()):
         wire(net, channel, taps)
     inputs, words = _stimulated(
-        cfg, list(decoder.ports.inputs), duration,
+        cfg, list(decoder.inputs), duration,
         lambda ms: [(t - 1) % 2 ** n for t in range(ms)])
     for name, times in inputs.items():
         drive(net, decoder, name, net.add_source(times))
@@ -608,10 +606,10 @@ def _control_chunks(n: int, duration_ms: int, seed: int) -> list[int]:
 
 def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
     ak, (n,) = block_config("multiplexer", cfg.and_kind, **_sizes(cfg))
-    duration = _duration(
-        cfg, 110, f"mux-demux n={n}", [block_query(kind, ak, (n,)) for kind
-                                       in ("multiplexer", "demultiplexer")],
-        sum(_FORMS["multiplexer"].ports(n)) + _FORMS["demultiplexer"].ports(n)[1])
+    _admit(f"mux-demux n={n}", [block_query(kind, ak, (n,)) for kind
+                                in ("multiplexer", "demultiplexer")])
+    duration = _duration(cfg, 110, sum(_FORMS["multiplexer"].ports(n))
+                         + _FORMS["demultiplexer"].ports(n)[1])
     mux_latency = expected_latency("multiplexer", ak)
     total = mux_latency + expected_latency("demultiplexer", ak)
 
@@ -621,17 +619,17 @@ def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
     demux = build_demultiplexer(net, n, ak, css)
     out_id = mux.output("out")
     wire(net, out_id, demux.input_taps("d"))
-    channels = demux.ports.outputs
+    channels = demux.outputs
     # data line d_j spikes every 2^j ms from t=1
     inputs, words = _stimulated(
-        cfg, list(mux.ports.inputs), duration,
+        cfg, list(mux.inputs), duration,
         lambda ms: [word | sum(1 << n + j for j in range(2 ** n)
                                if (t - 1) % 2 ** j == 0) for t, word
                     in enumerate(_control_chunks(n, ms, _seeded(cfg.seed)))])
     for name, times in inputs.items():
         source = net.add_source(times)
         drive(net, mux, name, source)
-        if name in demux.ports.inputs:
+        if name in demux.inputs:
             # the demux sees the same select lines, delayed to match the
             # data that is still in flight through the mux
             wire(net, source, padded(demux.input_taps(name), mux_latency))
@@ -660,7 +658,7 @@ def _run_d_latch(cfg: ExperimentConfig) -> ExperimentResult:
     # external inverter in the data path
     data_latency = expected_latency("d_latch", ak) + 1
     # store, data1 and data2, and the q of each of 6 latches
-    duration = _duration(cfg, 16, "d-latch", [], 3 + 6 * _FORMS["d_latch"].ports()[1])
+    duration = _duration(cfg, 16, 3 + 6 * _FORMS["d_latch"].ports()[1])
     inputs, words = _stimulated(
         cfg, ("store", "data1", "data2"), duration,
         lambda ms: [(t in (1, 2, 3, 8)) | (t in (1, 3, 4)) << 1
@@ -707,15 +705,15 @@ def _run_memory(cfg: ExperimentConfig) -> ExperimentResult:
     depth = registers.bit_length()
     latency = expected_latency("memory", ak)
     # block_config priced the memory; its trace adds the decoder channels
-    duration = _duration(cfg, 30, "memory", [], sum(_FORMS["memory"].ports(
+    duration = _duration(cfg, 30, sum(_FORMS["memory"].ports(
         registers, bits)) + _FORMS["decoder"].ports(depth)[1])
 
     net = Network()
     memory = build_block(net, "memory", ak, (registers, bits))
     decoder = memory.decoder
-    q_ids, channels = memory.ports.outputs, decoder.ports.outputs
+    q_ids, channels = memory.outputs, decoder.outputs
     inputs, words = _stimulated(
-        cfg, list(memory.ports.inputs), duration,
+        cfg, list(memory.inputs), duration,
         lambda ms: [t % (registers + 1) | t % 2 ** bits << depth
                     for t in range(ms)])
     addresses = [w & (2 ** depth - 1) for w in words]
@@ -872,21 +870,19 @@ def fuzz_memory(registers: int, bits: int, and_kind: str,
         f"final contents {list(final)}")
 
 
-def measure_latency(kind: str, and_kind: str | None = None, *,
-                    n: int | None = None, registers: int | None = None,
-                    bits: int | None = None) -> int:
+def measure_latency(kind: str, and_kind: str | None = None,
+                    **sizes: int | None) -> int:
     """The one delay of every path from an input port of the built block
     to an output, from a walk over its synapses: the block is not run. An
     output that no path reaches, or that paths reach at more than one
     delay or at another than the other outputs, raises ValueError naming
     it and its delays. Sizes default as in verify_block."""
-    ak, size = block_config(kind, and_kind, n=n, registers=registers,
-                            bits=bits)
+    ak, size = block_config(kind, and_kind, **sizes)
     net = Network()
     block = build_block(net, kind, ak, size)
     # bit d of arrive[eid]: a path from an input port reaches eid in d ms
     arrive = [0] * (len(net.neurons) + len(net.sources))
-    for taps in block.ports.inputs.values():
+    for taps in block.inputs.values():
         for target, _, delay, _ in taps:
             arrive[target] |= 1 << delay
     fan_in = {nid: [] for nid in net.neurons}
@@ -900,7 +896,7 @@ def measure_latency(kind: str, and_kind: str | None = None, *,
         for source, _, _, delay in fan_in[nid]:
             arrive[nid] |= arrive[source] << delay
     shared = None
-    for name, eid in block.ports.outputs.items():
+    for name, eid in block.outputs.items():
         if arrive[eid].bit_count() != 1 or shared not in (None, arrive[eid]):
             delays = list(compress(count(), _flags(arrive[eid])))
             raise ValueError(f"{kind} output {name} has path delays {delays}"
@@ -910,15 +906,12 @@ def measure_latency(kind: str, and_kind: str | None = None, *,
 
 
 def verify_block(kind: str, and_kind: str | None = None, *,
-                 n: int | None = None, registers: int | None = None,
-                 bits: int | None = None,
-                 seed: int | None = None) -> VerifyReport:
+                 seed: int | None = None, **sizes: int | None) -> VerifyReport:
     """Sweep, fuzz, time and reconcile one block; everything a quick
     confidence pass needs, as a printable report. None picks the default
     size, and DEFAULT_SEED where cases are drawn; a size below the smallest
     buildable one, or a seed where no case is drawn, raises ValueError."""
-    ak, size = block_config(kind, and_kind, n=n, registers=registers,
-                            bits=bits)
+    ak, size = block_config(kind, and_kind, **sizes)
     spec = BLOCKS[kind]
     checks = spec.verify(ak, _random(_seeded(seed)), seed, *size)
     handle = build_block(Network(), kind, ak, size)

@@ -339,7 +339,6 @@ def formula_queries(handle) -> list[FormulaQuery] | None:
 class ReconcileReport:
     ok: bool
     diffs: tuple[str, ...]
-    measured: ResourceReport
     expected: ResourceReport
 
 
@@ -385,4 +384,4 @@ def reconcile(handle, query: FormulaQuery) -> ReconcileReport:
             want = expected.by_category.get(label, 0)
             if got != want:
                 diffs.append(f"category {label!r}: measured {got}, formula {want}")
-    return ReconcileReport(not diffs, tuple(diffs), report, expected)
+    return ReconcileReport(not diffs, tuple(diffs), expected)

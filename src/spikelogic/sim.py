@@ -99,8 +99,9 @@ class Network:
     """A static graph of neurons, spike sources and synapses.
 
     Neurons and sources share one dense id space assigned in insertion
-    order. The network itself holds no run state; each call to run()
-    simulates from scratch, so repeated runs are identical.
+    order, so the next id is their count. The network itself holds no
+    run state; each call to run() simulates from scratch, so repeated
+    runs are identical.
     """
 
     def __init__(self) -> None:
@@ -108,19 +109,13 @@ class Network:
         self.sources: dict[int, tuple[int, ...]] = {}
         self.synapses: list[Synapse] = []
         self.categories: list[str] = []
-        self.recorded: list[int] = []
-        self._recorded_set: set[int] = set()
-        self._next_id = 0
-
-    def _take_id(self) -> int:
-        eid = self._next_id
-        self._next_id += 1
-        return eid
+        # the recorded ids in first-recorded order, as dict keys
+        self.recorded: dict[int, None] = {}
 
     def add_neuron(self, threshold_quanta: int = 1) -> int:
         """Add a neuron firing when one ms's input reaches threshold_quanta."""
         _require_int("threshold_quanta", threshold_quanta, 1)
-        nid = self._take_id()
+        nid = len(self.neurons) + len(self.sources)
         self.neurons[nid] = threshold_quanta
         return nid
 
@@ -132,7 +127,7 @@ class Network:
         times = _times("source spike times", schedule)
         if not all(map(operator.lt, times, times[1:])):
             raise ValueError("source schedule must be strictly increasing")
-        sid = self._take_id()
+        sid = len(self.neurons) + len(self.sources)
         self.sources[sid] = times
         return sid
 
@@ -204,7 +199,8 @@ class Network:
         template = self.synapses[synapses.start:synapses.stop]
         if not all(syn.target in entities for syn in template):
             raise ValueError("every template synapse must target entities")
-        first, size, moved = self._next_id, len(entities), moved or {}
+        first = len(self.neurons) + len(self.sources)
+        size, moved = len(entities), moved or {}
         for source, stride in moved.items():
             if (type(source) is not int or type(stride) is not int
                     or source in entities or not 0 <= source < first
@@ -215,7 +211,6 @@ class Network:
                         first - entities.start + count * size, size)
         self.neurons.update(zip(range(first, first + count * size),
                                 [self.neurons[eid] for eid in entities] * count))
-        self._next_id += count * size
         sources, targets, weights, delays = list(zip(*template)) or [()] * 4
         # copy k takes a source from base + k * step: a template neuron
         # moves with its copy, a moved source by its stride
@@ -237,16 +232,14 @@ class Network:
             if type(eid) is not int or (eid not in self.neurons
                                         and eid not in self.sources):
                 raise ValueError(f"unknown entity id {eid!r}")
-            if eid not in self._recorded_set:
-                self._recorded_set.add(eid)
-                self.recorded.append(eid)
+            self.recorded[eid] = None
 
     def run(self, duration_ms: int) -> SpikeRecord:
         """Simulate [0, duration_ms) and return spikes of recorded ids."""
         _require_int("duration_ms", duration_ms, 1)
         trains = _levelized_trains(self, duration_ms)
         return SpikeRecord(duration_ms, trains={
-            eid: trains[eid] for eid in sorted(self._recorded_set)})
+            eid: trains[eid] for eid in sorted(self.recorded)})
 
 
 # ---------------------------------------------------------------------------

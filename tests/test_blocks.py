@@ -21,7 +21,6 @@ from spikelogic.blocks import (
     build_multiplexer,
 )
 from spikelogic.gates import (
-    PortMap,
     build_and_classic,
     build_and_fast,
     build_css,
@@ -114,7 +113,7 @@ class TestDLatch:
         net = Network()
         css = build_css(net)
         latch = build_d_latch(net, "fast", css)
-        assert set(latch.ports.inputs) == {"store", "data", "data_not"}
+        assert set(latch.inputs) == {"store", "data", "data_not"}
         with pytest.raises(ValueError):
             latch.input_taps("nope")
 
@@ -171,8 +170,8 @@ class TestMemory:
         css = build_css(net)
         memory = build_memory(net, 2, 1, "fast", css)
         assert memory.decoder.params["n"] == 2
-        assert "ch3" in memory.decoder.ports.outputs
-        assert "q3_0" not in memory.ports.outputs
+        assert "ch3" in memory.decoder.outputs
+        assert "q3_0" not in memory.outputs
 
 
 class TestLatencies:
@@ -283,14 +282,14 @@ class TestPorts:
         net = Network()
         css = build_css(net)
         decoder = build_decoder(net, 2, "fast", css)
-        assert set(decoder.ports.inputs) == {"s0", "s1"}
-        assert set(decoder.ports.outputs) == {"ch0", "ch1", "ch2", "ch3"}
+        assert set(decoder.inputs) == {"s0", "s1"}
+        assert set(decoder.outputs) == {"ch0", "ch1", "ch2", "ch3"}
 
     def test_encoder_d0_exists_unconnected(self):
         net = Network()
         encoder = build_encoder(net, 4)
         assert encoder.input_taps("d0") == ()
-        assert set(encoder.ports.outputs) == {"or0", "or1"}
+        assert set(encoder.outputs) == {"or0", "or1"}
 
     def test_encoder_build_peak_memory(self):
         # an OR gate has one input port, not one per input it ORs, so
@@ -307,18 +306,18 @@ class TestPorts:
         net = Network()
         css = build_css(net)
         mux = build_multiplexer(net, 1, "classic", css)
-        assert set(mux.ports.inputs) == {"s0", "d0", "d1"}
-        assert set(mux.ports.outputs) == {"out"}
+        assert set(mux.inputs) == {"s0", "d0", "d1"}
+        assert set(mux.outputs) == {"out"}
         demux = build_demultiplexer(net, 1, "classic", css)
-        assert set(demux.ports.inputs) == {"s0", "d"}
-        assert set(demux.ports.outputs) == {"ch0", "ch1"}
+        assert set(demux.inputs) == {"s0", "d"}
+        assert set(demux.outputs) == {"ch0", "ch1"}
 
     def test_memory_port_names(self):
         net = Network()
         css = build_css(net)
         memory = build_memory(net, 2, 2, "fast", css)
-        assert set(memory.ports.inputs) == {"s0", "s1", "d0", "d1"}
-        assert set(memory.ports.outputs) == {"q1_0", "q1_1", "q2_0", "q2_1"}
+        assert set(memory.inputs) == {"s0", "s1", "d0", "d1"}
+        assert set(memory.outputs) == {"q1_0", "q1_1", "q2_0", "q2_1"}
 
     def test_bad_and_kind_rejected(self):
         net = Network()
@@ -377,8 +376,8 @@ def test_classic_equals_fast_shifted_by_latency_difference(kind, size):
     for _ in range(20):
         net = Network()
         built = {ak: build_block(net, kind, ak, size) for ak in KINDS}
-        ports = list(built["classic"].ports.inputs)
-        assert list(built["fast"].ports.inputs) == ports
+        ports = list(built["classic"].inputs)
+        assert list(built["fast"].inputs) == ports
         words = [rng.randrange(2 ** len(ports)) for _ in range(60)]
         duration = len(words) + latency["classic"] + 3
         for k, port in enumerate(ports):
@@ -386,7 +385,7 @@ def test_classic_equals_fast_shifted_by_latency_difference(kind, size):
                 [1 + i for i, word in enumerate(words) if word >> k & 1])
             for block in built.values():
                 drive(net, block, port, source)
-        outputs = {ak: list(built[ak].ports.outputs.values()) for ak in KINDS}
+        outputs = {ak: list(built[ak].outputs.values()) for ak in KINDS}
         net.record(*outputs["classic"], *outputs["fast"])
         record = net.run(duration)
         for classic, fast in zip(outputs["classic"], outputs["fast"]):
@@ -417,7 +416,7 @@ def test_delaying_every_input_delays_every_output(kind, ak, data):
     size = data.draw(DELAY_SIZES[kind], label="size")
     k = data.draw(st.integers(0, 13), label="k")
     ak, _ = block_config(kind, ak)  # None without an AND stage
-    width = len(build_block(Network(), kind, ak, size).ports.inputs)
+    width = len(build_block(Network(), kind, ak, size).inputs)
     words = data.draw(st.lists(st.integers(0, 2 ** width - 1),
                                min_size=1, max_size=24), label="words")
     latency = expected_latency(kind, ak)
@@ -426,10 +425,10 @@ def test_delaying_every_input_delays_every_output(kind, ak, data):
     for delay in (0, k):
         net = Network()
         block = build_block(net, kind, ak, size)
-        for b, port in enumerate(block.ports.inputs):
+        for b, port in enumerate(block.inputs):
             drive(net, block, port, net.add_source(
                 [delay + 1 + i for i, word in enumerate(words) if word >> b & 1]))
-        outputs = list(block.ports.outputs.values())
+        outputs = list(block.outputs.values())
         net.record(*outputs)
         record = net.run(duration)
         trains.append([record.trains[eid] for eid in outputs])
@@ -477,8 +476,8 @@ def _latch_shape(net: Network, latch) -> tuple:
     span = slice(latch.synapses.start, latch.synapses.stop)
     return (len(latch.entities),
             {name: [(rel(t.target), t.weight_quanta, t.delay_ms, t.category)
-                    for t in taps] for name, taps in latch.ports.inputs.items()},
-            {name: rel(eid) for name, eid in latch.ports.outputs.items()},
+                    for t in taps] for name, taps in latch.inputs.items()},
+            {name: rel(eid) for name, eid in latch.outputs.items()},
             [(rel(source), rel(target), weight, delay, label)
              for (source, target, weight, delay), label in zip(
                  net.synapses[span], net.categories[span])])
@@ -515,10 +514,10 @@ def test_stamped_latches_equal_a_built_one(ak, monkeypatch):
         offset, shift = k * width, k * block
         latch = dataclasses.replace(
             template,
-            ports=PortMap({name: padded(taps, 0, offset)
-                           for name, taps in template.ports.inputs.items()},
-                          {name: eid + offset
-                           for name, eid in template.ports.outputs.items()}),
+            inputs={name: padded(taps, 0, offset)
+                    for name, taps in template.inputs.items()},
+            outputs={name: eid + offset
+                     for name, eid in template.outputs.items()},
             entities=range(template.entities.start + offset,
                            template.entities.stop + offset),
             synapses=range(template.synapses.start + shift,
@@ -544,7 +543,7 @@ def _per_latch_memory(net, registers, bits, and_kind, css):
         wire(net, column_nots[k % bits].output(),
              padded(latch.input_taps("data_not"), decoder.latency_ms - 1))
         latches.append(latch)
-    inputs = dict(decoder.ports.inputs)
+    inputs = dict(decoder.inputs)
     for j in range(bits):
         taps = list(padded(column_nots[j].input_taps("in"), category="Data to NOT"))
         for latch in latches[j::bits]:
@@ -554,8 +553,7 @@ def _per_latch_memory(net, registers, bits, and_kind, css):
                for k, latch in enumerate(latches)}
     return blocks._block(net, start, "memory", and_kind,
                          {"registers": registers, "bits": bits},
-                         PortMap(inputs, outputs),
-                         css, decoder=decoder)
+                         inputs, outputs, css, decoder=decoder)
 
 
 def _memory_block(build, registers: int, bits: int, ak: str) -> tuple:
@@ -564,8 +562,8 @@ def _memory_block(build, registers: int, bits: int, ak: str) -> tuple:
     net = Network()
     memory = build(net, registers, bits, ak, build_css(net))
     return (net.neurons, net.synapses, net.categories, memory.entities,
-            memory.synapses, list(memory.ports.inputs.items()),
-            list(memory.ports.outputs.items()), memory.resources)
+            memory.synapses, list(memory.inputs.items()),
+            list(memory.outputs.items()), memory.resources)
 
 
 @given(st.integers(1, 40), st.integers(1, 9), st.sampled_from(KINDS))
@@ -616,7 +614,7 @@ def _per_gate_select_stage(net, n, and_kind, css, fan_in):
                 wire(net, inverters[b].output(), inverted[j])
         select_ports[f"s{b}"] = tuple(taps)
     # an AND has one input port, which every select line drives
-    assert all(list(gate.ports.inputs) == ["in"] for gate in gates)
+    assert all(list(gate.inputs) == ["in"] for gate in gates)
     # the gates' taps in channel order, one tuple
     return ([gate.output() for gate in gates], tuple(chain.from_iterable(inverted)),
             select_ports)
@@ -632,8 +630,8 @@ def _select_block(kind: str, n: int, ak: str) -> tuple:
     net = Network()
     block = SELECT_BUILDERS[kind](net, n, ak, build_css(net))
     return (net.neurons, net.synapses, net.categories, block.entities,
-            block.synapses, list(block.ports.inputs.items()),
-            list(block.ports.outputs.items()), block.resources)
+            block.synapses, list(block.inputs.items()),
+            list(block.outputs.items()), block.resources)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

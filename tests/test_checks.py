@@ -140,8 +140,8 @@ def test_bad_input_raises_naming_it(call, named):
 @pytest.mark.parametrize("call, admits", [
     (lambda: run_experiment("decoder-encoder"), 3),
     (lambda: run_experiment("mux-demux"), 2),
-    (lambda: run_experiment("d-latch"), 2),
-    (lambda: run_experiment("memory"), 3),
+    (lambda: run_experiment("d-latch"), 1),
+    (lambda: run_experiment("memory"), 2),
     (lambda: verify_block("decoder"), 10),
     (lambda: verify_block("multiplexer"), 10),
     (lambda: verify_block("demultiplexer"), 10),

@@ -280,7 +280,7 @@ class TestSrLatch:
 ], ids=["not", "or", "and-classic", "and-fast", "sr-latch"])
 def test_gate_input_ports(build, ports):
     net, css = css_net()
-    assert list(build(net, css).ports.inputs) == ports
+    assert list(build(net, css).inputs) == ports
 
 
 def test_drive_rejects_unknown_port():

@@ -622,6 +622,16 @@ def test_block_config_rejects_a_size_the_kind_does_not_read(kind, sizes, flag):
         harness.block_config(kind, **sizes)
 
 
+@pytest.mark.parametrize("call", [harness.block_config, measure_latency,
+                                  verify_block],
+                         ids=["block_config", "measure_latency", "verify_block"])
+def test_an_unknown_size_keyword_is_refused_naming_it(call):
+    # a keyword that no kind reads is refused as a size this kind does
+    # not read: a ValueError naming it, not a TypeError
+    with pytest.raises(ValueError, match="^decoder takes n, not width$"):
+        call("decoder", width=3)
+
+
 def _assert_priced(kind: str, ak: str, size: tuple) -> None:
     """block_query's price is the built block's, except for a partially
     filled memory: priced as the full memory of its depth, it builds
@@ -630,8 +640,8 @@ def _assert_priced(kind: str, ak: str, size: tuple) -> None:
     ak, _ = harness.block_config(kind, ak)  # None without an AND stage
     query = harness.block_query(kind, ak, size)
     built = build_block(Network(), kind, ak, size)
-    assert _FORMS[kind].ports(*size) == (len(built.ports.inputs),
-                                         len(built.ports.outputs))
+    assert _FORMS[kind].ports(*size) == (len(built.inputs),
+                                         len(built.outputs))
     if kind == "memory" and size[0] != 2 ** size[0].bit_length() - 1:
         assert (query.form, query.n, query.c) == (
             "n", size[0].bit_length(), size[1])

@@ -204,7 +204,7 @@ def test_check_pipelined_networks(kind, and_kind, monkeypatch):
     runs = _capture_runs(monkeypatch)
     ak, size = block_config(kind, and_kind)
     rng = random.Random(f"{kind}-{and_kind}")
-    width = len(build_block(Network(), kind, ak, size).ports.inputs)
+    width = len(build_block(Network(), kind, ak, size).inputs)
     check_pipelined(kind, ak, size,
                     [rng.randrange(2 ** width) for _ in range(40)], kind)
     ((net, record),) = runs
@@ -276,7 +276,7 @@ def test_run_plan_memory_per_synapse():
     # synapses) peaks at about 130 bytes per synapse
     net = Network()
     memory = build_block(net, "memory", "classic", (255, 16))
-    net.record(*memory.ports.outputs.values())
+    net.record(*memory.outputs.values())
     tracemalloc.start()
     try:
         net.run(100)

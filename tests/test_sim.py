@@ -200,6 +200,36 @@ class TestDeterminism:
         assert record.duration_ms == duration
 
 
+@given(st.data())
+def test_ids_stay_dense_and_recorded_keeps_first_order(data):
+    # every new id is the count of entities before the call, through
+    # neurons, sources and copies alike; record keeps the order in which
+    # ids were first recorded and ignores repeats, and run reports them
+    # sorted
+    net, order = Network(), []
+    for step in data.draw(st.lists(st.sampled_from(
+            ["neuron", "source", "copy", "record"]), max_size=30)):
+        before = len(net.neurons) + len(net.sources)
+        if step == "neuron":
+            assert net.add_neuron() == before
+        elif step == "source":
+            assert net.add_source([1]) == before
+        elif step == "copy" and net.neurons:
+            nid = data.draw(st.sampled_from(sorted(net.neurons)))
+            count = data.draw(st.integers(0, 3))
+            offsets = net.copy(range(nid, nid + 1), range(0), count)
+            assert [nid + offset for offset in offsets] == list(
+                range(before, before + count))
+        elif step == "record" and before:
+            ids = data.draw(st.lists(st.integers(0, before - 1), max_size=5))
+            net.record(*ids)
+            order += [eid for eid in dict.fromkeys(ids) if eid not in order]
+        total = len(net.neurons) + len(net.sources)
+        assert sorted([*net.neurons, *net.sources]) == list(range(total))
+    assert list(net.recorded) == order
+    assert list(net.run(3).trains) == sorted(order)
+
+
 def test_synapse_is_plain_data():
     syn = Synapse(0, 1, -2, 3)
     assert (syn.source, syn.target, syn.weight_quanta, syn.delay_ms) == \

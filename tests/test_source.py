@@ -2,7 +2,10 @@
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from spikelogic.resources import ReconcileReport
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spikelogic"
 
@@ -78,6 +81,27 @@ def test_a_neuron_is_its_threshold():
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 names.add(node.id)
     assert "NeuronParams" not in names
+
+
+def test_each_fact_is_held_once():
+    # a Handle holds its input and output ports itself, a Network derives
+    # its next id from its entity count and keeps its recorded ids in one
+    # dict, and a reconcile report leaves the measured report to the
+    # handle: no module defines a port bag, an id counter or a second
+    # record of the recorded ids
+    names, attributes = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)):
+                attributes.add(node.attr)
+    assert "PortMap" not in names
+    assert not attributes & {"_next_id", "_recorded_set"}
+    assert "measured" not in {field.name for field in fields(ReconcileReport)}
 
 
 def test_one_check_per_kind_of_input():
