@@ -40,7 +40,6 @@ per stage, so each gate's taps are made once and shared by the n lines.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain, compress, cycle
 from operator import itemgetter
 
@@ -85,16 +84,14 @@ def _block(net: Network, start: tuple[int, int], kind: str, and_kind,
     handle = _spanned(net, start, kind, inputs, outputs,
                       expected_latency(kind, and_kind),
                       and_kind=and_kind, params=params, **fields)
-    span = slice(handle.synapses.start, handle.synapses.stop)
     neurons = len(handle.entities)
     if _FORMS[kind].counts_css:
-        categories = Counter(net.categories[span])
+        categories = net.label_counts(handle.synapses)
         neurons += 2
         categories[CAT_INTERNAL_CSS] += 2
     else:
-        from_css = css.entities if css is not None else ()
-        categories = Counter(compress(net.categories[span], [
-            syn.source not in from_css for syn in net.synapses[span]]))
+        categories = net.label_counts(
+            handle.synapses, css.entities if css is not None else ())
     categories.update(map(itemgetter(3), chain.from_iterable(inputs.values())))
     handle.resources = ResourceReport(neurons, sum(categories.values()),
                                       dict(sorted(categories.items())))

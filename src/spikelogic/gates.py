@@ -19,9 +19,10 @@ millisecond from t=2 onward.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .resources import ResourceReport
 from .sim import Network, _require_int

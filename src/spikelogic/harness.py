@@ -93,10 +93,10 @@ from .trace import SpikeRow, Trace, hex_word_row, spike_row, value_row
 DEFAULT_SEED = 7
 
 # The most synapses a block's closed form may count for it to be built.
-# Under tracemalloc on CPython 3.11 a build peaks at about 190 bytes per
-# counted synapse: 85.8 MB (192 B each) for the 447,200 of a classic
-# memory with r=1023, c=32, 69.3 MB (186 B each) for the 372,512 of a
-# fast one. So this admits builds of up to about 0.4 GB, 4.5 times that
+# Under tracemalloc on CPython 3.11 a build peaks at about 85 bytes per
+# counted synapse: 37.7 MB (84 B each) for the 447,200 of a classic
+# memory with r=1023, c=32, 30.0 MB (81 B each) for the 372,512 of a
+# fast one. So this admits builds of up to about 0.17 GB, 4.5 times that
 # classic memory. It refuses the select kinds from n=16 (classic) or
 # n=17 (fast), the encoder from 228,110 inputs and a memory of r
 # registers whose full memory of the same depth, n = r.bit_length(),
@@ -892,7 +892,7 @@ def measure_latency(kind: str, and_kind: str | None = None,
     # _components puts every source before its targets, and its one
     # cycle, the CSS ring, is reached from no input. Inhibitory synapses
     # are paths too: channel 0 is reached only through the inverters.
-    for nid in chain.from_iterable(_components(fan_in)):
+    for nid in chain.from_iterable(_components(fan_in, operator.itemgetter(0))):
         for source, _, _, delay in fan_in[nid]:
             arrive[nid] |= arrive[source] << delay
     shared = None

@@ -27,11 +27,14 @@ order of the strongly connected components of the neuron graph:
 from __future__ import annotations
 
 import operator
+from array import array
+from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Container, Iterable, Iterator, Mapping, NamedTuple
 
 
 def _require_int(name: str, value, least: int) -> None:
@@ -95,20 +98,89 @@ class SpikeRecord:
         return MappingProxyType({eid: self.times(eid) for eid in self.trains})
 
 
+# weights and delays are stored as signed 64-bit ints, label codes as bytes
+_INT64 = 1 << 63
+_LABELS = 256
+
+
+class _View(Sequence):
+    """A read-only sequence over columns of a network's synapses: len,
+    int indexing (negative too), slicing to a list, and iteration. Two
+    views of one kind are equal when their items are."""
+
+    __slots__ = ("_columns",)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return list(self._items([column[key] for column in self._columns]))
+        return self._item(key)
+
+    def __iter__(self):
+        return self._items(self._columns)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+class SynapseView(_View):
+    """Synapse k of a network: Synapse(source[k], target[k], weight[k],
+    delay[k]) of its four int columns."""
+
+    __slots__ = ()
+
+    def __init__(self, columns: tuple[array, array, array, array]) -> None:
+        self._columns = columns
+
+    def _item(self, k: int) -> Synapse:
+        return Synapse(*[column[k] for column in self._columns])
+
+    @staticmethod
+    def _items(columns) -> Iterator[Synapse]:
+        return map(tuple.__new__, repeat(Synapse), zip(*columns))
+
+
+class LabelView(_View):
+    """The label of synapse k of a network: the entry of its label table
+    that the index column names."""
+
+    __slots__ = ("_labels",)
+
+    def __init__(self, labels: list[str], index: array) -> None:
+        self._labels, self._columns = labels, (index,)
+
+    def _item(self, k: int) -> str:
+        return self._labels[self._columns[0][k]]
+
+    def _items(self, columns) -> Iterator[str]:
+        return map(self._labels.__getitem__, columns[0])
+
+
 class Network:
     """A static graph of neurons, spike sources and synapses.
 
     Neurons and sources share one dense id space assigned in insertion
-    order, so the next id is their count. The network itself holds no
-    run state; each call to run() simulates from scratch, so repeated
+    order, so the next id is their count. Synapses are stored as columns:
+    four signed 64-bit int arrays (source, target, weight, delay) and a
+    one-byte index into a table of at most 256 labels. synapses and
+    categories are read-only views over them. The network itself holds
+    no run state; each call to run() simulates from scratch, so repeated
     runs are identical.
     """
 
     def __init__(self) -> None:
         self.neurons: dict[int, int] = {}  # id -> threshold_quanta
         self.sources: dict[int, tuple[int, ...]] = {}
-        self.synapses: list[Synapse] = []
-        self.categories: list[str] = []
+        self._columns = tuple(array("q") for _ in range(4))
+        self._labels: list[str] = []
+        self._codes: dict[str, int] = {}  # label -> its index in _labels
+        self._index = array("B")
+        self.synapses = SynapseView(self._columns)
+        self.categories = LabelView(self._labels, self._index)
         # the recorded ids in first-recorded order, as dict keys
         self.recorded: dict[int, None] = {}
 
@@ -147,14 +219,25 @@ class Network:
             if type(target) is int and target in self.sources:
                 raise ValueError("spike sources cannot receive synapses")
             raise ValueError(f"unknown target id {target!r}")
-        if type(weight_quanta) is not int or weight_quanta == 0:
-            raise ValueError("weight_quanta must be a nonzero integer, "
+        if (type(weight_quanta) is not int or weight_quanta == 0
+                or not -_INT64 <= weight_quanta < _INT64):
+            raise ValueError("weight_quanta must be a nonzero 64-bit integer, "
                              f"not {weight_quanta!r}")
-        if type(delay_ms) is not int or delay_ms < 1:
-            raise ValueError(f"delay_ms must be an integer >= 1, not {delay_ms!r}")
-        self.synapses.append(Synapse(source, target, weight_quanta, delay_ms))
-        self.categories.append(category)
-        return len(self.synapses) - 1
+        if type(delay_ms) is not int or not 1 <= delay_ms < _INT64:
+            raise ValueError("delay_ms must be a 64-bit integer >= 1, "
+                             f"not {delay_ms!r}")
+        if type(category) is not str:
+            raise ValueError(f"category must be a str, not {category!r}")
+        if category not in self._codes:
+            if len(self._labels) == _LABELS:
+                raise ValueError(f"a network holds at most {_LABELS} labels")
+            self._codes[category] = len(self._labels)
+            self._labels.append(category)
+        for column, value in zip(self._columns,
+                                 (source, target, weight_quanta, delay_ms)):
+            column.append(value)
+        self._index.append(self._codes[category])
+        return len(self._index) - 1
 
     def connect_taps(self, source: int, taps: Iterable[Sequence]) -> None:
         """Add one synapse from source per (target, weight_quanta, delay_ms,
@@ -163,19 +246,29 @@ class Network:
         one, so the error and the synapses added before the bad tap are
         connect()'s."""
         taps = tuple(taps)
-        # every tap a 4-tuple, every field but the label an int (a bool
-        # refused), the source an entity, the targets neurons
+        # every tap a 4-tuple, every field an int (a bool refused) but the
+        # label, a str, the source an entity, the targets neurons
         if (type(source) is int and (source in self.neurons or source in self.sources)
                 and all(map(isinstance, taps, repeat(tuple)))
                 and {*map(len, taps)} == {4}):
             targets, weights, delays, labels = zip(*taps)
             if ({*map(type, targets), *map(type, weights), *map(type, delays)}
-                    == {int} and 0 not in weights
-                    and min(delays) >= 1 and self.neurons.keys() >= {*targets}):
-                self.synapses.extend(map(tuple.__new__, repeat(Synapse),
-                                         zip(repeat(source), targets, weights, delays)))
-                self.categories.extend(labels)
-                return
+                    == {int} and {*map(type, labels)} == {str} and 0 not in weights
+                    and -_INT64 <= min(weights) and max(weights) < _INT64
+                    and 1 <= min(delays) and max(delays) < _INT64
+                    and self.neurons.keys() >= {*targets}):
+                # the labels the table lacks, in first-seen order
+                new = [label for label in dict.fromkeys(labels)
+                       if label not in self._codes]
+                if len(self._labels) + len(new) <= _LABELS:
+                    self._codes.update(zip(new, range(len(self._labels), _LABELS)))
+                    self._labels.extend(new)
+                    # an array extends another with one copy
+                    for column, values in zip(self._columns, (
+                            array("q", (source,)) * len(taps), targets, weights, delays)):
+                        column.extend(array("q", values))
+                    self._index.extend(array("B", map(self._codes.__getitem__, labels)))
+                    return
         for target, weight_quanta, delay_ms, category in taps:
             self.connect(source, target, weight_quanta, delay_ms, category)
 
@@ -194,10 +287,12 @@ class Network:
                 and all(map(self.neurons.__contains__, entities))):
             raise ValueError(f"{entities!r} is not a range of neuron ids")
         if not (type(synapses) is range and synapses.step == 1 and
-                0 <= synapses.start <= synapses.stop <= len(self.synapses)):
+                0 <= synapses.start <= synapses.stop <= len(self._index)):
             raise ValueError(f"{synapses!r} is not a range of synapse indices")
-        template = self.synapses[synapses.start:synapses.stop]
-        if not all(syn.target in entities for syn in template):
+        span = slice(synapses.start, synapses.stop)
+        sources, targets, weights, delays = (column[span]
+                                             for column in self._columns)
+        if not all(map(entities.__contains__, targets)):
             raise ValueError("every template synapse must target entities")
         first = len(self.neurons) + len(self.sources)
         size, moved = len(entities), moved or {}
@@ -211,21 +306,32 @@ class Network:
                         first - entities.start + count * size, size)
         self.neurons.update(zip(range(first, first + count * size),
                                 [self.neurons[eid] for eid in entities] * count))
-        sources, targets, weights, delays = list(zip(*template)) or [()] * 4
-        # copy k takes a source from base + k * step: a template neuron
-        # moves with its copy, a moved source by its stride
+        # copy k takes a synapse's source from base + k * step and its
+        # target from target + offsets[k]: a template neuron moves with
+        # its copy, a moved source by its stride
         steps = [size if source in entities else moved.get(source, 0)
                  for source in sources]
         bases = [source + (offsets.start if source in entities else step)
                  for source, step in zip(sources, steps)]
-        self.synapses.extend(map(tuple.__new__, repeat(Synapse), zip(
-            [base + k * step for k in range(count)
-             for base, step in zip(bases, steps)],
-            [target + offset for offset in offsets for target in targets],
-            weights * count, delays * count)))
-        self.categories.extend(
-            self.categories[synapses.start:synapses.stop] * count)
+        self._columns[0].extend(array("q", list(_copied(bases, steps, count))))
+        self._columns[1].extend(array("q", list(_copied(
+            map(offsets.start.__add__, targets), repeat(size), count))))
+        self._columns[2].extend(weights * count)
+        self._columns[3].extend(delays * count)
+        self._index.extend(self._index[span] * count)
         return offsets
+
+    def label_counts(self, synapses: range, skipped: Container[int] = ()) -> Counter:
+        """How many of the synapses of index range synapses carry each
+        label (labels they do not carry left out), not counting those
+        whose source is in skipped: one C-level count per label."""
+        span = slice(synapses.start, synapses.stop)
+        codes = self._index[span].tobytes()
+        if skipped:
+            codes = bytes(compress(codes, [source not in skipped
+                                           for source in self._columns[0][span]]))
+        counts = Counter(dict(zip(self._labels, map(codes.count, range(_LABELS)))))
+        return +counts
 
     def record(self, *entity_ids: int) -> None:
         for eid in entity_ids:
@@ -240,6 +346,14 @@ class Network:
         trains = _levelized_trains(self, duration_ms)
         return SpikeRecord(duration_ms, trains={
             eid: trains[eid] for eid in sorted(self.recorded)})
+
+
+def _copied(starts: Iterable[int], steps: Iterable[int], count: int) -> Iterator[int]:
+    """For k in range(count), start + k * step of each (start, step) in
+    turn: the values of a template's column over count copies, in order."""
+    return chain.from_iterable(zip(*[
+        range(start, start + count * step, step) if step else repeat(start, count)
+        for start, step in zip(starts, steps)]))
 
 
 # ---------------------------------------------------------------------------
@@ -277,21 +391,29 @@ def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
     # add_source checked the schedules
     trains = {sid: _train([t for t in times if t < duration])
               for sid, times in net.sources.items()}
-    # the plan: per neuron, its synapses that can land inside the run
-    fan_in: dict[int, list[Synapse]] = {nid: [] for nid in net.neurons}
-    for syn in net.synapses:
-        if syn.delay_ms < duration:
-            fan_in[syn.target].append(syn)
-    for component in _components(fan_in):
-        nid = component[0]
-        loop = [(delay, w) for src, _, w, delay in fan_in[nid] if src == nid]
-        held = sum(w for _, w in loop)
-        if len(component) > 1 or held < 0 or any(d != 1 for d, _ in loop):
-            trains.update(_stepped_component(net, component, fan_in, trains,
-                                             duration))
-            continue
-        inputs = [((trains[src] << delay) & mask, weight)
-                  for src, _, weight, delay in fan_in[nid] if src != nid]
+    # the plan: per neuron, the indices of its synapses that can land
+    # inside the run (one list.append per synapse, run in C), and the
+    # neurons with a synapse onto themselves; sources, weights and delays
+    # are read from the columns only while a neuron is evaluated
+    sources, targets, weights, delays = net._columns
+    fan_in: dict[int, list[int]] = {nid: [] for nid in net.neurons}
+    lands = bytes(map(duration.__gt__, delays))
+    deque(map(list.append, map(fan_in.__getitem__, compress(targets, lands)),
+              compress(range(len(lands)), lands)), 0)
+    looped = {*compress(targets, map(operator.eq, sources, targets))}
+    for component in _components(fan_in, sources.__getitem__):
+        nid, synapses, held = component[0], fan_in[component[0]], 0
+        if len(component) > 1 or nid in looped:
+            loop = [k for k in synapses if sources[k] == nid]
+            held = sum(weights[k] for k in loop)
+            if len(component) > 1 or held < 0 or any(delays[k] != 1 for k in loop):
+                trains.update(_stepped_component(net, component, {
+                    member: list(map(net.synapses.__getitem__, fan_in[member]))
+                    for member in component}, trains, duration))
+                continue
+            synapses = [k for k in synapses if sources[k] != nid]
+        inputs = [((trains[sources[k]] << delays[k]) & mask, weights[k])
+                  for k in synapses]
         planes, offset = _bit_sliced_sum(inputs, mask)
         threshold = net.neurons[nid] + offset
         fire = _at_least(planes, threshold, mask)
@@ -306,10 +428,12 @@ def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
     return trains
 
 
-def _components(fan_in: dict[int, list[Synapse]]) -> list[list[int]]:
-    """Strongly connected components of the graph neuron -> its synapses'
-    neuron sources, each after every component it depends on (iterative
-    Tarjan, which emits a component once all it reaches are emitted)."""
+def _components(fan_in: dict[int, list], source: Callable[[Any], int],
+                ) -> list[list[int]]:
+    """Strongly connected components of the graph neuron -> the sources
+    of its fan-in entries, source(entry) each, every component after
+    each one it depends on (iterative Tarjan, which emits a component
+    once all it reaches are emitted)."""
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     stack: list[int] = []
@@ -321,15 +445,15 @@ def _components(fan_in: dict[int, list[Synapse]]) -> list[list[int]]:
         index[root] = low[root] = len(index)
         stack.append(root)
         on_stack.add(root)
-        work = [(root, iter(fan_in[root]))]
+        work = [(root, map(source, fan_in[root]))]
         while work:
-            node, synapses = work[-1]
-            for nxt, _, _, _ in synapses:
+            node, sources = work[-1]
+            for nxt in sources:
                 if nxt not in index and nxt in fan_in:  # not a spike source
                     index[nxt] = low[nxt] = len(index)
                     stack.append(nxt)
                     on_stack.add(nxt)
-                    work.append((nxt, iter(fan_in[nxt])))
+                    work.append((nxt, map(source, fan_in[nxt])))
                     break
                 if nxt in on_stack:
                     low[node] = min(low[node], index[nxt])

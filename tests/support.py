@@ -39,8 +39,8 @@ def slow_one_synapse(monkeypatch, builder: str, category: str) -> None:
     def slowed(net, *args):
         block = build(net, *args)
         k = next(k for k in block.synapses if net.categories[k] == category)
-        net.synapses[k] = net.synapses[k]._replace(
-            delay_ms=net.synapses[k].delay_ms + 1)
+        delays = net._columns[3]  # the delay column
+        delays[k] += 1
         return block
 
     monkeypatch.setattr(harness, builder, slowed)

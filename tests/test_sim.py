@@ -49,7 +49,7 @@ class TestConstruction:
         a, b = net.add_neuron(), net.add_neuron()
         net.connect(a, b, 1, 1)
         net.connect(b, a, -1, 2, "Internal SR Latch")
-        assert net.categories == ["", "Internal SR Latch"]
+        assert list(net.categories) == ["", "Internal SR Latch"]
         assert len(net.categories) == len(net.synapses)
 
     def test_bad_source_schedules(self):
@@ -89,7 +89,7 @@ class TestConstruction:
             net.connect(True, a, 1, 1)
         with pytest.raises(ValueError, match="target id"):
             net.connect(src, [a], 1, 1)
-        assert net.synapses == []
+        assert list(net.synapses) == []
 
     def test_record_unknown_id(self):
         net = Network()
