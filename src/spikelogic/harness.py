@@ -84,7 +84,7 @@ from .resources import (
     formula_resources,
     reconcile,
 )
-from .sim import (Network, SpikeRecord, _components, _flags, _require_int,
+from .sim import (Network, SpikeRecord, _flags, _plan, _require_int,
                   _times, spike_train)
 from .trace import SpikeRow, Trace, hex_word_row, spike_row, value_row
 
@@ -885,16 +885,15 @@ def measure_latency(kind: str, and_kind: str | None = None,
     for taps in block.inputs.values():
         for target, _, delay, _ in taps:
             arrive[target] |= 1 << delay
-    fan_in = {nid: [] for nid in net.neurons}
-    for syn in net.synapses:
-        if syn.source != syn.target:  # an SR latch's hold is no new path
-            fan_in[syn.target].append(syn)
-    # _components puts every source before its targets, and its one
+    # the kernel's plan puts every source before its targets, and its one
     # cycle, the CSS ring, is reached from no input. Inhibitory synapses
     # are paths too: channel 0 is reached only through the inverters.
-    for nid in chain.from_iterable(_components(fan_in, operator.itemgetter(0))):
-        for source, _, _, delay in fan_in[nid]:
-            arrive[nid] |= arrive[source] << delay
+    sources, _, _, delays = net._columns
+    fan_in, order = _plan(net, 1 + max(delays, default=0))
+    for nid in chain.from_iterable(order):
+        for k in fan_in[nid]:
+            if sources[k] != nid:  # an SR latch's hold is no new path
+                arrive[nid] |= arrive[sources[k]] << delays[k]
     shared = None
     for name, eid in block.outputs.items():
         if arrive[eid].bit_count() != 1 or shared not in (None, arrive[eid]):

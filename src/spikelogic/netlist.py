@@ -146,7 +146,7 @@ def _chunks(net: Network, annotations: dict | None = None) -> Iterator[str]:
     yield from _table(_SOURCE % (sid, _ints(net.sources[sid], 3))
                       for sid in sorted(net.sources))
     yield ',\n  "synapses": '
-    yield from _table(_SYNAPSE % syn for syn in net.synapses)
+    yield from _table(map(_SYNAPSE.__mod__, zip(*net._columns)))
     annotations = json.dumps(annotations or {}, indent=2).replace("\n", "\n  ")
     yield (f',\n  "recorded": {_ints(net.recorded, 1)},\n'
            f'  "annotations": {annotations}\n}}\n')

@@ -10,11 +10,14 @@ integer, which makes runs bit-identical across repeats and independent
 of synapse insertion order.
 
 Two kernels produce the same SpikeRecord. Simulation is the reference:
-it steps one millisecond at a time and delivers each synaptic event on
-its own. Network.run never calls it. It plans each neuron's synapses
-that land inside the run and computes one spike train per entity, an
-int whose bit t is set when the entity spikes at t, in the topological
-order of the strongly connected components of the neuron graph:
+it steps one millisecond at a time over the synapses view and delivers
+each synaptic event on its own. Network.run never calls it. It reads
+the plan of the run, _plan(net, duration): per neuron, the indices of
+its synapses that land inside the run, and the strongly connected
+components of the neuron graph in topological order (harness's
+latency walk reads the same plan). Over that order it computes one
+spike train per entity, an int whose bit t is set when the entity
+spikes at t:
 
 - a neuron outside any cycle thresholds a bit-sliced sum of its
   shifted input trains;
@@ -31,10 +34,10 @@ from array import array
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, compress, repeat
 from types import MappingProxyType
-from typing import Any, Callable, Container, Iterable, Iterator, Mapping, NamedTuple
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple
 
 
 def _require_int(name: str, value, least: int) -> None:
@@ -70,8 +73,9 @@ class Synapse(NamedTuple):
 class SpikeRecord:
     """Spike trains of the recorded entities over [0, duration_ms): bit t
     of trains[eid] is set when eid spikes at t. Built from spike times,
-    SpikeRecord(duration_ms, {eid: times}), or from trains, it keeps a
-    read-only copy; times() and spikes derive time tuples."""
+    SpikeRecord(duration_ms, {eid: times}), or from trains, ints >= 0
+    with no spike from duration_ms on, it keeps a read-only copy; times()
+    and spikes derive time tuples."""
 
     duration_ms: int
     trains: Mapping[int, int]
@@ -82,8 +86,14 @@ class SpikeRecord:
         _require_int("duration_ms", duration_ms, 0)
         if trains is None:
             trains = {eid: spike_train(times) for eid, times in spikes.items()}
+        trains = dict(trains)
+        for eid, train in trains.items():
+            _require_int(f"spike train of entity {eid!r}", train, 0)
+            if train >> duration_ms:
+                raise ValueError(f"spike train of entity {eid!r} spikes at or "
+                                 f"past duration_ms {duration_ms}")
         object.__setattr__(self, "duration_ms", duration_ms)
-        object.__setattr__(self, "trains", MappingProxyType(dict(trains)))
+        object.__setattr__(self, "trains", MappingProxyType(trains))
 
     def times(self, entity_id: int) -> tuple[int, ...]:
         return tuple(compress(self._ticks, _flags(self.trains[entity_id])))
@@ -105,59 +115,36 @@ _LABELS = 256
 
 class _View(Sequence):
     """A read-only sequence over columns of a network's synapses: len,
-    int indexing (negative too), slicing to a list, and iteration. Two
-    views of one kind are equal when their items are."""
+    int indexing (negative too), slicing to a list, and iteration. items
+    makes the items of column slices, in order, and item k is the one
+    item of the columns' one-element slices at k. Two views over as many
+    columns are equal when their items are."""
 
-    __slots__ = ("_columns",)
+    __slots__ = ("_items", "_columns")
+
+    def __init__(self, items, *columns: array) -> None:
+        self._items, self._columns = items, columns
 
     def __len__(self) -> int:
         return len(self._columns[0])
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return list(self._items([column[key] for column in self._columns]))
-        return self._item(key)
+            return list(self._items(*[column[key] for column in self._columns]))
+        return next(self._items(*[(column[key],) for column in self._columns]))
 
     def __iter__(self):
-        return self._items(self._columns)
+        return self._items(*self._columns)
 
     def __eq__(self, other):
-        if type(other) is not type(self):
+        if type(other) is not type(self) or len(other._columns) != len(self._columns):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
-class SynapseView(_View):
-    """Synapse k of a network: Synapse(source[k], target[k], weight[k],
-    delay[k]) of its four int columns."""
-
-    __slots__ = ()
-
-    def __init__(self, columns: tuple[array, array, array, array]) -> None:
-        self._columns = columns
-
-    def _item(self, k: int) -> Synapse:
-        return Synapse(*[column[k] for column in self._columns])
-
-    @staticmethod
-    def _items(columns) -> Iterator[Synapse]:
-        return map(tuple.__new__, repeat(Synapse), zip(*columns))
-
-
-class LabelView(_View):
-    """The label of synapse k of a network: the entry of its label table
-    that the index column names."""
-
-    __slots__ = ("_labels",)
-
-    def __init__(self, labels: list[str], index: array) -> None:
-        self._labels, self._columns = labels, (index,)
-
-    def _item(self, k: int) -> str:
-        return self._labels[self._columns[0][k]]
-
-    def _items(self, columns) -> Iterator[str]:
-        return map(self._labels.__getitem__, columns[0])
+def _synapses(*columns: Iterable[int]) -> Iterator[Synapse]:
+    """Synapse(source, target, weight, delay) of the four columns, in order."""
+    return map(tuple.__new__, repeat(Synapse), zip(*columns))
 
 
 class Network:
@@ -179,8 +166,9 @@ class Network:
         self._labels: list[str] = []
         self._codes: dict[str, int] = {}  # label -> its index in _labels
         self._index = array("B")
-        self.synapses = SynapseView(self._columns)
-        self.categories = LabelView(self._labels, self._index)
+        self.synapses = _View(_synapses, *self._columns)
+        self.categories = _View(partial(map, self._labels.__getitem__),
+                                self._index)
         # the recorded ids in first-recorded order, as dict keys
         self.recorded: dict[int, None] = {}
 
@@ -385,31 +373,39 @@ def _train(times: Sequence[int]) -> int:
     return int(flags[::-1].translate(_DIGIT) or b"0", 2)
 
 
-def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
-    """Spike train of every entity of the network."""
-    mask = (1 << duration) - 1
-    # add_source checked the schedules
-    trains = {sid: _train([t for t in times if t < duration])
-              for sid, times in net.sources.items()}
-    # the plan: per neuron, the indices of its synapses that can land
-    # inside the run (one list.append per synapse, run in C), and the
-    # neurons with a synapse onto themselves; sources, weights and delays
-    # are read from the columns only while a neuron is evaluated
-    sources, targets, weights, delays = net._columns
+def _plan(net: Network, duration: int) -> tuple[dict[int, list[int]],
+                                               list[list[int]]]:
+    """The plan of a run of duration ms: per neuron, the indices of its
+    synapses that land inside the run (one list.append per synapse, run
+    in C), and the strongly connected components of the graph neuron ->
+    the sources of those synapses, each after every one it reads from."""
+    sources, targets, _, delays = net._columns
     fan_in: dict[int, list[int]] = {nid: [] for nid in net.neurons}
     lands = bytes(map(duration.__gt__, delays))
     deque(map(list.append, map(fan_in.__getitem__, compress(targets, lands)),
               compress(range(len(lands)), lands)), 0)
+    return fan_in, _components(fan_in, sources)
+
+
+def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
+    """Spike train of every entity of the network, evaluated over its
+    plan; sources, weights and delays are read from the columns only
+    while a neuron is evaluated."""
+    mask = (1 << duration) - 1
+    # add_source checked the schedules
+    trains = {sid: _train([t for t in times if t < duration])
+              for sid, times in net.sources.items()}
+    fan_in, order = _plan(net, duration)
+    sources, targets, weights, delays = net._columns
     looped = {*compress(targets, map(operator.eq, sources, targets))}
-    for component in _components(fan_in, sources.__getitem__):
+    for component in order:
         nid, synapses, held = component[0], fan_in[component[0]], 0
         if len(component) > 1 or nid in looped:
             loop = [k for k in synapses if sources[k] == nid]
             held = sum(weights[k] for k in loop)
             if len(component) > 1 or held < 0 or any(delays[k] != 1 for k in loop):
-                trains.update(_stepped_component(net, component, {
-                    member: list(map(net.synapses.__getitem__, fan_in[member]))
-                    for member in component}, trains, duration))
+                trains.update(_stepped_component(net, component, fan_in,
+                                                 trains, duration))
                 continue
             synapses = [k for k in synapses if sources[k] != nid]
         inputs = [((trains[sources[k]] << delays[k]) & mask, weights[k])
@@ -428,12 +424,12 @@ def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
     return trains
 
 
-def _components(fan_in: dict[int, list], source: Callable[[Any], int],
-                ) -> list[list[int]]:
-    """Strongly connected components of the graph neuron -> the sources
-    of its fan-in entries, source(entry) each, every component after
-    each one it depends on (iterative Tarjan, which emits a component
-    once all it reaches are emitted)."""
+def _components(fan_in: dict[int, list[int]], sources: array) -> list[list[int]]:
+    """Strongly connected components of the graph neuron -> sources[k]
+    of each synapse index k of its fan-in, every component after each
+    one it depends on (iterative Tarjan, which emits a component once
+    all it reaches are emitted)."""
+    source = sources.__getitem__
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     stack: list[int] = []
@@ -447,8 +443,8 @@ def _components(fan_in: dict[int, list], source: Callable[[Any], int],
         on_stack.add(root)
         work = [(root, map(source, fan_in[root]))]
         while work:
-            node, sources = work[-1]
-            for nxt in sources:
+            node, reads = work[-1]
+            for nxt in reads:
                 if nxt not in index and nxt in fan_in:  # not a spike source
                     index[nxt] = low[nxt] = len(index)
                     stack.append(nxt)
@@ -481,7 +477,7 @@ def _bit_sliced_sum(inputs: list[tuple[int, int]],
     |w| * (not train), adding |w| to the offset, so the signed sum is
     at least theta where the planes are at least theta + offset."""
     planes: list[int] = []
-    offset = 0
+    top = offset = 0  # top: len(planes)
     for train, weight in inputs:
         if weight < 0:
             train ^= mask
@@ -491,12 +487,14 @@ def _bit_sliced_sum(inputs: list[tuple[int, int]],
         while weight:
             if weight & 1:
                 # ripple-carry add train into plane j and up
-                if j > len(planes):
-                    planes.extend([0] * (j - len(planes)))
+                if j > top:
+                    planes.extend([0] * (j - top))
+                    top = j
                 carry, k = train, j
                 while carry:
-                    if k == len(planes):
+                    if k == top:
                         planes.append(carry)
+                        top += 1
                         break
                     plane = planes[k]
                     planes[k] = plane ^ carry
@@ -521,19 +519,19 @@ def _at_least(planes: list[int], threshold: int, mask: int) -> int:
 
 
 def _stepped_component(net: Network, component: list[int],
-                       fan_in: dict[int, list[Synapse]],
+                       fan_in: dict[int, list[int]],
                        trains: dict[int, int], duration: int) -> dict[int, int]:
     """Trains of one feedback component, stepped one ms at a time on byte
     flags, pad zero ticks ahead of t = 0: the known trains of its inputs
     from outside, and the rows its members fill in as they fire."""
-    pad = max(syn.delay_ms for nid in component for syn in fan_in[nid])
+    sources, _, weights, delays = net._columns
+    synapses = [k for nid in component for k in fan_in[nid]]
+    pad = max(map(delays.__getitem__, synapses))
     rows = {nid: bytearray(pad + duration) for nid in component}
     rows.update({src: bytes(pad) + _flags(trains[src]).ljust(duration, b"\0")
-                 for src in {syn.source for nid in component
-                             for syn in fan_in[nid]} - rows.keys()})
+                 for src in {*map(sources.__getitem__, synapses)} - rows.keys()})
     steps = [(rows[nid], net.neurons[nid],
-              [(rows[src], delay, weight)
-               for src, _, weight, delay in fan_in[nid]])
+              [(rows[sources[k]], delays[k], weights[k]) for k in fan_in[nid]])
              for nid in component]
     for now in range(pad, pad + duration):
         for row, threshold, inputs in steps:

@@ -74,6 +74,18 @@ CALLS = {
                         "spike train"),
     "record-train": (lambda: SpikeRecord(3, trains={0: -1}).times(0),
                      "spike train"),
+    # a record's train is an int >= 0, a bool refused, with no spike at
+    # or past its duration, checked when the record is built
+    "record-train-float": (lambda: SpikeRecord(3, trains={0: 2.5}),
+                           "spike train of entity 0"),
+    "record-train-bool": (lambda: SpikeRecord(3, trains={0: True}),
+                          "spike train of entity 0"),
+    "record-train-negative": (lambda: SpikeRecord(3, trains={0: -1}),
+                              "spike train of entity 0"),
+    "record-train-late": (lambda: SpikeRecord(3, trains={0: 8}),
+                          "spike train of entity 0"),
+    "record-spike-late": (lambda: SpikeRecord(3, {0: [5]}),
+                          "spike train of entity 0"),
     # a train with a spike at or past its row's duration
     "SpikeRow-train": (lambda: SpikeRow("a", 8, 3), "spike row's train"),
     "output-port": (lambda: build_css(Network()).output("nope"),

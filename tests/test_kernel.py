@@ -271,9 +271,9 @@ def test_run_memory_does_not_grow_with_the_duration():
 
 
 def test_run_plan_memory_per_synapse():
-    # the plan holds, per neuron, a list of the network's own synapses:
+    # the plan holds, per neuron, a list of the indices of its synapses:
     # a 100 ms run of a classic memory with r=255, c=16 (47,235
-    # synapses) peaks at about 130 bytes per synapse
+    # synapses) peaks at about 170 bytes per synapse
     net = Network()
     memory = build_block(net, "memory", "classic", (255, 16))
     net.record(*memory.outputs.values())

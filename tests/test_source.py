@@ -148,3 +148,23 @@ def test_the_library_raises_value_error():
                 raised.add(f"{path.stem}: {ast.unparse(exc)}")
     assert {hit for hit in raised if not hit.endswith(": ValueError")} == {
         "trace: KeyError", "cli: UsageError"}
+
+
+def test_one_plan_and_one_view_over_the_columns():
+    # sim._plan groups a network's fan-in and orders its components for
+    # the kernel and measure_latency alike, and one view class serves
+    # both the synapses and their labels
+    sim = ast.parse((SRC / "sim.py").read_text(encoding="utf-8"))
+    assert [node.name for node in ast.walk(sim) if isinstance(node, ast.ClassDef)
+            and node.name.endswith("View")] == ["_View"]
+    harness = ast.parse((SRC / "harness.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(harness)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "_plan" in imported and "_components" not in imported
+    # a fan_in in the harness is the plan's, never one it builds
+    built = [ast.unparse(node.value) for node in ast.walk(harness)
+             if isinstance(node, ast.Assign)
+             and "fan_in" in {name.id for target in node.targets
+                              for name in ast.walk(target)
+                              if isinstance(name, ast.Name)}]
+    assert built and all(value.startswith("_plan(") for value in built)

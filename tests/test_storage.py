@@ -208,6 +208,15 @@ def test_columns_equal_a_list_of_synapses(data):
     assert net.synapses != model.synapses
 
 
+def test_a_synapse_view_never_equals_a_label_view():
+    net = Network()
+    assert net.synapses != net.categories and net.categories != net.synapses
+    a = net.add_neuron()
+    net.connect(a, a, 1, 1)
+    assert not net.synapses == net.categories
+    assert net.categories != Network().synapses
+
+
 def test_labels_beyond_the_table_are_refused():
     net = Network()
     a = net.add_neuron()
