@@ -19,10 +19,10 @@ canonical deterministic stimulus and built-in oracle checks:
 
 The runners share one pipeline. Each runner prices its blocks and, in
 _duration, its trace from their sizes, then builds them and reads their
-ports from the built handles; _stimulated applies the stimulus override
-to the canonical per-ms input words; the runner wires and runs its
-blocks and composes its checks from the BLOCKS word oracles; _result
-runs the checks and assembles the trace.
+ports from the built handles; _stimulated builds the canonical per-ms
+input words, or takes the stimulus override in their place; the runner
+wires and runs its blocks and composes its checks from the BLOCKS word
+oracles; _result runs the checks and assembles the trace.
 
 Checks compare spike sets only from (path latency + 1) onward: earlier
 timesteps fall into CSS warmup, where inverter outputs are not yet
@@ -85,7 +85,7 @@ from .resources import (
     reconcile,
 )
 from .sim import (Network, SpikeRecord, _flags, _plan, _require_int,
-                  _times, spike_train)
+                  _times, _train, spike_train)
 from .trace import SpikeRow, Trace, hex_word_row, spike_row, value_row
 
 # Default seed for the randomized chunks of the mux-demux control
@@ -142,7 +142,7 @@ class Check:
 @dataclass
 class ExperimentResult:
     """signal_times: the inputs' spike times inside the run, then the
-    outputs'."""
+    outputs'. The trace's first rows are the inputs', in their order."""
 
     name: str
     and_kind: str
@@ -168,9 +168,9 @@ class ExperimentResult:
 
     @property
     def signal_trains(self) -> dict[str, int]:
-        """The trains of signal_times."""
-        return {**{name: _input_train(times, self.duration_ms)
-                   for name, times in self.inputs.items()},
+        """The trains of signal_times, the inputs' read from their rows."""
+        return {**{row.label: row.train
+                   for row in self.trace.rows[:len(self.inputs)]},
                 **{name: self.record.trains[eid]
                    for name, eid in self.outputs.items()}}
 
@@ -286,11 +286,6 @@ def _spike_rows(record: SpikeRecord, outputs: Mapping[str, int],
                 valid_from: int) -> list[SpikeRow]:
     return [spike_row(name, record.trains[eid], record.duration_ms, valid_from)
             for name, eid in outputs.items()]
-
-
-def _input_train(times: Sequence[int], duration_ms: int) -> int:
-    """The train of an input's times inside a run of duration_ms."""
-    return spike_train(t for t in times if t < duration_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -523,12 +518,14 @@ def _stimulated(cfg: ExperimentConfig, names: Sequence[str], duration: int,
                 ) -> tuple[dict[str, tuple[int, ...]], list[int]]:
     """The inputs and the per-ms input words of a run. canonical(duration)
     gives the default per-ms words, bit k driving names[k] from t=1 on;
-    cfg.stimulus replaces them: a name it gives that is no input, or a
-    time that is not an int >= 0, raises ValueError."""
-    words = canonical(duration)
-    inputs = {name: tuple(t for t in range(1, duration) if words[t] >> k & 1)
-              for k, name in enumerate(names)}
-    if cfg.stimulus is not None:
+    cfg.stimulus replaces them, and canonical is not called: a name it
+    gives that is no input, or a time that is not an int >= 0, raises
+    ValueError."""
+    if cfg.stimulus is None:
+        words = canonical(duration)
+        inputs = {name: tuple(t for t in range(1, duration) if words[t] >> k & 1)
+                  for k, name in enumerate(names)}
+    else:
         unknown = set(cfg.stimulus) - set(names)
         if unknown:
             raise ValueError(f"stimulus signals {sorted(unknown)} do not match "
@@ -546,8 +543,9 @@ def _result(name: str, ak: str, params: dict, net: Network,
     """Each check is _expect_delayed's arguments after the record; the
     trace shows the inputs, then rows."""
     duration = record.duration_ms
-    rows = [spike_row(signal, _input_train(times, duration), duration)
-            for signal, times in inputs.items()] + rows
+    # input times are sorted; those at or past the duration never ran
+    rows = [spike_row(signal, _train(times[:bisect_left(times, duration)]),
+                      duration) for signal, times in inputs.items()] + rows
     return ExperimentResult(
         name, ak, params, net, record, Trace(duration, tuple(rows)), inputs,
         outputs, tuple(_expect_delayed(record, *check) for check in checks))
@@ -762,14 +760,16 @@ def run_experiment(name: str,
                    config: ExperimentConfig | None = None) -> ExperimentResult:
     """Build, stimulate and check one canned experiment. None in the
     config picks the experiment default; a size or duration below 1, or
-    a seed given to an experiment other than mux-demux, which alone
-    reads one, raises ValueError."""
+    a seed that is no int or is given to an experiment other than
+    mux-demux, which alone reads one, raises ValueError."""
     if name not in _RUNNERS:
         raise ValueError(
             f"unknown experiment {name!r}; expected one of {EXPERIMENTS}")
     config = config or ExperimentConfig()
     if name != "mux-demux":
         _unseeded(config.seed, name)
+    else:  # checked here: a stimulus leaves the seed undrawn
+        _random(_seeded(config.seed))
     return _RUNNERS[name](config)
 
 
@@ -953,11 +953,13 @@ def spike_csv(trains: Mapping[str, int], ticks: Sequence[int]) -> Iterator[str]:
         csv.writer(line).writerow([name, ""])
         fields.append(line.getvalue()[:-3])  # less ",\r\n"
     yield "signal,time_ms\r\n"
-    # a flag row per signal, one byte per tick, read a column per tick
-    flags = [_flags(trains[name])[:len(ticks)].ljust(len(ticks), b"\0")
-             for name in names]
-    for t, column in zip(ticks, zip(*flags)):
-        if any(column):
+    # a flag row per signal, one byte per tick, joined into one matrix:
+    # tick i's column is every n-th byte from byte i
+    n = len(ticks)
+    matrix = b"".join(_flags(trains[name])[:n].ljust(n, b"\0") for name in names)
+    for i, t in enumerate(ticks):
+        column = matrix[i::n]
+        if 1 in column:
             end = f",{t}\r\n"
             yield end.join(compress(fields, column)) + end
 

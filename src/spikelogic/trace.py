@@ -74,6 +74,11 @@ class Trace:
 
     def __post_init__(self) -> None:
         _require_int("duration_ms", self.duration_ms, 0)
+        for row in self.rows:  # every row spans the trace's duration
+            ms = row.duration_ms if isinstance(row, SpikeRow) else len(row.cells)
+            if ms != self.duration_ms:
+                raise ValueError(f"row {row.label!r} spans {ms} ms, not the "
+                                 f"trace's {self.duration_ms}")
 
     def row(self, label: str) -> TraceRow | SpikeRow:
         for row in self.rows:
@@ -101,15 +106,17 @@ def hex_word_row(label: str, bit_trains: Sequence[int],
                  duration_ms: int, valid_from: int = 0) -> TraceRow:
     """Register contents per ms from its bit trains, least significant
     first, in hex, blank while 0. Each 8 trains make a byte per ms (their
-    flags, shifted), or-ed into the words; each word is formatted once."""
+    flags, shifted): the first byte is the word, later ones are shifted
+    and or-ed in; each word is formatted once."""
     _require_int("duration_ms", duration_ms, 0)
-    words = [0] * duration_ms
+    words: Sequence[int] = bytes(duration_ms)
     for b in range(0, len(bit_trains), 8):
         byte = 0
         for j, train in enumerate(bit_trains[b:b + 8]):
             byte |= int.from_bytes(_flags(train)[:duration_ms], "little") << j
-        words = list(map(or_, words, map(
-            lshift, byte.to_bytes(duration_ms, "little"), repeat(b))))
+        block = byte.to_bytes(duration_ms, "little")
+        words = block if not b else list(map(
+            or_, words, map(lshift, block, repeat(b))))
     cells = {word: f"0x{word:02X}" if word else "" for word in set(words)}
     return TraceRow(label, tuple(map(cells.__getitem__, words)), valid_from)
 

@@ -46,6 +46,9 @@ CALLS = {
         stimulus={"store": 5})), "stimulus times of signal store"),
     "stimulus-none": (lambda: run_experiment("d-latch", ExperimentConfig(
         stimulus={"store": None})), "stimulus times of signal store"),
+    # checked though a stimulus leaves the seed undrawn
+    "seed-under-stimulus": (lambda: run_experiment("mux-demux", ExperimentConfig(
+        seed="x", stimulus={"s0": [1]})), "seed must be an int"),
     "export-none": (lambda: export_spikes({"a": None}), "spike times of a"),
     "spike_train-str": (lambda: spike_train(["1"]), "spike times"),
     "spike_train-bool": (lambda: spike_train([True]), "spike times"),
@@ -88,6 +91,10 @@ CALLS = {
                           "spike train of entity 0"),
     # a train with a spike at or past its row's duration
     "SpikeRow-train": (lambda: SpikeRow("a", 8, 3), "spike row's train"),
+    # every row of a trace spans its duration
+    "Trace-cells": (lambda: Trace(3, (value_row("v", ["x"]),)), "row 'v'"),
+    "Trace-spike-row": (lambda: Trace(3, (spike_row("s", 0b10001, 5),)),
+                        "row 's'"),
     "output-port": (lambda: build_css(Network()).output("nope"),
                     "css has no output port 'nope'"),
     "not-without-css": (lambda: build_not(Network(), None),

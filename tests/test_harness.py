@@ -26,6 +26,7 @@ from spikelogic.harness import (
     parse_stimulus,
     render_checks,
     run_experiment,
+    spike_csv,
     sweep_decoder,
     sweep_demultiplexer,
     sweep_encoder,
@@ -167,6 +168,33 @@ class TestStimulus:
         assert result.signal_times["store"] == (2,)
         assert "store,100" not in export_spikes(result.signal_times)
 
+    def test_a_stimulus_draws_no_canonical_schedule(self, monkeypatch):
+        # the canonical words are built only where no stimulus replaces them
+        def refuse(*args):
+            raise AssertionError("canonical words built under a stimulus")
+
+        monkeypatch.setattr(harness, "_control_chunks", refuse)
+        assert run_experiment("mux-demux", ExperimentConfig(
+            stimulus={"s0": [1]})).signal_times["s0"] == (1,)
+
+    @pytest.mark.parametrize("stimulated", [False, True],
+                             ids=["canonical", "past-the-run"])
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_signal_trains_are_those_of_signal_times(self, name, stimulated):
+        config = ExperimentConfig()
+        if stimulated:
+            # every other input spikes at its canonical times and past the
+            # run; the rest stay silent
+            canonical = run_experiment(name)
+            end = canonical.duration_ms
+            config = ExperimentConfig(stimulus={
+                port: (*times, end - 1, end, 3 * end) for port, times
+                in list(canonical.inputs.items())[::2]})
+        result = run_experiment(name, config)
+        assert result.signal_trains == {
+            signal: spike_train(times)
+            for signal, times in result.signal_times.items()}
+
     def test_parse_stimulus(self):
         text = "signal,time_ms\nstore,3\nstore,1\nstore,3\ndata1,2\n"
         assert parse_stimulus(text) == {"store": (1, 3), "data1": (2,)}
@@ -226,6 +254,23 @@ class TestExports:
                               for t in times):
             writer.writerow([name, t])
         assert export_spikes(signal_times) == out.getvalue()
+
+    @given(st.integers(0, 12).flatmap(lambda duration: st.tuples(
+        st.just(duration), st.dictionaries(
+            st.text(' ,"\r\nab\u00e9', max_size=4),
+            st.integers(0, 2 ** (duration + 2) - 1), max_size=6))))
+    def test_csv_of_every_tick_matches_the_csv_module(self, case):
+        # a tick per ms: silent ticks write no row, t=0 is a tick, a zero
+        # train writes nothing, and spikes past the ticks are cut
+        duration, trains = case
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(["signal", "time_ms"])
+        for t in range(duration):
+            for name in sorted(trains):
+                if trains[name] >> t & 1:
+                    writer.writerow([name, t])
+        assert "".join(spike_csv(trains, range(duration))) == out.getvalue()
 
     def test_stimulus_csv_round_trip(self):
         times = {"store": (1, 3), "data1": (2,)}
