@@ -82,7 +82,6 @@ def _block(net: Network, start: tuple[int, int], kind: str, and_kind,
     CSS, the report adds its 2 neurons and 2 synapses; elsewhere it
     leaves out the synapses from the CSS."""
     handle = _spanned(net, start, kind, inputs, outputs,
-                      expected_latency(kind, and_kind),
                       and_kind=and_kind, params=params, **fields)
     neurons = len(handle.entities)
     if _FORMS[kind].counts_css:
@@ -230,6 +229,7 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
     _require_int("bits", bits, 1)
     start = _mark(net)
     decoder = build_decoder(net, registers.bit_length(), ak, css)
+    dec_latency = expected_latency("decoder", ak)
     column_nots = [build_not(net, css) for _ in range(bits)]
     # row-major: latch k stores bit k % bits of register k // bits + 1
     # and is latch 0 moved offsets[k] ids on. Latch 0 and its two wires
@@ -238,8 +238,7 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
     latch = build_d_latch(net, ak, css)
     strobe, inverted = decoder.output("ch1"), column_nots[0].output()
     wire(net, strobe, latch.input_taps("store"))
-    wire(net, inverted, padded(latch.input_taps("data_not"),
-                               decoder.latency_ms - 1))
+    wire(net, inverted, padded(latch.input_taps("data_not"), dec_latency - 1))
     columns = [0, *net.copy(latch.entities,
                             range(latch.synapses.start, len(net.synapses)),
                             bits - 1, {inverted: len(column_nots[0].entities)})]
@@ -253,7 +252,7 @@ def build_memory(net: Network, registers: int, bits: int, and_kind,
     for j in range(bits):
         inputs[f"d{j}"] = (
             padded(column_nots[j].input_taps("in"), category="Data to NOT")
-            + padded(data, decoder.latency_ms, offsets[j::bits]))
+            + padded(data, dec_latency, offsets[j::bits]))
     q = latch.output("q")
     outputs = {f"q{k // bits + 1}_{k % bits}": q + offset
                for k, offset in enumerate(offsets)}

@@ -45,8 +45,8 @@ class InputTap(NamedTuple):
 @dataclass
 class Handle:
     """A built gate or block: its input ports' taps and output ports'
-    ids, its latency, and the spans of entity ids and synapse indices
-    its builder added to the network.
+    ids, and the spans of entity ids and synapse indices its builder
+    added to the network; a block's latency is expected_latency's.
 
     Builders add both contiguously, so a block's spans cover those of
     its parts. Blocks also carry their AND kind, size parameters and
@@ -56,7 +56,6 @@ class Handle:
     kind: str
     inputs: dict[str, tuple[InputTap, ...]]
     outputs: dict[str, int]
-    latency_ms: int
     entities: range
     synapses: range
     and_kind: str | None = None  # "classic" or "fast" on blocks with ANDs
@@ -84,10 +83,10 @@ def _mark(net: Network) -> tuple[int, int]:
 
 def _spanned(net: Network, start: tuple[int, int], kind: str,
              inputs: dict[str, tuple[InputTap, ...]], outputs: dict[str, int],
-             latency_ms: int, **fields) -> Handle:
+             **fields) -> Handle:
     """A handle over everything added to net since start = _mark(net)."""
     end = _mark(net)
-    return Handle(kind, inputs, outputs, latency_ms, range(start[0], end[0]),
+    return Handle(kind, inputs, outputs, range(start[0], end[0]),
                   range(start[1], end[1]), **fields)
 
 
@@ -146,7 +145,7 @@ def build_css(net: Network) -> Handle:
     net.connect(phase_b, phase_a, 1, 1, CAT_INTERNAL_CSS)
     net.connect(net.add_source((0,)), phase_a, 1, 1)
     return _spanned(net, start, "css", {},
-                    {"phase_a": phase_a, "phase_b": phase_b}, 0)
+                    {"phase_a": phase_a, "phase_b": phase_b})
 
 
 def css_feed(net: Network, css: Handle, target: int, weight_quanta: int,
@@ -169,7 +168,7 @@ def build_not(net: Network, css: Handle) -> Handle:
     css_feed(net, css, neuron, 1, "CSS to NOT")
     return _spanned(net, start, "not",
                     {"in": (InputTap(neuron, -1, 1, "Input to NOT"),)},
-                    {"out": neuron}, 1)
+                    {"out": neuron})
 
 
 def build_or(net: Network) -> Handle:
@@ -181,7 +180,7 @@ def build_or(net: Network) -> Handle:
     neuron = net.add_neuron()
     return _spanned(net, start, "or",
                     {"in": (InputTap(neuron, 1, 1, "Input to OR"),)},
-                    {"out": neuron}, 1)
+                    {"out": neuron})
 
 
 def _and_weights(fan_in: int) -> tuple[int, int]:
@@ -206,7 +205,7 @@ def build_and_classic(net: Network, fan_in: int) -> Handle:
     net.connect(collector, out, veto, 1, "Internal AND (classic)")
     taps = (InputTap(collector, 1, 1, "Input to AND (classic)"),
             InputTap(out, direct, 2, "Input to AND (classic)"))
-    return _spanned(net, start, "and_classic", {"in": taps}, {"out": out}, 2)
+    return _spanned(net, start, "and_classic", {"in": taps}, {"out": out})
 
 
 def build_and_fast(net: Network, css: Handle, fan_in: int) -> Handle:
@@ -221,7 +220,7 @@ def build_and_fast(net: Network, css: Handle, fan_in: int) -> Handle:
     neuron = net.add_neuron()
     css_feed(net, css, neuron, veto, "CSS to AND (fast)")
     taps = (InputTap(neuron, direct, 1, "Input to AND (fast)"),)
-    return _spanned(net, start, "and_fast", {"in": taps}, {"out": neuron}, 1)
+    return _spanned(net, start, "and_fast", {"in": taps}, {"out": neuron})
 
 
 def build_sr_latch(net: Network) -> Handle:
@@ -237,4 +236,4 @@ def build_sr_latch(net: Network) -> Handle:
         "set": (InputTap(neuron, 1, 1, "Input to SR Latch (set)"),),
         "reset": (InputTap(neuron, -2, 1, "Input to SR Latch (reset)"),),
     }
-    return _spanned(net, start, "sr_latch", inputs, {"q": neuron}, 1)
+    return _spanned(net, start, "sr_latch", inputs, {"q": neuron})

@@ -141,8 +141,8 @@ class Check:
 
 @dataclass
 class ExperimentResult:
-    """signal_times: the inputs' spike times inside the run, then the
-    outputs'. The trace's first rows are the inputs', in their order."""
+    """inputs names the input signals, whose rows lead the trace in
+    their order; signal_times are the spike times of signal_trains."""
 
     name: str
     and_kind: str
@@ -150,7 +150,7 @@ class ExperimentResult:
     net: Network
     record: SpikeRecord
     trace: Trace
-    inputs: dict[str, tuple[int, ...]]
+    inputs: tuple[str, ...]
     outputs: dict[str, int]
     checks: tuple[Check, ...]
 
@@ -160,15 +160,12 @@ class ExperimentResult:
 
     @property
     def signal_times(self) -> dict[str, tuple[int, ...]]:
-        # input times are sorted; those at or past the duration never ran
-        inside = {name: times[:bisect_left(times, self.duration_ms)]
-                  for name, times in self.inputs.items()}
-        return {**inside, **{name: self.record.times(eid)
-                             for name, eid in self.outputs.items()}}
+        return {name: tuple(compress(count(), _flags(train)))
+                for name, train in self.signal_trains.items()}
 
     @property
     def signal_trains(self) -> dict[str, int]:
-        """The trains of signal_times, the inputs' read from their rows."""
+        """The inputs' trains, read from their rows, then the outputs'."""
         return {**{row.label: row.train
                    for row in self.trace.rows[:len(self.inputs)]},
                 **{name: self.record.trains[eid]
@@ -547,7 +544,7 @@ def _result(name: str, ak: str, params: dict, net: Network,
     rows = [spike_row(signal, _train(times[:bisect_left(times, duration)]),
                       duration) for signal, times in inputs.items()] + rows
     return ExperimentResult(
-        name, ak, params, net, record, Trace(duration, tuple(rows)), inputs,
+        name, ak, params, net, record, Trace(duration, tuple(rows)), tuple(inputs),
         outputs, tuple(_expect_delayed(record, *check) for check in checks))
 
 
@@ -562,7 +559,7 @@ def _run_decoder_encoder(cfg: ExperimentConfig) -> ExperimentResult:
         sum(_FORMS["decoder"].ports(n)) + _FORMS["encoder"].ports(2 ** n)[1])
 
     net = Network()
-    decoder = build_block(net, "decoder", ak, (n,))
+    decoder = build_decoder(net, n, ak, build_css(net))
     encoder = build_encoder(net, 2 ** n)
     channels, ors = decoder.outputs, encoder.outputs
     # channel j drives input d_j
@@ -707,7 +704,7 @@ def _run_memory(cfg: ExperimentConfig) -> ExperimentResult:
         registers, bits)) + _FORMS["decoder"].ports(depth)[1])
 
     net = Network()
-    memory = build_block(net, "memory", ak, (registers, bits))
+    memory = build_memory(net, registers, bits, ak, build_css(net))
     decoder = memory.decoder
     q_ids, channels = memory.outputs, decoder.outputs
     inputs, words = _stimulated(
@@ -720,7 +717,7 @@ def _run_memory(cfg: ExperimentConfig) -> ExperimentResult:
     net.record(*q_ids.values(), *channels.values())
     record = net.run(duration)
 
-    dec_latency = decoder.latency_ms
+    dec_latency = expected_latency("decoder", ak)
     expected_cells = ["" if t < dec_latency + 1
                       else _channel_mark(addresses[t - dec_latency])
                       for t in range(duration)]
@@ -777,17 +774,23 @@ def run_experiment(name: str,
 # Verification sweeps
 
 
+def _sweep_select(kind: str, n: int, and_kind: str, words: Sequence[int] | None,
+                  default: Callable[[int], list[int]], noun: str = "cases",
+                  detail: str = "") -> Check:
+    """A select kind's pipelined sweep of words, default(n) if None."""
+    ak, (n,) = block_config(kind, and_kind_name(and_kind), n=n)
+    words = default(n) if words is None else words
+    return check_pipelined(kind, ak, (n,), words,
+                           f"{kind} n={n} {ak}: {len(words)} pipelined {noun}",
+                           f"{len(words)} {noun}{detail}")
+
+
 def sweep_decoder(n: int, and_kind: str,
                   words: Sequence[int] | None = None) -> Check:
     """Pipelined truth-table sweep; silence decodes as word 0."""
-    ak, (n,) = block_config("decoder", and_kind_name(and_kind), n=n)
-    if words is None:
-        words = list(range(2 ** n))
-    latency = expected_latency("decoder", ak)
-    return check_pipelined(
-        "decoder", ak, (n,), words,
-        f"decoder n={n} {ak}: {len(words)} pipelined words",
-        f"{len(words)} words, latency {latency} ms")
+    latency = expected_latency("decoder", and_kind)
+    return _sweep_select("decoder", n, and_kind, words, lambda n: [*range(2 ** n)],
+                         "words", f", latency {latency} ms")
 
 
 def sweep_encoder(num_inputs: int,
@@ -807,29 +810,17 @@ def sweep_multiplexer(n: int, and_kind: str,
                       words: Sequence[int] | None = None) -> Check:
     """Pipelined select | data << n words, data masking the 2^n data lines;
     default visits every select word against selected/other lines on and off."""
-    ak, (n,) = block_config("multiplexer", and_kind_name(and_kind), n=n)
-    if words is None:
-        others = [2 ** 2 ** n - 1 & ~(1 << s) for s in range(2 ** n)]
-        words = [select | (d_sel << select | d_others * others[select]) << n
-                 for select in range(2 ** n)
-                 for d_sel in (0, 1) for d_others in (0, 1)]
-    return check_pipelined(
-        "multiplexer", ak, (n,), words,
-        f"multiplexer n={n} {ak}: {len(words)} pipelined cases",
-        f"{len(words)} cases")
+    return _sweep_select("multiplexer", n, and_kind, words, lambda n: [
+        select | (d_sel << select | d_others * (2 ** 2 ** n - 1 ^ 1 << select)) << n
+        for select in range(2 ** n) for d_sel in (0, 1) for d_others in (0, 1)])
 
 
 def sweep_demultiplexer(n: int, and_kind: str,
                         words: Sequence[int] | None = None) -> Check:
     """Pipelined select | data << n words, data the one data bit;
     default visits every select word with data present and absent."""
-    ak, (n,) = block_config("demultiplexer", and_kind_name(and_kind), n=n)
-    if words is None:
-        words = [select | d << n for select in range(2 ** n) for d in (0, 1)]
-    return check_pipelined(
-        "demultiplexer", ak, (n,), words,
-        f"demultiplexer n={n} {ak}: {len(words)} pipelined cases",
-        f"{len(words)} cases")
+    return _sweep_select("demultiplexer", n, and_kind, words, lambda n: [
+        select | d << n for select in range(2 ** n) for d in (0, 1)])
 
 
 def fuzz_d_latch(and_kind: str, steps: int = VERIFY_TRIALS,

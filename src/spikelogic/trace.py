@@ -4,9 +4,9 @@ A trace is a bundle of named rows over a shared time axis. Spike rows
 keep their spike train and show a 1 in every millisecond the signal
 fired; derived rows carry arbitrary cell text, e.g. a register's
 contents as hex computed by binary-weighting its bit rows. Each row
-masks everything before its
-valid_from timestep, which is how start-up transients of CSS-driven
-outputs are kept out of rendered output and golden files.
+masks everything before its valid_from timestep, which is how start-up
+transients of CSS-driven outputs are kept out of rendered output and
+golden files. No row reaches past the trace's duration.
 
 Two renderers: render_table draws a fixed-width grid, one column per
 millisecond; render_raster draws one line per row with a character per
@@ -45,26 +45,16 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class SpikeRow:
-    """A row of spikes over duration_ms: its train (bit t: a spike at t),
-    with no bit from duration_ms on. cells derives the row's cells, "1"
-    where it spikes and "" elsewhere, on demand."""
+    """A row of spikes: its train, bit t a spike at t. The trace that
+    holds it refuses a spike at or past its duration."""
 
     label: str
     train: int
-    duration_ms: int
     valid_from: int = 0
 
     def __post_init__(self) -> None:
+        _require_int("train", self.train, 0)
         _require_int("valid_from", self.valid_from, 0)
-        _require_int("duration_ms", self.duration_ms, 0)
-        if self.train < 0 or self.train >> self.duration_ms:
-            raise ValueError("a spike row's train must lie in [0, 2**duration_ms)")
-
-    @property
-    def cells(self) -> tuple[str, ...]:
-        # its digits as "1," or ",", split at the commas
-        return tuple(_digits(self.train, self.duration_ms)
-                     .replace("1", "1,").replace("0", ",").split(",")[:-1])
 
 
 @dataclass(frozen=True)
@@ -74,11 +64,14 @@ class Trace:
 
     def __post_init__(self) -> None:
         _require_int("duration_ms", self.duration_ms, 0)
-        for row in self.rows:  # every row spans the trace's duration
-            ms = row.duration_ms if isinstance(row, SpikeRow) else len(row.cells)
-            if ms != self.duration_ms:
-                raise ValueError(f"row {row.label!r} spans {ms} ms, not the "
-                                 f"trace's {self.duration_ms}")
+        for row in self.rows:  # no row reaches past the trace's duration
+            if isinstance(row, SpikeRow):
+                if row.train >> self.duration_ms:
+                    raise ValueError(f"spike row {row.label!r} spikes at or "
+                                     f"past the trace's {self.duration_ms} ms")
+            elif len(row.cells) != self.duration_ms:
+                raise ValueError(f"row {row.label!r} spans {len(row.cells)} ms, "
+                                 f"not the trace's {self.duration_ms}")
 
     def row(self, label: str) -> TraceRow | SpikeRow:
         for row in self.rows:
@@ -90,10 +83,9 @@ class Trace:
 def spike_row(label: str, train: int, duration_ms: int,
               valid_from: int = 0) -> SpikeRow:
     """The row of a train >= 0, less its spikes from duration_ms on."""
-    if train < 0:
-        raise ValueError(f"the train of {label} must be >= 0, not {train}")
+    _require_int(f"the train of {label}", train, 0)
     _require_int("duration_ms", duration_ms, 0)
-    return SpikeRow(label, train & ~(-1 << duration_ms), duration_ms, valid_from)
+    return SpikeRow(label, train & ~(-1 << duration_ms), valid_from)
 
 
 def value_row(label: str, values: Sequence[object],
@@ -169,8 +161,8 @@ def render_raster(trace: Trace) -> Iterator[str]:
         yield "\n"
     for row in trace.rows:
         if isinstance(row, SpikeRow):
-            start = min(row.valid_from, row.duration_ms)
-            digits = _digits(row.train, row.duration_ms)
+            start = min(row.valid_from, trace.duration_ms)
+            digits = _digits(row.train, trace.duration_ms)
             text = " " * start + digits[start:].translate(_RASTER_MARKS)
         else:  # the changes of the row
             cells = row.cells[row.valid_from:]

@@ -91,7 +91,7 @@ class TestDecoderProperties:
         net.record(*channels)
         duration = len(words) + 4
         record = net.run(duration)
-        latency = decoder.latency_ms
+        latency = expected_latency("decoder", "fast")
         for t in range(latency + 1, duration):
             live = [j for j, cid in enumerate(channels)
                     if t in record.times(cid)]
@@ -154,7 +154,7 @@ class TestMemory:
         q0, q1 = memory.output("q1_0"), memory.output("q1_1")
         net.record(q0, q1)
         record = net.run(14)
-        latency = memory.latency_ms
+        latency = expected_latency("memory", "fast")
         # the word 1 written at t=1 persists; the t=5 data is ignored
         assert set(record.times(q0)) == set(range(1 + latency, 14))
         assert record.times(q1) == ()
@@ -172,24 +172,6 @@ class TestMemory:
         assert memory.decoder.params["n"] == 2
         assert "ch3" in memory.decoder.outputs
         assert "q3_0" not in memory.outputs
-
-
-class TestLatencies:
-    @pytest.mark.parametrize("ak", KINDS)
-    def test_handles_carry_table_values(self, ak):
-        net = Network()
-        css = build_css(net)
-        blocks = {
-            "decoder": build_decoder(net, 2, ak, css),
-            "multiplexer": build_multiplexer(net, 2, ak, css),
-            "demultiplexer": build_demultiplexer(net, 2, ak, css),
-            "d_latch": build_d_latch(net, ak, css),
-            "memory": build_memory(net, 3, 2, ak, css),
-        }
-        for kind, handle in blocks.items():
-            assert handle.latency_ms == expected_latency(kind, ak)
-        encoder = build_encoder(net, 4)
-        assert encoder.latency_ms == expected_latency("encoder")
 
 
 class TestMeasuredResources:
@@ -502,10 +484,9 @@ def test_stamped_latches_equal_a_built_one(ak, monkeypatch):
     memory_net = Network()
     memory = build_memory(memory_net, 5, 3, ak, build_css(memory_net))
     [template] = built
-    # a copy shares its template's report, kind and latencies
+    # a copy shares its template's report, kind and AND kind
     assert template.resources == alone.resources
-    assert ((template.kind, template.and_kind, template.latency_ms)
-            == (alone.kind, alone.and_kind, alone.latency_ms))
+    assert (template.kind, template.and_kind) == (alone.kind, alone.and_kind)
     width = len(template.entities)
     block = len(template.synapses) + len(template.input_taps("store")) + len(
         template.input_taps("data_not"))
@@ -541,13 +522,15 @@ def _per_latch_memory(net, registers, bits, and_kind, css):
         latch = build_d_latch(net, and_kind, css)
         wire(net, decoder.output(f"ch{k // bits + 1}"), latch.input_taps("store"))
         wire(net, column_nots[k % bits].output(),
-             padded(latch.input_taps("data_not"), decoder.latency_ms - 1))
+             padded(latch.input_taps("data_not"),
+                    expected_latency("decoder", and_kind) - 1))
         latches.append(latch)
     inputs = dict(decoder.inputs)
     for j in range(bits):
         taps = list(padded(column_nots[j].input_taps("in"), category="Data to NOT"))
         for latch in latches[j::bits]:
-            taps.extend(padded(latch.input_taps("data"), decoder.latency_ms))
+            taps.extend(padded(latch.input_taps("data"),
+                               expected_latency("decoder", and_kind)))
         inputs[f"d{j}"] = tuple(taps)
     outputs = {f"q{k // bits + 1}_{k % bits}": latch.output("q")
                for k, latch in enumerate(latches)}

@@ -357,6 +357,19 @@ def test_closed_stdout_is_unwritable_output(argv):
         "error: cannot write output: stdout is closed"]
 
 
+def test_python_m_spikelogic_runs_the_cli():
+    # an uninstalled checkout reaches the CLI as python -m spikelogic
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "spikelogic", "verify", "decoder"],
+        capture_output=True, env=env, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == (PINNED / "verify-decoder-fast.txt").read_text(
+        encoding="ascii")
+
+
 def test_run_refuses_an_over_cap_trace_before_building(monkeypatch, capsys):
     # 10^6 ms of 33,802 signals: 10 + 32 inputs, 1023 x 32 latch outputs
     # and 1024 decoder channels

@@ -5,6 +5,7 @@ import io
 import random
 import re
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -40,7 +41,7 @@ from spikelogic.resources import (
     formula_resources,
     reconcile,
 )
-from spikelogic.sim import Network, spike_train
+from spikelogic.sim import Network, _plan, spike_train
 from spikelogic.trace import render_trace
 from support import refuse_builds, shuffle_synapses, slow_one_synapse
 
@@ -188,12 +189,19 @@ class TestStimulus:
             canonical = run_experiment(name)
             end = canonical.duration_ms
             config = ExperimentConfig(stimulus={
-                port: (*times, end - 1, end, 3 * end) for port, times
-                in list(canonical.inputs.items())[::2]})
+                port: (*canonical.signal_times[port], end - 1, end, 3 * end)
+                for port in canonical.inputs[::2]})
         result = run_experiment(name, config)
+        # the inputs are named in the order of their rows, which lead
+        assert result.inputs == tuple(
+            row.label for row in result.trace.rows[:len(result.inputs)])
         assert result.signal_trains == {
             signal: spike_train(times)
             for signal, times in result.signal_times.items()}
+        if stimulated:  # an input's times are its stimulus's inside the run
+            assert {port: result.signal_times[port] for port in result.inputs} == {
+                port: tuple(sorted({t for t in config.stimulus.get(port, ())
+                                    if t < end})) for port in result.inputs}
 
     def test_parse_stimulus(self):
         text = "signal,time_ms\nstore,3\nstore,1\nstore,3\ndata1,2\n"
@@ -525,6 +533,76 @@ def test_measure_latency_names_a_slowed_path(builder, category, ak, named,
     assert report.checks[-1] == harness.Check(
         "latency equals table value", False,
         f"{named}, not the one delay of every output")
+
+
+# every experiment at the sizes its check delays are proven for: the
+# select kinds at n = 1 to 3, the d-latch bank, and a memory of each depth
+EXPERIMENT_SIZES = [("decoder-encoder", {"n": n}) for n in (1, 2, 3)] + [
+    ("mux-demux", {"n": n}) for n in (1, 2, 3)] + [("d-latch", {})] + [
+    ("memory", {"registers": r, "bits": c}) for r, c in ((3, 3), (5, 2), (7, 1))]
+
+
+def _unproven_check_delays(name: str, config: ExperimentConfig,
+                           monkeypatch) -> list[str]:
+    """Every output of a check of the run whose path delays are not the
+    check's one delay, named with its check, its group and its delays.
+    Delays come from a walk over the network's plan, as measure_latency
+    walks a block, from every source but the CSS bootstraps (schedule
+    (0,)); the network is walked as built, not run."""
+    checks = []  # each check's label, output group and delay
+    expect = harness._expect_delayed
+
+    def spy(record, outputs, words, latency, label, *rest):
+        checks.append((label, dict(outputs), latency))
+        return expect(record, outputs, words, latency, label, *rest)
+
+    monkeypatch.setattr(harness, "_expect_delayed", spy)
+    result = run_experiment(name, config)
+    assert len(checks) == len(result.checks)
+    net = result.net
+    # bit d of arrive[eid]: a path from an input source reaches eid in d ms
+    arrive = [0] * (len(net.neurons) + len(net.sources))
+    for sid, times in net.sources.items():
+        arrive[sid] = int(times != (0,))
+    sources, _, _, delays = net._columns
+    fan_in, order = _plan(net, 1 + max(delays, default=0))
+    for nid in chain.from_iterable(order):
+        for k in fan_in[nid]:
+            if sources[k] != nid:  # an SR latch's hold is no new path
+                arrive[nid] |= arrive[sources[k]] << delays[k]
+    unproven = []
+    for label, group, latency in checks:
+        for signal, eid in group.items():
+            if arrive[eid] != 1 << latency:
+                found = [d for d in range(arrive[eid].bit_length())
+                         if arrive[eid] >> d & 1]
+                unproven.append(f"check {label!r} (outputs {', '.join(group)}): "
+                                f"{signal} has path delays {found} ms, not "
+                                f"[{latency}]")
+    return unproven
+
+
+@pytest.mark.parametrize("ak", ["classic", "fast"])
+@pytest.mark.parametrize("name, sizes", EXPERIMENT_SIZES, ids=[
+    "-".join([name, *map(str, sizes.values())]) for name, sizes in EXPERIMENT_SIZES])
+def test_every_check_delay_is_the_one_path_delay(name, sizes, ak, monkeypatch):
+    # each check compares its outputs with the oracle one delay on; every
+    # path from an input to those outputs must take that delay
+    config = ExperimentConfig(and_kind=ak, **sizes)
+    assert _unproven_check_delays(name, config, monkeypatch) == []
+
+
+@pytest.mark.parametrize("name, builder, named", [
+    # inverter s0's synapse to gate 0 of the demultiplexer's select stage,
+    # which the canonical stimulus does not show
+    ("mux-demux", "build_demultiplexer", "ch0 has path delays [5, 6] ms"),
+    # the same in the decoder, which shows only as a missed channel-0 spike
+    ("decoder-encoder", "build_decoder", "ch0 has path delays [2, 3] ms"),
+], ids=["mux-demux", "decoder-encoder"])
+def test_the_walk_names_a_slowed_check_path(name, builder, named, monkeypatch):
+    slow_one_synapse(monkeypatch, builder, "NOT to AND (fast)")
+    [unproven] = _unproven_check_delays(name, ExperimentConfig(), monkeypatch)
+    assert named in unproven
 
 
 def test_pipelined_check_reads_an_iterator_once(monkeypatch):

@@ -5,7 +5,10 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+from spikelogic.gates import Handle
+from spikelogic.harness import ExperimentResult
 from spikelogic.resources import ReconcileReport
+from spikelogic.trace import SpikeRow
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spikelogic"
 
@@ -102,6 +105,17 @@ def test_each_fact_is_held_once():
     assert "PortMap" not in names
     assert not attributes & {"_next_id", "_recorded_set"}
     assert "measured" not in {field.name for field in fields(ReconcileReport)}
+
+
+def test_no_copy_is_kept_in_step_by_a_check():
+    # a block's latency is resources.expected_latency's, a spike row
+    # spans its trace's duration and derives no cells, and an experiment's
+    # input spikes are its trace rows': none is held a second time
+    assert "latency_ms" not in {field.name for field in fields(Handle)}
+    assert not {"duration_ms", "cells"} & (
+        {field.name for field in fields(SpikeRow)} | set(vars(SpikeRow)))
+    inputs = {field.name: field.type for field in fields(ExperimentResult)}
+    assert inputs["inputs"] == "tuple[str, ...]"
 
 
 def test_one_check_per_kind_of_input():
