@@ -19,10 +19,11 @@ canonical deterministic stimulus and built-in oracle checks:
 
 The runners share one pipeline. Each runner prices its blocks and, in
 _duration, its trace from their sizes, then builds them and reads their
-ports from the built handles; _stimulated builds the canonical per-ms
-input words, or takes the stimulus override in their place; the runner
-wires and runs its blocks and composes its checks from the BLOCKS word
-oracles; _result runs the checks and assembles the trace.
+ports from the built handles; _stimulated cuts each input's train at
+the run's end, from the canonical per-ms words or the stimulus override,
+and packs the oracles' words from those trains; the runner wires and
+runs its blocks and composes its checks from the BLOCKS word oracles;
+_result runs the checks, masked to the run, and assembles the trace.
 
 Checks compare spike sets only from (path latency + 1) onward: earlier
 timesteps fall into CSS warmup, where inverter outputs are not yet
@@ -85,7 +86,7 @@ from .resources import (
     reconcile,
 )
 from .sim import (Network, SpikeRecord, _flags, _plan, _require_int,
-                  _times, _train, spike_train)
+                  _times, _train, _words, spike_train)
 from .trace import SpikeRow, Trace, hex_word_row, spike_row, value_row
 
 # Default seed for the randomized chunks of the mux-demux control
@@ -194,18 +195,6 @@ def render_checks(checks: Iterable[Check]) -> str:
                      for check in checks) + "\n"
 
 
-def _words_from_bits(bit_times: Sequence[Iterable[int]],
-                     duration_ms: int) -> list[int]:
-    """Per-ms input words, bit b set when signal b spikes. Word 0 stays
-    0: checks start at t=1, so a spike at t=0 never reaches an oracle."""
-    words = [0] * duration_ms
-    for b, times in enumerate(bit_times):
-        for t in times:
-            if 1 <= t < duration_ms:
-                words[t] |= 1 << b
-    return words
-
-
 def _random(seed: int) -> random.Random:
     """seed's generator; None would seed from the clock, not repeatably."""
     if type(seed) is not int:
@@ -240,11 +229,11 @@ def _diff_detail(signal: str, got: int, want: int) -> str:
 _SPAN = 4096
 
 
-def _word_trains(words: Sequence[int], count: int, stop: int) -> list[int]:
+def _word_trains(words: Sequence[int], count: int) -> list[int]:
     """Train k of count spikes at t where bit k of words[t] is set, for
-    1 <= t < stop: from the set bits of the words, or of their changes
-    if fewer, each adding 1 << t where a bit turns off, else taking it."""
-    seq = [0, *words[1:stop], 0]
+    t >= 1: from the set bits of the words, or of their changes if
+    fewer, each adding 1 << t where a bit turns off, else taking it."""
+    seq = [0, *words[1:], 0]
     by_change = (sum(map(int.bit_count, map(operator.xor, seq[1:], seq)))
                  < sum(map(int.bit_count, seq)))
     trains, before = [0] * count, [0, *seq]
@@ -268,11 +257,11 @@ def _expect_delayed(record: SpikeRecord, outputs: Mapping[str, int],
                     ok_detail: str = "") -> Check:
     """Output k (in the order of outputs) must spike at t + latency
     exactly when bit k of oracle_words[t] is set, for t >= 1; spikes
-    are compared from latency + 1 on. The first mismatching output is
-    reported."""
-    trains = _word_trains(oracle_words, len(outputs), record.duration_ms - latency)
+    are compared from latency + 1 on, up to the end of the run. The
+    first mismatching output is reported."""
+    trains, run = _word_trains(oracle_words, len(outputs)), ~(-1 << record.duration_ms)
     for (signal, eid), train in zip(outputs.items(), trains):
-        got, want = record.trains[eid], train << latency
+        got, want = record.trains[eid], train << latency & run
         if (got ^ want) >> latency + 1:
             return Check(label, False, _diff_detail(
                 signal, got >> latency + 1 << latency + 1, want))
@@ -511,38 +500,41 @@ def _duration(cfg: ExperimentConfig, default_ms: int, signals: int) -> int:
 
 
 def _stimulated(cfg: ExperimentConfig, names: Sequence[str], duration: int,
-                canonical: Callable[[int], Sequence[int]],
-                ) -> tuple[dict[str, tuple[int, ...]], list[int]]:
-    """The inputs and the per-ms input words of a run. canonical(duration)
-    gives the default per-ms words, bit k driving names[k] from t=1 on;
-    cfg.stimulus replaces them, and canonical is not called: a name it
-    gives that is no input, or a time that is not an int >= 0, raises
-    ValueError."""
+                canonical: Callable[[int], Sequence[int]]) -> tuple[
+                    dict[str, tuple[int, ...]], dict[str, int], Sequence[int]]:
+    """Each input's spike times and train over the run, and the per-ms
+    words of those trains, word 0 left 0 as checks start at t=1.
+    canonical(duration) gives the default per-ms words, bit k driving
+    names[k] from t=1 on; cfg.stimulus replaces them, and canonical is
+    not called: a name it gives that is no input, or a time that is not
+    an int >= 0, raises ValueError."""
     if cfg.stimulus is None:
         words = canonical(duration)
-        inputs = {name: tuple(t for t in range(1, duration) if words[t] >> k & 1)
-                  for k, name in enumerate(names)}
+        times = {name: tuple(t for t in range(1, duration) if words[t] >> k & 1)
+                 for k, name in enumerate(names)}
     else:
         unknown = set(cfg.stimulus) - set(names)
         if unknown:
             raise ValueError(f"stimulus signals {sorted(unknown)} do not match "
                              f"the experiment inputs {sorted(names)}")
-        inputs = {name: tuple(sorted(set(_times(
+        times = {name: tuple(sorted(set(_times(
             f"stimulus times of signal {name}", cfg.stimulus.get(name, ())))))
             for name in names}
-    return inputs, _words_from_bits(list(inputs.values()), duration)
+    # times are sorted: those at or past the duration never run
+    trains = [_train(ts[:bisect_left(ts, duration)]) for ts in times.values()]
+    return (times, dict(zip(names, trains)),
+            _words([train & -2 for train in trains], duration))
 
 
 def _result(name: str, ak: str, params: dict, net: Network,
-            record: SpikeRecord, inputs: dict[str, tuple[int, ...]],
+            record: SpikeRecord, inputs: dict[str, int],
             outputs: dict[str, int], checks: Iterable[tuple],
             rows: list[SpikeRow]) -> ExperimentResult:
     """Each check is _expect_delayed's arguments after the record; the
-    trace shows the inputs, then rows."""
+    trace shows the inputs' trains, then rows."""
     duration = record.duration_ms
-    # input times are sorted; those at or past the duration never ran
-    rows = [spike_row(signal, _train(times[:bisect_left(times, duration)]),
-                      duration) for signal, times in inputs.items()] + rows
+    rows = [spike_row(signal, train, duration)
+            for signal, train in inputs.items()] + rows
     return ExperimentResult(
         name, ak, params, net, record, Trace(duration, tuple(rows)), tuple(inputs),
         outputs, tuple(_expect_delayed(record, *check) for check in checks))
@@ -565,17 +557,17 @@ def _run_decoder_encoder(cfg: ExperimentConfig) -> ExperimentResult:
     # channel j drives input d_j
     for channel, taps in zip(channels.values(), encoder.inputs.values()):
         wire(net, channel, taps)
-    inputs, words = _stimulated(
+    times, trains, words = _stimulated(
         cfg, list(decoder.inputs), duration,
         lambda ms: [(t - 1) % 2 ** n for t in range(ms)])
-    for name, times in inputs.items():
-        drive(net, decoder, name, net.add_source(times))
+    for name, ts in times.items():
+        drive(net, decoder, name, net.add_source(ts))
     net.record(*channels.values(), *ors.values())
     record = net.run(duration)
 
     channel_words = BLOCKS["decoder"].oracle(words, n)
     return _result(
-        "decoder-encoder", ak, {"n": n}, net, record, inputs,
+        "decoder-encoder", ak, {"n": n}, net, record, trains,
         {**channels, **ors},
         [(ors, BLOCKS["encoder"].oracle(channel_words, 2 ** n), total,
           f"encoder output equals input words delayed by {total} ms",
@@ -616,13 +608,13 @@ def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
     wire(net, out_id, demux.input_taps("d"))
     channels = demux.outputs
     # data line d_j spikes every 2^j ms from t=1
-    inputs, words = _stimulated(
+    times, trains, words = _stimulated(
         cfg, list(mux.inputs), duration,
         lambda ms: [word | sum(1 << n + j for j in range(2 ** n)
                                if (t - 1) % 2 ** j == 0) for t, word
                     in enumerate(_control_chunks(n, ms, _seeded(cfg.seed)))])
-    for name, times in inputs.items():
-        source = net.add_source(times)
+    for name, ts in times.items():
+        source = net.add_source(ts)
         drive(net, mux, name, source)
         if name in demux.inputs:
             # the demux sees the same select lines, delayed to match the
@@ -636,7 +628,7 @@ def _run_mux_demux(cfg: ExperimentConfig) -> ExperimentResult:
     demux_words = BLOCKS["demultiplexer"].oracle(
         [w & select | out << n for w, out in zip(words, mux_words)], n)
     return _result(
-        "mux-demux", ak, {"n": n}, net, record, inputs,
+        "mux-demux", ak, {"n": n}, net, record, trains,
         {"mux_out": out_id, **channels},
         [({"out": out_id}, mux_words, mux_latency, "multiplexer forwards "
           f"the selected data line after {mux_latency} ms"),
@@ -654,18 +646,18 @@ def _run_d_latch(cfg: ExperimentConfig) -> ExperimentResult:
     data_latency = expected_latency("d_latch", ak) + 1
     # store, data1 and data2, and the q of each of 6 latches
     duration = _duration(cfg, 16, 3 + 6 * _FORMS["d_latch"].ports()[1])
-    inputs, words = _stimulated(
+    times, trains, words = _stimulated(
         cfg, ("store", "data1", "data2"), duration,
         lambda ms: [(t in (1, 2, 3, 8)) | (t in (1, 3, 4)) << 1
                     | (t in (3, 5)) << 2 for t in range(ms)])
 
     net = Network()
     css = build_css(net)
-    store_source = net.add_source(inputs["store"])
+    store_source = net.add_source(times["store"])
     latches = []
     for name in ("data1", "data2"):
         inverter = build_not(net, css)
-        data_source = net.add_source(inputs[name])
+        data_source = net.add_source(times[name])
         wire(net, data_source, inverter.input_taps("in"))
         for _ in range(3):
             latch = build_d_latch(net, ak, css)
@@ -680,18 +672,13 @@ def _run_d_latch(cfg: ExperimentConfig) -> ExperimentResult:
 
     # bank g's three latches hold the state of store and data bit g + 1
     return _result(
-        "d-latch", ak, {"latches": len(latches)}, net, record, inputs, q_ids,
+        "d-latch", ak, {"latches": len(latches)}, net, record, trains, q_ids,
         [(dict(list(q_ids.items())[3 * g:3 * g + 3]),
           [0b111 * q for q in BLOCKS["d_latch"].oracle(
               [w & 1 | w >> g & 2 for w in words])], data_latency,
           f"latches {3 * g}-{3 * g + 2} track store/data{g + 1} "
           f"with {data_latency} ms delay") for g in (0, 1)],
         _spike_rows(record, q_ids, data_latency + 1))
-
-
-def _channel_mark(j: int) -> str:
-    # the non-operation channel is called out explicitly in traces
-    return "0*" if j == 0 else str(j)
 
 
 def _run_memory(cfg: ExperimentConfig) -> ExperimentResult:
@@ -707,26 +694,28 @@ def _run_memory(cfg: ExperimentConfig) -> ExperimentResult:
     memory = build_memory(net, registers, bits, ak, build_css(net))
     decoder = memory.decoder
     q_ids, channels = memory.outputs, decoder.outputs
-    inputs, words = _stimulated(
+    times, trains, words = _stimulated(
         cfg, list(memory.inputs), duration,
         lambda ms: [t % (registers + 1) | t % 2 ** bits << depth
                     for t in range(ms)])
     addresses = [w & (2 ** depth - 1) for w in words]
-    for name, times in inputs.items():
-        drive(net, memory, name, net.add_source(times))
+    for name, ts in times.items():
+        drive(net, memory, name, net.add_source(ts))
     net.record(*q_ids.values(), *channels.values())
     record = net.run(duration)
 
     dec_latency = expected_latency("decoder", ak)
-    expected_cells = ["" if t < dec_latency + 1
-                      else _channel_mark(addresses[t - dec_latency])
-                      for t in range(duration)]
+    # the non-operation channel is called out explicitly in traces
+    marks = ["0*", *map(str, range(1, 2 ** depth))]
+    expected_cells = [""] * duration
+    expected_cells[dec_latency + 1:] = map(
+        marks.__getitem__, addresses[1:max(0, duration - dec_latency)])
     rows = [value_row("Channel (Expected)", expected_cells,
                       valid_from=dec_latency + 1)]
     decoded_cells = [""] * duration
-    for j, cid in enumerate(channels.values()):
+    for mark, cid in zip(marks, channels.values()):
         for t in record.times(cid):
-            decoded_cells[t] = _channel_mark(j)
+            decoded_cells[t] = mark
     rows.append(value_row("Channel (Decoder)", decoded_cells,
                           valid_from=dec_latency + 1))
     for i in range(1, registers + 1):
@@ -737,7 +726,7 @@ def _run_memory(cfg: ExperimentConfig) -> ExperimentResult:
             duration, valid_from=latency + 1))
     return _result(
         "memory", ak, {"registers": registers, "bits": bits}, net, record,
-        inputs, {**channels, **q_ids},
+        trains, {**channels, **q_ids},
         [(q_ids, BLOCKS["memory"].oracle(words, registers, bits), latency,
           f"register contents match the write oracle after {latency} ms"),
          (channels, BLOCKS["decoder"].oracle(addresses, depth), dec_latency,

@@ -373,6 +373,21 @@ def _train(times: Sequence[int]) -> int:
     return int(flags[::-1].translate(_DIGIT) or b"0", 2)
 
 
+def _words(trains: Sequence[int], duration: int) -> Sequence[int]:
+    """Per-ms words over duration ms, bit k set when trains[k] spikes: a
+    byte per ms of each 8 trains' flags, bytes for up to 8 trains, else
+    a list that each later byte is shifted and or-ed into."""
+    words: Sequence[int] = bytes(duration)
+    for b in range(0, len(trains), 8):
+        byte = 0
+        for j, train in enumerate(trains[b:b + 8]):
+            byte |= int.from_bytes(_flags(train)[:duration], "little") << j
+        block = byte.to_bytes(duration, "little")
+        words = block if not b else list(map(
+            operator.or_, words, map(operator.lshift, block, repeat(b))))
+    return words
+
+
 def _plan(net: Network, duration: int) -> tuple[dict[int, list[int]],
                                                list[list[int]]]:
     """The plan of a run of duration ms: per neuron, the indices of its

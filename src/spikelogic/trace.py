@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby, repeat
-from operator import lshift, or_
 from typing import Iterator, Sequence
 
-from .sim import _flags, _require_int
+from .sim import _require_int, _words
 
 _TABLE_MARKS = bytes.maketrans(b"0", b" ")
 _RASTER_MARKS = str.maketrans("01", ".|")
@@ -97,18 +96,9 @@ def value_row(label: str, values: Sequence[object],
 def hex_word_row(label: str, bit_trains: Sequence[int],
                  duration_ms: int, valid_from: int = 0) -> TraceRow:
     """Register contents per ms from its bit trains, least significant
-    first, in hex, blank while 0. Each 8 trains make a byte per ms (their
-    flags, shifted): the first byte is the word, later ones are shifted
-    and or-ed in; each word is formatted once."""
+    first, in hex, blank while 0; each word is formatted once."""
     _require_int("duration_ms", duration_ms, 0)
-    words: Sequence[int] = bytes(duration_ms)
-    for b in range(0, len(bit_trains), 8):
-        byte = 0
-        for j, train in enumerate(bit_trains[b:b + 8]):
-            byte |= int.from_bytes(_flags(train)[:duration_ms], "little") << j
-        block = byte.to_bytes(duration_ms, "little")
-        words = block if not b else list(map(
-            or_, words, map(lshift, block, repeat(b))))
+    words = _words(bit_trains, duration_ms)
     cells = {word: f"0x{word:02X}" if word else "" for word in set(words)}
     return TraceRow(label, tuple(map(cells.__getitem__, words)), valid_from)
 

@@ -197,6 +197,13 @@ def test_run_with_stimulus(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_short_run_passes(capsys):
+    # the write oracle's spikes past a 4 ms run's end are not missing
+    assert run_cli("run", "memory", "--and", "classic",
+                   "--duration-ms", "4") == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_bad_stimulus_signal_is_config_error(tmp_path, capsys):
     stim = tmp_path / "stim.csv"
     stim.write_text("nosuch,2\n", encoding="ascii")

@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from spikelogic.sim import Network, SpikeRecord, Synapse
+from spikelogic.sim import Network, SpikeRecord, Synapse, _words
 
 
 def single_neuron(threshold_quanta: int = 1):
@@ -362,3 +362,17 @@ class TestCopy:
         with pytest.raises(ValueError, match=message):
             call(net, entities, synapses)
         assert _snapshot(net) == before
+
+
+# 0 to 20 trains: up to three byte blocks; trains may spike past the
+# duration, and the duration may be 0
+@given(st.integers(0, 40).flatmap(lambda duration: st.tuples(
+    st.just(duration),
+    st.lists(st.integers(0, 2 ** (duration + 8) - 1), max_size=20))))
+def test_words_match_each_bit(case):
+    duration, trains = case
+    words = _words(trains, duration)
+    assert type(words) is (bytes if len(trains) <= 8 else list)
+    assert list(words) == [
+        sum((train >> t & 1) << k for k, train in enumerate(trains))
+        for t in range(duration)]

@@ -107,6 +107,23 @@ def test_each_fact_is_held_once():
     assert "measured" not in {field.name for field in fields(ReconcileReport)}
 
 
+def test_runs_are_cut_and_packed_in_one_place():
+    # sim._words is the one train-to-word packing, which hex_word_row and
+    # _stimulated call; _stimulated cuts each input at the run's end, and
+    # a check masks its expected trains to the run, so _word_trains takes
+    # no stop of its own
+    defined, calls = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                defined[node.name] = [arg.arg for arg in node.args.args]
+                calls[node.name] = {_called(inner) for inner in ast.walk(node)
+                                    if isinstance(inner, ast.Call)}
+    assert not {"_words_from_bits", "_channel_mark"} & set(defined)
+    assert defined["_word_trains"] == ["words", "count"]
+    assert "_words" in calls["hex_word_row"] & calls["_stimulated"]
+
+
 def test_no_copy_is_kept_in_step_by_a_check():
     # a block's latency is resources.expected_latency's, a spike row
     # spans its trace's duration and derives no cells, and an experiment's
