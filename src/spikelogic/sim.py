@@ -13,18 +13,19 @@ Two kernels produce the same SpikeRecord. Simulation is the reference:
 it steps one millisecond at a time over the synapses view and delivers
 each synaptic event on its own. Network.run never calls it. It reads
 the plan of the run, _plan(net, duration): per neuron, the indices of
-its synapses that land inside the run, and the strongly connected
-components of the neuron graph in topological order (harness's
-latency walk reads the same plan). Over that order it computes one
-spike train per entity, an int whose bit t is set when the entity
-spikes at t:
+its synapses that land inside the run, and a topological order of the
+neuron graph's strongly connected components: id order, with Tarjan
+run only over the span of ids that synapses to smaller ids cover
+(harness's latency walk reads the same plan). Over that order it
+computes one spike train per entity, an int whose bit t is set when
+the entity spikes at t, sharing each recent (source, delay) shift:
 
 - a neuron outside any cycle thresholds a bit-sliced sum of its
   shifted input trains;
 - a lone neuron whose self-synapses all have delay 1 and a total
   weight of at least 0 (the SR latch) takes a closed form, a carry chain;
-- any other feedback component (the CSS ring) is stepped alone, one
-  millisecond at a time, on the known trains of its inputs.
+- any other feedback component (the CSS ring) is stepped alone until
+  its inputs are quiet and its state repeats, then repeated in closed form.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from array import array
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain, compress, repeat
 from types import MappingProxyType
 from typing import Container, Iterable, Iterator, Mapping, NamedTuple
@@ -393,13 +394,28 @@ def _plan(net: Network, duration: int) -> tuple[dict[int, list[int]],
     """The plan of a run of duration ms: per neuron, the indices of its
     synapses that land inside the run (one list.append per synapse, run
     in C), and the strongly connected components of the graph neuron ->
-    the sources of those synapses, each after every one it reads from."""
+    the sources of those synapses, each after every one it reads from.
+    A back synapse lands and reads a neuron of a larger id than its
+    target. A cycle's largest id is the source of one and its least id
+    the target of one: the neurons are in id order, one component each,
+    but for Tarjan's order over [least target, greatest source]."""
     sources, targets, _, delays = net._columns
     fan_in: dict[int, list[int]] = {nid: [] for nid in net.neurons}
-    lands = bytes(map(duration.__gt__, delays))
-    deque(map(list.append, map(fan_in.__getitem__, compress(targets, lands)),
-              compress(range(len(lands)), lands)), 0)
-    return fan_in, _components(fan_in, sources)
+    landed = iter  # a column's values at the synapses that land
+    if max(delays, default=0) >= duration:
+        landed = partial(compress, selectors=bytes(map(duration.__gt__, delays)))
+    deque(map(list.append, map(fan_in.__getitem__, landed(targets)),
+              landed(range(len(targets)))), 0)
+    back = bytes(map(operator.gt, landed(sources), landed(targets)))
+    reads = bytes(map(net.neurons.__contains__, compress(landed(sources), back)))
+    ids = sorted(net.neurons)
+    if 1 not in reads:
+        return fan_in, [[nid] for nid in ids]
+    lo = min(compress(compress(landed(targets), back), reads))
+    hi = max(compress(compress(landed(sources), back), reads))
+    span = {nid: fan_in[nid] for nid in ids if lo <= nid <= hi}
+    return fan_in, [*([nid] for nid in ids if nid < lo), *_components(span, sources),
+                    *([nid] for nid in ids if nid > hi)]
 
 
 def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
@@ -413,6 +429,9 @@ def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
     fan_in, order = _plan(net, duration)
     sources, targets, weights, delays = net._columns
     looped = {*compress(targets, map(operator.eq, sources, targets))}
+    # a (source, delay) read's train, shifted and cut to the run; no bench
+    # network reads a pair again after 256 others, so each is made once
+    shifted = lru_cache(256)(lambda source, delay: (trains[source] << delay) & mask)
     for component in order:
         nid, synapses, held = component[0], fan_in[component[0]], 0
         if len(component) > 1 or nid in looped:
@@ -423,8 +442,7 @@ def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
                                                  trains, duration))
                 continue
             synapses = [k for k in synapses if sources[k] != nid]
-        inputs = [((trains[sources[k]] << delays[k]) & mask, weights[k])
-                  for k in synapses]
+        inputs = [(shifted(sources[k], delays[k]), weights[k]) for k in synapses]
         planes, offset = _bit_sliced_sum(inputs, mask)
         threshold = net.neurons[nid] + offset
         fire = _at_least(planes, threshold, mask)
@@ -537,25 +555,46 @@ def _stepped_component(net: Network, component: list[int],
                        fan_in: dict[int, list[int]],
                        trains: dict[int, int], duration: int) -> dict[int, int]:
     """Trains of one feedback component, stepped one ms at a time on byte
-    flags, pad zero ticks ahead of t = 0: the known trains of its inputs
-    from outside, and the rows its members fill in as they fire."""
+    flags, pad zero ticks ahead of t = 0, until its inputs from outside
+    are quiet and its state, the members' last pad ms, repeats (Brent:
+    one saved state, saved again at power-of-two step counts), or to the
+    end. The rest of each train repeats its flags since the saved state."""
     sources, _, weights, delays = net._columns
     synapses = [k for nid in component for k in fan_in[nid]]
     pad = max(map(delays.__getitem__, synapses))
-    rows = {nid: bytearray(pad + duration) for nid in component}
-    rows.update({src: bytes(pad) + _flags(trains[src]).ljust(duration, b"\0")
+    rows = {nid: bytearray(pad) for nid in component}
+    # from ms quiet on, no input lands from outside (rows of bytes)
+    quiet = min(duration, max([trains[sources[k]].bit_length() + delays[k]
+                               for k in synapses if sources[k] not in rows], default=0))
+    rows.update({src: bytes(pad) + _flags(trains[src])[:quiet].ljust(quiet, b"\0")
                  for src in {*map(sources.__getitem__, synapses)} - rows.keys()})
     steps = [(rows[nid], net.neurons[nid],
               [(rows[sources[k]], delays[k], weights[k]) for k in fan_in[nid]])
              for nid in component]
+    saved, period, power = None, 0, 1
     for now in range(pad, pad + duration):
+        if now - pad >= quiet:
+            if saved is None:  # keep the members' rows, bytearrays, alone
+                steps = [(row, threshold, [i for i in inputs if type(i[0]) is bytearray])
+                         for row, threshold, inputs in steps]
+            state, period = b"".join(step[0][-pad:] for step in steps), period + 1
+            if state == saved:
+                break
+            if period == power:
+                saved, period, power = state, 0, 2 * power
         for row, threshold, inputs in steps:
             charge = 0
             for flags, delay, weight in inputs:
                 charge += flags[now - delay] * weight
-            row[now] = charge >= threshold
-    return {nid: int(rows[nid][pad:][::-1].translate(_DIGIT) or b"0", 2)
-            for nid in component}
+            row.append(charge >= threshold)
+    stepped, result = len(steps[0][0]) - pad, {}
+    for nid in component:
+        result[nid] = int(rows[nid][pad:][::-1].translate(_DIGIT) or b"0", 2)
+        if stepped < duration:  # the flags since the saved state repeat
+            pattern = int(rows[nid][-period:][::-1].translate(_DIGIT) or b"0", 2)
+            result[nid] |= (pattern * ((1 << period * (duration // period + 1)) - 1)
+                            // ((1 << period) - 1) << stepped) & ((1 << duration) - 1)
+    return result
 
 
 class Simulation:

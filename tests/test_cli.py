@@ -270,7 +270,10 @@ EXPERIMENT_COMMANDS = [
      + (["--seed", "3"] if name == "mux-demux" else []))
     for name, flags in SIZE_FLAGS.items()
 ] + [(f"{name}-stimulus", ["run", name, "--stimulus", STIMULUS])
-     for name in STIMULI]
+     for name in STIMULI
+] + [(f"d-latch-{ak}-long", ["run", "d-latch", "--and", ak, "--duration-ms",
+                             "100000", "--format", "csv"])
+     for ak in ("classic", "fast")]
 
 
 @pytest.mark.parametrize("name, argv", EXPERIMENT_COMMANDS,

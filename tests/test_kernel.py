@@ -11,6 +11,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from spikelogic import sim
+from spikelogic.gates import build_css
 from spikelogic.harness import (
     BLOCKS,
     EXPERIMENTS,
@@ -93,13 +95,13 @@ def test_random_gate_like_networks(case):
 
 
 @st.composite
-def rings(draw):
+def rings(draw, longest=60):
     """A ring of 2 to 4 neurons (delays 1 to 3, weights of either sign)
     fed from outside, directly or through a relay neuron, by periodic
     inputs that go quiet early, go quiet late or never go quiet, a
-    reader neuron outside it, and a duration."""
+    reader neuron outside it, and a duration of up to longest ms."""
     net = Network()
-    duration = draw(st.integers(1, 60))
+    duration = draw(st.integers(1, longest))
     ring = [net.add_neuron(draw(THRESHOLDS)) for _ in range(draw(st.integers(2, 4)))]
     for a, b in zip(ring, ring[1:] + ring[:1]):
         net.connect(a, b, draw(WEIGHTS), draw(st.integers(1, 3)))
@@ -124,6 +126,119 @@ def rings(draw):
 @given(rings())
 def test_random_rings(case):
     assert_matches_reference(*case)
+
+
+@given(rings(400))
+def test_random_long_rings(case):
+    # long enough for a ring to go quiet and then repeat: its trains are
+    # stepped up to a repeated state and filled in from there
+    assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize("duration", range(1, 90))
+def test_ring_stepped_to_the_end_or_repeated(duration):
+    # four neurons at delay 3 hold 12 ms of flags: the state repeats only
+    # some 30 ms after the feed goes quiet, past the end of shorter runs
+    net = Network()
+    ring = [net.add_neuron() for _ in range(4)]
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        net.connect(a, b, 1, 3)
+    net.connect(net.add_source([0, 2, 3, 7]), ring[0], 1, 1)
+    net.connect(ring[2], ring[1], -1, 2)
+    net.record(*ring)
+    assert_matches_reference(net, duration)
+
+
+def test_lone_css_is_its_closed_form():
+    # the ring's state repeats 2 ms after its bootstrap spike lands: a
+    # run of 10^6 ms steps 4 ms and fills the rest, holding no per-ms row
+    net = Network()
+    css = build_css(net)
+    net.record(*css.outputs.values())
+    duration = 10 ** 6
+    tracemalloc.start()
+    try:
+        record = net.run(duration)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # phase A at odd ticks from 1, phase B at even ticks from 2
+    assert record.trains == {css.output("phase_a"): int("10" * (duration // 2), 2),
+                             css.output("phase_b"): int("01" * (duration // 2), 2) - 1}
+    assert peak < 2 * 2 ** 20
+
+
+def _spied_components(monkeypatch) -> list[list[int]]:
+    """The neurons of each fan-in that sim._components is given."""
+    spans = []
+    original = sim._components
+
+    def components(fan_in, sources):
+        spans.append(list(fan_in))
+        return original(fan_in, sources)
+
+    monkeypatch.setattr(sim, "_components", components)
+    return spans
+
+
+def test_ids_against_the_data_flow(monkeypatch):
+    # a chain from id 5 down to id 0, with a skip and an inhibitory
+    # shortcut down it, and a reader of larger id: every synapse of the
+    # chain is a back synapse, and there is no cycle
+    spans = _spied_components(monkeypatch)
+    net = Network()
+    chain = [net.add_neuron() for _ in range(6)]
+    net.connect(net.add_source([0, 3, 4, 9, 10, 11]), chain[-1], 1, 2)
+    for a, b in zip(chain[:0:-1], chain[-2::-1]):
+        net.connect(a, b, 1, 1 + a % 2)
+    net.connect(chain[3], chain[0], 1, 3)
+    net.connect(chain[4], chain[1], -1, 1)
+    reader = net.add_neuron(2)
+    net.connect(chain[0], reader, 1, 1)
+    net.connect(chain[2], reader, 1, 2)
+    net.record(*net.neurons)
+    assert_matches_reference(net, 30)
+    assert spans == [chain]
+
+
+def test_cycle_between_distant_ids(monkeypatch):
+    # a cycle of ids 1 and 5, a second one of 5, 3 and 4, id 2 outside
+    # both, a feeder before and a reader past them: Tarjan is given 1 to 5
+    spans = _spied_components(monkeypatch)
+    net = Network()
+    first, low, middle, inner, top, high, past = (net.add_neuron() for _ in range(7))
+    feed = net.add_source([0, 1, 6, 13])
+    net.connect(feed, first, 1, 1)
+    net.connect(first, low, 1, 2)
+    net.connect(low, high, 1, 1)
+    net.connect(high, low, 1, 3)
+    net.connect(feed, middle, 1, 1)
+    net.connect(middle, past, -1, 2)
+    net.connect(high, inner, -1, 1)
+    net.connect(feed, inner, 1, 2)
+    net.connect(inner, top, 1, 1)
+    net.connect(top, high, -2, 1)
+    net.connect(high, past, 1, 1)
+    net.record(*net.neurons)
+    assert_matches_reference(net, 40)
+    assert spans == [[low, middle, inner, top, high]]
+
+
+def test_tarjan_sees_only_the_css_ring(monkeypatch):
+    # the fast decoder's one back synapse is the CSS ring's phase B ->
+    # phase A; a classic D latch's only feedback is its SR self-loops
+    spans = _spied_components(monkeypatch)
+    net = Network()
+    decoder = build_block(net, "decoder", "fast", (10,))
+    net.record(*decoder.outputs.values())
+    net.run(30)
+    assert spans == [[0, 1]]
+    spans.clear()
+    net = Network()
+    latch = build_block(net, "d_latch", "classic", ())
+    net.record(*latch.outputs.values())
+    net.run(30)
+    assert spans == []
 
 
 def _duplicate_synapses(net, feed, nid):
