@@ -46,7 +46,7 @@ import operator
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress, count
+from itertools import compress, count
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .blocks import (
@@ -506,16 +506,20 @@ def _stimulated(cfg: ExperimentConfig, names: Sequence[str], duration: int,
     words of those trains, word 0 left 0 as checks start at t=1.
     canonical(duration) gives the default per-ms words, bit k driving
     names[k] from t=1 on; cfg.stimulus replaces them, and canonical is
-    not called: a name it gives that is no input, or a time that is not
-    an int >= 0, raises ValueError."""
+    not called: a stimulus that is not a mapping, a name it gives that
+    is no input, or a time that is not an int >= 0, raises ValueError."""
     if cfg.stimulus is None:
         words = canonical(duration)
         times = {name: tuple(t for t in range(1, duration) if words[t] >> k & 1)
                  for k, name in enumerate(names)}
     else:
-        unknown = set(cfg.stimulus) - set(names)
+        if not isinstance(cfg.stimulus, Mapping):
+            raise ValueError("stimulus must map input names to spike times, "
+                             f"not {cfg.stimulus!r}")
+        # sorted by str: names of mixed types do not compare
+        unknown = sorted({*cfg.stimulus} - {*names}, key=str)
         if unknown:
-            raise ValueError(f"stimulus signals {sorted(unknown)} do not match "
+            raise ValueError(f"stimulus signals {unknown} do not match "
                              f"the experiment inputs {sorted(names)}")
         times = {name: tuple(sorted(set(_times(
             f"stimulus times of signal {name}", cfg.stimulus.get(name, ())))))
@@ -850,35 +854,44 @@ def fuzz_memory(registers: int, bits: int, and_kind: str,
         f"final contents {list(final)}")
 
 
+def _path_delays(net: Network, starts: Iterable[tuple[int, int]]) -> list[int]:
+    """Per entity id, the delays (bit d: d ms) at which a path reaches it
+    from the bits each (eid, bits) of starts sets, carried in id order
+    along every synapse, inhibitory ones too: the network is walked, not
+    run. Only the span, the CSS ring in every block, reads an entity
+    walked after it, and no input reaches the ring."""
+    arrive = [0] * (len(net.neurons) + len(net.sources))
+    for eid, bits in starts:
+        arrive[eid] |= bits
+    sources, _, _, delays = net._columns
+    fan_in = _plan(net, 1 + max(delays, default=0))[0]
+    for nid, synapses in fan_in.items():
+        for k in synapses:
+            if sources[k] != nid:  # an SR latch's hold is no new path
+                arrive[nid] |= arrive[sources[k]] << delays[k]
+    return arrive
+
+
 def measure_latency(kind: str, and_kind: str | None = None,
                     **sizes: int | None) -> int:
     """The one delay of every path from an input port of the built block
-    to an output, from a walk over its synapses: the block is not run. An
-    output that no path reaches, or that paths reach at more than one
-    delay or at another than the other outputs, raises ValueError naming
-    it and its delays. Sizes default as in verify_block."""
-    ak, size = block_config(kind, and_kind, **sizes)
+    to an output, from _path_delays: the block is not run. An output that
+    no path reaches, or that paths reach at more than one delay or at
+    another than the other outputs, raises ValueError naming it and its
+    delays. Sizes default as in verify_block."""
     net = Network()
-    block = build_block(net, kind, ak, size)
-    # bit d of arrive[eid]: a path from an input port reaches eid in d ms
-    arrive = [0] * (len(net.neurons) + len(net.sources))
-    for taps in block.inputs.values():
-        for target, _, delay, _ in taps:
-            arrive[target] |= 1 << delay
-    # the kernel's plan puts every source before its targets, and its one
-    # cycle, the CSS ring, is reached from no input. Inhibitory synapses
-    # are paths too: channel 0 is reached only through the inverters.
-    sources, _, _, delays = net._columns
-    fan_in, order = _plan(net, 1 + max(delays, default=0))
-    for nid in chain.from_iterable(order):
-        for k in fan_in[nid]:
-            if sources[k] != nid:  # an SR latch's hold is no new path
-                arrive[nid] |= arrive[sources[k]] << delays[k]
+    return _latency(net, build_block(net, kind, *block_config(kind, and_kind, **sizes)))
+
+
+def _latency(net: Network, block: Handle) -> int:
+    """measure_latency of a block built on net."""
+    arrive = _path_delays(net, [(target, 1 << delay) for taps in block.inputs.values()
+                                for target, _, delay, _ in taps])
     shared = None
     for name, eid in block.outputs.items():
         if arrive[eid].bit_count() != 1 or shared not in (None, arrive[eid]):
             delays = list(compress(count(), _flags(arrive[eid])))
-            raise ValueError(f"{kind} output {name} has path delays {delays}"
+            raise ValueError(f"{block.kind} output {name} has path delays {delays}"
                              " ms, not the one delay of every output")
         shared = arrive[eid]
     return shared.bit_length() - 1
@@ -891,9 +904,9 @@ def verify_block(kind: str, and_kind: str | None = None, *,
     size, and DEFAULT_SEED where cases are drawn; a size below the smallest
     buildable one, or a seed where no case is drawn, raises ValueError."""
     ak, size = block_config(kind, and_kind, **sizes)
-    spec = BLOCKS[kind]
-    checks = spec.verify(ak, _random(_seeded(seed)), seed, *size)
-    handle = build_block(Network(), kind, ak, size)
+    checks = BLOCKS[kind].verify(ak, _random(_seeded(seed)), seed, *size)
+    net = Network()
+    handle = build_block(net, kind, ak, size)
     queries = formula_queries(handle)
     if queries is None:  # a partially occupied memory
         checks.append(Check(
@@ -909,7 +922,7 @@ def verify_block(kind: str, and_kind: str | None = None, *,
             result.ok, "; ".join(result.diffs)))
     wanted = expected_latency(kind, ak)
     try:
-        measured = measure_latency(kind, ak, **dict(zip(spec.default, size)))
+        measured = _latency(net, handle)
         label, detail = f"measured latency {measured} ms", f"expected {wanted}"
     except ValueError as mismatch:  # paths of more than one delay
         measured, label, detail = None, "latency", str(mismatch)

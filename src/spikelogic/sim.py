@@ -13,19 +13,20 @@ Two kernels produce the same SpikeRecord. Simulation is the reference:
 it steps one millisecond at a time over the synapses view and delivers
 each synaptic event on its own. Network.run never calls it. It reads
 the plan of the run, _plan(net, duration): per neuron, the indices of
-its synapses that land inside the run, and a topological order of the
-neuron graph's strongly connected components: id order, with Tarjan
-run only over the span of ids that synapses to smaller ids cover
-(harness's latency walk reads the same plan). Over that order it
+its synapses that land inside the run, and the span, the ids from the
+least target to the greatest source of the back synapses, which read
+a larger id than their target. A neuron outside the span reads only
+smaller ids, one inside it smaller ids or the span's, so in id order it
 computes one spike train per entity, an int whose bit t is set when
 the entity spikes at t, sharing each recent (source, delay) shift:
 
-- a neuron outside any cycle thresholds a bit-sliced sum of its
-  shifted input trains;
-- a lone neuron whose self-synapses all have delay 1 and a total
-  weight of at least 0 (the SR latch) takes a closed form, a carry chain;
-- any other feedback component (the CSS ring) is stepped alone until
-  its inputs are quiet and its state repeats, then repeated in closed form.
+- a neuron outside the span thresholds a bit-sliced sum of its shifted
+  input trains;
+- one whose self-synapses all have delay 1 and a total weight of at
+  least 0 (the SR latch) takes a closed form, a carry chain;
+- the span (the CSS ring), as one component, and any other self-looped
+  neuron are stepped until their inputs are quiet and their state
+  repeats, then repeated in closed form.
 """
 
 from __future__ import annotations
@@ -389,17 +390,19 @@ def _words(trains: Sequence[int], duration: int) -> Sequence[int]:
     return words
 
 
-def _plan(net: Network, duration: int) -> tuple[dict[int, list[int]],
-                                               list[list[int]]]:
-    """The plan of a run of duration ms: per neuron, the indices of its
-    synapses that land inside the run (one list.append per synapse, run
-    in C), and the strongly connected components of the graph neuron ->
-    the sources of those synapses, each after every one it reads from.
-    A back synapse lands and reads a neuron of a larger id than its
-    target. A cycle's largest id is the source of one and its least id
-    the target of one: the neurons are in id order, one component each,
-    but for Tarjan's order over [least target, greatest source]."""
+def _plan(net: Network, duration: int) -> tuple[dict[int, list[int]], range]:
+    """The plan of a run of duration ms: per neuron in id order, the
+    indices of its synapses that land inside the run (one list.append per
+    synapse, run in C), and the span, the ids from the least target to
+    the greatest source of the back synapses, those that land and read a
+    neuron of a larger id than their target (empty if there is none). A
+    neuron outside the span that read a larger id would be a back target
+    below the least or read a back source above the greatest, so it reads
+    smaller ids only, and one inside it those or the span's: as every
+    delay is 1 ms or more, id order, with the span stepped at its first
+    id, reads only trains already computed."""
     sources, targets, _, delays = net._columns
+    # ids are given in insertion order, so the neurons are in id order
     fan_in: dict[int, list[int]] = {nid: [] for nid in net.neurons}
     landed = iter  # a column's values at the synapses that land
     if max(delays, default=0) >= duration:
@@ -408,14 +411,10 @@ def _plan(net: Network, duration: int) -> tuple[dict[int, list[int]],
               landed(range(len(targets)))), 0)
     back = bytes(map(operator.gt, landed(sources), landed(targets)))
     reads = bytes(map(net.neurons.__contains__, compress(landed(sources), back)))
-    ids = sorted(net.neurons)
     if 1 not in reads:
-        return fan_in, [[nid] for nid in ids]
-    lo = min(compress(compress(landed(targets), back), reads))
-    hi = max(compress(compress(landed(sources), back), reads))
-    span = {nid: fan_in[nid] for nid in ids if lo <= nid <= hi}
-    return fan_in, [*([nid] for nid in ids if nid < lo), *_components(span, sources),
-                    *([nid] for nid in ids if nid > hi)]
+        return fan_in, range(0)
+    return fan_in, range(min(compress(compress(landed(targets), back), reads)),
+                         max(compress(compress(landed(sources), back), reads)) + 1)
 
 
 def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
@@ -426,20 +425,24 @@ def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
     # add_source checked the schedules
     trains = {sid: _train([t for t in times if t < duration])
               for sid, times in net.sources.items()}
-    fan_in, order = _plan(net, duration)
+    fan_in, span = _plan(net, duration)
     sources, targets, weights, delays = net._columns
     looped = {*compress(targets, map(operator.eq, sources, targets))}
     # a (source, delay) read's train, shifted and cut to the run; no bench
     # network reads a pair again after 256 others, so each is made once
     shifted = lru_cache(256)(lambda source, delay: (trains[source] << delay) & mask)
-    for component in order:
-        nid, synapses, held = component[0], fan_in[component[0]], 0
-        if len(component) > 1 or nid in looped:
+    for nid, synapses in fan_in.items():
+        held = 0
+        if nid in span:
+            if nid == span.start:  # a back synapse's target: a neuron
+                trains.update(_stepped_component(
+                    net, [*filter(fan_in.__contains__, span)], fan_in, trains, duration))
+            continue
+        if nid in looped:
             loop = [k for k in synapses if sources[k] == nid]
             held = sum(weights[k] for k in loop)
-            if len(component) > 1 or held < 0 or any(delays[k] != 1 for k in loop):
-                trains.update(_stepped_component(net, component, fan_in,
-                                                 trains, duration))
+            if held < 0 or any(delays[k] != 1 for k in loop):
+                trains.update(_stepped_component(net, [nid], fan_in, trains, duration))
                 continue
             synapses = [k for k in synapses if sources[k] != nid]
         inputs = [(shifted(sources[k], delays[k]), weights[k]) for k in synapses]
@@ -455,52 +458,6 @@ def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
             fire = (((active + fire) ^ active ^ fire) >> 1) & mask
         trains[nid] = fire
     return trains
-
-
-def _components(fan_in: dict[int, list[int]], sources: array) -> list[list[int]]:
-    """Strongly connected components of the graph neuron -> sources[k]
-    of each synapse index k of its fan-in, every component after each
-    one it depends on (iterative Tarjan, which emits a component once
-    all it reaches are emitted)."""
-    source = sources.__getitem__
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    stack: list[int] = []
-    on_stack: set[int] = set()
-    order: list[list[int]] = []
-    for root in fan_in:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, map(source, fan_in[root]))]
-        while work:
-            node, reads = work[-1]
-            for nxt in reads:
-                if nxt not in index and nxt in fan_in:  # not a spike source
-                    index[nxt] = low[nxt] = len(index)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, map(source, fan_in[nxt])))
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    order.append(component)
-    return order
 
 
 def _bit_sliced_sum(inputs: list[tuple[int, int]],

@@ -46,6 +46,14 @@ CALLS = {
         stimulus={"store": 5})), "stimulus times of signal store"),
     "stimulus-none": (lambda: run_experiment("d-latch", ExperimentConfig(
         stimulus={"store": None})), "stimulus times of signal store"),
+    # a stimulus maps input names to times: not an int or pairs, and a
+    # name of another type is listed, not compared with the others
+    "stimulus-not-mapping": (lambda: run_experiment("d-latch", ExperimentConfig(
+        stimulus=5)), "stimulus must map input names"),
+    "stimulus-pairs": (lambda: run_experiment("d-latch", ExperimentConfig(
+        stimulus=[("store", [1])])), "stimulus must map input names"),
+    "stimulus-mixed-names": (lambda: run_experiment("d-latch", ExperimentConfig(
+        stimulus={"x": [1], 3: [2]})), "stimulus signals [3, 'x'] do not match"),
     # checked though a stimulus leaves the seed undrawn
     "seed-under-stimulus": (lambda: run_experiment("mux-demux", ExperimentConfig(
         seed="x", stimulus={"s0": [1]})), "seed must be an int"),
@@ -161,12 +169,12 @@ def test_bad_input_raises_naming_it(call, named):
     (lambda: run_experiment("mux-demux"), 2),
     (lambda: run_experiment("d-latch"), 1),
     (lambda: run_experiment("memory"), 1),
-    (lambda: verify_block("decoder"), 10),
-    (lambda: verify_block("multiplexer"), 10),
-    (lambda: verify_block("demultiplexer"), 10),
-    (lambda: verify_block("encoder"), 7),
-    (lambda: verify_block("d_latch"), 7),
-    (lambda: verify_block("memory"), 7),
+    (lambda: verify_block("decoder"), 8),
+    (lambda: verify_block("multiplexer"), 8),
+    (lambda: verify_block("demultiplexer"), 8),
+    (lambda: verify_block("encoder"), 5),
+    (lambda: verify_block("d_latch"), 5),
+    (lambda: verify_block("memory"), 5),
 ], ids=["decoder-encoder", "mux-demux", "d-latch", "memory", "verify-decoder",
         "verify-multiplexer", "verify-demultiplexer", "verify-encoder",
         "verify-d_latch", "verify-memory"])

@@ -5,7 +5,6 @@ import io
 import random
 import re
 from dataclasses import replace
-from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -41,7 +40,7 @@ from spikelogic.resources import (
     formula_resources,
     reconcile,
 )
-from spikelogic.sim import Network, _plan, spike_train
+from spikelogic.sim import Network, spike_train
 from spikelogic.trace import render_trace
 from support import refuse_builds, shuffle_synapses, slow_one_synapse
 
@@ -557,9 +556,9 @@ def _unproven_check_delays(name: str, config: ExperimentConfig,
                            monkeypatch) -> list[str]:
     """Every output of a check of the run whose path delays are not the
     check's one delay, named with its check, its group and its delays.
-    Delays come from a walk over the network's plan, as measure_latency
-    walks a block, from every source but the CSS bootstraps (schedule
-    (0,)); the network is walked as built, not run."""
+    Delays come from harness._path_delays, the walk measure_latency
+    makes over a block, from every source but the CSS bootstraps
+    (schedule (0,)); the network is walked as built, not run."""
     checks = []  # each check's label, output group and delay
     expect = harness._expect_delayed
 
@@ -572,15 +571,8 @@ def _unproven_check_delays(name: str, config: ExperimentConfig,
     assert len(checks) == len(result.checks)
     net = result.net
     # bit d of arrive[eid]: a path from an input source reaches eid in d ms
-    arrive = [0] * (len(net.neurons) + len(net.sources))
-    for sid, times in net.sources.items():
-        arrive[sid] = int(times != (0,))
-    sources, _, _, delays = net._columns
-    fan_in, order = _plan(net, 1 + max(delays, default=0))
-    for nid in chain.from_iterable(order):
-        for k in fan_in[nid]:
-            if sources[k] != nid:  # an SR latch's hold is no new path
-                arrive[nid] |= arrive[sources[k]] << delays[k]
+    arrive = harness._path_delays(net, [(sid, int(times != (0,)))
+                                        for sid, times in net.sources.items()])
     unproven = []
     for label, group, latency in checks:
         for signal, eid in group.items():

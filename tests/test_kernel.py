@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spikelogic import sim
-from spikelogic.gates import build_css
+from spikelogic.gates import CAT_INTERNAL_CSS, build_css
 from spikelogic.harness import (
     BLOCKS,
     EXPERIMENTS,
@@ -168,27 +168,28 @@ def test_lone_css_is_its_closed_form():
     assert peak < 2 * 2 ** 20
 
 
-def _spied_components(monkeypatch) -> list[list[int]]:
-    """The neurons of each fan-in that sim._components is given."""
+def _spied_spans(monkeypatch) -> list[list[int]]:
+    """The neurons of each nonempty span that sim._plan returns."""
     spans = []
-    original = sim._components
+    original = sim._plan
 
-    def components(fan_in, sources):
-        spans.append(list(fan_in))
-        return original(fan_in, sources)
+    def plan(net, duration):
+        fan_in, span = original(net, duration)
+        if span:
+            spans.append([nid for nid in span if nid in net.neurons])
+        return fan_in, span
 
-    monkeypatch.setattr(sim, "_components", components)
+    monkeypatch.setattr(sim, "_plan", plan)
     return spans
 
 
-def test_ids_against_the_data_flow(monkeypatch):
-    # a chain from id 5 down to id 0, with a skip and an inhibitory
-    # shortcut down it, and a reader of larger id: every synapse of the
-    # chain is a back synapse, and there is no cycle
-    spans = _spied_components(monkeypatch)
+def _reversed_chain(feed: list[int]) -> tuple[Network, list[int]]:
+    """A chain from id 5 down to id 0, fed at feed, with a skip and an
+    inhibitory shortcut down it, and a reader of larger id: every
+    synapse of the chain is a back synapse, and there is no cycle."""
     net = Network()
     chain = [net.add_neuron() for _ in range(6)]
-    net.connect(net.add_source([0, 3, 4, 9, 10, 11]), chain[-1], 1, 2)
+    net.connect(net.add_source(feed), chain[-1], 1, 2)
     for a, b in zip(chain[:0:-1], chain[-2::-1]):
         net.connect(a, b, 1, 1 + a % 2)
     net.connect(chain[3], chain[0], 1, 3)
@@ -197,14 +198,37 @@ def test_ids_against_the_data_flow(monkeypatch):
     net.connect(chain[0], reader, 1, 1)
     net.connect(chain[2], reader, 1, 2)
     net.record(*net.neurons)
+    return net, chain
+
+
+def test_ids_against_the_data_flow(monkeypatch):
+    # the span holds the whole chain, stepped though acyclic
+    spans = _spied_spans(monkeypatch)
+    net, chain = _reversed_chain([0, 3, 4, 9, 10, 11])
     assert_matches_reference(net, 30)
     assert spans == [chain]
 
 
+def test_ids_against_the_data_flow_settle_and_repeat():
+    # once its feed is quiet, a span without a cycle settles like a
+    # ring: a run of 10^6 ms steps a few ms and holds no per-ms row, and
+    # nothing spikes past the first 60 ms
+    net, _ = _reversed_chain([0, 3, 4, 9, 10, 11])
+    tracemalloc.start()
+    try:
+        record = net.run(10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert record.trains == net.run(60).trains
+    assert any(record.trains.values())
+    assert peak < 2 * 2 ** 20
+
+
 def test_cycle_between_distant_ids(monkeypatch):
     # a cycle of ids 1 and 5, a second one of 5, 3 and 4, id 2 outside
-    # both, a feeder before and a reader past them: Tarjan is given 1 to 5
-    spans = _spied_components(monkeypatch)
+    # both, a feeder before and a reader past them: the span is 1 to 5
+    spans = _spied_spans(monkeypatch)
     net = Network()
     first, low, middle, inner, top, high, past = (net.add_neuron() for _ in range(7))
     feed = net.add_source([0, 1, 6, 13])
@@ -224,21 +248,35 @@ def test_cycle_between_distant_ids(monkeypatch):
     assert spans == [[low, middle, inner, top, high]]
 
 
-def test_tarjan_sees_only_the_css_ring(monkeypatch):
-    # the fast decoder's one back synapse is the CSS ring's phase B ->
-    # phase A; a classic D latch's only feedback is its SR self-loops
-    spans = _spied_components(monkeypatch)
-    net = Network()
-    decoder = build_block(net, "decoder", "fast", (10,))
-    net.record(*decoder.outputs.values())
-    net.run(30)
-    assert spans == [[0, 1]]
-    spans.clear()
-    net = Network()
-    latch = build_block(net, "d_latch", "classic", ())
-    net.record(*latch.outputs.values())
-    net.run(30)
-    assert spans == []
+def _css_ring(net: Network) -> list[int]:
+    """The ids of every CSS ring's neurons, the sources of its synapses."""
+    return sorted({synapse.source for synapse, label
+                   in zip(net.synapses, net.categories) if label == CAT_INTERNAL_CSS})
+
+
+# every block kind at its default size, as built, and every experiment,
+# as run, with each AND kind
+SPANNED = [("block", kind, ak) for kind in BLOCKS for ak in ("classic", "fast")] + [
+    ("experiment", name, ak) for name in EXPERIMENTS for ak in ("classic", "fast")]
+
+
+@pytest.mark.parametrize("made, name, ak", SPANNED,
+                         ids=["-".join(case) for case in SPANNED])
+def test_the_span_is_the_css_ring(made, name, ak):
+    # the one back synapse of every block and experiment is the CSS
+    # ring's phase B -> phase A, and an SR latch's self-loop is none: the
+    # span is the ring's two ids, and empty where no CSS is built (the
+    # encoder, the classic D latch)
+    if made == "block":
+        net, duration = Network(), 30
+        build_block(net, name, *block_config(name, ak))
+    else:
+        result = run_experiment(name, ExperimentConfig(and_kind=ak))
+        net, duration = result.net, result.record.duration_ms
+    ring = _css_ring(net)
+    assert len(ring) == (0 if name == "encoder" or (name, ak) == ("d_latch", "classic")
+                         else 2)
+    assert list(sim._plan(net, duration)[1]) == ring
 
 
 def _duplicate_synapses(net, feed, nid):

@@ -182,10 +182,12 @@ def test_the_library_raises_value_error():
 
 
 def test_one_plan_and_one_view_over_the_columns():
-    # sim._plan groups a network's fan-in and orders its components for
-    # the kernel and measure_latency alike, and one view class serves
-    # both the synapses and their labels
+    # sim._plan groups a network's fan-in and finds its span for the
+    # kernel and the latency walk alike, with no second ordering pass,
+    # and one view class serves both the synapses and their labels
     sim = ast.parse((SRC / "sim.py").read_text(encoding="utf-8"))
+    assert "_components" not in {node.name for node in ast.walk(sim)
+                                 if isinstance(node, ast.FunctionDef)}
     assert [node.name for node in ast.walk(sim) if isinstance(node, ast.ClassDef)
             and node.name.endswith("View")] == ["_View"]
     harness = ast.parse((SRC / "harness.py").read_text(encoding="utf-8"))
