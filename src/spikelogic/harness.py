@@ -46,7 +46,7 @@ import operator
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import accumulate, compress, count
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .blocks import (
@@ -213,6 +213,12 @@ def _unseeded(seed: int | None, recipe: str) -> None:
         raise ValueError(f"{recipe} reads no seed, got seed={seed!r}")
 
 
+def _drawn(kind: str, rng: random.Random, *size: int) -> list[int]:
+    """VERIFY_TRIALS words drawn uniformly over the block's input ports."""
+    ports = _FORMS[kind].ports(*size)[0]
+    return [rng.randrange(2 ** ports) for _ in range(VERIFY_TRIALS)]
+
+
 def _diff_detail(signal: str, got: int, want: int) -> str:
     parts = [f"signal {signal}"]
     for what, train in (("unexpected", got & ~want), ("missing", want & ~got)):
@@ -297,6 +303,19 @@ class BlockSpec:
     verify: Callable[..., list[Check]]  # (and_kind, rng, seed or None, *size)
 
 
+def _memory_words(words: Sequence[int], r: int, c: int) -> list[int]:
+    """The memory oracle's words, register a at bits (a - 1) c and up:
+    each is the word before with its write's change xored in, so a write
+    costs one register, not all r."""
+    depth = r.bit_length()
+    addresses = [w & 2 ** depth - 1 for w in words]
+    states = memory_states(addresses, [w >> depth for w in words], r, c)
+    return [*accumulate((
+        (before[a - 1] ^ after[a - 1]) << (a - 1) * c if 0 < a <= r else 0
+        for a, before, after in zip(addresses, [(0,) * r, *states], states)),
+        operator.xor)]
+
+
 # Builders, sweeps and oracles are looked up at call time, through this
 # module's globals, so a caller may wrap them (the benchmark traces them).
 BLOCKS: dict[str, BlockSpec] = {
@@ -305,17 +324,15 @@ BLOCKS: dict[str, BlockSpec] = {
         build=lambda net, ak, css, n: build_decoder(net, n, ak, css),
         oracle=lambda words, n: [1 << decoder_channel(w) for w in words],
         verify=lambda ak, rng, seed, n: [
-            sweep_decoder(n, ak),
-            sweep_decoder(n, ak, [rng.randrange(2 ** n)
-                                  for _ in range(VERIFY_TRIALS)])]),
+            sweep_decoder(n, ak), sweep_decoder(n, ak, _drawn("decoder", rng, n))]),
     "encoder": BlockSpec(
         {"n": 4},
         build=lambda net, ak, css, m: build_encoder(net, m),
         oracle=lambda words, m: [
             encoder_value(i for i in range(m) if w >> i & 1) for w in words],
         # exhaustive up to 10 inputs, seeded subsets beyond
-        verify=lambda ak, rng, seed, m: [sweep_encoder(m, [
-            rng.randrange(2 ** m) for _ in range(VERIFY_TRIALS)] if m > 10
+        verify=lambda ak, rng, seed, m: [sweep_encoder(
+            m, _drawn("encoder", rng, m) if m > 10
             else _unseeded(seed, f"encoder n={m}, which sweeps every subset,"))]),
     "multiplexer": BlockSpec(
         {"n": 2},
@@ -325,9 +342,7 @@ BLOCKS: dict[str, BlockSpec] = {
             for w in words],
         verify=lambda ak, rng, seed, n: [
             sweep_multiplexer(n, ak),
-            sweep_multiplexer(n, ak, [
-                rng.randrange(2 ** n) | rng.randrange(2 ** 2 ** n) << n
-                for _ in range(VERIFY_TRIALS)])]),
+            sweep_multiplexer(n, ak, _drawn("multiplexer", rng, n))]),
     "demultiplexer": BlockSpec(
         {"n": 2},
         build=lambda net, ak, css, n: build_demultiplexer(net, n, ak, css),
@@ -336,9 +351,7 @@ BLOCKS: dict[str, BlockSpec] = {
             for w in words],
         verify=lambda ak, rng, seed, n: [
             sweep_demultiplexer(n, ak),
-            sweep_demultiplexer(n, ak, [
-                rng.randrange(2 ** n) | rng.randrange(2) << n
-                for _ in range(VERIFY_TRIALS)])]),
+            sweep_demultiplexer(n, ak, _drawn("demultiplexer", rng, n))]),
     "d_latch": BlockSpec(
         {},
         build=lambda net, ak, css: build_d_latch(net, ak, css),
@@ -349,14 +362,11 @@ BLOCKS: dict[str, BlockSpec] = {
     "memory": BlockSpec(
         {"registers": 3, "bits": 3},
         build=lambda net, ak, css, r, c: build_memory(net, r, c, ak, css),
-        oracle=lambda words, r, c: [
-            sum(map(operator.lshift, state, range(0, r * c, c)))
-            for state in memory_states(
-                [w & 2 ** r.bit_length() - 1 for w in words],
-                [w >> r.bit_length() for w in words], r, c)],
+        oracle=lambda words, r, c: _memory_words(words, r, c),
         verify=lambda ak, rng, seed, r, c: [
             fuzz_memory(r, c, ak, seed=_seeded(seed))]),
 }
+
 
 # every size keyword, with its n-form field; registers price at their
 # bit_length (see block_query)
@@ -767,14 +777,16 @@ def run_experiment(name: str,
 # Verification sweeps
 
 
-def _sweep_select(kind: str, n: int, and_kind: str, words: Sequence[int] | None,
-                  default: Callable[[int], list[int]], noun: str = "cases",
-                  detail: str = "") -> Check:
-    """A select kind's pipelined sweep of words, default(n) if None."""
-    ak, (n,) = block_config(kind, and_kind_name(and_kind), n=n)
+def _sweep(kind: str, n: int, and_kind: str | None, words: Sequence[int] | None,
+           default: Callable[[int], list[int]], noun: str = "cases",
+           detail: str = "") -> Check:
+    """A combinational kind's pipelined sweep of words, default(n) if
+    None; the encoder has no AND stage, so its label names its inputs."""
+    ak = _admitted(kind, and_kind, (n,))
     words = default(n) if words is None else words
+    head = f"{kind} n={n} {ak}" if ak else f"{kind} {n} inputs"
     return check_pipelined(kind, ak, (n,), words,
-                           f"{kind} n={n} {ak}: {len(words)} pipelined {noun}",
+                           f"{head}: {len(words)} pipelined {noun}",
                            f"{len(words)} {noun}{detail}")
 
 
@@ -782,28 +794,21 @@ def sweep_decoder(n: int, and_kind: str,
                   words: Sequence[int] | None = None) -> Check:
     """Pipelined truth-table sweep; silence decodes as word 0."""
     latency = expected_latency("decoder", and_kind)
-    return _sweep_select("decoder", n, and_kind, words, lambda n: [*range(2 ** n)],
-                         "words", f", latency {latency} ms")
+    return _sweep("decoder", n, and_kind, words, lambda n: [*range(2 ** n)],
+                  "words", f", latency {latency} ms")
 
 
-def sweep_encoder(num_inputs: int,
-                  subsets: Sequence[int] | None = None) -> Check:
-    """Pipelined sweep of input subsets (bitmask per ms); expected output
-    is the bitwise OR of the active indices."""
-    _, (num_inputs,) = block_config("encoder", n=num_inputs)
-    if subsets is None:
-        subsets = list(range(2 ** num_inputs))
-    return check_pipelined(
-        "encoder", None, (num_inputs,), subsets,
-        f"encoder {num_inputs} inputs: {len(subsets)} pipelined subsets",
-        f"{len(subsets)} subsets")
+def sweep_encoder(n: int, words: Sequence[int] | None = None) -> Check:
+    """Pipelined sweep of input subsets (bitmask per ms), every subset by
+    default; expected output is the bitwise OR of the active indices."""
+    return _sweep("encoder", n, None, words, lambda n: [*range(2 ** n)], "subsets")
 
 
 def sweep_multiplexer(n: int, and_kind: str,
                       words: Sequence[int] | None = None) -> Check:
     """Pipelined select | data << n words, data masking the 2^n data lines;
     default visits every select word against selected/other lines on and off."""
-    return _sweep_select("multiplexer", n, and_kind, words, lambda n: [
+    return _sweep("multiplexer", n, and_kind, words, lambda n: [
         select | (d_sel << select | d_others * (2 ** 2 ** n - 1 ^ 1 << select)) << n
         for select in range(2 ** n) for d_sel in (0, 1) for d_others in (0, 1)])
 
@@ -812,7 +817,7 @@ def sweep_demultiplexer(n: int, and_kind: str,
                         words: Sequence[int] | None = None) -> Check:
     """Pipelined select | data << n words, data the one data bit;
     default visits every select word with data present and absent."""
-    return _sweep_select("demultiplexer", n, and_kind, words, lambda n: [
+    return _sweep("demultiplexer", n, and_kind, words, lambda n: [
         select | d << n for select in range(2 ** n) for d in (0, 1)])
 
 
@@ -858,17 +863,33 @@ def _path_delays(net: Network, starts: Iterable[tuple[int, int]]) -> list[int]:
     """Per entity id, the delays (bit d: d ms) at which a path reaches it
     from the bits each (eid, bits) of starts sets, carried in id order
     along every synapse, inhibitory ones too: the network is walked, not
-    run. Only the span, the CSS ring in every block, reads an entity
-    walked after it, and no input reaches the ring."""
+    run. At its first id the span, whose members may read ids walked
+    after them, is walked until no arrival changes. Its bits are cut at
+    its size times the longest delay past the latest bit set before it,
+    which every path without a cycle stays below."""
     arrive = [0] * (len(net.neurons) + len(net.sources))
     for eid, bits in starts:
         arrive[eid] |= bits
     sources, _, _, delays = net._columns
-    fan_in = _plan(net, 1 + max(delays, default=0))[0]
-    for nid, synapses in fan_in.items():
-        for k in synapses:
+    longest = max(delays, default=0)
+    fan_in, span = _plan(net, 1 + longest)
+
+    def reached(nid: int) -> int:
+        bits = arrive[nid]
+        for k in fan_in[nid]:
             if sources[k] != nid:  # an SR latch's hold is no new path
-                arrive[nid] |= arrive[sources[k]] << delays[k]
+                bits |= arrive[sources[k]] << delays[k]
+        return bits
+
+    for nid in fan_in:
+        if nid not in span:
+            arrive[nid] = reached(nid)
+        elif nid == span.start:
+            cut = ~(-1 << max(map(int.bit_length, arrive)) + len(span) * longest)
+            before = None  # the span's arrivals before each walk of it
+            while before != (before := arrive[span.start:span.stop]):
+                for member in filter(fan_in.__contains__, span):
+                    arrive[member] = reached(member) & cut
     return arrive
 
 

@@ -99,7 +99,7 @@ class TestDecoderProperties:
 
     def test_encoder_inverts_decoder_channels(self):
         # multi-hot encoder inputs combine as a bitwise OR
-        check = sweep_encoder(4, subsets=[0b0110, 0b1010, 0b0001, 0b1111])
+        check = sweep_encoder(4, words=[0b0110, 0b1010, 0b0001, 0b1111])
         assert check.ok, check.detail
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import operator
 import random
 import re
 from dataclasses import replace
@@ -33,6 +34,7 @@ from spikelogic.harness import (
     sweep_multiplexer,
     verify_block,
 )
+from spikelogic.oracles import memory_states
 from spikelogic.resources import (
     _FORMS,
     BLOCK_KINDS,
@@ -520,6 +522,64 @@ def test_measure_latency_runs_nothing(monkeypatch):
         assert measure_latency(kind, ak) == expected_latency(kind, ak)
 
 
+def _every_path(net: Network, starts, bound: int) -> list[int]:
+    """Per entity id, the delays below bound of every path from starts,
+    cycles included, less self-synapses: enumerated synapse by synapse
+    from each start, in no id order."""
+    arrive = [0] * (len(net.neurons) + len(net.sources))
+
+    def extend(eid, delay):
+        arrive[eid] |= 1 << delay
+        for synapse in net.synapses:
+            reach = delay + synapse.delay_ms
+            if synapse.source == eid != synapse.target and reach < bound:
+                extend(synapse.target, reach)
+
+    for eid, bits in starts:
+        for delay in range(bits.bit_length()):
+            if bits >> delay & 1 and delay < bound:
+                extend(eid, delay)
+    return arrive
+
+
+def test_the_walk_of_ids_against_the_data_flow():
+    # a chain from id 5 down to id 0, fed at id 5, and a reader past it:
+    # every synapse of the chain reads a larger id than its target
+    net = Network()
+    chain = [net.add_neuron() for _ in range(6)]
+    for a, b in zip(chain[:0:-1], chain[-2::-1]):
+        net.connect(a, b, 1, 1)
+    reader = net.add_neuron()
+    net.connect(chain[0], reader, 1, 2)
+    net.connect(chain[3], reader, -1, 1)
+    starts = [(chain[-1], 1 << 1)]
+    arrive = harness._path_delays(net, starts)
+    assert arrive[:6] == [64, 32, 16, 8, 4, 2]
+    assert arrive == _every_path(net, starts, 64)
+
+
+def test_the_walk_of_a_ring_an_input_reaches():
+    # ids 2 -> 1 -> 0 -> 2 (1, 2 and 1 ms) fed at id 2, id 2 also feeding
+    # the reader: the ring's paths go on for ever, so the walk is cut,
+    # but below its span's size times the longest delay it holds every path
+    net = Network()
+    ring = [net.add_neuron() for _ in range(3)]
+    net.connect(ring[2], ring[1], 1, 1)
+    net.connect(ring[1], ring[0], -1, 2)
+    net.connect(ring[0], ring[2], 1, 1)
+    reader = net.add_neuron()
+    net.connect(ring[2], reader, 1, 3)
+    feed = net.add_source([1])
+    net.connect(feed, ring[2], 1, 1)
+    starts = [(feed, 1)]
+    bound = len(ring) * 3
+    arrive = harness._path_delays(net, starts)
+    assert [bits & ~(-1 << bound) for bits in arrive] == _every_path(
+        net, starts, bound)
+    # the ring's 4 ms cycle: ids 2, 1 and 0 at 1, 2 and 4 ms, then again
+    assert [arrive[eid] & 0x3f for eid in ring] == [0b10000, 0b100, 0b100010]
+
+
 @pytest.mark.parametrize("builder, category, ak, named", [
     # inverter s0's synapse to gate 0 of the select stage
     ("build_decoder", "NOT to AND (fast)", "fast",
@@ -700,6 +760,39 @@ def test_verify_draws_encoder_cases_from_the_seed(monkeypatch):
     assert len(handed) == 4
     assert handed[0] != handed[1]
     assert handed[2] == handed[3]
+
+
+def test_encoder_sweep_is_labelled_by_its_inputs():
+    # the encoder has no AND stage: its label names its inputs, not one
+    check = sweep_encoder(n=4, words=[1, 2, 4, 8])
+    assert check == harness.Check(
+        "encoder 4 inputs: 4 pipelined subsets", True, "4 subsets")
+
+
+@pytest.mark.parametrize("kind", ["decoder", "encoder", "multiplexer",
+                                  "demultiplexer"])
+def test_verify_draws_words_over_every_input_port(kind):
+    # uniform over the block's input ports, select and data alike
+    size = (12,) if kind == "encoder" else tuple(BLOCKS[kind].default.values())
+    ports = _FORMS[kind].ports(*size)[0]
+    words = harness._drawn(kind, harness._random(DEFAULT_SEED), *size)
+    assert len(words) == harness.VERIFY_TRIALS == 64
+    assert all(type(word) is int and 0 <= word < 2 ** ports for word in words)
+    assert any(word >> ports - 1 for word in words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(registers=st.integers(1, 40), bits=st.integers(1, 9), data=st.data())
+def test_memory_oracle_matches_the_per_ms_packing(registers, bits, data):
+    # full and partial occupancy, so addresses past the last register too,
+    # and the no-op address 0
+    depth = registers.bit_length()
+    words = data.draw(st.lists(st.integers(0, 2 ** (depth + bits) - 1),
+                               max_size=60), label="words")
+    assert BLOCKS["memory"].oracle(words, registers, bits) == [
+        sum(map(operator.lshift, state, range(0, registers * bits, bits)))
+        for state in memory_states([w & 2 ** depth - 1 for w in words],
+                                   [w >> depth for w in words], registers, bits)]
 
 
 def test_synapse_cap_admits_its_own_count(monkeypatch):
