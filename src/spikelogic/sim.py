@@ -22,6 +22,12 @@ the entity spikes at t, sharing each recent (source, delay) shift:
 
 - a neuron outside the span thresholds a bit-sliced sum of its shifted
   input trains;
+- one of 4 or more inputs and no SR-latch loop, U of them units at
+  weight +1, is A_0 | A_1 & OR(units) | A_U & AND(units), with A_j the
+  ticks where its other inputs reach its threshold less j: as each A_j
+  holds A_{j-1}, that is exact where A_1 = A_{U-1}, and the neuron is
+  bit-sliced where not. The A_j are computed again only where its
+  context (threshold, U, others) differs from the last one's;
 - one whose self-synapses all have delay 1 and a total weight of at
   least 0 (the SR latch) takes a closed form, a carry chain;
 - the span (the CSS ring), as one component, and any other self-looped
@@ -36,7 +42,7 @@ from array import array
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import chain, compress, repeat
 from types import MappingProxyType
 from typing import Container, Iterable, Iterator, Mapping, NamedTuple
@@ -431,6 +437,7 @@ def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
     # a (source, delay) read's train, shifted and cut to the run; no bench
     # network reads a pair again after 256 others, so each is made once
     shifted = lru_cache(256)(lambda source, delay: (trains[source] << delay) & mask)
+    key = context = None  # the last neuron's context key and its context
     for nid, synapses in fan_in.items():
         held = 0
         if nid in span:
@@ -445,6 +452,19 @@ def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
                 trains.update(_stepped_component(net, [nid], fan_in, trains, duration))
                 continue
             synapses = [k for k in synapses if sources[k] != nid]
+        # below 4 inputs, the split costs more than the sum it saves
+        if not held and len(synapses) >= 4:
+            units = [k for k in synapses if weights[k] == 1]
+            others = [(sources[k], delays[k], weights[k])
+                      for k in synapses if weights[k] != 1]
+            if key != (net.neurons[nid], len(units), others):
+                key = (net.neurons[nid], len(units), others)
+                context = _context(*key, shifted, mask)
+            if context is not None:
+                read = [shifted(sources[k], delays[k]) for k in units]
+                trains[nid] = (context[0] | context[1] & reduce(operator.or_, read, 0)
+                               | context[2] & reduce(operator.and_, read, mask))
+                continue
         inputs = [(shifted(sources[k], delays[k]), weights[k]) for k in synapses]
         planes, offset = _bit_sliced_sum(inputs, mask)
         threshold = net.neurons[nid] + offset
@@ -458,6 +478,21 @@ def _levelized_trains(net: Network, duration: int) -> dict[int, int]:
             fire = (((active + fire) ^ active ^ fire) >> 1) & mask
         trains[nid] = fire
     return trains
+
+
+def _context(threshold: int, units: int, others: list[tuple[int, int, int]],
+             shifted, mask: int) -> tuple[int, int, int] | None:
+    """(A_0, A_1, A_units), where A_j holds the ticks at which others,
+    (source, delay, weight) read through shifted, reach threshold - j;
+    None where units > 2 and A_1 != A_{units-1}, as a tick needs 2 to units - 1."""
+    planes, offset = _bit_sliced_sum(
+        [(shifted(source, delay), weight) for source, delay, weight in others], mask)
+    threshold += offset
+    first = _at_least(planes, threshold - 1, mask)
+    if units > 2 and first != _at_least(planes, threshold - units + 1, mask):
+        return None
+    return (_at_least(planes, threshold, mask), first,
+            _at_least(planes, threshold - units, mask))
 
 
 def _bit_sliced_sum(inputs: list[tuple[int, int]],

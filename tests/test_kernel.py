@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spikelogic import sim
-from spikelogic.gates import CAT_INTERNAL_CSS, build_css
+from spikelogic.gates import CAT_INTERNAL_CSS, build_css, drive
 from spikelogic.harness import (
     BLOCKS,
     EXPERIMENTS,
     ExperimentConfig,
+    _drawn,
     block_config,
     build_block,
     check_pipelined,
@@ -91,6 +92,45 @@ def networks(draw):
 
 @given(networks())
 def test_random_gate_like_networks(case):
+    assert_matches_reference(*case)
+
+
+# weights of a neuron's other inputs: every weight of -3 to 3 but +1
+OTHER_WEIGHTS = st.sampled_from([-3, -2, -1, 2, 3])
+
+
+@st.composite
+def unit_neurons(draw):
+    """A network of neurons, each with 0 to 10 inputs at weight +1 (its
+    units) and 0 to 3 others, at thresholds 1 to 6, and a duration. A
+    neuron reads sources and earlier neurons. About half of them keep
+    the previous neuron's threshold, unit count and other inputs, so
+    consecutive neurons share a context and only their units differ."""
+    net = Network()
+    duration = draw(st.integers(1, 40))
+    schedules = st.lists(st.integers(0, 50), max_size=25, unique=True).map(sorted)
+    readable = [net.add_source(draw(schedules)) for _ in range(draw(st.integers(1, 5)))]
+    delays = st.integers(1, 3)
+    shared = None
+    for _ in range(draw(st.integers(1, 8))):
+        if shared is None or draw(st.booleans()):
+            shared = (draw(st.integers(1, 6)), draw(st.integers(0, 10)), draw(st.lists(
+                st.tuples(st.sampled_from(readable), OTHER_WEIGHTS, delays), max_size=3)))
+        threshold, units, others = shared
+        nid = net.add_neuron(threshold)
+        taps = [(draw(st.sampled_from(readable)), 1, draw(delays)) for _ in range(units)]
+        for source, weight, delay in (taps + others if draw(st.booleans())
+                                      else others + taps):
+            net.connect(source, nid, weight, delay)
+        readable.append(nid)
+    net.record(*net.sources, *net.neurons)
+    return net, duration
+
+
+@given(unit_neurons())
+def test_units_under_a_shared_context(case):
+    # a neuron of 4 or more inputs is thresholded as an OR and an AND of
+    # its units when its context allows it, else bit-sliced
     assert_matches_reference(*case)
 
 
@@ -437,3 +477,55 @@ def test_run_plan_memory_per_synapse():
     finally:
         tracemalloc.stop()
     assert peak < 200 * len(net.synapses)
+
+
+# every block kind at its default size with each AND kind, and the wide
+# select blocks at n=10
+WIDE = [(kind, ak, {}) for kind in BLOCKS for ak in ("classic", "fast")] + [
+    (kind, ak, {"n": 10}) for kind in ("decoder", "multiplexer", "demultiplexer")
+    for ak in ("classic", "fast")]
+
+
+@pytest.mark.parametrize("kind, and_kind, sizes", WIDE, ids=[
+    "-".join([kind, ak, *map(str, sizes.values())]) for kind, ak, sizes in WIDE])
+def test_units_lowered_or_bit_sliced_alike(kind, and_kind, sizes, monkeypatch):
+    # every neuron's train, with each context as computed and with none,
+    # which puts every neuron on the bit-sliced path
+    runs = _capture_runs(monkeypatch)
+    ak, size = block_config(kind, and_kind, **sizes)
+    check_pipelined(kind, ak, size, _drawn(kind, random.Random(7), *size), kind)
+    ((net, record),) = runs
+    net.record(*net.neurons)
+    lowered = net.run(record.duration_ms)
+    monkeypatch.setattr(sim, "_context", lambda *args: None)
+    assert net.run(record.duration_ms) == lowered
+
+
+def test_fast_decoder_gates_share_one_context(monkeypatch):
+    # the 1,024 gates of the fast n=10 decoder read their 10 select lines
+    # at +1 and the CSS veto at -9 from each phase: one context, computed
+    # once, lowers them all, and no neuron bit-slices more than the
+    # 3 inputs of a NOT
+    contexts, sums = [], []
+    context, bit_sliced_sum = sim._context, sim._bit_sliced_sum
+
+    def spy_context(*args):
+        contexts.append(context(*args))
+        return contexts[-1]
+
+    def spy_sum(inputs, mask):
+        sums.append(len(inputs))
+        return bit_sliced_sum(inputs, mask)
+
+    net = Network()
+    decoder = build_block(net, "decoder", "fast", (10,))
+    rng = random.Random(1)
+    for port in decoder.inputs:
+        drive(net, decoder, port, net.add_source(sorted(rng.sample(range(60), 30))))
+    net.record(*decoder.outputs.values())
+    monkeypatch.setattr(sim, "_context", spy_context)
+    monkeypatch.setattr(sim, "_bit_sliced_sum", spy_sum)
+    net.run(60)
+    assert len(decoder.outputs) == 1024
+    assert len(contexts) == 1 and contexts[0] is not None
+    assert max(sums) <= 3
